@@ -11,7 +11,9 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Sequence
 
-import numpy as np
+# numpy is imported by the functions of the identity closure that use it,
+# so that importing the package for charts, handles or the CLI does not
+# load it (about 14 MB of resident memory and a tenth of a second)
 
 BACKEND_KIND = "pure"
 
@@ -20,7 +22,13 @@ BACKEND_KIND = "pure"
 # word packing
 
 def pack_word(values: Sequence[int], degree: int) -> int:
-    """Pack a signed-letter word into one integer, leftmost letter first."""
+    """Pack a signed-letter word into one integer, leftmost letter first.
+
+    The length lives in the low 6 bits, so words of 64 letters or more are
+    refused with ValueError.
+    """
+    if len(values) >= 64:
+        raise ValueError(f"cannot pack a word of {len(values)} letters (limit 63)")
     base = 2 * degree - 1
     acc = 0
     for v in values:
@@ -164,6 +172,8 @@ def _letter_tables(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     after the relator move of _word_neighbors (0, never a valid window, when
     no relator move applies).
     """
+    import numpy as np
+
     base = 2 * degree - 1
     letters = [v for i in range(1, degree) for v in (i, -i)]
     code = {v: pack_word((v,), degree) >> 6 for v in letters}
@@ -193,6 +203,8 @@ def _neighbour_blocks(
     Words are the base-(2N-1) values of their letter codes, leftmost letter
     most significant; the moves are those of _word_neighbors.
     """
+    import numpy as np
+
     inv, far, rel = tables
     pw = [np.uint64(base**k) for k in range(n + 3)]
     digits = np.empty((n, words.size), dtype=np.uint64)
@@ -234,6 +246,8 @@ def _neighbour_blocks(
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
     # sorting beats np.unique, which hashes uint64 input before sorting it
+    import numpy as np
+
     values = np.sort(values)
     keep = np.empty(values.size, dtype=bool)
     keep[:1] = True
@@ -243,6 +257,8 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
 
 def _drop_known(values: np.ndarray, known: np.ndarray | None) -> np.ndarray:
     """The sorted values that do not occur in the sorted array known."""
+    import numpy as np
+
     if known is None or not known.size or not values.size:
         return values
     at = np.searchsorted(known, values)
@@ -275,6 +291,8 @@ def identity_component(
             f"excursion cap {excursion_cap} does not pack exactly into 64 bits "
             f"at degree {degree}"
         )
+    import numpy as np
+
     tables = _letter_tables(degree)
     total = 1
     previous: dict[int, np.ndarray] = {}

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import kernels
+from .errors import BudgetExceeded
 
 
 class DegreeMismatch(ValueError):
@@ -196,12 +197,15 @@ def oracle_is_identity(
     far commutation swaps, and length-preserving 3-letter relator rewrites,
     never letting intermediate words exceed excursion_cap letters.  Sound for
     any cap (all moves preserve the group element); completeness grows with
-    the cap.
+    the cap.  Raises BudgetExceeded once more than max_states words are seen.
     """
     reduced = free_reduce(word)
     if reduced.is_empty:
         return True
     cap = excursion_cap if excursion_cap is not None else len(reduced) + 4
-    return kernels.word_reaches_identity(
-        list(reduced.signed()), reduced.degree, cap, max_states
-    )
+    try:
+        return kernels.word_reaches_identity(
+            list(reduced.signed()), reduced.degree, cap, max_states
+        )
+    except RuntimeError as exc:
+        raise BudgetExceeded(str(exc)) from exc

@@ -85,13 +85,27 @@ class Chart:
 
 @dataclass(eq=False)
 class SurfaceMap:
-    """Derived view of a chart's rotation system."""
+    """Derived view of a chart's rotation system.
 
-    darts: tuple[int, ...]
+    A chart value derives its map once, on first use, and keeps it; the
+    dicts are shared by every reader and must not be modified.
+    """
+
+    darts: tuple[int, ...]  # sorted
     alpha: dict  # edge involution
     sigma: dict  # counterclockwise successor at the vertex
-    phi: dict  # face walk, sigma after alpha
-    faces: tuple[tuple[int, ...], ...]
+    faces: tuple[tuple[int, ...], ...]  # face walks, each from its least dart
+    edge_of: dict  # dart -> index of its edge
+    edge_at: dict  # dart -> its edge
+    slot_of: dict  # dart -> (vertex index, position in the cycle)
+    face_of: dict  # dart -> index of its face
+    face_pos: dict  # dart -> position along its face walk
+    comp: dict  # dart -> least vertex index of its connected component
+
+    @property
+    def phi(self):
+        """Face walk successor: sigma after alpha."""
+        return {d: self.sigma[self.alpha[d]] for d in self.alpha}
 
 
 @dataclass
@@ -111,46 +125,110 @@ class BoundsReport:
     u_gamma_upper: int
 
 
-def _structural(chart):
-    """Map-level checks; returns (violations, dart->edge, dart->(vertex,pos))."""
+def _derived(chart):
+    """The chart's map-level violations, its SurfaceMap and its dartless vertices.
+
+    Derived on first use and kept on the frozen value, the way BraidWord
+    keeps its signed tuple; the map is None while the dart structure is
+    broken.  dataclasses.replace builds a new value, which derives its own.
+    """
+    got = chart.__dict__.get("_derived")
+    if got is None:
+        got = _derive(chart)
+        object.__setattr__(chart, "_derived", got)
+    return got
+
+
+def _derive(chart):
     out = []
     if chart.degree < 2:
         out.append(f"degree {chart.degree} must be at least 2")
     if chart.genus < 0:
         out.append(f"genus {chart.genus} must be nonnegative")
-    edge_of = {}
+    edge_of, edge_at, alpha = {}, {}, {}
     for idx, e in enumerate(chart.edges):
         d1, d2 = e.darts
         if d1 == d2:
             out.append(f"edge {idx}: its two darts must differ")
-        for d in e.darts:
-            if d in edge_of:
-                out.append(f"dart {d} appears in more than one edge")
-            edge_of[d] = idx
-        if e.head not in e.darts:
+        if d1 in edge_of:
+            out.append(f"dart {d1} appears in more than one edge")
+        edge_of[d1] = idx
+        if d2 in edge_of:
+            out.append(f"dart {d2} appears in more than one edge")
+        edge_of[d2] = idx
+        edge_at[d1] = edge_at[d2] = e
+        alpha[d1] = d2
+        alpha[d2] = d1
+        if e.head != d1 and e.head != d2:
             out.append(f"edge {idx}: head {e.head} is not one of its darts")
-    slot_of = {}
+    slot_of, sigma, bare = {}, {}, []
     for vi, v in enumerate(chart.vertices):
-        for pos, d in enumerate(v.cycle):
+        cycle = v.cycle
+        if not cycle:
+            bare.append(vi)
+            continue
+        prev = cycle[-1]
+        for pos, d in enumerate(cycle):
             if d in slot_of:
                 out.append(f"dart {d} appears in more than one vertex cycle")
             slot_of[d] = (vi, pos)
-    if set(edge_of) != set(slot_of):
-        for d in sorted(set(edge_of) ^ set(slot_of)):
+            sigma[prev] = d
+            prev = d
+    if edge_of.keys() != slot_of.keys():
+        for d in sorted(edge_of.keys() ^ slot_of.keys()):
             side = "edge" if d in edge_of else "vertex"
             out.append(f"dart {d} appears only on the {side} side")
-    return out, edge_of, slot_of
+    if out:
+        return out, None, bare
+
+    darts = sorted(alpha)
+    faces, face_of, face_pos = [], {}, {}
+    for d in darts:
+        if d in face_of:
+            continue
+        k, walk, cur = len(faces), [], d
+        while cur not in face_of:
+            face_of[cur] = k
+            face_pos[cur] = len(walk)
+            walk.append(cur)
+            cur = sigma[alpha[cur]]
+        faces.append(tuple(walk))
+
+    # components, each named by its least vertex index
+    vcomp = [-1] * len(chart.vertices)
+    for start, v in enumerate(chart.vertices):
+        if vcomp[start] >= 0:
+            continue
+        vcomp[start] = start
+        stack = [v.cycle]
+        while stack:
+            for d in stack.pop():
+                w = slot_of[alpha[d]][0]
+                if vcomp[w] < 0:
+                    vcomp[w] = start
+                    stack.append(chart.vertices[w].cycle)
+    comp = {d: vcomp[vi] for d, (vi, _) in slot_of.items()}
+    sm = SurfaceMap(
+        darts=tuple(darts),
+        alpha=alpha,
+        sigma=sigma,
+        faces=tuple(faces),
+        edge_of=edge_of,
+        edge_at=edge_at,
+        slot_of=slot_of,
+        face_of=face_of,
+        face_pos=face_pos,
+        comp=comp,
+    )
+    return out, sm, bare
 
 
 def boundary_sequence(chart, vertex_index):
     """Counterclockwise (label, out_sign) word around one vertex."""
-    edge_of = {}
-    for idx, e in enumerate(chart.edges):
-        for d in e.darts:
-            edge_of[d] = idx
+    edge_at = surface_map(chart).edge_at
     seq = []
     for d in chart.vertices[vertex_index].cycle:
-        e = chart.edges[edge_of[d]]
+        e = edge_at[d]
         seq.append((e.label, 1 if e.head != d else -1))
     return seq
 
@@ -189,20 +267,40 @@ def _match_crossing(seq):
     return (i, j), (1 if p_j == (p_i + 1) % 4 else -1)
 
 
-def validate_chart(chart):
-    """Check all chart axioms; returns a list of violations, empty when valid."""
-    out, edge_of, slot_of = _structural(chart)
-    if out:
-        return out
+def validate_chart(chart, touched=None):
+    """Check the chart axioms; returns a list of violations, empty when valid.
 
-    for vi, v in enumerate(chart.vertices):
+    The map-level axioms (degree, genus, dart structure, the loop records
+    and the per-component Euler count) always run on the whole map.  The
+    per-vertex and per-edge axioms run everywhere, or, given touched darts,
+    only at the vertices and edges holding one of them (and at vertices
+    without darts, which no dart can name).  The patch check suffices after
+    a move over a valid chart: a vertex whose Vertex and Edge objects the
+    move kept has the same word as before.
+    """
+    out, sm, bare = _derived(chart)
+    if out:
+        return list(out)
+    if touched is None:
+        vis = range(len(chart.vertices))
+        eis = range(len(chart.edges))
+    else:
+        slot_of, edge_of = sm.slot_of, sm.edge_of
+        vis = {slot_of[d][0] for d in touched if d in slot_of}
+        vis = sorted(vis.union(bare))
+        eis = sorted({edge_of[d] for d in touched if d in edge_of})
+
+    out = []
+    for vi in vis:
+        v = chart.vertices[vi]
         if v.kind not in VERTEX_DEGREE:
             out.append(f"vertex {vi}: unknown kind {v.kind!r}")
             continue
         want = VERTEX_DEGREE[v.kind]
         if len(v.cycle) != want:
             out.append(f"vertex {vi} ({v.kind}): degree {len(v.cycle)} != {want}")
-    for idx, e in enumerate(chart.edges):
+    for idx in eis:
+        e = chart.edges[idx]
         if not 1 <= e.label <= chart.degree - 1:
             out.append(
                 f"edge {idx}: label {e.label} out of range 1..{chart.degree - 1}"
@@ -222,13 +320,16 @@ def validate_chart(chart):
     if out:
         return out
 
-    for vi, v in enumerate(chart.vertices):
-        seq = boundary_sequence(chart, vi)
-        if v.kind == "white" and _match_white(seq) is None:
+    for vi in vis:
+        kind = chart.vertices[vi].kind
+        if kind == "white" and _match_white(boundary_sequence(chart, vi)) is None:
             out.append(
                 f"vertex {vi}: white boundary word is not an adjacent-pair relator"
             )
-        elif v.kind == "crossing" and _match_crossing(seq) is None:
+        elif (
+            kind == "crossing"
+            and _match_crossing(boundary_sequence(chart, vi)) is None
+        ):
             out.append(
                 f"vertex {vi}: invalid crossing word, need far labels in"
                 " opposite-sign diagonal pairs"
@@ -238,52 +339,22 @@ def validate_chart(chart):
 
     # orientability bookkeeping: each connected component of the map has an
     # even Euler characteristic; the component genera must fit the carrier
-    alpha = {}
-    for e in chart.edges:
-        alpha[e.darts[0]] = e.darts[1]
-        alpha[e.darts[1]] = e.darts[0]
-    sigma = {}
+    comp = sm.comp
+    chi = {}
     for v in chart.vertices:
-        for k, d in enumerate(v.cycle):
-            sigma[d] = v.cycle[(k + 1) % len(v.cycle)]
-    parent = list(range(len(chart.vertices)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+        root = comp[v.cycle[0]]
+        chi[root] = chi.get(root, 0) + 1
     for e in chart.edges:
-        a, b = find(slot_of[e.darts[0]][0]), find(slot_of[e.darts[1]][0])
-        if a != b:
-            parent[a] = b
-    comp_v = {}
-    comp_e = {}
-    for vi in range(len(chart.vertices)):
-        if chart.vertices[vi].cycle:
-            comp_v[find(vi)] = comp_v.get(find(vi), 0) + 1
-    for e in chart.edges:
-        root = find(slot_of[e.darts[0]][0])
-        comp_e[root] = comp_e.get(root, 0) + 1
-    comp_f = {}
-    seen = set()
-    for d in sorted(alpha):
-        if d in seen:
-            continue
-        cur = d
-        while cur not in seen:
-            seen.add(cur)
-            cur = sigma[alpha[cur]]
-        root = find(slot_of[d][0])
-        comp_f[root] = comp_f.get(root, 0) + 1
+        root = comp[e.darts[0]]
+        chi[root] -= 1
+    for f in sm.faces:
+        chi[comp[f[0]]] += 1
     total_genus = 0
-    for root, nv in comp_v.items():
-        chi = nv - comp_e.get(root, 0) + comp_f.get(root, 0)
-        if chi % 2 or chi > 2:
-            out.append(f"component at vertex {root}: impossible Euler count {chi}")
+    for root, x in chi.items():
+        if x % 2 or x > 2:
+            out.append(f"component at vertex {root}: impossible Euler count {x}")
         else:
-            total_genus += (2 - chi) // 2
+            total_genus += (2 - x) // 2
     if total_genus > chart.genus:
         out.append(
             f"total component genus {total_genus} exceeds declared genus"
@@ -299,38 +370,11 @@ def _require_valid(chart):
 
 
 def surface_map(chart):
-    """Build the SurfaceMap view (alpha, sigma, phi, face walks)."""
-    out, _, _ = _structural(chart)
+    """The chart's SurfaceMap (alpha, sigma, face walks, components)."""
+    out, sm, _ = _derived(chart)
     if out:
         raise InvalidChart(out)
-    alpha = {}
-    for e in chart.edges:
-        alpha[e.darts[0]] = e.darts[1]
-        alpha[e.darts[1]] = e.darts[0]
-    sigma = {}
-    for v in chart.vertices:
-        for k, d in enumerate(v.cycle):
-            sigma[d] = v.cycle[(k + 1) % len(v.cycle)]
-    phi = {d: sigma[alpha[d]] for d in alpha}
-    faces = []
-    seen = set()
-    for d in sorted(alpha):
-        if d in seen:
-            continue
-        walk = []
-        cur = d
-        while cur not in seen:
-            seen.add(cur)
-            walk.append(cur)
-            cur = phi[cur]
-        faces.append(tuple(walk))
-    return SurfaceMap(
-        darts=tuple(sorted(alpha)),
-        alpha=alpha,
-        sigma=sigma,
-        phi=phi,
-        faces=tuple(faces),
-    )
+    return sm
 
 
 def white_type(chart, vertex_index):
@@ -410,9 +454,7 @@ def _rotated(cycle):
 
 def canonical_dart_map(chart):
     """Dart renaming used by canonical_chart: numbered by first appearance."""
-    out, _, _ = _structural(chart)
-    if out:
-        raise InvalidChart(out)
+    surface_map(chart)  # raises on a broken dart structure
     verts = sorted(
         (Vertex(v.kind, _rotated(v.cycle)) for v in chart.vertices),
         key=lambda v: (v.cycle[0] if v.cycle else float("inf"), v.kind),

@@ -416,15 +416,9 @@ SURFACE_MOVES = (
 
 
 def _edge_maps(ch: Chart):
-    emap = {}
-    for e in ch.edges:
-        for d in e.darts:
-            emap[d] = e
-    vmap = {}
-    for vi, v in enumerate(ch.vertices):
-        for pos, d in enumerate(v.cycle):
-            vmap[d] = (vi, pos)
-    return emap, vmap
+    """dart -> Edge and dart -> (vertex index, position), from the chart's map."""
+    m = surface_map(ch)
+    return m.edge_at, m.slot_of
 
 
 def _edge_at(emap, dart):
@@ -445,76 +439,32 @@ def _loop_at(ch: Chart, idx):
 
 
 def _fresh(ch: Chart, n: int) -> tuple[int, ...]:
-    used = [d for e in ch.edges for d in e.darts]
-    used += [d for v in ch.vertices for d in v.cycle]
-    m = max(used, default=0) + 1
+    darts = surface_map(ch).darts
+    m = darts[-1] + 1 if darts else 1
     return tuple(range(m, m + n))
-
-
-def _components(ch: Chart):
-    """Union-find roots over darts; darts in one component share a root."""
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for v in ch.vertices:
-        for a, b in zip(v.cycle, v.cycle[1:]):
-            union(a, b)
-        if v.cycle:
-            union(v.cycle[0], v.cycle[0])
-    for e in ch.edges:
-        union(e.darts[0], e.darts[1])
-    return {d: find(d) for d in parent}
-
-
-def _faces_and_comps(ch: Chart):
-    sm = surface_map(ch)
-    face_of = {d: fi for fi, f in enumerate(sm.faces) for d in f}
-    return face_of, _components(ch)
-
-
-def _face_tables(ch: Chart):
-    """Face id, position along the face walk, and face length per dart."""
-    sm = surface_map(ch)
-    fid, fpos, flen = {}, {}, {}
-    for k, f in enumerate(sm.faces):
-        for p, d in enumerate(f):
-            fid[d] = k
-            fpos[d] = p
-        flen[k] = len(f)
-    return fid, fpos, flen
 
 
 def _faces_touch(s: DecoratedSurface, a, pa, b, pb):
     """Necessary condition for a band between the two edges to embed."""
-    face_of, comp = _faces_and_comps(s.chart)
-    if comp.get(a) != comp.get(b):
+    m = surface_map(s.chart)
+    if m.comp.get(a) != m.comp.get(b):
         return True
+    face_of = m.face_of
     return bool({face_of[a], face_of[pa]} & {face_of[b], face_of[pb]})
 
 
-def _planar_reconnect(fid, fpos, flen, comp, a, pa, b, pb):
+def _planar_reconnect(m, a, pa, b, pb):
     """True when resewing a-b and pa-pb keeps the surface planar.
 
     The rewiring composes the face walk with the transpositions (a pb)
     and (b pa); it preserves genus exactly when both steps split a face.
     """
-    if comp.get(a) != comp.get(b):
+    if m.comp.get(a) != m.comp.get(b):
         return True
+    fid, fpos = m.face_of, m.face_pos
     if fid[a] != fid[pb]:
         return False
-    L = flen[fid[a]]
+    L = len(m.faces[fid[a]])
     px, py = fpos[a], fpos[pb]
     span = (px - py) % L
 
@@ -530,12 +480,12 @@ def _planar_reconnect(fid, fpos, flen, comp, a, pa, b, pb):
     return fid[b] == fid[pa]
 
 
-def _planar_insert(fid, comp, a, pa, b):
+def _planar_insert(m, a, pa, b):
     # the pushed finger detours through the face behind a, which must be
     # the face in front of b; separate components can always be arranged
-    if comp.get(a) != comp.get(b):
+    if m.comp.get(a) != m.comp.get(b):
         return True
-    return fid[pa] == fid[b]
+    return m.face_of[pa] == m.face_of[b]
 
 
 def _with(s: DecoratedSurface, **chart_fields) -> DecoratedSurface:
@@ -614,24 +564,33 @@ def _collapse(ch: Chart, kill_vis, ports, mute=()):
     return new_edges, [(lab, arr) for _, lab, arr in closed_out]
 
 
+def _changed(old, new, key):
+    """(items of new that old lacks, items of old that new lacks), by key.
+
+    Items both sides share by identity are equal and are skipped; the rest
+    are matched by key and value, and each side comes back sorted by key.
+    """
+    kept = set(map(id, old)).intersection(map(id, new))
+    okey = {key(x): x for x in old if id(x) not in kept}
+    nkey = {key(x): x for x in new if id(x) not in kept}
+    gone = tuple(nkey[k] for k in sorted(nkey) if okey.get(k) != nkey[k])
+    back = tuple(okey[k] for k in sorted(okey) if nkey.get(k) != okey[k])
+    return gone, back
+
+
 def _patch_between(before: DecoratedSurface, after: DecoratedSurface) -> _Patch:
-    bkey = {tuple(sorted(e.darts)): e for e in before.chart.edges}
-    akey = {tuple(sorted(e.darts)): e for e in after.chart.edges}
-    rm_e = tuple(akey[k] for k in sorted(akey) if bkey.get(k) != akey[k])
-    ad_e = tuple(bkey[k] for k in sorted(bkey) if akey.get(k) != bkey[k])
-    bv = {tuple(sorted(v.cycle)): v for v in before.chart.vertices}
-    av = {tuple(sorted(v.cycle)): v for v in after.chart.vertices}
-    rm_v = tuple(av[k] for k in sorted(av) if bv.get(k) != av[k])
-    ad_v = tuple(bv[k] for k in sorted(bv) if av.get(k) != bv[k])
+    a, b = before.chart, after.chart
+    rm_e, ad_e = _changed(a.edges, b.edges, lambda e: tuple(sorted(e.darts)))
+    rm_v, ad_v = _changed(a.vertices, b.vertices, lambda v: tuple(sorted(v.cycle)))
     return _Patch(
         rm_e,
         ad_e,
         rm_v,
         ad_v,
-        before.chart.loops,
-        before.chart.pattern_loops,
+        a.loops,
+        a.pattern_loops,
         before.handles,
-        before.chart.genus,
+        a.genus,
     )
 
 
@@ -854,11 +813,10 @@ def _do_cir2straighten(s, mv):
     if ta != tb or sa != -sb:
         raise SiteMismatch("the two crossings do not cancel")
     sm = surface_map(ch)
-    da, db = set(ch.vertices[va].cycle), set(ch.vertices[vb].cycle)
+    db = set(ch.vertices[vb].cycle)
     bigon = any(
-        len(f) == 2
-        and ((f[0] in da and f[1] in db) or (f[0] in db and f[1] in da))
-        for f in sm.faces
+        len(f) == 2 and not db.isdisjoint(f)
+        for f in (sm.faces[sm.face_of[d]] for d in ch.vertices[va].cycle)
     )
     if not bigon:
         raise SiteMismatch("the crossings are not adjacent along both strands")
@@ -1536,14 +1494,11 @@ def _do_patterntwist(s, mv):
 # apply entry points
 
 
-def _check_surface(s: DecoratedSurface):
-    problems = validate_chart(s.chart)
+def _check_surface(s: DecoratedSurface, touched=None):
+    """Raise SiteMismatch unless the surface is valid; see validate_chart."""
+    problems = validate_chart(s.chart, touched)
     if problems:
         raise SiteMismatch("; ".join(problems))
-    kind = {}
-    for v in s.chart.vertices:
-        for d in v.cycle:
-            kind[d] = v.kind
     feet, seen = [], set()
     for h in s.handles:
         if h.id in seen:
@@ -1553,18 +1508,38 @@ def _check_surface(s: DecoratedSurface):
             raise SiteMismatch(f"handle {h.id}: loop word degree mismatch")
         if h.feet is not None:
             feet.extend(h.feet)
-    ends = sorted(d for d, k in kind.items() if k == "free_end")
+    ends = sorted(v.cycle[0] for v in s.chart.vertices if v.kind == "free_end")
     if sorted(feet) != ends:
         raise SiteMismatch("free ends and handle feet out of step")
+    object.__setattr__(s, "_checked", True)
+
+
+def _touched(before: Chart, after: Chart):
+    """Darts of after's edges and vertices that are not, by identity, before's."""
+    if after is before:
+        return ()
+    old = set(map(id, before.edges))
+    old.update(map(id, before.vertices))
+    out = [d for e in after.edges if id(e) not in old for d in e.darts]
+    out += [d for v in after.vertices if id(v) not in old for d in v.cycle]
+    return out
 
 
 def apply_move(s: DecoratedSurface, mv):
-    """Apply one move; returns (new surface, exact inverse move)."""
+    """Apply one move; returns (new surface, exact inverse move).
+
+    A surface that no checked move produced is checked in full first.  The
+    output is then checked on the move's patch, the darts of the edges and
+    vertices the move created, plus the map-level axioms; over a valid
+    input that decides validity (see validate_chart).
+    """
     fn = _APPLY.get(type(mv))
     if fn is None:
         raise TypeError(f"not a move: {mv!r}")
+    if not getattr(s, "_checked", False):
+        _check_surface(s)
     out, inv = fn(s, mv)
-    _check_surface(out)
+    _check_surface(out, _touched(s.chart, out.chart))
     return out, inv
 
 
@@ -1589,11 +1564,8 @@ def enumerate_chart_moves(s: DecoratedSurface):
     ch = s.chart
     n = ch.degree
     out = []
-    emap, vmap = _edge_maps(ch)
-    fid = fpos = flen = comp = None
-    if ch.edges:
-        fid, fpos, flen = _face_tables(ch)
-        comp = _components(ch)
+    m = surface_map(ch)
+    emap, vmap = m.edge_at, m.slot_of
 
     for lab in range(1, n):
         for sign in (1, -1):
@@ -1611,7 +1583,7 @@ def enumerate_chart_moves(s: DecoratedSurface):
             if r.label == e.label and not r.over:
                 out.append(CIM2Absorb(d, k))
 
-    darts = sorted(emap)
+    darts = m.darts
     for ai, a in enumerate(darts):
         for b in darts[ai + 1 :]:
             ea, eb = emap[a], emap[b]
@@ -1621,12 +1593,10 @@ def enumerate_chart_moves(s: DecoratedSurface):
             if (
                 ea.label == eb.label
                 and (ea.head == a) != (eb.head == b)
-                and _planar_reconnect(fid, fpos, flen, comp, a, pa, b, pb)
+                and _planar_reconnect(m, a, pa, b, pb)
             ):
                 out.append(CIM2Reconnect(a, b))
-            if abs(ea.label - eb.label) >= 2 and _planar_insert(
-                fid, comp, a, pa, b
-            ):
+            if abs(ea.label - eb.label) >= 2 and _planar_insert(m, a, pa, b):
                 out.append(CIR2Insert(a, b))
 
     for i in range(len(ch.loops)):
@@ -1640,9 +1610,8 @@ def enumerate_chart_moves(s: DecoratedSurface):
                 out.append(CIR2Bootstrap(i, j))
 
     if ch.edges:
-        sm = surface_map(ch)
         seen_pairs = set()
-        for f in sm.faces:
+        for f in m.faces:
             if len(f) != 2:
                 continue
             va, vb = vmap[f[0]][0], vmap[f[1]][0]
@@ -1740,23 +1709,23 @@ def generate_blackless_chart(degree: int, steps: int, rng) -> Chart:
     s = empty_surface(degree)
     for _ in range(steps):
         ch = s.chart
-        emap, _ = _edge_maps(ch)
+        m = surface_map(ch)
+        emap, darts = m.edge_at, m.darts
+        # insertion sites in pair order; the list is built only when an
+        # insert is drawn, so the random stream matches the eager list's
+        inserts = (
+            (a, b)
+            for ai, a in enumerate(darts)
+            for b in darts[ai + 1 :]
+            if emap[a] is not emap[b]
+            and abs(emap[a].label - emap[b].label) >= 2
+            and _planar_insert(m, a, _other(emap[a], a), b)
+        )
+        first = next(inserts, None)
         opts = ["addloop", "addloop"]
-        inserts = []
         if ch.edges:
             opts.append("split")
-            fid, _, _ = _face_tables(ch)
-            comp = _components(ch)
-            darts = sorted(emap)
-            inserts = [
-                (a, b)
-                for ai, a in enumerate(darts)
-                for b in darts[ai + 1 :]
-                if emap[a] is not emap[b]
-                and abs(emap[a].label - emap[b].label) >= 2
-                and _planar_insert(fid, comp, a, _other(emap[a], a), b)
-            ]
-            if inserts:
+            if first is not None:
                 opts += ["insert", "insert"]
         pairs = [
             (i, j)
@@ -1778,7 +1747,7 @@ def generate_blackless_chart(degree: int, steps: int, rng) -> Chart:
                 e = rng.choice(sorted(ch.edges, key=lambda e: min(e.darts)))
                 s, _ = apply_move(s, CIM2Split(min(e.darts), rng.choice((1, -1))))
             elif kind == "insert":
-                a, b = rng.choice(inserts)
+                a, b = rng.choice([first, *inserts])
                 s, _ = apply_move(s, CIR2Insert(a, b))
             elif kind == "bootcir":
                 i, j = rng.choice(pairs)
@@ -2188,7 +2157,7 @@ class CertifyResult:
 
 def _non_handle_vertices(s: DecoratedSurface):
     feet = {d for h in s.handles if h.feet is not None for d in h.feet}
-    comp = _components(s.chart)
+    comp = surface_map(s.chart).comp
     roots = {comp[d] for d in feet}
     return [v for v in s.chart.vertices if comp[v.cycle[0]] not in roots]
 
@@ -2280,8 +2249,12 @@ def _check_claim(state, trace, claim):
 
 
 def certify_trace(trace: EngineTrace) -> CertifyResult:
-    """Replay a trace from its initial state and verify its claims."""
+    """Check the initial state in full, replay the trace, verify its claims."""
     state = trace.initial
+    try:
+        _check_surface(state)
+    except ValueError as exc:
+        return CertifyResult(False, None, str(exc), None)
     for k, mv in enumerate(trace.steps):
         try:
             state, _ = apply_move(state, mv)

@@ -1,4 +1,5 @@
-"""Positioned parse failures shared by all text-format readers."""
+"""Failure types shared across the package: positioned parse errors and
+exhausted search budgets."""
 
 from __future__ import annotations
 
@@ -9,3 +10,7 @@ class ParseError(ValueError):
         self.line = line
         self.column = column
         self.message = message
+
+
+class BudgetExceeded(RuntimeError):
+    """A search reached its state budget before it could answer."""

@@ -16,7 +16,7 @@ from typing import Iterable, Union
 
 from . import kernels
 from .braid import BraidWord, format_word, parse_word
-from .errors import ParseError
+from .errors import BudgetExceeded, ParseError
 
 
 class IndexOutOfRange(ValueError):
@@ -43,10 +43,6 @@ class IllegalStep(ValueError):
         super().__init__(f"step {index}: {reason}")
         self.index = index
         self.reason = reason
-
-
-class BudgetExceeded(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------

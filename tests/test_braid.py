@@ -291,3 +291,43 @@ class TestKernelBackends:
                 _kernels_py.identity_component(degree, 0, largest, 1_000)
             with pytest.raises(ValueError):
                 _kernels_py.identity_component(degree, 0, largest + 1, 1_000)
+
+
+class TestKernelLimits:
+    def test_pack_word_refuses_words_of_64_letters(self):
+        from handleforge import _kernels_py
+
+        word = (1, -2, 3) * 21  # 63 letters: the longest length field
+        assert _kernels_py.unpack_word(_kernels_py.pack_word(word, 4), 4) == word
+        with pytest.raises(ValueError):
+            _kernels_py.pack_word(word + (1,), 4)
+        with pytest.raises(ValueError):
+            _kernels_py.pack_word((1,) * 64, 2)
+
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i))),
+                    max_size=63,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_pack_word_round_trips_below_the_limit(self, case):
+        from handleforge import _kernels_py
+
+        degree, word = case
+        packed = _kernels_py.pack_word(word, degree)
+        assert _kernels_py.unpack_word(packed, degree) == tuple(word)
+
+    def test_oracle_budget_is_a_typed_error(self):
+        from handleforge.errors import BudgetExceeded
+        from handleforge.handles import BudgetExceeded as HandlesBudgetExceeded
+
+        assert HandlesBudgetExceeded is BudgetExceeded
+        word = BraidWord.from_signed(4, (1, 2, 1, -2, -1, -2) * 2)
+        with pytest.raises(BudgetExceeded):
+            braid.oracle_is_identity(word, 14, 20_000)

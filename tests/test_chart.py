@@ -1,5 +1,7 @@
 """Tests for the chart module: surface maps, validation, stats, bounds."""
 
+from dataclasses import replace
+
 import pytest
 
 from handleforge.chart import (
@@ -224,6 +226,27 @@ class TestSurfaceMap:
         m = surface_map(crossing_spider())
         for d in m.darts:
             assert m.phi[d] == m.sigma[m.alpha[d]]
+
+    def test_map_is_derived_once_per_value(self):
+        c = crossing_spider()
+        assert surface_map(c) is surface_map(c)
+
+    def test_replace_does_not_inherit_the_map(self):
+        # the torus chart's two loops share one face; moving the crossing's
+        # ends apart gives a planar chart with two more faces
+        torus = torus_crossing_chart()
+        m = surface_map(torus)
+        assert validate_chart(torus) == []
+        split = replace(torus, edges=(Edge((1, 2), 1, 2), Edge((3, 4), 3, 4)))
+        assert surface_map(split) is not m
+        assert len(surface_map(split).faces) == 3
+        assert len(surface_map(torus).faces) == 1
+        broken = replace(torus, edges=torus.edges[:1])
+        assert validate_chart(broken) == [
+            "dart 2 appears only on the vertex side",
+            "dart 4 appears only on the vertex side",
+        ]
+        assert validate_chart(torus) == []
 
 
 class TestStats:

@@ -6,10 +6,14 @@ of the far-commutation square, and every move is checked against the
 stats-delta table and exact (canonical) reversibility.
 """
 
+import hashlib
 import random
+from dataclasses import replace
+from importlib import resources
 
 import pytest
 
+from handleforge import engine
 from handleforge.braid import BraidWord, format_word, parse_word
 from handleforge.chart import (
     Chart,
@@ -18,6 +22,9 @@ from handleforge.chart import (
     PatternLoop,
     Vertex,
     chart_stats,
+    format_chart,
+    parse_chart,
+    surface_map,
     validate_chart,
 )
 from handleforge.engine import (
@@ -42,6 +49,7 @@ from handleforge.engine import (
     CrossingTransfer,
     DecoratedSurface,
     DetachTrivialHandle,
+    EngineTrace,
     FreeEdgeRelabel,
     HandleSlideDecorated,
     HasBlackVertices,
@@ -778,3 +786,233 @@ class TestBundledFixture:
         assert report.ok, report
         assert trace.claims == ("unknotted", "added-handles=1",
                                 "handle-deco=s3,e")
+
+
+def _created_darts(before, after):
+    """Darts of after's edges and vertices that before does not hold by identity."""
+    old = {id(x) for x in before.edges + before.vertices}
+    return [d for e in after.edges if id(e) not in old for d in e.darts] + [
+        d for v in after.vertices if id(v) not in old for d in v.cycle
+    ]
+
+
+def _other_dart(e, dart):
+    return e.darts[0] if e.darts[1] == dart else e.darts[1]
+
+
+def _harness_surfaces():
+    """The surfaces of the random-move acceptance harness, with its sampler."""
+    rng = random.Random(70)
+    root = resources.files("handleforge") / "data"
+    surfaces = [surf(parse_chart((root / "twist_spun_trefoil.chart").read_text()))]
+    for i in range(40):
+        degree = rng.randint(2, 4)
+        chart = generate_blackless_chart(degree, rng.randint(5, 25), random.Random(2000 + i))
+        surfaces.append(surf(chart))
+    return rng, surfaces
+
+
+class TestPatchChecks:
+    """apply_move checks each output on the move's patch plus the map-level
+    axioms; that must decide validity exactly as the full check does."""
+
+    @staticmethod
+    def _compare_every_check(monkeypatch):
+        seen = {"valid": 0, "invalid": 0}
+        original = engine._check_surface
+
+        def check(s, touched=None):
+            if touched is not None:
+                full = validate_chart(s.chart)
+                patch = validate_chart(s.chart, touched)
+                assert (patch == []) == (full == []), (full, patch)
+                seen["invalid" if full else "valid"] += 1
+            return original(s, touched)
+
+        monkeypatch.setattr(engine, "_check_surface", check)
+        return seen
+
+    def test_patch_check_matches_full_check_on_random_moves(self, monkeypatch):
+        seen = self._compare_every_check(monkeypatch)
+        rng, surfaces = _harness_surfaces()
+        sites = random.Random(71)
+        applied = 0
+        for s in surfaces:
+            if applied >= 1000:
+                break
+            offered = enumerate_chart_moves(s)
+            moves = rng.sample(offered, 40) if len(offered) > 40 else offered
+            for mv in moves:
+                s2, inv = apply_move(s, mv)
+                apply_move(s2, inv)
+                applied += 1
+            # inserts the enumerator does not offer: where the two edges
+            # share a face but the finger would leave the plane, only the
+            # map-level Euler count refuses the output
+            emap, offered = surface_map(s.chart).edge_at, set(offered)
+            others = [
+                CIR2Insert(a, b)
+                for a in emap
+                for b in emap
+                if a < b
+                and abs(emap[a].label - emap[b].label) >= 2
+                and CIR2Insert(a, b) not in offered
+            ]
+            for mv in sites.sample(others, min(40, len(others))):
+                try:
+                    apply_move(s, mv)
+                except ValueError:
+                    pass
+        assert applied >= 1000
+        assert seen["valid"] >= 2000 and seen["invalid"] >= 50, seen
+
+    def test_patch_check_matches_full_check_while_unbraiding(self, monkeypatch):
+        seen = self._compare_every_check(monkeypatch)
+        rng = random.Random(60)
+        for i in range(200):
+            degree = rng.randint(2, 4)
+            chart = generate_blackless_chart(
+                degree, rng.randint(5, 30), random.Random(1000 + i)
+            )
+            unbraid_without_branch(surf(chart))
+        assert seen["valid"] > 5000, seen
+
+    def test_corrupted_patch_is_refused_by_both_checks(self):
+        rng, surfaces = _harness_surfaces()
+        pick = random.Random(72)
+        refused = {"label": 0, "head": 0, "swap": 0}
+        for s in surfaces[1:]:
+            ch = s.chart
+            moves = enumerate_chart_moves(s)
+            if len(moves) > 40:
+                moves = rng.sample(moves, 40)
+            for mv in moves:
+                out = apply_move(s, mv)[0].chart
+                created = set(_created_darts(ch, out))
+                slot = surface_map(out).slot_of
+                # created edges between two vertices, one of them a crossing
+                # or a white vertex, whose word the edge enters
+                edges = [
+                    k
+                    for k, e in enumerate(out.edges)
+                    if e.darts[0] in created
+                    and slot[e.darts[0]][0] != slot[e.darts[1]][0]
+                    and {out.vertices[slot[d][0]].kind for d in e.darts}
+                    & {"crossing", "white"}
+                ]
+                vertices = [
+                    k
+                    for k, v in enumerate(out.vertices)
+                    if v.kind in ("crossing", "white") and v.cycle[0] in created
+                ]
+                bad = []
+                if edges:
+                    k = pick.choice(edges)
+                    e = out.edges[k]
+                    # one label step, or the other orientation
+                    label = e.label + 1 if e.label + 1 < ch.degree else e.label - 1
+                    for kind, new in (
+                        ("label", Edge(e.darts, label, e.head)),
+                        ("head", Edge(e.darts, e.label, _other_dart(e, e.head))),
+                    ):
+                        edges2 = out.edges[:k] + (new,) + out.edges[k + 1 :]
+                        bad.append((kind, replace(out, edges=edges2)))
+                if vertices:
+                    k = pick.choice(vertices)
+                    v = out.vertices[k]
+                    # two neighbouring ends trade places: another rotation
+                    new = Vertex(v.kind, (v.cycle[1], v.cycle[0]) + v.cycle[2:])
+                    verts2 = out.vertices[:k] + (new,) + out.vertices[k + 1 :]
+                    bad.append(("swap", replace(out, vertices=verts2)))
+                for kind, chart in bad:
+                    assert validate_chart(chart) != [], kind
+                    assert validate_chart(chart, _created_darts(ch, chart)) != [], kind
+                    refused[kind] += 1
+        assert min(refused.values()) >= 100, refused
+
+    def test_apply_move_refuses_a_corrupted_output(self, monkeypatch):
+        s = surf(generate_blackless_chart(4, 20, random.Random(5)))
+        moves = enumerate_chart_moves(s)
+        insert = next(mv for mv in moves if isinstance(mv, CIR2Insert))
+        reconnect = next(mv for mv in moves if isinstance(mv, CIM2Reconnect))
+
+        def corrupting(cls, corrupt):
+            honest = engine._APPLY[cls]
+
+            def applier(s, mv):
+                out, inv = honest(s, mv)
+                return DecoratedSurface(corrupt(out.chart), out.handles), inv
+
+            monkeypatch.setitem(engine._APPLY, cls, applier)
+
+        def swap_last_vertex(ch):
+            v = ch.vertices[-1]  # the second new crossing
+            bad = Vertex(v.kind, (v.cycle[1], v.cycle[0]) + v.cycle[2:])
+            return replace(ch, vertices=ch.vertices[:-1] + (bad,))
+
+        def flip_last_edge(ch):
+            e = ch.edges[-1]  # a new edge between two old vertices
+            bad = Edge(e.darts, e.label, _other_dart(e, e.head))
+            return replace(ch, edges=ch.edges[:-1] + (bad,))
+
+        for mv, corrupt in ((insert, swap_last_vertex), (reconnect, flip_last_edge)):
+            apply_move(s, mv)
+            corrupting(type(mv), corrupt)
+            with pytest.raises(SiteMismatch):
+                apply_move(s, mv)
+
+    def test_an_unchecked_input_is_checked_in_full(self):
+        # a crossing of the adjacent labels 1 and 2, which the record move
+        # below does not touch; the map itself is a planar star
+        bad = mk(
+            vertices=[Vertex("crossing", (1, 2, 3, 4))]
+            + [Vertex("black", (d,)) for d in (5, 6, 7, 8)],
+            edges=[Edge((d, d + 4), 1 + d % 2, d + 4) for d in (1, 2, 3, 4)],
+        )
+        assert validate_chart(bad) == [
+            "vertex 0: invalid crossing word, need far labels in opposite-sign"
+            " diagonal pairs"
+        ]
+        with pytest.raises(SiteMismatch):
+            apply_move(surf(bad), CIM1Add(1, 1))
+
+
+class TestCertifyInitialState:
+    def test_invalid_initial_chart_is_refused_before_replay(self):
+        bad = Chart(4, 0, (Vertex("white", (1,)),), (Edge((1, 2), 1, 2),))
+        trace = EngineTrace(DecoratedSurface(bad, ()), (), ("handle-count<=0",))
+        res = certify_trace(trace)
+        assert not res.ok
+        assert res.step is None
+        assert "dart 2 appears only on the edge side" in res.reason
+
+    def test_surface_checks_apply_to_the_initial_state(self):
+        feet = AttachedHandle(1, BraidWord(4), (1, 2), None)
+        trace = EngineTrace(surf(mk(), (feet,)), (), ())
+        res = certify_trace(trace)
+        assert not res.ok and res.step is None
+        assert "free ends and handle feet" in res.reason
+
+
+class TestGenerator:
+    # sha256 of format_chart for the first five charts of the blackless
+    # acceptance run (degree and steps drawn from Random(60)) and for
+    # (4, 80, Random(1)), as made when every step listed all insert sites
+    PINNED = (
+        (3, 14, 1000, "26803d85945c3a14e6fe05e1ebee7a4d9db70e0f3c785237259ff7ecc27e0ab2"),
+        (4, 9, 1001, "7c343ff57ded466f9f46e1417c103f6a6f646d1de4a0071fd9a3ceacec605130"),
+        (3, 12, 1002, "0ad61ea97f6937bc0598d46bafa245fd1105b1f5d1a95ef71cd2591156288ead"),
+        (3, 19, 1003, "7920d633d5c0e0b6cf163463545ade405e03bb69cdfa6db3bf948b5a61d8b527"),
+        (3, 6, 1004, "fd1ac2030df398be861d1979a4b0b935c6939eeb0794bc1779533c878118cb9f"),
+        (4, 80, 1, "37f0e3d251636eef0b5dfd12a68a69212712c020b3226ee29dbde5214719fbd8"),
+    )
+
+    def test_seeded_charts_are_unchanged(self):
+        rng = random.Random(60)
+        assert [(rng.randint(2, 4), rng.randint(5, 30)) for _ in range(5)] == [
+            (degree, steps) for degree, steps, _, _ in self.PINNED[:5]
+        ]
+        for degree, steps, seed, digest in self.PINNED:
+            chart = generate_blackless_chart(degree, steps, random.Random(seed))
+            text = format_chart(chart).encode()
+            assert hashlib.sha256(text).hexdigest() == digest, (degree, steps, seed)
