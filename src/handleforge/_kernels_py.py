@@ -1,21 +1,23 @@
-"""Pure Python kernels: word triviality, rewriting search, handle-state search.
+"""Kernels: word triviality, rewriting search, handle-state search.
 
-The compiled extension exports the same names with the same semantics; the
-selector in kernels.py picks whichever is available.  Words travel as lists
-or tuples of signed integers (+i for the i-th positive generator letter, -i
-for its inverse) and, across kernel boundaries, as packed integers.
+Words travel as lists or tuples of signed integers (+i for the i-th positive
+generator letter, -i for its inverse) and, across kernel boundaries, as
+packed integers.  The two rewriting searches (the identity closure and the
+single-word search) share one breadth-first layer loop over numpy arrays of
+packed words; handle reduction and the handle-state search are plain Python.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
-# numpy is imported by the functions of the identity closure that use it,
+from .errors import BudgetExceeded
+
+# numpy is imported by the functions of the rewriting searches that use it,
 # so that importing the package for charts, handles or the CLI does not
 # load it (about 14 MB of resident memory and a tenth of a second)
-
-BACKEND_KIND = "pure"
 
 
 # ---------------------------------------------------------------------------
@@ -141,36 +143,14 @@ def _word_neighbors(vals: tuple[int, ...], degree: int, cap: int) -> list[tuple[
     return out
 
 
-def word_reaches_identity(
-    values: Sequence[int], degree: int, excursion_cap: int, max_states: int
-) -> bool:
-    start = tuple(values)
-    if not start:
-        return True
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for vals in frontier:
-            for nb in _word_neighbors(vals, degree, excursion_cap):
-                if not nb:
-                    return True
-                if nb not in seen:
-                    seen.add(nb)
-                    if len(seen) > max_states:
-                        raise RuntimeError("rewriting search exceeded state budget")
-                    nxt.append(nb)
-        frontier = nxt
-    return False
-
-
+@cache
 def _letter_tables(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lookup tables over the letter codes of pack_word, for _neighbour_blocks.
 
     Returns the inverse code of each code, whether two codes commute far,
     and, for each 3-letter window read as a base-(2N-1) number, the window
     after the relator move of _word_neighbors (0, never a valid window, when
-    no relator move applies).
+    no relator move applies).  Built once per degree and read-only.
     """
     import numpy as np
 
@@ -192,6 +172,8 @@ def _letter_tables(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for nb in _word_neighbors(window, degree, 3):
             if len(nb) == 3:
                 rel[pack_word(window, degree) >> 6] = pack_word(nb, degree) >> 6
+    for table in (inv, far, rel):
+        table.flags.writeable = False
     return inv, far, rel
 
 
@@ -201,46 +183,40 @@ def _neighbour_blocks(
     """Neighbours of words of n letters, grouped as (length, values).
 
     Words are the base-(2N-1) values of their letter codes, leftmost letter
-    most significant; the moves are those of _word_neighbors.
+    most significant; the moves are those of _word_neighbors.  Each move
+    kind is computed for every position at once, as arrays with one row per
+    position.
     """
     import numpy as np
 
     inv, far, rel = tables
-    pw = [np.uint64(base**k) for k in range(n + 3)]
-    digits = np.empty((n, words.size), dtype=np.uint64)
-    suffix = [None] * (n + 1)  # suffix[t]: value of letters t..n-1
-    suffix[n] = np.zeros(words.size, dtype=np.uint64)
-    rest = words
-    for t in range(n - 1, -1, -1):
-        rest, digits[t] = np.divmod(rest, pw[1])
-        suffix[t] = words % pw[n - t]
-    prefix = [np.zeros(words.size, dtype=np.uint64)]  # prefix[t]: letters 0..t-1
-    for t in range(n):
-        prefix.append(prefix[t] * pw[1] + digits[t])
+    # powers up to base**n only: n may be the largest length that packs
+    pw = np.array([base**k for k in range(max(n, 3) + 1)], dtype=np.uint64)
+    # row t: the value of letters 0..t-1, of letters t..n-1, and letter t
+    # (np.divmod and % are several times slower than // here)
+    prefix = words // pw[n::-1, None]
+    suffix = words - prefix * pw[n::-1, None]
+    digits = prefix[1:] - prefix[:-1] * pw[1]
+
+    def splice(cut: int, size: int, block) -> np.ndarray:
+        # row t: the words with letters t..t+cut-1 replaced by the size
+        # letters of block (row t of it)
+        head = prefix[: n - cut + 1] * pw[size] + block
+        return head * pw[n - cut :: -1, None] + suffix[cut:]
 
     out = []
-    for t in range(n - 1):
-        a, b = digits[t], digits[t + 1]
-        hit = b == inv[a]
-        if hit.any():
-            out.append((n - 2, prefix[t][hit] * pw[n - t - 2] + suffix[t + 2][hit]))
-        hit = far[a, b]
-        if hit.any():
-            head = (prefix[t][hit] * pw[1] + b[hit]) * pw[1] + a[hit]
-            out.append((n, head * pw[n - t - 2] + suffix[t + 2][hit]))
-    for t in range(n - 2):
-        window = (digits[t] * pw[1] + digits[t + 1]) * pw[1] + digits[t + 2]
-        swapped = rel[window]
-        hit = swapped != 0
-        if hit.any():
-            head = prefix[t][hit] * pw[3] + swapped[hit]
-            out.append((n, head * pw[n - t - 3] + suffix[t + 3][hit]))
+    if n >= 2:
+        a, b = digits[:-1], digits[1:]
+        out.append((n - 2, splice(2, 0, 0)[b == inv[a]]))
+        out.append((n, splice(2, 2, b * pw[1] + a)[far[a, b]]))
+    if n >= 3:
+        swapped = rel[(digits[:-2] * pw[1] + digits[1:-1]) * pw[1] + digits[2:]]
+        out.append((n, splice(3, 3, swapped)[swapped != 0]))
     if n + 2 <= cap:
         codes = np.arange(1, base, dtype=np.uint64)
         pairs = codes * pw[1] + inv[codes]  # the inserted letter and its inverse
-        for t in range(n + 1):
-            head = (prefix[t] * pw[2])[:, None] + pairs[None, :]
-            out.append((n + 2, (head * pw[n - t] + suffix[t][:, None]).ravel()))
+        head = (prefix * pw[2])[:, :, None] + pairs
+        out.append((n + 2, (head * pw[n::-1, None, None] + suffix[:, :, None]).ravel()))
     return out
 
 
@@ -266,39 +242,51 @@ def _drop_known(values: np.ndarray, known: np.ndarray | None) -> np.ndarray:
     return values[known[at] != values]
 
 
-# candidate neighbours generated per chunk of layer words (32 MB of uint64)
-_CHUNK_CANDIDATES = 1 << 22
-
-
-def identity_component(
-    degree: int, universe_len: int, excursion_cap: int, max_states: int
-) -> list[int]:
-    """All words of length <= universe_len reachable from the empty word.
-
-    Breadth-first closure under the rewriting moves, with intermediate words
-    allowed up to excursion_cap letters.  Returns packed words.
-
-    Each breadth-first layer is held as one sorted uint64 array per word
-    length and expanded a whole array at a time.  The moves are invertible,
-    so a neighbour of layer d lies in layer d-1, d or d+1: new words are the
-    neighbours found in neither of the two latest layers.  Raises ValueError
-    when words of excursion_cap letters cannot be packed exactly in 64 bits,
-    and RuntimeError once more than max_states words have been reached.
-    """
-    base = 2 * degree - 1
-    if excursion_cap >= 64 or base ** max(excursion_cap, 0) * 64 > 1 << 64:
+def _check_packs(degree: int, letters: int) -> None:
+    """Refuse with ValueError a word length that pack_word cannot hold exactly."""
+    if letters >= 64 or (2 * degree - 1) ** max(letters, 0) * 64 > 1 << 64:
         raise ValueError(
-            f"excursion cap {excursion_cap} does not pack exactly into 64 bits "
+            f"words of {letters} letters do not pack exactly into 64 bits "
             f"at degree {degree}"
         )
+
+
+def _over_budget(search: str, max_states: int, reached: int, layer: int) -> BudgetExceeded:
+    return BudgetExceeded(
+        f"{search} exceeded its budget of {max_states} states: "
+        f"at least {reached} states reached by layer {layer}"
+    )
+
+
+# candidate neighbours generated per chunk of layer words (2 MB of uint64):
+# with one array row per position, chunks of 32 MB ran out of cache, made
+# the closure about 15% slower and held twice the memory at its peak
+_CHUNK_CANDIDATES = 1 << 18
+
+
+def _layers(degree: int, start: dict, cap: int, max_states: int, search: str):
+    """Breadth-first layers of the rewriting moves, starting from start.
+
+    A layer maps a word length to the sorted uint64 array of the base-(2N-1)
+    values of its words of that length (the packed words without their
+    length field).  Yields the start layer, then each following layer,
+    expanded a whole array at a time, with intermediate words of at most cap
+    letters.  The moves are invertible, so a neighbour of layer d lies in
+    layer d-1, d or d+1: new words are the neighbours found in neither of
+    the two latest layers.  Raises BudgetExceeded, before yielding the
+    layer, once more than max_states words have been reached.
+    """
     import numpy as np
 
+    base = 2 * degree - 1
     tables = _letter_tables(degree)
-    total = 1
+    total = sum(words.size for words in start.values())
     previous: dict[int, np.ndarray] = {}
-    layer = {0: np.zeros(1, dtype=np.uint64)}
-    found = list(layer.items()) if universe_len >= 0 else []
+    layer = start
+    depth = 0
     while layer:
+        yield layer
+        depth += 1
         parts: dict[int, list[np.ndarray]] = {}
         for length, words in layer.items():
             # at most: inserts, plus one cancel, swap or relator per position
@@ -307,7 +295,7 @@ def identity_component(
             for lo in range(0, words.size, step):
                 blocks: dict[int, list[np.ndarray]] = {}
                 for to, values in _neighbour_blocks(
-                    words[lo : lo + step], length, base, excursion_cap, tables
+                    words[lo : lo + step], length, base, cap, tables
                 ):
                     blocks.setdefault(to, []).append(values)
                 fresh = 0
@@ -317,47 +305,69 @@ def identity_component(
                     parts.setdefault(to, []).append(new)
                     fresh += new.size
                 if fresh and total + fresh > max_states:
-                    raise RuntimeError("component search exceeded state budget")
+                    raise _over_budget(search, max_states, total + fresh, depth)
         previous, layer = layer, {}
         for to, values in parts.items():
             new = _sorted_unique(np.concatenate(values))
             if new.size:
                 layer[to] = new
                 total += new.size
-                if to <= universe_len:
-                    found.append((to, new))
         if total > max_states:
-            raise RuntimeError("component search exceeded state budget")
+            raise _over_budget(search, max_states, total, depth)
+
+
+def identity_component(
+    degree: int, universe_len: int, excursion_cap: int, max_states: int
+) -> list[int]:
+    """All words of length <= universe_len reachable from the empty word.
+
+    Breadth-first closure under the rewriting moves, with intermediate words
+    allowed up to excursion_cap letters.  Returns packed words.  Raises
+    ValueError when words of excursion_cap letters cannot be packed exactly
+    in 64 bits, and BudgetExceeded once more than max_states words have been
+    reached.
+    """
+    _check_packs(degree, excursion_cap)
+    import numpy as np
+
+    start = {0: np.zeros(1, dtype=np.uint64)}
     return [
         packed
-        for length, words in found
+        for layer in _layers(degree, start, excursion_cap, max_states, "component search")
+        for length, words in layer.items()
+        if length <= universe_len
         for packed in (words * np.uint64(64) + np.uint64(length)).tolist()
     ]
 
 
-def trivial_words(degree: int, max_len: int) -> list[int]:
-    """Packed trivial words of length <= max_len, decided by handle reduction."""
-    out = []
-    if dehornoy_trivial((), degree):
-        out.append(pack_word((), degree))
-    letters = [v for i in range(1, degree) for v in (i, -i)]
-    level: list[tuple[int, ...]] = [()]
-    for n in range(1, max_len + 1):
-        level = [t + (v,) for t in level for v in letters]
-        if n % 2:
-            continue  # odd-length words are never trivial
-        for vals in level:
-            if _permutation_is_identity(vals, degree) and dehornoy_trivial(vals, degree):
-                out.append(pack_word(vals, degree))
-    return out
+def word_reaches_identity(
+    values: Sequence[int], degree: int, excursion_cap: int, max_states: int
+) -> bool:
+    """Whether the rewriting moves take the word to the empty word.
 
+    Intermediate words have at most excursion_cap letters; the start word
+    may be longer.  Only a 2-letter cancelling pair has the empty word as a
+    neighbour, so the answer is True as soon as a layer holds one.  Raises
+    ValueError when words of max(excursion_cap, len(values)) letters cannot
+    be packed exactly in 64 bits, and BudgetExceeded once more than
+    max_states words (the start word included) have been reached.
+    """
+    start = tuple(values)
+    if not start:
+        return True
+    if not all(0 < abs(v) < degree for v in start):
+        raise ValueError(f"letter out of range for degree {degree} in {start}")
+    _check_packs(degree, max(excursion_cap, len(start)))
+    import numpy as np
 
-def _permutation_is_identity(vals: Sequence[int], degree: int) -> bool:
-    perm = list(range(degree + 1))
-    for v in vals:
-        i = abs(v)
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    return all(perm[x] == x for x in range(1, degree + 1))
+    base = np.uint64(2 * degree - 1)
+    inv = _letter_tables(degree)[0]
+    first = {len(start): np.array([pack_word(start, degree) >> 6], dtype=np.uint64)}
+    for layer in _layers(degree, first, excursion_cap, max_states, "rewriting search"):
+        pairs = layer.get(2)
+        if pairs is not None and (pairs % base == inv[pairs // base]).any():
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -439,21 +449,22 @@ def handle_ball(
     Moves are the integer shadows of the handle moves (inversion, twisting,
     quarter rotation, slides both ways, and both transfer families, the
     latter gated by their zero preconditions).  States whose coordinates
-    leave [-bound, bound] are pruned.  Returns packed states.
+    leave [-bound, bound] are pruned.  Returns packed states.  Raises
+    BudgetExceeded once more than max_states states have been reached.
     """
     if bound > _COORD_LIMIT:
         raise ValueError(f"bound {bound} exceeds packing range {_COORD_LIMIT}")
     start = tuple(sorted(unpack_handle_state(packed_state)))
     seen = {start}
     frontier = [start]
-    for _ in range(budget):
+    for depth in range(1, budget + 1):
         nxt = []
         for s in frontier:
             for t in _state_neighbors(s, bound):
                 if t not in seen:
                     seen.add(t)
                     if len(seen) > max_states:
-                        raise RuntimeError("handle search exceeded state budget")
+                        raise _over_budget("handle search", max_states, len(seen), depth)
                     nxt.append(t)
         frontier = nxt
         if not frontier:

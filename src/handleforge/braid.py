@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import kernels
-from .errors import BudgetExceeded
 
 
 class DegreeMismatch(ValueError):
@@ -203,9 +202,4 @@ def oracle_is_identity(
     if reduced.is_empty:
         return True
     cap = excursion_cap if excursion_cap is not None else len(reduced) + 4
-    try:
-        return kernels.word_reaches_identity(
-            list(reduced.signed()), reduced.degree, cap, max_states
-        )
-    except RuntimeError as exc:
-        raise BudgetExceeded(str(exc)) from exc
+    return kernels.word_reaches_identity(reduced.signed(), reduced.degree, cap, max_states)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .braid import format_word
 from .chart import (
@@ -343,7 +344,10 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main() call and kept: building costs about twenty
+    # times as much as parsing one command line
     parser = argparse.ArgumentParser(
         prog="handleforge",
         description=(
@@ -426,7 +430,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvalidChart as exc:
-        for violation in exc.args[0]:
+        for violation in exc.violations:
             print(f"error: {violation}", file=sys.stderr)
         return 1
     except OSError as exc:

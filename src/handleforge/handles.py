@@ -640,10 +640,7 @@ def enumerate_reachable(
     )
     if kernel_ok:
         packed = kernels.pack_handle_state([(hd.m, hd.n) for hd in s.handles])
-        try:
-            ball = kernels.handle_ball(packed, move_budget, coeff_bound, max_states)
-        except RuntimeError as exc:
-            raise BudgetExceeded(str(exc)) from exc
+        ball = kernels.handle_ball(packed, move_budget, coeff_bound, max_states)
         triv = HandleLabel(())
         return {
             HandleSystem(
@@ -656,7 +653,7 @@ def enumerate_reachable(
     start = _canonical(s)
     seen = {start}
     frontier = [start]
-    for _ in range(move_budget):
+    for depth in range(1, move_budget + 1):
         nxt = []
         for state in frontier:
             for mv in _all_moves(state):
@@ -667,7 +664,10 @@ def enumerate_reachable(
                 if c not in seen:
                     seen.add(c)
                     if len(seen) > max_states:
-                        raise BudgetExceeded("reachability search exceeded state cap")
+                        raise BudgetExceeded(
+                            f"reachability search exceeded its budget of {max_states} "
+                            f"states: {len(seen)} states reached by layer {depth}"
+                        )
                     nxt.append(c)
         frontier = nxt
         if not frontier:

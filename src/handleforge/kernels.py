@@ -1,33 +1,16 @@
-"""Selects the compiled kernel extension when present, else the pure fallback.
-
-Set HANDLEFORGE_PURE=1 to force the pure Python kernels (used by the
-benchmark harness and handy when debugging).
-"""
+"""The search kernels the library calls, under one set of names."""
 
 from __future__ import annotations
 
-import os
+from . import _kernels_py as _impl
 
-if os.environ.get("HANDLEFORGE_PURE"):
-    from . import _kernels_py as _impl
-
-    BACKEND = "pure"
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _kernels_py as _impl  # type: ignore[no-redef]
-
-        BACKEND = "pure"
+BACKEND = "pure"
 
 pack_word = _impl.pack_word
 unpack_word = _impl.unpack_word
 dehornoy_trivial = _impl.dehornoy_trivial
 word_reaches_identity = _impl.word_reaches_identity
 identity_component = _impl.identity_component
-trivial_words = _impl.trivial_words
 pack_handle_state = _impl.pack_handle_state
 unpack_handle_state = _impl.unpack_handle_state
 handle_ball = _impl.handle_ball

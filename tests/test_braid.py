@@ -3,7 +3,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from handleforge import braid
+from handleforge import _kernels_py, braid
+from handleforge.errors import BudgetExceeded
 from handleforge.braid import (
     BraidLetter,
     BraidWord,
@@ -222,25 +223,6 @@ class TestKernelBackends:
 
         assert kernels.BACKEND in ("compiled", "pure")
 
-    def test_pure_and_compiled_agree_when_both_present(self):
-        from handleforge import _kernels_py
-
-        try:
-            from handleforge import _kernels
-        except ImportError:
-            pytest.skip("compiled kernels unavailable")
-        import random
-
-        rng = random.Random(7)
-        for _ in range(300):
-            n = rng.randrange(0, 12)
-            vals = [rng.choice((1, -1)) * rng.randrange(1, 4) for _ in range(n)]
-            assert _kernels.dehornoy_trivial(vals, 4) == _kernels_py.dehornoy_trivial(vals, 4)
-        for degree, universe, cap in ((3, 6, 8), (4, 6, 8)):
-            assert sorted(
-                _kernels.identity_component(degree, universe, cap, 1_000_000)
-            ) == sorted(_kernels_py.identity_component(degree, universe, cap, 1_000_000))
-
     def test_component_membership_matches_direct_reduction(self):
         from handleforge import kernels
 
@@ -277,7 +259,7 @@ class TestKernelBackends:
         # with universe_len == cap the closure returns every state it visits
         states = len(_kernels_py.identity_component(4, 6, 6, 1_000_000))
         assert len(_kernels_py.identity_component(4, 6, 6, states)) == states
-        with pytest.raises(RuntimeError):
+        with pytest.raises(BudgetExceeded):
             _kernels_py.identity_component(4, 6, 6, states - 1)
 
     def test_component_rejects_caps_that_do_not_pack(self):
@@ -287,10 +269,104 @@ class TestKernelBackends:
         # the largest caps that pack are searched (and stopped by the state
         # limit), one letter more is refused before any state could collide
         for degree, largest in ((4, 20), (2, 36)):
-            with pytest.raises(RuntimeError):
+            with pytest.raises(BudgetExceeded):
                 _kernels_py.identity_component(degree, 0, largest, 1_000)
             with pytest.raises(ValueError):
                 _kernels_py.identity_component(degree, 0, largest + 1, 1_000)
+
+
+def reference_search(values, degree, cap, max_states=1_000_000):
+    """Tuple-by-tuple breadth-first search, the reference for word_reaches_identity.
+
+    Returns (verdict, words visited), the start word included.
+    """
+    start = tuple(values)
+    if not start:
+        return True, 0
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for vals in frontier:
+            for nb in _kernels_py._word_neighbors(vals, degree, cap):
+                if not nb:
+                    return True, len(seen)
+                if nb not in seen:
+                    seen.add(nb)
+                    if len(seen) > max_states:
+                        raise RuntimeError("reference search exceeded its budget")
+                    nxt.append(nb)
+        frontier = nxt
+    return False, len(seen)
+
+
+def all_words(degree, max_len):
+    letters = [v for i in range(1, degree) for v in (i, -i)]
+    return [w for n in range(max_len + 1) for w in product(letters, repeat=n)]
+
+
+class TestRewritingSearch:
+    @pytest.mark.parametrize("degree, max_len, cap", [(3, 5, 7), (4, 4, 6)])
+    def test_matches_reference_search(self, degree, max_len, cap):
+        for vals in all_words(degree, max_len):
+            expected = reference_search(vals, degree, cap)[0]
+            assert _kernels_py.word_reaches_identity(vals, degree, cap, 1_000_000) == expected, vals
+
+    def test_chunking_does_not_change_verdicts(self, monkeypatch):
+        words = all_words(3, 3) + [(1, 2, 1, -2, -1, -2), (1, 2, -1, -2, 1, 2)]
+        verdicts = [_kernels_py.word_reaches_identity(w, 3, 7, 1_000_000) for w in words]
+        visited = reference_search((1, 2, -1, -2), 3, 7)[1]
+        # a word or two per chunk: every layer of more than that is expanded,
+        # deduplicated and counted against the state limit in several chunks
+        monkeypatch.setattr(_kernels_py, "_CHUNK_CANDIDATES", 64)
+        assert [_kernels_py.word_reaches_identity(w, 3, 7, 1_000_000) for w in words] == verdicts
+        assert _kernels_py.word_reaches_identity((1, 2, -1, -2), 3, 7, visited) is False
+        with pytest.raises(BudgetExceeded):
+            _kernels_py.word_reaches_identity((1, 2, -1, -2), 3, 7, visited - 1)
+
+    def test_start_words_longer_than_the_cap(self):
+        for vals in ((1, 2, 1, -2, -1, -2) * 2, (1, 2, 1, 2, -1, -2) * 2):
+            expected = reference_search(vals, 3, 8)[0]
+            assert _kernels_py.word_reaches_identity(vals, 3, 8, 1_000_000) == expected
+        assert _kernels_py.word_reaches_identity((1, 2, 1, -2, -1, -2) * 2, 3, 8, 1_000_000)
+
+    def test_refuses_lengths_that_do_not_pack(self):
+        # 7**20 * 64 < 2**64 <= 7**21 * 64, the rule of identity_component:
+        # cap 20 is searched (and stopped by the state limit), 21 is refused,
+        # and so is a start word of 21 letters under a smaller cap
+        with pytest.raises(BudgetExceeded):
+            _kernels_py.word_reaches_identity((1, 2), 4, 20, 1_000)
+        with pytest.raises(ValueError):
+            _kernels_py.word_reaches_identity((1, 2), 4, 21, 1_000)
+        with pytest.raises(ValueError):
+            _kernels_py.word_reaches_identity((1, 2, 3) * 7, 4, 8, 1_000)
+        assert _kernels_py.word_reaches_identity((1, 2, 3) * 4, 4, 8, 1_000_000) is False
+
+    def test_refuses_letters_outside_the_degree(self):
+        with pytest.raises(ValueError):
+            _kernels_py.word_reaches_identity((1, 3), 3, 6, 1_000)
+
+    def test_state_limit(self):
+        vals = (1, 2, -1, -2)  # not the identity
+        verdict, visited = reference_search(vals, 3, 8)
+        assert verdict is False
+        assert _kernels_py.word_reaches_identity(vals, 3, 8, visited) is False
+        with pytest.raises(BudgetExceeded, match=f"budget of {visited - 1} states"):
+            _kernels_py.word_reaches_identity(vals, 3, 8, visited - 1)
+
+    def test_budget_message_says_how_far_the_search_got(self):
+        with pytest.raises(BudgetExceeded, match=r"at least \d+ states reached by layer \d+"):
+            _kernels_py.word_reaches_identity((1, 2, 1, 2), 4, 10, 500)
+        with pytest.raises(BudgetExceeded, match="handle search .* by layer 1"):
+            _kernels_py.handle_ball(_kernels_py.pack_handle_state([(1, 2), (0, 3)]), 4, 9, 5)
+
+    def test_every_kernel_raises_the_typed_error(self):
+        with pytest.raises(BudgetExceeded):
+            _kernels_py.identity_component(3, 4, 8, 100)
+        with pytest.raises(BudgetExceeded):
+            _kernels_py.word_reaches_identity((1, 2, -1, -2), 3, 8, 100)
+        with pytest.raises(BudgetExceeded):
+            _kernels_py.handle_ball(_kernels_py.pack_handle_state([(1, 2)]), 6, 9, 10)
 
 
 class TestKernelLimits:

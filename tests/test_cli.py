@@ -5,13 +5,18 @@ process exit code: 0 ok, 1 violation or failed claim, 2 parse error,
 3 budget exceeded. One test runs the installed console script for real.
 """
 
+import os
+import re
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import handleforge
 from handleforge import cli
+from handleforge.chart import parse_chart, validate_chart
 from handleforge.cli import main, parse_report
 
 FIXTURE_DIR = resources.files("handleforge") / "data"
@@ -273,3 +278,71 @@ class TestConsoleScript:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "6" in proc.stdout
+
+
+def fresh_process(argv, **kwargs):
+    """Run the command line in a new interpreter importing this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(handleforge.__file__).parents[1]), COLUMNS="80")
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, **kwargs)
+
+
+def in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse errors exit with status 2
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestOneProcess:
+    def test_commands_in_one_process_match_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        system = tmp_path / "sys.handles"
+        system.write_text(TRIVIAL_SYSTEM)
+        commands = [
+            ["stats", CHART, "--format", "kv"],
+            ["unbraid", CHART, "--mode", "sideways"],  # usage error, exit 2
+            ["bounds", CHART],
+            ["normalize", "thm4", str(system), "--format", "kv"],
+            ["oracle", str(system), "--budget", "6", "--max-states", "10"],
+            ["validate", "/no/such/file.chart"],
+            ["oracle", str(system), "--budget", "2", "--format", "kv"],
+            ["stats", CHART, "--format", "kv"],
+        ]
+        codes = []
+        for argv in commands:
+            code, out, err = in_process(argv, capsys)
+            proc = fresh_process(["-m", "handleforge.cli", *argv])
+            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+            codes.append(code)
+        assert codes == [0, 2, 0, 0, 3, 2, 0, 0]
+
+
+class TestInvalidChartReport:
+    def test_each_violation_is_one_error_line(self, tmp_path, capsys):
+        text = (FIXTURE_DIR / "twist_spun_trefoil.chart").read_text()
+        text = re.sub(r"label=\d+", "label=9", text, count=1)
+        violations = validate_chart(parse_chart(text))
+        assert violations
+        p = tmp_path / "bad.chart"
+        p.write_text(text)
+        for command in ("stats", "bounds", "unbraid"):
+            assert main([command, str(p)]) == 1
+            lines = capsys.readouterr().err.splitlines()
+            assert lines == [f"error: {v}" for v in violations], command
+
+
+class TestImportFootprint:
+    def test_chart_and_handle_commands_do_not_load_numpy(self, tmp_path):
+        system = tmp_path / "sys.handles"
+        system.write_text(TRIVIAL_SYSTEM)
+        script = (
+            "import sys\n"
+            "from handleforge import cli\n"
+            f"assert cli.main(['unbraid', {CHART!r}, '--mode', 'branch']) == 0\n"
+            f"assert cli.main(['oracle', {str(system)!r}, '--budget', '2']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+        )
+        proc = fresh_process(["-c", script], check=True)
+        assert proc.stdout.splitlines()[-1] == "[]"
