@@ -19,68 +19,29 @@ class DegreeMismatch(ValueError):
 
 
 @dataclass(frozen=True)
-class BraidLetter:
-    index: int  # generator subscript, 1-based
-    sign: int  # +1 or -1
-
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"generator index must be positive, got {self.index}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-
-    def inverse(self) -> BraidLetter:
-        return BraidLetter(self.index, -self.sign)
-
-
-class _LetterCache(dict):
-    """One shared BraidLetter per signed value, built on first use."""
-
-    def __missing__(self, value: int) -> BraidLetter:
-        letter = BraidLetter(abs(value), 1 if value > 0 else -1)
-        self[value] = letter
-        return letter
-
-
-_LETTERS = _LetterCache()
-
-
-@dataclass(frozen=True)
 class BraidWord:
     degree: int  # number of strands, at least 2
-    letters: tuple[BraidLetter, ...] = ()
+    letters: tuple[int, ...] = ()  # +i for si, -i for Si
 
     def __post_init__(self) -> None:
         if self.degree < 2:
             raise ValueError(f"degree must be at least 2, got {self.degree}")
-        for letter in self.letters:
-            if letter.index >= self.degree:
-                raise ValueError(
-                    f"letter index {letter.index} out of range for degree {self.degree}"
-                )
-        object.__setattr__(
-            self, "_signed", tuple(l.index * l.sign for l in self.letters)
-        )
+        n, letters = self.degree, self.letters
+        # min/max/in run in C: far cheaper than a per-letter loop
+        if letters and (0 in letters or max(letters) >= n or -min(letters) >= n):
+            bad = next(v for v in letters if not 0 < abs(v) < n)
+            raise ValueError(f"letter index {abs(bad)} out of range for degree {n}")
 
     @classmethod
     def from_signed(cls, degree: int, values: Iterable[int]) -> BraidWord:
         """Build a word from signed integers: +i for si, -i for Si."""
-        signed = tuple(values)
-        letters = tuple(map(_LETTERS.__getitem__, signed))
-        if degree < 2 or (signed and max(map(abs, signed)) >= degree):
-            return cls(degree, letters)  # the checked constructor raises
-        # in range: skip the per-letter checks of __post_init__
-        word = object.__new__(cls)
-        object.__setattr__(word, "degree", degree)
-        object.__setattr__(word, "letters", letters)
-        object.__setattr__(word, "_signed", signed)
-        return word
+        return cls(degree, tuple(values))
 
     def signed(self) -> tuple[int, ...]:
-        return self._signed
+        return self.letters
 
     def inverse(self) -> BraidWord:
-        return BraidWord(self.degree, tuple(l.inverse() for l in reversed(self.letters)))
+        return BraidWord(self.degree, tuple(-v for v in reversed(self.letters)))
 
     def __mul__(self, other: BraidWord) -> BraidWord:
         if self.degree != other.degree:
@@ -111,29 +72,19 @@ def parse_word(text: str, degree: int) -> BraidWord:
         if m is None:
             raise ValueError(f"bad braid letter {token!r}")
         index = int(m.group(2))
-        if index >= degree:
-            raise ValueError(f"letter index {index} out of range for degree {degree}")
-        letters.append(BraidLetter(index, 1 if m.group(1) == "s" else -1))
+        letters.append(index if m.group(1) == "s" else -index)
     return BraidWord(degree, tuple(letters))
 
 
 def format_word(word: BraidWord) -> str:
     if not word.letters:
         return "e"
-    return " ".join(
-        f"{'s' if l.sign > 0 else 'S'}{l.index}" for l in word.letters
-    )
+    return " ".join(f"s{v}" if v > 0 else f"S{-v}" for v in word.letters)
 
 
 def free_reduce(word: BraidWord) -> BraidWord:
     """Cancel adjacent inverse pairs until none remain."""
-    stack: list[int] = []
-    for v in word.signed():
-        if stack and stack[-1] == -v:
-            stack.pop()
-        else:
-            stack.append(v)
-    return BraidWord.from_signed(word.degree, stack)
+    return BraidWord(word.degree, tuple(kernels.free_cancel(word.letters)))
 
 
 def permutation_of(word: BraidWord) -> tuple[int, ...]:
@@ -144,8 +95,8 @@ def permutation_of(word: BraidWord) -> tuple[int, ...]:
     """
     n = word.degree
     perm = list(range(n + 1))  # perm[x] = image of x, slot 0 unused
-    for letter in word.letters:
-        i = letter.index
+    for v in word.letters:
+        i = abs(v)
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
     return tuple(perm[1:])
 
@@ -156,7 +107,7 @@ def reduce_far_commutation(word: BraidWord) -> BraidWord:
     Letters whose indices differ by at least 2 commute; bubble each such pair
     into ascending index order, re-reducing freely, until a fixed point.
     """
-    vals = list(free_reduce(word).signed())
+    vals = kernels.free_cancel(word.letters)
     changed = True
     while changed:
         changed = False
@@ -166,14 +117,13 @@ def reduce_far_commutation(word: BraidWord) -> BraidWord:
                 vals[t], vals[t + 1] = b, a
                 changed = True
         if changed:
-            reduced = free_reduce(BraidWord.from_signed(word.degree, vals))
-            vals = list(reduced.signed())
-    return BraidWord.from_signed(word.degree, vals)
+            vals = kernels.free_cancel(vals)
+    return BraidWord(word.degree, tuple(vals))
 
 
 def is_identity(word: BraidWord) -> bool:
     """Exact triviality test via handle reduction."""
-    return kernels.dehornoy_trivial(word.signed(), word.degree)
+    return kernels.dehornoy_trivial(word.letters, word.degree)
 
 
 def conjugate(word: BraidWord, by: BraidWord) -> BraidWord:
@@ -202,4 +152,4 @@ def oracle_is_identity(
     if reduced.is_empty:
         return True
     cap = excursion_cap if excursion_cap is not None else len(reduced) + 4
-    return kernels.word_reaches_identity(reduced.signed(), reduced.degree, cap, max_states)
+    return kernels.word_reaches_identity(reduced.letters, reduced.degree, cap, max_states)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .braid import BraidWord, format_word, free_reduce, parse_word
+from .braid import BraidWord, conjugate, format_word, free_reduce, parse_word
 from .chart import (
     Chart,
     Edge,
@@ -129,7 +129,7 @@ def _handle_key(s, remap):
     out = []
     for h in s.handles:
         feet = () if h.feet is None else tuple(remap[d] for d in h.feet)
-        out.append((h.feet is None, feet, h.coreloop.signed(), h.mn or ()))
+        out.append((h.feet is None, feet, h.coreloop.letters, h.mn or ()))
     return tuple(sorted(out))
 
 
@@ -1025,9 +1025,9 @@ def _do_attach(s, mv):
             raise LabelConstraintViolated(f"label {mv.cocore_label} out of range")
         if len(cl.letters) > 1:
             raise NonTrivialHandle("a standard handle carries at most one loop letter")
-        if cl.letters and abs(cl.letters[0].index - mv.cocore_label) < 2:
+        if cl.letters and abs(abs(cl.letters[0]) - mv.cocore_label) < 2:
             raise NonCommutingDecoration(
-                f"loop letter {cl.letters[0].index} is too close to {mv.cocore_label}"
+                f"loop letter {abs(cl.letters[0])} is too close to {mv.cocore_label}"
             )
         f1, f2 = _fresh(ch, 2)
         verts = ch.vertices + (Vertex("free_end", (f1,)), Vertex("free_end", (f2,)))
@@ -1055,7 +1055,7 @@ def _do_detach(s, mv):
         raise NonTrivialHandle("the handle is threaded through the chart")
     if len(h.coreloop.letters) > 1:
         raise NonTrivialHandle("the handle still carries loop letters")
-    if h.coreloop.letters and abs(h.coreloop.letters[0].index - e.label) < 2:
+    if h.coreloop.letters and abs(abs(h.coreloop.letters[0]) - e.label) < 2:
         raise NonCommutingDecoration("loop letter too close to the span label")
     sign = 1 if e.head == h.feet[1] else -1
     feet = set(h.feet)
@@ -1100,7 +1100,7 @@ def _do_across(s, mv):
             raise SiteMismatch("a spanned handle cannot slide around a strand")
         e = _edge_at(emap, mv.dart)
         g = BraidWord.from_signed(n, (e.label * mv.sign,))
-        cl = free_reduce(g * b * g.inverse())
+        cl = conjugate(b, g)
         inv = MoveHandleAcrossEdge(mv.handle, dart=mv.dart, sign=-mv.sign)
         loops2 = ch.loops
     elif form == "end":
@@ -1244,13 +1244,13 @@ def _do_rotate(s, mv):
     else:
         new_a, new_b = h.coreloop, a.inverse()
     if new_a.letters:
-        lab, sgn = new_a.letters[0].index, new_a.letters[0].sign
+        v = new_a.letters[0]
         f1, f2 = _fresh(ch1, 2)
         ch1 = replace(
             ch1,
             vertices=ch1.vertices
             + (Vertex("free_end", (f1,)), Vertex("free_end", (f2,))),
-            edges=ch1.edges + (Edge((f1, f2), lab, f2 if sgn > 0 else f1),),
+            edges=ch1.edges + (Edge((f1, f2), abs(v), f2 if v > 0 else f1),),
         )
         feet2 = (f1, f2)
     else:
@@ -2002,10 +2002,7 @@ def _strengthen(run: _Runner) -> int:
             continue
         # no cancelling partner: attach one carrying the inverse letter
         hk, lk, sk = loaded[0]
-        letter = hk.coreloop.letters[0]
-        helper = BraidWord.from_signed(
-            s.chart.degree, (-letter.index * letter.sign,)
-        )
+        helper = BraidWord(s.chart.degree, (-hk.coreloop.letters[0],))
         run.do(AttachTrivialHandle(cocore_label=lk, cocore_sign=sk, coreloop=helper))
         count += 1
 
@@ -2080,16 +2077,14 @@ def _drain_handles(run: _Runner):
             h = _handle(run.state, hid)
             if h.mn is not None or not h.coreloop.letters:
                 break
-            letter = h.coreloop.letters[-1]
+            v = h.coreloop.letters[-1]
             lone = _lone_blacks(run.state.chart)
             emap, _ = _edge_maps(run.state.chart)
-            d = next(
-                (d for d in sorted(lone) if emap[d].label == letter.index), None
-            )
+            d = next((d for d in sorted(lone) if emap[d].label == abs(v)), None)
             if d is None:
                 break
             run.do(
-                MoveHandleAcrossEdge(hid, end=d, sign=-letter.sign, side="right")
+                MoveHandleAcrossEdge(hid, end=d, sign=-1 if v > 0 else 1, side="right")
             )
         h = _handle(run.state, hid)
         if h.coreloop.letters or h.feet is None:
@@ -2179,7 +2174,7 @@ def _deco_form_ok(s, h, strong):
     return (
         len(a.letters) == 1
         and len(b.letters) == 1
-        and abs(a.letters[0].index - b.letters[0].index) >= 2
+        and abs(abs(a.letters[0]) - abs(b.letters[0])) >= 2
     )
 
 
@@ -2407,7 +2402,7 @@ def _decode_move(name, kv, degree):
             w = parse_word(kv["cocore"], degree)
             if len(w.letters) != 1:
                 raise ValueError("cocore must be a single letter")
-            label, sign = w.letters[0].index, w.letters[0].sign
+            label, sign = abs(w.letters[0]), 1 if w.letters[0] > 0 else -1
         coreloop = None
         if "coreloop" in kv:
             coreloop = _dec("word", kv["coreloop"], degree)
@@ -2453,6 +2448,8 @@ def parse_script(text: str, initial: DecoratedSurface) -> EngineTrace:
             continue
         if head[0] != "move":
             raise ParseError(ln, 1, f"expected move or claim, got {head[0]!r}")
+        if claims:
+            raise ParseError(ln, 1, "move after a claim: claims follow the moves")
         toks = line.split()
         if len(toks) < 2:
             raise ParseError(ln, len(line) + 1, "missing move name")

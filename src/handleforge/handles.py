@@ -627,28 +627,22 @@ def enumerate_reachable(
     """Systems reachable in at most move_budget moves, entries within bound.
 
     Systems are compared up to handle reordering (canonical sort by label
-    word, then m, then n).  All-trivial systems with coeff_bound <= 15 and at
-    most 6 handles run on the packed integer kernel; anything else walks the
-    object-level moves directly, which is only meant for small budgets.
+    word, then m, then n).  All-trivial systems run on the (m, n) tuple
+    kernel; anything else walks the object-level moves directly, which is
+    only meant for small budgets.  The start is kept even when an entry lies
+    beyond the bound.
     """
-    kernel_ok = (
-        not force_slow
-        and coeff_bound <= 15
-        and len(s.handles) <= 6
-        and all(hd.label.is_trivial for hd in s.handles)
-        and all(abs(hd.m) <= 15 and abs(hd.n) <= 15 for hd in s.handles)
-    )
-    if kernel_ok:
-        packed = kernels.pack_handle_state([(hd.m, hd.n) for hd in s.handles])
-        ball = kernels.handle_ball(packed, move_budget, coeff_bound, max_states)
+    if not force_slow and all(hd.label.is_trivial for hd in s.handles):
+        start = [(hd.m, hd.n) for hd in s.handles]
+        ball = kernels.handle_ball(start, move_budget, coeff_bound, max_states)
         triv = HandleLabel(())
         return {
             HandleSystem(
                 s.generator_count,
-                tuple(DecoratedHandle(triv, m, n) for m, n in kernels.unpack_handle_state(p)),
+                tuple(DecoratedHandle(triv, m, n) for m, n in state),
                 s.pattern_braid,
             )
-            for p in ball
+            for state in ball
         }
     start = _canonical(s)
     seen = {start}

@@ -3,10 +3,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from handleforge import _kernels_py, braid
+from handleforge import braid, kernels
 from handleforge.errors import BudgetExceeded
 from handleforge.braid import (
-    BraidLetter,
     BraidWord,
     DegreeMismatch,
     conjugate,
@@ -41,12 +40,25 @@ class TestConstruction:
             BraidWord(1, ())
 
     def test_letter_index_must_fit_degree(self):
-        with pytest.raises(ValueError):
-            BraidWord(3, (BraidLetter(3, 1),))
+        for letter in (3, -3, 0):
+            with pytest.raises(ValueError):
+                BraidWord(3, (1, letter))
+            with pytest.raises(ValueError):
+                BraidWord.from_signed(3, (letter, -2))
+        assert BraidWord(3, (2, -2, 1, -1)).letters == (2, -2, 1, -1)
 
-    def test_letter_sign_must_be_unit(self):
+    def test_letter_zero_is_refused(self):
+        with pytest.raises(ValueError, match="letter index 0"):
+            BraidWord(4, (0,))
         with pytest.raises(ValueError):
-            BraidWord(3, (BraidLetter(1, 2),))
+            BraidWord.from_signed(2, (1, 0, -1))
+
+    @given(braid_words())
+    def test_signed_round_trip_and_inverse(self, word):
+        assert word.signed() == word.letters
+        assert BraidWord.from_signed(word.degree, word.signed()) == word
+        assert word.inverse().letters == tuple(-v for v in reversed(word.letters))
+        assert word.inverse().inverse() == word
 
     def test_words_are_hashable_values(self):
         assert w("s1 s2") == w("s1 s2")
@@ -219,13 +231,9 @@ class TestBoundedOracle:
 
 class TestKernelBackends:
     def test_backend_reports_its_name(self):
-        from handleforge import kernels
-
-        assert kernels.BACKEND in ("compiled", "pure")
+        assert kernels.BACKEND == "pure"
 
     def test_component_membership_matches_direct_reduction(self):
-        from handleforge import kernels
-
         packed = set(kernels.identity_component(3, 4, 6, 1_000_000))
         alphabet = (1, -1, 2, -2)
         words = [()]
@@ -242,8 +250,6 @@ class TestKernelBackends:
     def test_component_membership_matches_bounded_search(self, degree, universe, cap):
         # a word of length <= cap lies in the closure exactly when the
         # rewriting search from it reaches the empty word within the cap
-        from handleforge import kernels
-
         packed = kernels.identity_component(degree, universe, cap, 1_000_000)
         component = set(packed)
         assert len(component) == len(packed)
@@ -254,25 +260,21 @@ class TestKernelBackends:
                 assert got == kernels.word_reaches_identity(vals, degree, cap, 1_000_000), vals
 
     def test_component_state_limit(self):
-        from handleforge import _kernels_py
-
         # with universe_len == cap the closure returns every state it visits
-        states = len(_kernels_py.identity_component(4, 6, 6, 1_000_000))
-        assert len(_kernels_py.identity_component(4, 6, 6, states)) == states
+        states = len(kernels.identity_component(4, 6, 6, 1_000_000))
+        assert len(kernels.identity_component(4, 6, 6, states)) == states
         with pytest.raises(BudgetExceeded):
-            _kernels_py.identity_component(4, 6, 6, states - 1)
+            kernels.identity_component(4, 6, 6, states - 1)
 
     def test_component_rejects_caps_that_do_not_pack(self):
-        from handleforge import _kernels_py
-
         # 7**20 * 64 < 2**64 <= 7**21 * 64 and 3**36 * 64 < 2**64 <= 3**37 * 64:
         # the largest caps that pack are searched (and stopped by the state
         # limit), one letter more is refused before any state could collide
         for degree, largest in ((4, 20), (2, 36)):
             with pytest.raises(BudgetExceeded):
-                _kernels_py.identity_component(degree, 0, largest, 1_000)
+                kernels.identity_component(degree, 0, largest, 1_000)
             with pytest.raises(ValueError):
-                _kernels_py.identity_component(degree, 0, largest + 1, 1_000)
+                kernels.identity_component(degree, 0, largest + 1, 1_000)
 
 
 def reference_search(values, degree, cap, max_states=1_000_000):
@@ -288,7 +290,7 @@ def reference_search(values, degree, cap, max_states=1_000_000):
     while frontier:
         nxt = []
         for vals in frontier:
-            for nb in _kernels_py._word_neighbors(vals, degree, cap):
+            for nb in kernels._word_neighbors(vals, degree, cap):
                 if not nb:
                     return True, len(seen)
                 if nb not in seen:
@@ -310,75 +312,73 @@ class TestRewritingSearch:
     def test_matches_reference_search(self, degree, max_len, cap):
         for vals in all_words(degree, max_len):
             expected = reference_search(vals, degree, cap)[0]
-            assert _kernels_py.word_reaches_identity(vals, degree, cap, 1_000_000) == expected, vals
+            assert kernels.word_reaches_identity(vals, degree, cap, 1_000_000) == expected, vals
 
     def test_chunking_does_not_change_verdicts(self, monkeypatch):
         words = all_words(3, 3) + [(1, 2, 1, -2, -1, -2), (1, 2, -1, -2, 1, 2)]
-        verdicts = [_kernels_py.word_reaches_identity(w, 3, 7, 1_000_000) for w in words]
+        verdicts = [kernels.word_reaches_identity(w, 3, 7, 1_000_000) for w in words]
         visited = reference_search((1, 2, -1, -2), 3, 7)[1]
         # a word or two per chunk: every layer of more than that is expanded,
         # deduplicated and counted against the state limit in several chunks
-        monkeypatch.setattr(_kernels_py, "_CHUNK_CANDIDATES", 64)
-        assert [_kernels_py.word_reaches_identity(w, 3, 7, 1_000_000) for w in words] == verdicts
-        assert _kernels_py.word_reaches_identity((1, 2, -1, -2), 3, 7, visited) is False
+        monkeypatch.setattr(kernels, "_CHUNK_CANDIDATES", 64)
+        assert [kernels.word_reaches_identity(w, 3, 7, 1_000_000) for w in words] == verdicts
+        assert kernels.word_reaches_identity((1, 2, -1, -2), 3, 7, visited) is False
         with pytest.raises(BudgetExceeded):
-            _kernels_py.word_reaches_identity((1, 2, -1, -2), 3, 7, visited - 1)
+            kernels.word_reaches_identity((1, 2, -1, -2), 3, 7, visited - 1)
 
     def test_start_words_longer_than_the_cap(self):
         for vals in ((1, 2, 1, -2, -1, -2) * 2, (1, 2, 1, 2, -1, -2) * 2):
             expected = reference_search(vals, 3, 8)[0]
-            assert _kernels_py.word_reaches_identity(vals, 3, 8, 1_000_000) == expected
-        assert _kernels_py.word_reaches_identity((1, 2, 1, -2, -1, -2) * 2, 3, 8, 1_000_000)
+            assert kernels.word_reaches_identity(vals, 3, 8, 1_000_000) == expected
+        assert kernels.word_reaches_identity((1, 2, 1, -2, -1, -2) * 2, 3, 8, 1_000_000)
 
     def test_refuses_lengths_that_do_not_pack(self):
         # 7**20 * 64 < 2**64 <= 7**21 * 64, the rule of identity_component:
         # cap 20 is searched (and stopped by the state limit), 21 is refused,
         # and so is a start word of 21 letters under a smaller cap
         with pytest.raises(BudgetExceeded):
-            _kernels_py.word_reaches_identity((1, 2), 4, 20, 1_000)
+            kernels.word_reaches_identity((1, 2), 4, 20, 1_000)
         with pytest.raises(ValueError):
-            _kernels_py.word_reaches_identity((1, 2), 4, 21, 1_000)
+            kernels.word_reaches_identity((1, 2), 4, 21, 1_000)
         with pytest.raises(ValueError):
-            _kernels_py.word_reaches_identity((1, 2, 3) * 7, 4, 8, 1_000)
-        assert _kernels_py.word_reaches_identity((1, 2, 3) * 4, 4, 8, 1_000_000) is False
+            kernels.word_reaches_identity((1, 2, 3) * 7, 4, 8, 1_000)
+        assert kernels.word_reaches_identity((1, 2, 3) * 4, 4, 8, 1_000_000) is False
 
     def test_refuses_letters_outside_the_degree(self):
         with pytest.raises(ValueError):
-            _kernels_py.word_reaches_identity((1, 3), 3, 6, 1_000)
+            kernels.word_reaches_identity((1, 3), 3, 6, 1_000)
 
     def test_state_limit(self):
         vals = (1, 2, -1, -2)  # not the identity
         verdict, visited = reference_search(vals, 3, 8)
         assert verdict is False
-        assert _kernels_py.word_reaches_identity(vals, 3, 8, visited) is False
+        assert kernels.word_reaches_identity(vals, 3, 8, visited) is False
         with pytest.raises(BudgetExceeded, match=f"budget of {visited - 1} states"):
-            _kernels_py.word_reaches_identity(vals, 3, 8, visited - 1)
+            kernels.word_reaches_identity(vals, 3, 8, visited - 1)
 
     def test_budget_message_says_how_far_the_search_got(self):
         with pytest.raises(BudgetExceeded, match=r"at least \d+ states reached by layer \d+"):
-            _kernels_py.word_reaches_identity((1, 2, 1, 2), 4, 10, 500)
+            kernels.word_reaches_identity((1, 2, 1, 2), 4, 10, 500)
         with pytest.raises(BudgetExceeded, match="handle search .* by layer 1"):
-            _kernels_py.handle_ball(_kernels_py.pack_handle_state([(1, 2), (0, 3)]), 4, 9, 5)
+            kernels.handle_ball(((1, 2), (0, 3)), 4, 9, 5)
 
     def test_every_kernel_raises_the_typed_error(self):
         with pytest.raises(BudgetExceeded):
-            _kernels_py.identity_component(3, 4, 8, 100)
+            kernels.identity_component(3, 4, 8, 100)
         with pytest.raises(BudgetExceeded):
-            _kernels_py.word_reaches_identity((1, 2, -1, -2), 3, 8, 100)
+            kernels.word_reaches_identity((1, 2, -1, -2), 3, 8, 100)
         with pytest.raises(BudgetExceeded):
-            _kernels_py.handle_ball(_kernels_py.pack_handle_state([(1, 2)]), 6, 9, 10)
+            kernels.handle_ball(((1, 2),), 6, 9, 10)
 
 
 class TestKernelLimits:
     def test_pack_word_refuses_words_of_64_letters(self):
-        from handleforge import _kernels_py
-
         word = (1, -2, 3) * 21  # 63 letters: the longest length field
-        assert _kernels_py.unpack_word(_kernels_py.pack_word(word, 4), 4) == word
+        assert kernels.unpack_word(kernels.pack_word(word, 4), 4) == word
         with pytest.raises(ValueError):
-            _kernels_py.pack_word(word + (1,), 4)
+            kernels.pack_word(word + (1,), 4)
         with pytest.raises(ValueError):
-            _kernels_py.pack_word((1,) * 64, 2)
+            kernels.pack_word((1,) * 64, 2)
 
     @given(
         st.integers(2, 6).flatmap(
@@ -393,11 +393,9 @@ class TestKernelLimits:
     )
     @settings(max_examples=200, deadline=None)
     def test_pack_word_round_trips_below_the_limit(self, case):
-        from handleforge import _kernels_py
-
         degree, word = case
-        packed = _kernels_py.pack_word(word, degree)
-        assert _kernels_py.unpack_word(packed, degree) == tuple(word)
+        packed = kernels.pack_word(word, degree)
+        assert kernels.unpack_word(packed, degree) == tuple(word)
 
     def test_oracle_budget_is_a_typed_error(self):
         from handleforge.errors import BudgetExceeded

@@ -6,6 +6,7 @@ process exit code: 0 ok, 1 violation or failed claim, 2 parse error,
 """
 
 import os
+import random
 import re
 import subprocess
 import sys
@@ -346,3 +347,78 @@ class TestImportFootprint:
         )
         proc = fresh_process(["-c", script], check=True)
         assert proc.stdout.splitlines()[-1] == "[]"
+
+
+class TestScriptGrammar:
+    MOVE_AFTER_CLAIM = "move attach cocore=s1\nclaim unknotted\nmove rotate handle=1 dir=cw\n"
+
+    def test_move_after_a_claim_is_a_parse_error(self):
+        from handleforge.engine import empty_surface, parse_script
+        from handleforge.errors import ParseError
+
+        with pytest.raises(ParseError, match="move after a claim") as exc:
+            parse_script(self.MOVE_AFTER_CLAIM, empty_surface(4))
+        assert exc.value.line == 3
+
+    def test_replay_of_a_move_after_a_claim_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "late.script"
+        p.write_text(SCRIPT_TEXT.replace("claim unknotted\n", "") + "claim unknotted\n"
+                     + "move rotate handle=1 dir=cw\n")
+        assert main(["replay", CHART, str(p)]) == 2
+        assert "move after a claim" in capsys.readouterr().err
+
+
+SCRIPT_TEXT = (FIXTURE_DIR / "twist_spun_trefoil.script").read_text()
+CHART_TEXT = (FIXTURE_DIR / "twist_spun_trefoil.chart").read_text()
+
+
+def mutate(text, rng):
+    """One random edit of a line-oriented file: drop, duplicate or swap a
+    line, or change one number, sign or key=value key."""
+    lines = text.splitlines()
+    kind = rng.choice(("drop", "duplicate", "swap", "number", "sign", "key"))
+    k = rng.randrange(len(lines))
+    if kind == "drop":
+        del lines[k]
+    elif kind == "duplicate":
+        lines.insert(k, lines[k])
+    elif kind == "swap":
+        j = rng.randrange(len(lines))
+        lines[k], lines[j] = lines[j], lines[k]
+    else:
+        tokens = lines[k].split(" ")
+        t = rng.randrange(len(tokens))
+        key, eq, value = tokens[t].rpartition("=")
+        if kind == "number":
+            value = re.sub(r"\d+", lambda m: str(rng.choice((0, 1, 2, 3, 5, 9, 40, 77, 10**6))),
+                           value, count=1)
+        elif kind == "sign":
+            value = value.swapcase() if value[:1] in "sS" else "-" + value
+        else:
+            key, eq = rng.choice(("dart", "label", "head", "handle", "cycle", "bogus")), "="
+        tokens[t] = key + eq + value
+        lines[k] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+class TestMutationFuzz:
+    def test_mutants_exit_with_a_documented_code(self, tmp_path, capsys):
+        # seeded mutants of the bundled chart and script: every one ends in
+        # a documented exit code, never in the catch-all "internal" error
+        chart, script = tmp_path / "m.chart", tmp_path / "m.script"
+        codes = set()
+        for seed in range(600):
+            rng = random.Random(seed)
+            on_chart = seed % 2 == 0
+            chart.write_text(mutate(CHART_TEXT, rng) if on_chart else CHART_TEXT)
+            script.write_text(SCRIPT_TEXT if on_chart else mutate(SCRIPT_TEXT, rng))
+            commands = [["replay", str(chart), str(script)]]
+            if on_chart:
+                commands += [["validate", str(chart)], ["unbraid", str(chart), "--mode", "branch"]]
+            for argv in commands:
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2, 3), (seed, argv)
+                assert "internal" not in err, (seed, argv, err)
+                codes.add(code)
+        assert {0, 1, 2} <= codes

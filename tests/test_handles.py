@@ -498,6 +498,32 @@ class TestEnumerateReachable:
         fast = enumerate_reachable(s, 3, 4)
         assert slow == fast
 
+    @pytest.mark.parametrize(
+        "pairs, budget, bound",
+        [
+            (((5, 0), (0, 1)), 2, 3),
+            (((0, 7), (1, 0)), 2, 3),
+            (((4, 1), (1, 0)), 3, 3),
+            (((2, 0), (5, 0)), 3, 3),
+            (((20, 3), (1, 1), (0, 2)), 2, 20),
+            (((1, 0),) * 7, 1, 2),
+        ],
+    )
+    def test_paths_agree_on_starts_beyond_the_bound(self, pairs, budget, bound):
+        # only the start may hold an entry beyond the bound; the tuple
+        # kernel prunes its successors like the object-level search does
+        s = sys_of(*pairs)
+        slow = enumerate_reachable(s, budget, bound, force_slow=True)
+        assert enumerate_reachable(s, budget, bound) == slow
+
+    def test_a_slide_can_bring_the_start_inside_the_bound(self):
+        ball = enumerate_reachable(sys_of((2, 0), (5, 0)), 1, 3)
+        assert sys_of((2, 0), (3, 0)) in ball
+        assert all(
+            abs(hd.m) <= 3 and abs(hd.n) <= 3 for r in ball - {sys_of((2, 0), (5, 0))}
+            for hd in r.handles
+        )
+
 
 class TestTextFormats:
     def test_handles_round_trip(self):
