@@ -18,7 +18,7 @@ class DegreeMismatch(ValueError):
     """Two words that should live on the same number of strands do not."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BraidWord:
     degree: int  # number of strands, at least 2
     letters: tuple[int, ...] = ()  # +i for si, -i for Si

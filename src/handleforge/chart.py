@@ -16,7 +16,7 @@ surface). Neither touches the map axioms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ParseError
 
@@ -36,20 +36,20 @@ class InvalidChart(ValueError):
         self.violations = list(violations)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     kind: str
     cycle: tuple[int, ...]  # darts, counterclockwise
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     darts: tuple[int, int]
     label: int
     head: int  # which of the two darts sits at the head end
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FloatingLoop:
     """Closed vertex-free loop record; crosses nothing.
 
@@ -65,7 +65,7 @@ class FloatingLoop:
     pinned: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternLoop:
     """One parallel copy of the pattern curve, indexed along the band."""
 
@@ -85,22 +85,34 @@ class Chart:
 
 @dataclass(eq=False)
 class SurfaceMap:
-    """Derived view of a chart's rotation system.
+    """Derived view of a chart's rotation system, its faces and components.
 
-    A chart value derives its map once, on first use, and keeps it; the
-    dicts are shared by every reader and must not be modified.
+    Every table is keyed by dart or by component key, never by a position in
+    the chart's tuples, so a move's output carries its input's map through
+    the move's patch (see rewrite).  Maps are shared between charts and must
+    not be modified.
     """
 
-    darts: tuple[int, ...]  # sorted
-    alpha: dict  # edge involution
-    sigma: dict  # counterclockwise successor at the vertex
-    faces: tuple[tuple[int, ...], ...]  # face walks, each from its least dart
-    edge_of: dict  # dart -> index of its edge
-    edge_at: dict  # dart -> its edge
-    slot_of: dict  # dart -> (vertex index, position in the cycle)
-    face_of: dict  # dart -> index of its face
-    face_pos: dict  # dart -> position along its face walk
-    comp: dict  # dart -> least vertex index of its connected component
+    alpha: dict  # dart -> the other dart of its edge
+    sigma: dict  # dart -> the next dart counterclockwise at its vertex
+    edge_at: dict  # dart -> its Edge
+    vertex_at: dict  # dart -> its Vertex
+    face_at: dict  # dart -> the walk of its face, from the face's least dart
+    comp: dict  # dart -> key of its connected component
+    chi: dict  # component key -> Euler characteristic
+    size: dict  # component key -> number of darts
+    ends: frozenset  # the darts of the free_end vertices
+    genus: int  # summed genus of the components whose count is possible
+    bad: tuple  # keys of the components whose Euler count is impossible
+
+    @property
+    def darts(self):
+        return tuple(sorted(self.alpha))
+
+    @property
+    def faces(self):
+        """The face walks, in least-dart order."""
+        return tuple(sorted({id(w): w for w in self.face_at.values()}.values()))
 
     @property
     def phi(self):
@@ -128,106 +140,363 @@ class BoundsReport:
 def _derived(chart):
     """The chart's map-level violations, its SurfaceMap and its dartless vertices.
 
-    Derived on first use and kept on the frozen value, the way BraidWord
-    keeps its signed tuple; the map is None while the dart structure is
-    broken.  dataclasses.replace builds a new value, which derives its own.
+    Derived on first use and kept on the frozen value; the map is None while
+    the dart structure is broken.  A chart made by rewrite carries the map
+    of the chart it was made from through the patch.  Every other chart
+    (parsed, built by hand, or made by dataclasses.replace) derives its map
+    in full, once.
     """
     got = chart.__dict__.get("_derived")
     if got is None:
-        got = _derive(chart)
+        step = chart.__dict__.get("_step")
+        got = _carry(chart, *step) if step else _derive(chart)
         object.__setattr__(chart, "_derived", got)
     return got
 
 
-def _derive(chart):
+def rewrite(chart, gone=(), new=(), **fields):
+    """chart with fields replaced, made by removing the Edge and Vertex
+    objects in gone and adding those in new.
+
+    The caller passes in fields the vertex and edge tuples that result, if
+    they change.  The new chart's map is chart's map plus this patch: only
+    the faces and components the patch reaches are walked again.
+    """
+    out = replace(chart, **fields)
+    object.__setattr__(out, "_step", (chart, tuple(gone), tuple(new)))
+    return out
+
+
+def take_patch(before, after):
+    """The darts of the edges and vertices that after adds to before.
+
+    () when after is before, None when after is no rewrite of before.  It
+    derives after's map, then drops after's link to before, so that a run of
+    moves does not keep every earlier chart alive.
+    """
+    if after is before:
+        return ()
+    step = after.__dict__.get("_step")
+    _derived(after)
+    after.__dict__.pop("_step", None)
+    if step is None or step[0] is not before:
+        return None
+    return [d for x in step[2] for d in _darts_of(x)]
+
+
+def drop_map(chart):
+    """Forget the chart's map, a cache; the next use derives it in full."""
+    chart.__dict__.pop("_derived", None)
+
+
+def _darts_of(x):
+    return x.darts if type(x) is Edge else x.cycle
+
+
+def _header(chart):
     out = []
     if chart.degree < 2:
         out.append(f"degree {chart.degree} must be at least 2")
     if chart.genus < 0:
         out.append(f"genus {chart.genus} must be nonnegative")
-    edge_of, edge_at, alpha = {}, {}, {}
+    return out
+
+
+def _face(d, alpha, sigma):
+    """The walk of the face through d, from its least dart."""
+    walk, cur = [d], sigma[alpha[d]]
+    while cur != d:
+        walk.append(cur)
+        cur = sigma[alpha[cur]]
+    k = walk.index(min(walk))
+    return tuple(walk[k:] + walk[:k])
+
+
+def _euler(darts, vertex_at, face_at):
+    """V - E + F of the component made of these darts."""
+    vertices = len({id(vertex_at[d]) for d in darts})
+    faces = len({id(face_at[d]) for d in darts})
+    return vertices - len(darts) // 2 + faces
+
+
+def _tally(chi, keys):
+    """Summed genus of the keyed components, and those with impossible counts."""
+    genus, bad = 0, []
+    for k in keys:
+        x = chi[k]
+        if x % 2 or x > 2:
+            bad.append(k)
+        else:
+            genus += (2 - x) // 2
+    return genus, bad
+
+
+def _ends(vertices):
+    return {v.cycle[0] for v in vertices if v.kind == "free_end" and v.cycle}
+
+
+def _derive(chart):
+    out = _header(chart)
+    edge_at, alpha = {}, {}
     for idx, e in enumerate(chart.edges):
         d1, d2 = e.darts
         if d1 == d2:
             out.append(f"edge {idx}: its two darts must differ")
-        if d1 in edge_of:
+        if d1 in edge_at:
             out.append(f"dart {d1} appears in more than one edge")
-        edge_of[d1] = idx
-        if d2 in edge_of:
+        edge_at[d1] = e
+        if d2 in edge_at:
             out.append(f"dart {d2} appears in more than one edge")
-        edge_of[d2] = idx
-        edge_at[d1] = edge_at[d2] = e
+        edge_at[d2] = e
         alpha[d1] = d2
         alpha[d2] = d1
         if e.head != d1 and e.head != d2:
             out.append(f"edge {idx}: head {e.head} is not one of its darts")
-    slot_of, sigma, bare = {}, {}, []
+    vertex_at, sigma, bare = {}, {}, []
     for vi, v in enumerate(chart.vertices):
         cycle = v.cycle
         if not cycle:
             bare.append(vi)
             continue
         prev = cycle[-1]
-        for pos, d in enumerate(cycle):
-            if d in slot_of:
+        for d in cycle:
+            if d in vertex_at:
                 out.append(f"dart {d} appears in more than one vertex cycle")
-            slot_of[d] = (vi, pos)
+            vertex_at[d] = v
             sigma[prev] = d
             prev = d
-    if edge_of.keys() != slot_of.keys():
-        for d in sorted(edge_of.keys() ^ slot_of.keys()):
-            side = "edge" if d in edge_of else "vertex"
+    if edge_at.keys() != vertex_at.keys():
+        for d in sorted(edge_at.keys() ^ vertex_at.keys()):
+            side = "edge" if d in edge_at else "vertex"
             out.append(f"dart {d} appears only on the {side} side")
     if out:
         return out, None, bare
 
-    darts = sorted(alpha)
-    faces, face_of, face_pos = [], {}, {}
-    for d in darts:
-        if d in face_of:
+    face_at = {}
+    for d in sorted(alpha):
+        if d not in face_at:
+            walk = _face(d, alpha, sigma)
+            for x in walk:
+                face_at[x] = walk
+    comp, chi, size = {}, {}, {}
+    for d in alpha:
+        if d in comp:
             continue
-        k, walk, cur = len(faces), [], d
-        while cur not in face_of:
-            face_of[cur] = k
-            face_pos[cur] = len(walk)
-            walk.append(cur)
-            cur = sigma[alpha[cur]]
-        faces.append(tuple(walk))
-
-    # components, each named by its least vertex index
-    vcomp = [-1] * len(chart.vertices)
-    for start, v in enumerate(chart.vertices):
-        if vcomp[start] >= 0:
-            continue
-        vcomp[start] = start
-        stack = [v.cycle]
-        while stack:
-            for d in stack.pop():
-                w = slot_of[alpha[d]][0]
-                if vcomp[w] < 0:
-                    vcomp[w] = start
-                    stack.append(chart.vertices[w].cycle)
-    comp = {d: vcomp[vi] for d, (vi, _) in slot_of.items()}
+        key = len(chi)
+        comp[d] = key
+        group = [d]
+        for x in group:
+            for y in (alpha[x], sigma[x]):
+                if y not in comp:
+                    comp[y] = key
+                    group.append(y)
+        chi[key] = _euler(group, vertex_at, face_at)
+        size[key] = len(group)
+    genus, bad = _tally(chi, chi)
     sm = SurfaceMap(
-        darts=tuple(darts),
-        alpha=alpha,
-        sigma=sigma,
-        faces=tuple(faces),
-        edge_of=edge_of,
-        edge_at=edge_at,
-        slot_of=slot_of,
-        face_of=face_of,
-        face_pos=face_pos,
-        comp=comp,
+        alpha, sigma, edge_at, vertex_at, face_at, comp, chi, size,
+        frozenset(_ends(chart.vertices)), genus, tuple(bad),
     )
     return out, sm, bare
 
 
-def boundary_sequence(chart, vertex_index):
+def _searches(seeds, alpha, sigma):
+    """Group the seed darts by connected component.
+
+    One search starts at each seed; the searches take a dart each in turn
+    and merge where they meet, and stop once at most one is still running
+    (Even and Shiloach), so the work is bounded by the smaller sides.
+    Returns the darts of each finished search, the running search as
+    (darts, unexpanded darts) or None, and the dart -> search table.
+    """
+    owner, root, seen, todo = {}, [], [], []
+    for d in seeds:
+        if d not in owner:
+            owner[d] = len(root)
+            root.append(len(root))
+            seen.append([d])
+            todo.append([d])
+    running, done = list(range(len(root))), []
+    while len(running) > 1:
+        still = []
+        for g in running:
+            if root[g] != g:
+                continue
+            d = todo[g].pop()
+            for x in (alpha[d], sigma[d]):
+                h = owner.get(x)
+                if h is None:
+                    owner[x] = g
+                    seen[g].append(x)
+                    todo[g].append(x)
+                    continue
+                while root[h] != h:
+                    h = root[h]
+                if h != g:
+                    # keep the longer lists under g, then fold h into it
+                    if len(seen[h]) > len(seen[g]):
+                        seen[g], seen[h] = seen[h], seen[g]
+                        todo[g], todo[h] = todo[h], todo[g]
+                    seen[g] += seen[h]
+                    todo[g] += todo[h]
+                    root[h] = g
+            if todo[g]:
+                still.append(g)
+            else:
+                done.append(seen[g])
+        running = [g for g in still if root[g] == g]
+    last = (seen[running[0]], todo[running[0]]) if running else None
+    return done, last, owner
+
+
+def _carry(chart, parent, gone, new):
+    """The map of chart, made from parent by removing the Edge and Vertex
+    objects in gone and adding those in new (see rewrite).
+
+    The dart tables are copied and patched, and only the faces through a
+    patch dart are walked again.  Components are searched
+    from the patch alone, and the Euler count of the one component left
+    unexplored follows by difference.  A patch that does not fit parent, or
+    an output with a broken dart structure, is derived in full instead,
+    which names the violations.
+    """
+    pout, pm, pbare = _derived(parent)
+    if pout or pbare or pm.bad or _header(chart):
+        return _derive(chart)
+    if not gone and not new:
+        return [], pm, []
+    ge = [x for x in gone if type(x) is Edge]
+    gv = [x for x in gone if type(x) is not Edge]
+    ne = [x for x in new if type(x) is Edge]
+    nv = [x for x in new if type(x) is not Edge]
+    if len(chart.edges) != len(parent.edges) - len(ge) + len(ne) or len(
+        chart.vertices
+    ) != len(parent.vertices) - len(gv) + len(nv):
+        return _derive(chart)
+
+    alpha, sigma = pm.alpha.copy(), pm.sigma.copy()
+    edge_at, vertex_at = pm.edge_at.copy(), pm.vertex_at.copy()
+    for e in ge:
+        for d in e.darts:
+            if edge_at.pop(d, None) != e:
+                return _derive(chart)
+            del alpha[d]
+    for v in gv:
+        for d in v.cycle:
+            if vertex_at.pop(d, None) != v:
+                return _derive(chart)
+            del sigma[d]
+    for e in ne:
+        d1, d2 = e.darts
+        if d1 == d2 or d1 in edge_at or d2 in edge_at or e.head not in e.darts:
+            return _derive(chart)
+        edge_at[d1] = edge_at[d2] = e
+        alpha[d1], alpha[d2] = d2, d1
+    for v in nv:
+        cycle = v.cycle
+        if not cycle:
+            return _derive(chart)
+        prev = cycle[-1]
+        for d in cycle:
+            if d in vertex_at:
+                return _derive(chart)
+            vertex_at[d] = v
+            sigma[prev] = d
+            prev = d
+    touched = {d for x in (*gone, *new) for d in _darts_of(x)}
+    if any((d in alpha) != (d in vertex_at) for d in touched):
+        return _derive(chart)
+
+    # faces: a face walk changes only where it runs through a patch dart
+    # (a changed edge, or a changed vertex entered from its partner), so
+    # the parent's faces through patch darts go, and the faces through the
+    # surviving patch darts are walked
+    pface = pm.face_at
+    stale = {id(w): w for w in map(pface.get, touched) if w is not None}
+    face_at = pface.copy()
+    for w in stale.values():
+        for d in w:
+            del face_at[d]
+    walks = 0
+    for d in touched:
+        if d in alpha and d not in face_at:
+            walk = _face(d, alpha, sigma)
+            for x in walk:
+                face_at[x] = walk
+            walks += 1
+
+    # components: the parent components the patch reaches are replaced by
+    # the components of the patch's surviving darts
+    pcomp = pm.comp
+    keys = sorted({pcomp[d] for d in touched if d in pcomp})
+    comp, chi, size = pcomp.copy(), pm.chi.copy(), pm.size.copy()
+    region_chi = sum(chi.pop(k) for k in keys)
+    region_size = sum(size.pop(k) for k in keys)
+    region_chi += len(nv) - len(gv) - len(ne) + len(ge) + walks - len(stale)
+    region_size += len(alpha) - len(pm.alpha)
+    for d in touched:
+        if d not in alpha:
+            del comp[d]
+    done, last, owner = _searches(
+        sorted(d for d in touched if d in alpha), alpha, sigma
+    )
+    fresh = max(pm.chi, default=-1) + 1
+    changed = []
+    if last is not None:
+        darts, todo = last
+        left = {k: pm.size[k] for k in keys}
+        for d in touched:
+            if d not in alpha and d in pcomp:
+                left[pcomp[d]] -= 1
+        for d in owner:
+            k = pcomp.get(d)
+            if k is not None:
+                left[k] -= 1
+        rest = [k for k in keys if left[k]]
+        if rest:
+            # the running search's component holds unexplored darts of the
+            # parent components in rest: the largest keeps its key, and the
+            # others' darts are reached from the unexpanded ones
+            keep = max(rest, key=lambda k: left[k])
+            stack = list(todo)
+            while stack:
+                d = stack.pop()
+                for x in (alpha[d], sigma[d]):
+                    if x not in owner and pcomp[x] != keep:
+                        owner[x] = None
+                        darts.append(x)
+                        stack.append(x)
+            for d in darts:
+                comp[d] = keep
+            chi[keep] = region_chi - sum(_euler(g, vertex_at, face_at) for g in done)
+            size[keep] = region_size - sum(map(len, done))
+            changed.append(keep)
+        else:
+            done.append(darts)
+    for group in done:
+        for d in group:
+            comp[d] = fresh
+        chi[fresh] = _euler(group, vertex_at, face_at)
+        size[fresh] = len(group)
+        changed.append(fresh)
+        fresh += 1
+    lost, _ = _tally(pm.chi, keys)
+    won, bad = _tally(chi, changed)
+
+    ends = pm.ends
+    if any(v.kind == "free_end" for v in (*gv, *nv)):
+        ends = ends.difference(_ends(gv)).union(_ends(nv))
+    sm = SurfaceMap(
+        alpha, sigma, edge_at, vertex_at, face_at, comp, chi, size,
+        ends, pm.genus - lost + won, tuple(bad),
+    )
+    return [], sm, []
+
+
+def _word(edge_at, v):
     """Counterclockwise (label, out_sign) word around one vertex."""
-    edge_at = surface_map(chart).edge_at
     seq = []
-    for d in chart.vertices[vertex_index].cycle:
+    for d in v.cycle:
         e = edge_at[d]
         seq.append((e.label, 1 if e.head != d else -1))
     return seq
@@ -270,8 +539,10 @@ def _match_crossing(seq):
 def validate_chart(chart, touched=None):
     """Check the chart axioms; returns a list of violations, empty when valid.
 
-    The map-level axioms (degree, genus, dart structure, the loop records
-    and the per-component Euler count) always run on the whole map.  The
+    The map-level axioms (degree, genus, dart structure) and the Euler and
+    genus count are read off the chart's map, which keeps them per
+    component; a move's output updates them for the components its patch
+    reaches (see rewrite).  The loop records are checked every time.  The
     per-vertex and per-edge axioms run everywhere, or, given touched darts,
     only at the vertices and edges holding one of them (and at vertices
     without darts, which no dart can name).  The patch check suffices after
@@ -282,29 +553,29 @@ def validate_chart(chart, touched=None):
     if out:
         return list(out)
     if touched is None:
-        vis = range(len(chart.vertices))
-        eis = range(len(chart.edges))
+        verts = list(enumerate(chart.vertices))
+        edges = list(enumerate(chart.edges))
     else:
-        slot_of, edge_of = sm.slot_of, sm.edge_of
-        vis = {slot_of[d][0] for d in touched if d in slot_of}
-        vis = sorted(vis.union(bare))
-        eis = sorted({edge_of[d] for d in touched if d in edge_of})
+        # indices are looked up only for a vertex or edge that fails
+        vs = {id(v): (None, v) for v in map(sm.vertex_at.get, touched) if v}
+        es = {id(e): (None, e) for e in map(sm.edge_at.get, touched) if e}
+        verts = [*vs.values(), *((vi, chart.vertices[vi]) for vi in bare)]
+        edges = list(es.values())
 
-    out = []
-    for vi in vis:
-        v = chart.vertices[vi]
+    bad_v, bad_e = [], []
+    for vi, v in verts:
         if v.kind not in VERTEX_DEGREE:
-            out.append(f"vertex {vi}: unknown kind {v.kind!r}")
+            bad_v.append((vi, v, f": unknown kind {v.kind!r}"))
             continue
         want = VERTEX_DEGREE[v.kind]
         if len(v.cycle) != want:
-            out.append(f"vertex {vi} ({v.kind}): degree {len(v.cycle)} != {want}")
-    for idx in eis:
-        e = chart.edges[idx]
+            bad_v.append((vi, v, f" ({v.kind}): degree {len(v.cycle)} != {want}"))
+    for idx, e in edges:
         if not 1 <= e.label <= chart.degree - 1:
-            out.append(
-                f"edge {idx}: label {e.label} out of range 1..{chart.degree - 1}"
+            bad_e.append(
+                (idx, e, f": label {e.label} out of range 1..{chart.degree - 1}")
             )
+    out = _named(chart.vertices, "vertex", bad_v) + _named(chart.edges, "edge", bad_e)
     for li, loop in enumerate(chart.loops):
         if not 1 <= loop.label <= chart.degree - 1:
             out.append(
@@ -320,47 +591,47 @@ def validate_chart(chart, touched=None):
     if out:
         return out
 
-    for vi in vis:
-        kind = chart.vertices[vi].kind
-        if kind == "white" and _match_white(boundary_sequence(chart, vi)) is None:
-            out.append(
-                f"vertex {vi}: white boundary word is not an adjacent-pair relator"
-            )
-        elif (
-            kind == "crossing"
-            and _match_crossing(boundary_sequence(chart, vi)) is None
-        ):
-            out.append(
-                f"vertex {vi}: invalid crossing word, need far labels in"
+    bad_v = []
+    for vi, v in verts:
+        if v.kind == "white" and _match_white(_word(sm.edge_at, v)) is None:
+            text = ": white boundary word is not an adjacent-pair relator"
+            bad_v.append((vi, v, text))
+        elif v.kind == "crossing" and _match_crossing(_word(sm.edge_at, v)) is None:
+            text = (
+                ": invalid crossing word, need far labels in"
                 " opposite-sign diagonal pairs"
             )
+            bad_v.append((vi, v, text))
+    out = _named(chart.vertices, "vertex", bad_v)
     if out:
         return out
 
     # orientability bookkeeping: each connected component of the map has an
-    # even Euler characteristic; the component genera must fit the carrier
-    comp = sm.comp
-    chi = {}
-    for v in chart.vertices:
-        root = comp[v.cycle[0]]
-        chi[root] = chi.get(root, 0) + 1
-    for e in chart.edges:
-        root = comp[e.darts[0]]
-        chi[root] -= 1
-    for f in sm.faces:
-        chi[comp[f[0]]] += 1
-    total_genus = 0
-    for root, x in chi.items():
-        if x % 2 or x > 2:
-            out.append(f"component at vertex {root}: impossible Euler count {x}")
-        else:
-            total_genus += (2 - x) // 2
-    if total_genus > chart.genus:
+    # even Euler characteristic; the component genera must fit the carrier.
+    # A component is named by its least vertex index.
+    if sm.bad:
+        least = {}
+        for vi, v in enumerate(chart.vertices):
+            least.setdefault(sm.comp[v.cycle[0]], vi)
+        for vi, k in sorted((least[k], k) for k in sm.bad):
+            out.append(f"component at vertex {vi}: impossible Euler count {sm.chi[k]}")
+    if sm.genus > chart.genus:
         out.append(
-            f"total component genus {total_genus} exceeds declared genus"
+            f"total component genus {sm.genus} exceeds declared genus"
             f" {chart.genus}"
         )
     return out
+
+
+def _named(items, what, bad):
+    """Messages for (index or None, item, text) triples, in index order; a
+    missing index is the item's position in items, found by identity."""
+    named = []
+    for i, x, text in bad:
+        if i is None:
+            i = next(k for k, y in enumerate(items) if y is x)
+        named.append((i, f"{what} {i}{text}"))
+    return [m for _, m in sorted(named)]
 
 
 def _require_valid(chart):
@@ -377,31 +648,45 @@ def surface_map(chart):
     return sm
 
 
-def white_type(chart, vertex_index):
-    """Ordered label pair and rotation offset of a white vertex's word."""
-    v = chart.vertices[vertex_index]
-    if v.kind != "white":
-        raise ValueError(f"vertex {vertex_index} is {v.kind}, not white")
-    got = _match_white(boundary_sequence(chart, vertex_index))
+def _vertex(chart, vertex, kind):
+    """The Vertex named by an index into chart.vertices, or the Vertex itself,
+    and its word; ValueError unless it has the given kind."""
+    if isinstance(vertex, Vertex):
+        v, name = vertex, f"vertex {vertex.cycle}"
+    else:
+        v, name = chart.vertices[vertex], f"vertex {vertex}"
+    if v.kind != kind:
+        raise ValueError(f"{name} is {v.kind}, not {kind}")
+    return name, _word(surface_map(chart).edge_at, v)
+
+
+def white_type(chart, vertex):
+    """Ordered label pair and rotation offset of a white vertex's word.
+
+    vertex is an index into chart.vertices or one of its Vertex objects.
+    """
+    name, word = _vertex(chart, vertex, "white")
+    got = _match_white(word)
     if got is None:
-        raise ValueError(f"vertex {vertex_index} has no valid white word")
+        raise ValueError(f"{name} has no valid white word")
     return got
 
 
-def middle_positions(chart, vertex_index):
+def middle_positions(chart, vertex):
     """Cycle positions of the two middle ends at a white vertex."""
-    _, rot = white_type(chart, vertex_index)
+    _, rot = white_type(chart, vertex)
     return {(1 - rot) % 6, (4 - rot) % 6}
 
 
-def crossing_type(chart, vertex_index):
-    """Label pair (i, j) with i < j and intersection sign of a crossing."""
-    v = chart.vertices[vertex_index]
-    if v.kind != "crossing":
-        raise ValueError(f"vertex {vertex_index} is {v.kind}, not crossing")
-    got = _match_crossing(boundary_sequence(chart, vertex_index))
+def crossing_type(chart, vertex):
+    """Label pair (i, j) with i < j and intersection sign of a crossing.
+
+    vertex is an index into chart.vertices or one of its Vertex objects.
+    """
+    name, word = _vertex(chart, vertex, "crossing")
+    got = _match_crossing(word)
     if got is None:
-        raise ValueError(f"vertex {vertex_index} has no valid crossing word")
+        raise ValueError(f"{name} has no valid crossing word")
     return got
 
 

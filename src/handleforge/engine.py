@@ -14,6 +14,7 @@ one of the ValueError subclasses below without side effects.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .braid import BraidWord, conjugate, format_word, free_reduce, parse_word
 from .chart import (
@@ -25,8 +26,11 @@ from .chart import (
     canonical_dart_map,
     chart_stats,
     crossing_type,
+    drop_map,
     middle_positions,
+    rewrite,
     surface_map,
+    take_patch,
     validate_chart,
     white_type,
 )
@@ -69,7 +73,7 @@ class NotRepeatedPattern(ValueError):
 # decorated surfaces
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttachedHandle:
     """One attached 1-handle.
 
@@ -106,10 +110,14 @@ def _span_edge(s: DecoratedSurface, h: AttachedHandle) -> Edge | None:
     """The clean spanning edge joining the handle's two feet, if any."""
     if h.feet is None:
         return None
-    for e in s.chart.edges:
-        if set(e.darts) == set(h.feet):
-            return e
-    return None
+    e = surface_map(s.chart).edge_at.get(h.feet[0])
+    return e if e is not None and set(e.darts) == set(h.feet) else None
+
+
+def _foot_vertices(s: DecoratedSurface, h: AttachedHandle):
+    """The vertices holding the handle's feet."""
+    vertex_at = surface_map(s.chart).vertex_at
+    return tuple({id(vertex_at[f]): vertex_at[f] for f in h.feet}.values())
 
 
 def derived_cocore(s: DecoratedSurface, hid: int) -> BraidWord | None:
@@ -146,7 +154,7 @@ def surfaces_equal(a: DecoratedSurface, b: DecoratedSurface) -> bool:
 # move vocabulary
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CIM1Add:
     """Spawn a vertex-free loop record."""
 
@@ -155,12 +163,12 @@ class CIM1Add:
     index: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CIM1Erase:
     loop: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CIM2Split:
     """Pinch a loop record off an edge; the edge itself is unchanged."""
 
@@ -169,13 +177,13 @@ class CIM2Split:
     index: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CIM2Absorb:
     dart: int
     loop: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CIM2Reconnect:
     """Cut the edges at two counterdirected darts and swap their partners."""
 
@@ -183,7 +191,7 @@ class CIM2Reconnect:
     b: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CIR2Insert:
     """Push two far-labelled strands across each other, making two crossings."""
 
@@ -191,7 +199,7 @@ class CIR2Insert:
     b: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CIR2Bootstrap:
     """Realize two far-labelled loop records as a pair of crossed circles."""
 
@@ -199,7 +207,7 @@ class CIR2Bootstrap:
     j: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CIR2Straighten:
     """Cancel two adjacent opposite crossings of the same strand pair."""
 
@@ -207,7 +215,7 @@ class CIR2Straighten:
     b: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CIISweep:
     """Sweep a lone black end across a far-labelled strand."""
 
@@ -215,19 +223,19 @@ class CIISweep:
     target: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CIIRetract:
     dart: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CIIIEliminate:
     """Absorb a black-capped non-middle branch, deleting its white vertex."""
 
     dart: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CIM3Bootstrap:
     """Turn five aligned loop records into a mirrored white-vertex pair."""
 
@@ -236,12 +244,12 @@ class CIM3Bootstrap:
     loops: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CIM3Cancel:
     dart: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttachTrivialHandle:
     """Attach a standard handle, optionally spanned by one cocore letter."""
 
@@ -250,12 +258,12 @@ class AttachTrivialHandle:
     coreloop: BraidWord | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetachTrivialHandle:
     handle: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MoveHandleAcrossEdge:
     """Slide handle material across chart strands.
 
@@ -275,7 +283,7 @@ class MoveHandleAcrossEdge:
     index: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bridge:
     """Reconnect one foot of a clean handle onto a same-labelled strand."""
 
@@ -283,7 +291,7 @@ class Bridge:
     dart: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossingTransfer:
     """Pull a bridged crossing through the handle onto its core."""
 
@@ -292,7 +300,7 @@ class CrossingTransfer:
     side: str = "right"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RotateTrivialHandleDecoration:
     """Quarter-turn of a standard handle: swaps cocore and core letters."""
 
@@ -300,20 +308,20 @@ class RotateTrivialHandleDecoration:
     direction: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConvertViaGeneratorSet:
     handle: int
     label: int
     sign: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeEdgeRelabel:
     dart: int
     label: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HandleSlideDecorated:
     """Slide handle `handle` across handle `over`, composing loop words."""
 
@@ -322,20 +330,20 @@ class HandleSlideDecorated:
     variant: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrientationReversalAid:
     """Reverse all strands at an isolated white vertex; costs one handle."""
 
     dart: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlideEndAlongEdge:
     dart: int
     along: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbsorbLoopIntoFreeEdge:
     """Retire an undecorated handle span onto a parallel free edge."""
 
@@ -343,22 +351,22 @@ class AbsorbLoopIntoFreeEdge:
     dart: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternCancel:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternCapture:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternTwist:
     sign: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Patch:
     """Raw state restore used as the inverse of the compound surgeries.
 
@@ -416,9 +424,9 @@ SURFACE_MOVES = (
 
 
 def _edge_maps(ch: Chart):
-    """dart -> Edge and dart -> (vertex index, position), from the chart's map."""
+    """dart -> Edge and dart -> Vertex, from the chart's map."""
     m = surface_map(ch)
-    return m.edge_at, m.slot_of
+    return m.edge_at, m.vertex_at
 
 
 def _edge_at(emap, dart):
@@ -438,10 +446,13 @@ def _loop_at(ch: Chart, idx):
     return ch.loops[idx]
 
 
-def _fresh(ch: Chart, n: int) -> tuple[int, ...]:
-    darts = surface_map(ch).darts
-    m = darts[-1] + 1 if darts else 1
-    return tuple(range(m, m + n))
+def _fresh(ch: Chart, n: int, drop=()) -> tuple[int, ...]:
+    """n darts above the chart's largest dart, leaving out the darts in drop."""
+    alpha = surface_map(ch).alpha
+    top = max(alpha, default=0)
+    if top in drop:
+        top = max((d for d in alpha if d not in drop), default=0)
+    return tuple(range(top + 1, top + 1 + n))
 
 
 def _faces_touch(s: DecoratedSurface, a, pa, b, pb):
@@ -449,8 +460,9 @@ def _faces_touch(s: DecoratedSurface, a, pa, b, pb):
     m = surface_map(s.chart)
     if m.comp.get(a) != m.comp.get(b):
         return True
-    face_of = m.face_of
-    return bool({face_of[a], face_of[pa]} & {face_of[b], face_of[pb]})
+    face_at = m.face_at
+    fa, fpa = face_at[a], face_at[pa]
+    return any(face_at[d] is fa or face_at[d] is fpa for d in (b, pb))
 
 
 def _planar_reconnect(m, a, pa, b, pb):
@@ -461,23 +473,24 @@ def _planar_reconnect(m, a, pa, b, pb):
     """
     if m.comp.get(a) != m.comp.get(b):
         return True
-    fid, fpos = m.face_of, m.face_pos
-    if fid[a] != fid[pb]:
+    face_at = m.face_at
+    f = face_at[a]
+    if face_at[pb] is not f:
         return False
-    L = len(m.faces[fid[a]])
-    px, py = fpos[a], fpos[pb]
-    span = (px - py) % L
+    L = len(f)
+    py = f.index(pb)
+    span = (f.index(a) - py) % L
 
     def piece_x(d):
-        return 0 < (fpos[d] - py) % L <= span
+        return 0 < (f.index(d) - py) % L <= span
 
-    in_f_b = fid[b] == fid[a]
-    in_f_pa = fid[pa] == fid[a]
+    in_f_b = face_at[b] is f
+    in_f_pa = face_at[pa] is f
     if in_f_b and in_f_pa:
         return piece_x(b) == piece_x(pa)
     if in_f_b or in_f_pa:
         return False
-    return fid[b] == fid[pa]
+    return face_at[b] is face_at[pa]
 
 
 def _planar_insert(m, a, pa, b):
@@ -485,32 +498,45 @@ def _planar_insert(m, a, pa, b):
     # the face in front of b; separate components can always be arranged
     if m.comp.get(a) != m.comp.get(b):
         return True
-    return m.face_of[pa] == m.face_of[b]
+    return m.face_at[pa] is m.face_at[b]
 
 
-def _with(s: DecoratedSurface, **chart_fields) -> DecoratedSurface:
-    return DecoratedSurface(replace(s.chart, **chart_fields), s.handles)
+def _rewrite(s: DecoratedSurface, gone=(), new=(), handles=None, **chart_fields):
+    """s with the Edge and Vertex objects in gone removed from its chart and
+    those in new appended, other chart fields and the handles replaced.
+
+    A caller that keeps an order of its own passes the edge or vertex tuple
+    in chart_fields.  The output chart carries s's map through this patch.
+    """
+    ch = s.chart
+    drop = {id(x) for x in gone}
+    for name, cls in (("edges", Edge), ("vertices", Vertex)):
+        add = tuple(x for x in new if type(x) is cls)
+        if name not in chart_fields and (add or any(type(x) is cls for x in gone)):
+            kept = [x for x in getattr(ch, name) if id(x) not in drop]
+            chart_fields[name] = (*kept, *add)
+    chart = rewrite(ch, gone, new, **chart_fields)
+    return DecoratedSurface(chart, s.handles if handles is None else handles)
 
 
-def _collapse(ch: Chart, kill_vis, ports, mute=()):
+def _collapse(ch: Chart, kill, ports, mute=()):
     """Drop the given vertices and every incident edge, resewing strands.
 
     ports pairs up darts of the killed vertices; a strand entering the
     removed region leaves through the paired dart.  Edges in mute carry
     geometry but do not vote on the seam's label or direction.  Returns
-    the new edge list and, for chains that closed up into circles, a list
-    of (label, arrives_at_min_dart) pairs in min-dart order.
+    the removed vertices and edges, the new seam edges and, for chains that
+    closed up into circles, a list of (label, arrives_at_min_dart) pairs in
+    min-dart order.
     """
-    killed_darts = set()
-    for vi in kill_vis:
-        killed_darts.update(ch.vertices[vi].cycle)
-    keep, chain_edges = [], {}
-    for e in ch.edges:
-        if killed_darts.intersection(e.darts):
-            for d in e.darts:
-                chain_edges[d] = e
-        else:
-            keep.append(e)
+    edge_at = surface_map(ch).edge_at
+    killed_darts = {d for v in kill for d in v.cycle}
+    chain_edges = {}
+    for v in kill:
+        for d in v.cycle:
+            e = edge_at[d]
+            for x in e.darts:
+                chain_edges[x] = e
     mute_ids = {id(e) for e in mute}
     external = {d for d in chain_edges if d not in killed_darts}
     done = set()
@@ -540,14 +566,14 @@ def _collapse(ch: Chart, kill_vis, ports, mute=()):
                 return links
             cur = nxt
 
-    new_edges = list(keep)
+    seams = []
     for start in sorted(external):
         if id(chain_edges[start]) in done:
             continue
         links = walk(start, closed=False)
         label, fwd = seam(links)
         a, b = links[0][1], links[-1][2]
-        new_edges.append(Edge((a, b), label, b if fwd else a))
+        seams.append(Edge((a, b), label, b if fwd else a))
     closed_out = []
     for start in sorted(chain_edges):
         if id(chain_edges[start]) in done:
@@ -561,7 +587,8 @@ def _collapse(ch: Chart, kill_vis, ports, mute=()):
                 break
         closed_out.append((md, label, arrives))
     closed_out.sort()
-    return new_edges, [(lab, arr) for _, lab, arr in closed_out]
+    gone = (*kill, *{id(e): e for e in chain_edges.values()}.values())
+    return gone, seams, [(lab, arr) for _, lab, arr in closed_out]
 
 
 def _changed(old, new, key):
@@ -578,10 +605,14 @@ def _changed(old, new, key):
     return gone, back
 
 
-def _patch_between(before: DecoratedSurface, after: DecoratedSurface) -> _Patch:
-    a, b = before.chart, after.chart
-    rm_e, ad_e = _changed(a.edges, b.edges, lambda e: tuple(sorted(e.darts)))
-    rm_v, ad_v = _changed(a.vertices, b.vertices, lambda v: tuple(sorted(v.cycle)))
+def _restore(before: DecoratedSurface, gone=(), new=()) -> _Patch:
+    """The patch that takes a rewrite of before, which removed gone and
+    added new, back to before."""
+    edges = [[x for x in side if type(x) is Edge] for side in (gone, new)]
+    verts = [[x for x in side if type(x) is Vertex] for side in (gone, new)]
+    rm_e, ad_e = _changed(*edges, lambda e: tuple(sorted(e.darts)))
+    rm_v, ad_v = _changed(*verts, lambda v: tuple(sorted(v.cycle)))
+    a = before.chart
     return _Patch(
         rm_e,
         ad_e,
@@ -624,16 +655,20 @@ def _do_patch(s, mv):
         except ValueError:
             raise SiteMismatch("restore patch does not match the surface") from None
     verts.extend(mv.add_vertices)
-    chart = replace(
-        s.chart,
+    gone = mv.remove_edges + mv.remove_vertices
+    new = mv.add_edges + mv.add_vertices
+    out = _rewrite(
+        s,
+        gone,
+        new,
+        mv.handles,
         vertices=tuple(verts),
         edges=tuple(edges),
         loops=mv.loops,
         pattern_loops=mv.patterns,
         genus=mv.genus,
     )
-    out = DecoratedSurface(chart, mv.handles)
-    return out, _patch_between(out, s)
+    return out, _restore(s, gone, new)
 
 
 @_applies(CIM1Add)
@@ -647,7 +682,7 @@ def _do_cim1add(s, mv):
     if not 0 <= idx <= len(ch.loops):
         raise SiteMismatch(f"no record slot {idx}")
     loops = ch.loops[:idx] + (FloatingLoop(mv.label, mv.sign),) + ch.loops[idx:]
-    return _with(s, loops=loops), CIM1Erase(idx)
+    return _rewrite(s, loops=loops), CIM1Erase(idx)
 
 
 @_applies(CIM1Erase)
@@ -657,8 +692,8 @@ def _do_cim1erase(s, mv):
         raise SiteMismatch("pinned records cannot be erased in place")
     if rec.over:
         raise SiteMismatch("the record rides a handle")
-    loops = tuple(r for k, r in enumerate(s.chart.loops) if k != mv.loop)
-    return _with(s, loops=loops), CIM1Add(rec.label, rec.sign, mv.loop)
+    loops = s.chart.loops[: mv.loop] + s.chart.loops[mv.loop + 1 :]
+    return _rewrite(s, loops=loops), CIM1Add(rec.label, rec.sign, mv.loop)
 
 
 @_applies(CIM2Split)
@@ -672,7 +707,7 @@ def _do_cim2split(s, mv):
     if not 0 <= idx <= len(ch.loops):
         raise SiteMismatch(f"no record slot {idx}")
     loops = ch.loops[:idx] + (FloatingLoop(e.label, mv.sign),) + ch.loops[idx:]
-    return _with(s, loops=loops), CIM2Absorb(mv.dart, idx)
+    return _rewrite(s, loops=loops), CIM2Absorb(mv.dart, idx)
 
 
 @_applies(CIM2Absorb)
@@ -688,7 +723,7 @@ def _do_cim2absorb(s, mv):
             f"record label {rec.label} vs edge label {e.label}"
         )
     loops = tuple(r for k, r in enumerate(ch.loops) if k != mv.loop)
-    return _with(s, loops=loops), CIM2Split(mv.dart, rec.sign, mv.loop)
+    return _rewrite(s, loops=loops), CIM2Split(mv.dart, rec.sign, mv.loop)
 
 
 def _reconnect_check(s, a, b):
@@ -720,13 +755,11 @@ def _reconnect_surface(s, a, b):
     ea, eb, ha = _reconnect_check(s, a, b)
     pa, pb = _other(ea, a), _other(eb, b)
     lab = ea.label
-    edges = [e for e in s.chart.edges if e is not ea and e is not eb]
-    edges.append(Edge((a, b), lab, a if ha else b))
-    edges.append(Edge((pa, pb), lab, pb if ha else pa))
-    out = _with(s, edges=tuple(edges))
+    new = (Edge((a, b), lab, a if ha else b), Edge((pa, pb), lab, pb if ha else pa))
+    out = _rewrite(s, (ea, eb), new)
     inv = CIM2Reconnect(a, pa)
     if not _reconnect_legal(out, a, pa):
-        inv = _patch_between(s, out)
+        inv = _restore(s, (ea, eb), new)
     return out, inv
 
 
@@ -751,17 +784,14 @@ def _do_cir2insert(s, mv):
     ey = 1 if eb.head == pb else -1
     w1, s1, e1, n1, w2, s2, e2, n2 = _fresh(ch, 8)
     i, j = ea.label, eb.label
-    edges = [e for e in ch.edges if e is not ea and e is not eb]
+    new = []
     for x, y in ((mv.a, w1), (e1, w2), (e2, pa)):
-        edges.append(Edge((x, y), i, y if ex > 0 else x))
+        new.append(Edge((x, y), i, y if ex > 0 else x))
     for x, y in ((mv.b, n1), (s1, s2), (n2, pb)):
-        edges.append(Edge((x, y), j, y if ey > 0 else x))
-    verts = ch.vertices + (
-        Vertex("crossing", (w1, s1, e1, n1)),
-        Vertex("crossing", (w2, s2, e2, n2)),
-    )
-    out = _with(s, vertices=verts, edges=tuple(edges))
-    return out, CIR2Straighten(w1, w2)
+        new.append(Edge((x, y), j, y if ey > 0 else x))
+    new.append(Vertex("crossing", (w1, s1, e1, n1)))
+    new.append(Vertex("crossing", (w2, s2, e2, n2)))
+    return _rewrite(s, (ea, eb), new), CIR2Straighten(w1, w2)
 
 
 @_applies(CIR2Bootstrap)
@@ -781,18 +811,16 @@ def _do_cir2bootstrap(s, mv):
             raise SiteMismatch("pinned records cannot be rewired")
     w1, s1, e1, n1, w2, s2, e2, n2 = _fresh(ch, 8)
     i, j, si, sj = ra.label, rb.label, ra.sign, rb.sign
-    edges = list(ch.edges)
-    edges.append(Edge((e1, w2), i, w2 if si > 0 else e1))
-    edges.append(Edge((e2, w1), i, w1 if si > 0 else e2))
-    edges.append(Edge((s1, s2), j, s1 if sj > 0 else s2))
-    edges.append(Edge((n2, n1), j, n2 if sj > 0 else n1))
-    verts = ch.vertices + (
+    new = (
+        Edge((e1, w2), i, w2 if si > 0 else e1),
+        Edge((e2, w1), i, w1 if si > 0 else e2),
+        Edge((s1, s2), j, s1 if sj > 0 else s2),
+        Edge((n2, n1), j, n2 if sj > 0 else n1),
         Vertex("crossing", (w1, s1, e1, n1)),
         Vertex("crossing", (w2, s2, e2, n2)),
     )
     loops = tuple(r for k, r in enumerate(ch.loops) if k not in (mv.i, mv.j))
-    out = _with(s, vertices=verts, edges=tuple(edges), loops=loops)
-    return out, CIR2Straighten(w1, w2)
+    return _rewrite(s, (), new, loops=loops), CIR2Straighten(w1, w2)
 
 
 @_applies(CIR2Straighten)
@@ -802,36 +830,34 @@ def _do_cir2straighten(s, mv):
     for d in (mv.a, mv.b):
         if d not in vmap:
             raise SiteMismatch(f"no dart {d}")
-    va, vb = vmap[mv.a][0], vmap[mv.b][0]
-    if va == vb:
+    va, vb = vmap[mv.a], vmap[mv.b]
+    if va is vb:
         raise SiteMismatch("need two distinct crossings")
-    for vi in (va, vb):
-        if ch.vertices[vi].kind != "crossing":
+    for v in (va, vb):
+        if v.kind != "crossing":
             raise SiteMismatch("both sites must be crossings")
     ta, sa = crossing_type(ch, va)
     tb, sb = crossing_type(ch, vb)
     if ta != tb or sa != -sb:
         raise SiteMismatch("the two crossings do not cancel")
-    sm = surface_map(ch)
-    db = set(ch.vertices[vb].cycle)
+    face_at = surface_map(ch).face_at
+    db = set(vb.cycle)
     bigon = any(
         len(f) == 2 and not db.isdisjoint(f)
-        for f in (sm.faces[sm.face_of[d]] for d in ch.vertices[va].cycle)
+        for f in (face_at[d] for d in va.cycle)
     )
     if not bigon:
         raise SiteMismatch("the crossings are not adjacent along both strands")
     ports = {}
-    for vi in (va, vb):
-        cyc = ch.vertices[vi].cycle
+    for v in (va, vb):
+        cyc = v.cycle
         for p in range(4):
             ports[cyc[p]] = cyc[(p + 2) % 4]
-    edges2, closed = _collapse(ch, {va, vb}, ports)
+    gone, seams, closed = _collapse(ch, (va, vb), ports)
     loops2 = ch.loops + tuple(
         FloatingLoop(lab, 1 if arr else -1) for lab, arr in closed
     )
-    verts2 = tuple(v for k, v in enumerate(ch.vertices) if k not in (va, vb))
-    out = _with(s, vertices=verts2, edges=tuple(edges2), loops=loops2)
-    return out, _patch_between(s, out)
+    return _rewrite(s, gone, seams, loops=loops2), _restore(s, gone, seams)
 
 
 def _lone_blacks(ch: Chart):
@@ -848,8 +874,7 @@ def _do_ciisweep(s, mv):
     emap, vmap = _edge_maps(ch)
     if mv.black not in vmap:
         raise SiteMismatch(f"no dart {mv.black}")
-    bvi = vmap[mv.black][0]
-    bv = ch.vertices[bvi]
+    bv = vmap[mv.black]
     if bv.kind != "black" or len(bv.cycle) != 1:
         raise SiteMismatch("the moving end must be a lone black vertex")
     e0 = emap[mv.black]
@@ -866,14 +891,14 @@ def _do_ciisweep(s, mv):
     xB, xT, xw, xU = _fresh(ch, 4)
     fwd0 = e0.head == mv.black  # strand runs toward the black end
     fwdt = et.head == u
-    edges = [e for e in ch.edges if e is not e0 and e is not et]
-    edges.append(Edge((mv.black, xB), i, mv.black if fwd0 else xB))
-    edges.append(Edge((xw, w), i, xw if fwd0 else w))
-    edges.append(Edge((t, xT), j, xT if fwdt else t))
-    edges.append(Edge((xU, u), j, u if fwdt else xU))
-    verts = ch.vertices + (Vertex("crossing", (xB, xT, xw, xU)),)
-    out = _with(s, vertices=verts, edges=tuple(edges))
-    return out, CIIRetract(xB)
+    new = (
+        Edge((mv.black, xB), i, mv.black if fwd0 else xB),
+        Edge((xw, w), i, xw if fwd0 else w),
+        Edge((t, xT), j, xT if fwdt else t),
+        Edge((xU, u), j, u if fwdt else xU),
+        Vertex("crossing", (xB, xT, xw, xU)),
+    )
+    return _rewrite(s, (e0, et), new), CIIRetract(xB)
 
 
 @_applies(CIIRetract)
@@ -882,19 +907,16 @@ def _do_ciiretract(s, mv):
     emap, vmap = _edge_maps(ch)
     if mv.dart not in vmap:
         raise SiteMismatch(f"no dart {mv.dart}")
-    xvi = vmap[mv.dart][0]
-    xv = ch.vertices[xvi]
+    xv = vmap[mv.dart]
     if xv.kind != "crossing":
         raise SiteMismatch("the site is not a crossing")
     far = _other(emap[mv.dart], mv.dart)
     if far not in _lone_blacks(ch):
         raise SiteMismatch("no lone black end across the crossing")
     ports = {xv.cycle[k]: xv.cycle[(k + 2) % 4] for k in range(4)}
-    edges2, closed = _collapse(ch, {xvi}, ports)
+    gone, seams, closed = _collapse(ch, (xv,), ports)
     loops2 = ch.loops + tuple(FloatingLoop(lab, 1) for lab, _ in closed)
-    verts2 = tuple(v for k, v in enumerate(ch.vertices) if k != xvi)
-    out = _with(s, vertices=verts2, edges=tuple(edges2), loops=loops2)
-    return out, _patch_between(s, out)
+    return _rewrite(s, gone, seams, loops=loops2), _restore(s, gone, seams)
 
 
 @_applies(CIIIEliminate)
@@ -903,26 +925,24 @@ def _do_ciii(s, mv):
     emap, vmap = _edge_maps(ch)
     if mv.dart not in vmap:
         raise SiteMismatch(f"no dart {mv.dart}")
-    wvi, p = vmap[mv.dart]
-    wv = ch.vertices[wvi]
+    wv = vmap[mv.dart]
     if wv.kind != "white":
         raise SiteMismatch("the site is not a white vertex")
     e1 = emap[mv.dart]
     far = _other(e1, mv.dart)
     if far not in _lone_blacks(ch):
         raise SiteMismatch("the branch must end at a lone black vertex")
-    if p in middle_positions(ch, wvi):
-        raise SiteMismatch("middle ends cannot absorb the branch")
     cyc = wv.cycle
+    p = cyc.index(mv.dart)
+    if p in middle_positions(ch, wv):
+        raise SiteMismatch("middle ends cannot absorb the branch")
     ports = {}
     for a, b in ((0, 3), (1, 5), (2, 4)):
         ports[cyc[(p + a) % 6]] = cyc[(p + b) % 6]
         ports[cyc[(p + b) % 6]] = cyc[(p + a) % 6]
-    edges2, closed = _collapse(ch, {wvi}, ports, mute=(e1,))
+    gone, seams, closed = _collapse(ch, (wv,), ports, mute=(e1,))
     loops2 = ch.loops + tuple(FloatingLoop(lab, 1) for lab, _ in closed)
-    verts2 = tuple(v for k, v in enumerate(ch.vertices) if k != wvi)
-    out = _with(s, vertices=verts2, edges=tuple(edges2), loops=loops2)
-    return out, _patch_between(s, out)
+    return _rewrite(s, gone, seams, loops=loops2), _restore(s, gone, seams)
 
 
 def _white_relator(x, y):
@@ -950,43 +970,42 @@ def _do_cim3bootstrap(s, mv):
             raise SiteMismatch("records must be plain positive loops")
     m = _fresh(ch, 12)
     a, b = m[:6], m[6:]
-    edges = list(ch.edges)
-    edges.append(Edge((a[0], b[0]), mv.x, b[0]))
+    new = [Edge((a[0], b[0]), mv.x, b[0])]
     for k in range(1, 6):
         lab, sign = base[k]
         far = b[(6 - k) % 6]
-        edges.append(Edge((a[k], far), lab, far if sign > 0 else a[k]))
-    verts = ch.vertices + (Vertex("white", a), Vertex("white", b))
+        new.append(Edge((a[k], far), lab, far if sign > 0 else a[k]))
+    new += (Vertex("white", a), Vertex("white", b))
     loops = tuple(r for k, r in enumerate(ch.loops) if k not in set(idxs))
-    out = _with(s, vertices=verts, edges=tuple(edges), loops=loops)
-    return out, CIM3Cancel(a[0])
+    return _rewrite(s, (), new, loops=loops), CIM3Cancel(a[0])
 
 
-def _mirror_pair(ch, emap, vmap, dart):
+def _mirror_pair(emap, vmap, dart):
     """Check the direct mirror wiring through dart's edge; return its data."""
     e0 = _edge_at(emap, dart)
     d1, d2 = dart, _other(e0, dart)
     if d1 not in vmap or d2 not in vmap:
         raise SiteMismatch("dangling edge")
-    (v1, p1), (v2, p2) = vmap[d1], vmap[d2]
-    if ch.vertices[v1].kind != "white" or ch.vertices[v2].kind != "white":
+    v1, v2 = vmap[d1], vmap[d2]
+    if v1.kind != "white" or v2.kind != "white":
         raise SiteMismatch("the edge does not join two white vertices")
-    if v1 == v2:
+    if v1 is v2:
         raise SiteMismatch("the edge is a white self-loop")
-    c1, c2 = ch.vertices[v1].cycle, ch.vertices[v2].cycle
+    c1, c2 = v1.cycle, v2.cycle
+    p1, p2 = c1.index(d1), c2.index(d2)
     arcs = []
     for k in range(1, 6):
         da = c1[(p1 + k) % 6]
         ea = _edge_at(emap, da)
         fa = _other(ea, da)
-        vv, pp = vmap[fa]
-        if vv != v2:
-            if ch.vertices[vv].kind == "black":
+        vv = vmap[fa]
+        if vv is not v2:
+            if vv.kind == "black":
                 raise BlackVertexInCIRegion(
                     "a black vertex interrupts the white pair"
                 )
             raise SiteMismatch("the two white vertices are not mirror wired")
-        if pp != (p2 - k) % 6:
+        if c2.index(fa) != (p2 - k) % 6:
             raise SiteMismatch("the two white vertices are not mirror wired")
         arcs.append(ea)
     return v1, v2, e0, arcs
@@ -996,13 +1015,10 @@ def _mirror_pair(ch, emap, vmap, dart):
 def _do_cim3cancel(s, mv):
     ch = s.chart
     emap, vmap = _edge_maps(ch)
-    v1, v2, e0, arcs = _mirror_pair(ch, emap, vmap, mv.dart)
-    gone = {id(e0)} | {id(e) for e in arcs}
-    edges2 = tuple(e for e in ch.edges if id(e) not in gone)
+    v1, v2, e0, arcs = _mirror_pair(emap, vmap, mv.dart)
+    gone = (v1, v2, e0, *arcs)
     loops2 = ch.loops + tuple(FloatingLoop(e.label, 1) for e in arcs)
-    verts2 = tuple(v for k, v in enumerate(ch.vertices) if k not in (v1, v2))
-    out = _with(s, vertices=verts2, edges=edges2, loops=loops2)
-    return out, _patch_between(s, out)
+    return _rewrite(s, gone, loops=loops2), _restore(s, gone)
 
 
 @_applies(AttachTrivialHandle)
@@ -1018,8 +1034,8 @@ def _do_attach(s, mv):
     if mv.cocore_label is None:
         if cl.letters:
             raise NonTrivialHandle("a footless attachment must carry no loop word")
-        chart2 = replace(ch, genus=ch.genus + 1)
         h = AttachedHandle(hid, cl, None, None)
+        new = ()
     else:
         if not 1 <= mv.cocore_label <= n - 1:
             raise LabelConstraintViolated(f"label {mv.cocore_label} out of range")
@@ -1030,12 +1046,15 @@ def _do_attach(s, mv):
                 f"loop letter {abs(cl.letters[0])} is too close to {mv.cocore_label}"
             )
         f1, f2 = _fresh(ch, 2)
-        verts = ch.vertices + (Vertex("free_end", (f1,)), Vertex("free_end", (f2,)))
         head = f2 if mv.cocore_sign > 0 else f1
-        edges = ch.edges + (Edge((f1, f2), mv.cocore_label, head),)
-        chart2 = replace(ch, vertices=verts, edges=edges, genus=ch.genus + 1)
+        new = (
+            Vertex("free_end", (f1,)),
+            Vertex("free_end", (f2,)),
+            Edge((f1, f2), mv.cocore_label, head),
+        )
         h = AttachedHandle(hid, cl, (f1, f2), None)
-    return DecoratedSurface(chart2, s.handles + (h,)), DetachTrivialHandle(hid)
+    out = _rewrite(s, (), new, s.handles + (h,), genus=ch.genus + 1)
+    return out, DetachTrivialHandle(hid)
 
 
 @_applies(DetachTrivialHandle)
@@ -1048,8 +1067,7 @@ def _do_detach(s, mv):
     if h.feet is None:
         if h.coreloop.letters:
             raise NonTrivialHandle("the handle still carries loop letters")
-        chart2 = replace(ch, genus=ch.genus - 1)
-        return DecoratedSurface(chart2, handles2), AttachTrivialHandle()
+        return _rewrite(s, (), (), handles2, genus=ch.genus - 1), AttachTrivialHandle()
     e = _span_edge(s, h)
     if e is None:
         raise NonTrivialHandle("the handle is threaded through the chart")
@@ -1058,14 +1076,11 @@ def _do_detach(s, mv):
     if h.coreloop.letters and abs(abs(h.coreloop.letters[0]) - e.label) < 2:
         raise NonCommutingDecoration("loop letter too close to the span label")
     sign = 1 if e.head == h.feet[1] else -1
-    feet = set(h.feet)
-    verts = tuple(v for v in ch.vertices if not feet.intersection(v.cycle))
-    edges = tuple(x for x in ch.edges if x is not e)
-    chart2 = replace(ch, vertices=verts, edges=edges, genus=ch.genus - 1)
+    out = _rewrite(s, (e, *_foot_vertices(s, h)), (), handles2, genus=ch.genus - 1)
     back = AttachTrivialHandle(
         e.label, sign, h.coreloop if h.coreloop.letters else None
     )
-    return DecoratedSurface(chart2, handles2), back
+    return out, back
 
 
 @_applies(MoveHandleAcrossEdge)
@@ -1146,8 +1161,7 @@ def _do_across(s, mv):
     handles2 = tuple(
         replace(x, coreloop=cl) if x.id == h.id else x for x in s.handles
     )
-    out = DecoratedSurface(replace(ch, loops=loops2), handles2)
-    return out, inv
+    return _rewrite(s, handles=handles2, loops=loops2), inv
 
 
 @_applies(Bridge)
@@ -1182,8 +1196,7 @@ def _do_transfer(s, mv):
     emap, vmap = _edge_maps(ch)
     if mv.dart not in vmap:
         raise SiteMismatch(f"no dart {mv.dart}")
-    vi = vmap[mv.dart][0]
-    v = ch.vertices[vi]
+    v = vmap[mv.dart]
     if v.kind != "crossing":
         raise SiteMismatch("the site is not a crossing")
     feet = set(h.feet)
@@ -1195,9 +1208,8 @@ def _do_transfer(s, mv):
     ej = emap[v.cycle[(p + 1) % 4]]
     eps = 1 if ej.head != v.cycle[(p + 1) % 4] else -1
     ports = {v.cycle[k]: v.cycle[(k + 2) % 4] for k in range(4)}
-    edges2, closed = _collapse(ch, {vi}, ports)
+    gone, seams, closed = _collapse(ch, (v,), ports)
     loops2 = ch.loops + tuple(FloatingLoop(lab, 1) for lab, _ in closed)
-    verts2 = tuple(vv for k, vv in enumerate(ch.vertices) if k != vi)
     g = BraidWord.from_signed(ch.degree, (ej.label * eps,))
     cl = (
         free_reduce(h.coreloop * g)
@@ -1207,9 +1219,8 @@ def _do_transfer(s, mv):
     handles2 = tuple(
         replace(x, coreloop=cl) if x.id == h.id else x for x in s.handles
     )
-    chart2 = replace(ch, vertices=verts2, edges=tuple(edges2), loops=loops2)
-    out = DecoratedSurface(chart2, handles2)
-    return out, _patch_between(s, out)
+    out = _rewrite(s, gone, seams, handles2, loops=loops2)
+    return out, _restore(s, gone, seams)
 
 
 @_applies(RotateTrivialHandleDecoration)
@@ -1224,42 +1235,35 @@ def _do_rotate(s, mv):
         raise NonTrivialHandle("the loop word must be at most one letter to rotate")
     if h.feet is None:
         a = BraidWord(n)
-        ch1 = s.chart
+        gone = ()
     else:
         e = _span_edge(s, h)
         if e is None:
             raise NonTrivialHandle("the handle is threaded through the chart")
         sign = 1 if e.head == h.feet[1] else -1
         a = BraidWord.from_signed(n, (e.label * sign,))
-        feet = set(h.feet)
-        ch1 = replace(
-            s.chart,
-            vertices=tuple(
-                v for v in s.chart.vertices if not feet.intersection(v.cycle)
-            ),
-            edges=tuple(x for x in s.chart.edges if x is not e),
-        )
+        gone = (e, *_foot_vertices(s, h))
     if mv.direction == "cw":
         new_a, new_b = h.coreloop.inverse(), a
     else:
         new_a, new_b = h.coreloop, a.inverse()
     if new_a.letters:
         v = new_a.letters[0]
-        f1, f2 = _fresh(ch1, 2)
-        ch1 = replace(
-            ch1,
-            vertices=ch1.vertices
-            + (Vertex("free_end", (f1,)), Vertex("free_end", (f2,))),
-            edges=ch1.edges + (Edge((f1, f2), abs(v), f2 if v > 0 else f1),),
+        # numbered as if the old span were gone already
+        f1, f2 = _fresh(s.chart, 2, drop=h.feet or ())
+        new = (
+            Vertex("free_end", (f1,)),
+            Vertex("free_end", (f2,)),
+            Edge((f1, f2), abs(v), f2 if v > 0 else f1),
         )
         feet2 = (f1, f2)
     else:
-        feet2 = None
+        new, feet2 = (), None
     h2 = AttachedHandle(h.id, new_b, feet2, None)
     handles2 = tuple(h2 if x.id == h.id else x for x in s.handles)
     other = "ccw" if mv.direction == "cw" else "cw"
     return (
-        DecoratedSurface(ch1, handles2),
+        _rewrite(s, gone, new, handles2),
         RotateTrivialHandleDecoration(mv.handle, other),
     )
 
@@ -1295,11 +1299,14 @@ def _do_convert(s, mv):
     _require_generators(s)
     old_sign = 1 if e.head == h.feet[1] else -1
     head = h.feet[1] if mv.sign > 0 else h.feet[0]
-    edges = tuple(
-        Edge(e.darts, mv.label, head) if x is e else x for x in s.chart.edges
-    )
-    out = _with(s, edges=edges)
+    out = _relabelled(s, e, Edge(e.darts, mv.label, head))
     return out, ConvertViaGeneratorSet(mv.handle, e.label, old_sign)
+
+
+def _relabelled(s, e, new):
+    """s with edge e replaced in place by the edge new on the same darts."""
+    edges = tuple(new if x is e else x for x in s.chart.edges)
+    return _rewrite(s, (e,), (new,), edges=edges)
 
 
 @_applies(FreeEdgeRelabel)
@@ -1313,10 +1320,8 @@ def _do_relabel(s, mv):
     if not 1 <= mv.label <= ch.degree - 1:
         raise LabelConstraintViolated(f"label {mv.label} out of range")
     _require_generators(s)
-    edges = tuple(
-        Edge(e.darts, mv.label, e.head) if x is e else x for x in ch.edges
-    )
-    return _with(s, edges=edges), FreeEdgeRelabel(mv.dart, e.label)
+    out = _relabelled(s, e, Edge(e.darts, mv.label, e.head))
+    return out, FreeEdgeRelabel(mv.dart, e.label)
 
 
 @_applies(HandleSlideDecorated)
@@ -1345,9 +1350,7 @@ def _do_slide(s, mv):
         bk = free_reduce(hl.coreloop.inverse() * hk.coreloop)
     else:
         raise SiteMismatch(f"unknown variant {mv.variant!r}")
-    feet = set(hl.feet)
-    verts = tuple(v for v in s.chart.vertices if not feet.intersection(v.cycle))
-    edges = tuple(x for x in s.chart.edges if x is not el)
+    gone = (el, *_foot_vertices(s, hl))
     handles2 = []
     for x in s.handles:
         if x.id == hk.id:
@@ -1356,9 +1359,7 @@ def _do_slide(s, mv):
             handles2.append(replace(x, feet=None))
         else:
             handles2.append(x)
-    chart2 = replace(s.chart, vertices=verts, edges=edges)
-    out = DecoratedSurface(chart2, tuple(handles2))
-    return out, _patch_between(s, out)
+    return _rewrite(s, gone, (), tuple(handles2)), _restore(s, gone)
 
 
 @_applies(OrientationReversalAid)
@@ -1367,29 +1368,25 @@ def _do_aid(s, mv):
     emap, vmap = _edge_maps(ch)
     if mv.dart not in vmap:
         raise SiteMismatch(f"no dart {mv.dart}")
-    wvi = vmap[mv.dart][0]
-    wv = ch.vertices[wvi]
+    wv = vmap[mv.dart]
     if wv.kind != "white":
         raise SiteMismatch("the site is not a white vertex")
-    incident = []
+    flip = {}
     for d in wv.cycle:
         e = emap[d]
-        if id(e) not in {id(x) for x in incident}:
-            incident.append(e)
-        far = _other(e, d)
-        fvi = vmap[far][0]
-        if fvi != wvi and len(ch.vertices[fvi].cycle) != 1:
+        flip[id(e)] = (e, Edge(e.darts, e.label, _other(e, e.head)))
+        fv = vmap[_other(e, d)]
+        if fv is not wv and len(fv.cycle) != 1:
             raise SiteMismatch("every strand must end freely to reverse")
-    flip = {id(e) for e in incident}
-    edges = tuple(
-        Edge(e.darts, e.label, _other(e, e.head)) if id(e) in flip else e
-        for e in ch.edges
-    )
+    edges = tuple(flip[id(e)][1] if id(e) in flip else e for e in ch.edges)
+    gone = tuple(e for e, _ in flip.values())
+    new = tuple(e for _, e in flip.values())
     hid = max((h.id for h in s.handles), default=0) + 1
     aid = AttachedHandle(hid, BraidWord(ch.degree), None, None)
-    chart2 = replace(ch, edges=edges, genus=ch.genus + 1)
-    out = DecoratedSurface(chart2, s.handles + (aid,))
-    return out, _patch_between(s, out)
+    out = _rewrite(
+        s, gone, new, s.handles + (aid,), edges=edges, genus=ch.genus + 1
+    )
+    return out, _restore(s, gone, new)
 
 
 @_applies(SlideEndAlongEdge)
@@ -1397,8 +1394,7 @@ def _do_slideend(s, mv):
     emap, vmap = _edge_maps(s.chart)
     if mv.dart not in vmap:
         raise SiteMismatch(f"no dart {mv.dart}")
-    vi = vmap[mv.dart][0]
-    if len(s.chart.vertices[vi].cycle) != 1:
+    if len(vmap[mv.dart].cycle) != 1:
         raise SiteMismatch("only a lone end can slide")
     _edge_at(emap, mv.along)
     # isotopy of the end along the strand: nothing combinatorial changes
@@ -1426,15 +1422,11 @@ def _do_absorbhandle(s, mv):
     lone = _lone_blacks(s.chart)
     if not any(d in lone for d in et.darts):
         raise SiteMismatch("the target strand has no free end to slide over")
-    feet = set(h.feet)
-    verts = tuple(v for v in s.chart.vertices if not feet.intersection(v.cycle))
-    edges = tuple(x for x in s.chart.edges if x is not e)
+    gone = (e, *_foot_vertices(s, h))
     handles2 = tuple(
         replace(x, feet=None) if x.id == h.id else x for x in s.handles
     )
-    chart2 = replace(s.chart, vertices=verts, edges=edges)
-    out = DecoratedSurface(chart2, handles2)
-    return out, _patch_between(s, out)
+    return _rewrite(s, gone, (), handles2), _restore(s, gone)
 
 
 def _the_coil(s):
@@ -1457,8 +1449,7 @@ def _do_patterncancel(s, mv):
     if pats[k2].sense != -rec.sense:
         raise SiteMismatch("neighbouring senses do not cancel")
     pats2 = tuple(p for k, p in enumerate(pats) if k not in (mv.index, k2))
-    out = _with(s, pattern_loops=pats2)
-    return out, _patch_between(s, out)
+    return _rewrite(s, pattern_loops=pats2), _restore(s)
 
 
 @_applies(PatternCapture)
@@ -1474,9 +1465,7 @@ def _do_patterncapture(s, mv):
     h2 = replace(coil, mn=(m, n + rec.sense))
     handles2 = tuple(h2 if x.id == coil.id else x for x in s.handles)
     pats2 = tuple(p for k, p in enumerate(pats) if k != mv.index)
-    chart2 = replace(s.chart, pattern_loops=pats2)
-    out = DecoratedSurface(chart2, handles2)
-    return out, _patch_between(s, out)
+    return _rewrite(s, handles=handles2, pattern_loops=pats2), _restore(s)
 
 
 @_applies(PatternTwist)
@@ -1499,6 +1488,7 @@ def _check_surface(s: DecoratedSurface, touched=None):
     problems = validate_chart(s.chart, touched)
     if problems:
         raise SiteMismatch("; ".join(problems))
+    ends = surface_map(s.chart).ends
     feet, seen = [], set()
     for h in s.handles:
         if h.id in seen:
@@ -1508,30 +1498,21 @@ def _check_surface(s: DecoratedSurface, touched=None):
             raise SiteMismatch(f"handle {h.id}: loop word degree mismatch")
         if h.feet is not None:
             feet.extend(h.feet)
-    ends = sorted(v.cycle[0] for v in s.chart.vertices if v.kind == "free_end")
-    if sorted(feet) != ends:
+    if len(feet) != len(ends) or ends != set(feet):
         raise SiteMismatch("free ends and handle feet out of step")
     object.__setattr__(s, "_checked", True)
-
-
-def _touched(before: Chart, after: Chart):
-    """Darts of after's edges and vertices that are not, by identity, before's."""
-    if after is before:
-        return ()
-    old = set(map(id, before.edges))
-    old.update(map(id, before.vertices))
-    out = [d for e in after.edges if id(e) not in old for d in e.darts]
-    out += [d for v in after.vertices if id(v) not in old for d in v.cycle]
-    return out
 
 
 def apply_move(s: DecoratedSurface, mv):
     """Apply one move; returns (new surface, exact inverse move).
 
     A surface that no checked move produced is checked in full first.  The
-    output is then checked on the move's patch, the darts of the edges and
-    vertices the move created, plus the map-level axioms; over a valid
-    input that decides validity (see validate_chart).
+    applier hands over its patch with the output chart (see _rewrite): the
+    output's map is the input's map plus the patch, and the output is
+    checked on the darts of the edges and vertices the move created, plus
+    the map-level counts the map keeps; over a valid input that decides
+    validity (see validate_chart).  An output chart that carries no patch
+    from the input is derived and checked in full.
     """
     fn = _APPLY.get(type(mv))
     if fn is None:
@@ -1539,7 +1520,7 @@ def apply_move(s: DecoratedSurface, mv):
     if not getattr(s, "_checked", False):
         _check_surface(s)
     out, inv = fn(s, mv)
-    _check_surface(out, _touched(s.chart, out.chart))
+    _check_surface(out, take_patch(s.chart, out.chart))
     return out, inv
 
 
@@ -1565,7 +1546,7 @@ def enumerate_chart_moves(s: DecoratedSurface):
     n = ch.degree
     out = []
     m = surface_map(ch)
-    emap, vmap = m.edge_at, m.slot_of
+    emap, vmap = m.edge_at, m.vertex_at
 
     for lab in range(1, n):
         for sign in (1, -1):
@@ -1614,15 +1595,12 @@ def enumerate_chart_moves(s: DecoratedSurface):
         for f in m.faces:
             if len(f) != 2:
                 continue
-            va, vb = vmap[f[0]][0], vmap[f[1]][0]
-            if va == vb:
+            va, vb = vmap[f[0]], vmap[f[1]]
+            if va is vb:
                 continue
-            if (
-                ch.vertices[va].kind != "crossing"
-                or ch.vertices[vb].kind != "crossing"
-            ):
+            if va.kind != "crossing" or vb.kind != "crossing":
                 continue
-            key = (min(va, vb), max(va, vb))
+            key = frozenset((id(va), id(vb)))
             if key in seen_pairs:
                 continue
             ta, sa = crossing_type(ch, va)
@@ -1651,8 +1629,7 @@ def enumerate_chart_moves(s: DecoratedSurface):
                 continue
             out.append(mv)
     for d in darts:
-        vi = vmap[d][0]
-        if ch.vertices[vi].kind == "crossing" and _other(emap[d], d) in lone:
+        if vmap[d].kind == "crossing" and _other(emap[d], d) in lone:
             out.append(CIIRetract(d))
 
     for vi, v in enumerate(ch.vertices):
@@ -1693,7 +1670,7 @@ def enumerate_chart_moves(s: DecoratedSurface):
     for e in edge_list:
         d = min(e.darts)
         try:
-            _mirror_pair(ch, emap, vmap, d)
+            _mirror_pair(emap, vmap, d)
         except ValueError:
             continue
         out.append(CIM3Cancel(d))
@@ -1786,7 +1763,7 @@ class EngineTrace:
 
 class _Runner:
     def __init__(self, start):
-        self.state = start
+        self.start = self.state = start
         self.steps = []
 
     def do(self, mv):
@@ -1794,6 +1771,21 @@ class _Runner:
         self.state = nxt
         self.steps.append(mv)
         return nxt
+
+    def result(self):
+        return _handed_back(self.start, self.state)
+
+
+def _handed_back(start: DecoratedSurface, state: DecoratedSurface):
+    """state, for a run that began at start to return.
+
+    A state that moves produced comes back without its chart's map: the map
+    is a cache for the moves, and a caller that keeps many results should
+    keep their values only.  A later use derives the map again, in full.
+    """
+    if state.chart is not start.chart:
+        drop_map(state.chart)
+    return state
 
 
 def _collect_crossing(run: _Runner) -> int:
@@ -1841,7 +1833,7 @@ def _cancel_whites(run: _Runner) -> int:
         for e in sorted(ch.edges, key=lambda e: min(e.darts)):
             d = min(e.darts)
             try:
-                _mirror_pair(ch, emap, vmap, d)
+                _mirror_pair(emap, vmap, d)
             except ValueError:
                 continue
             hit = d
@@ -2032,7 +2024,7 @@ def unbraid_without_branch(s: DecoratedSurface, mode: str = "weak"):
         "strong-forms" if mode == "strong" else "weak-forms",
         f"handle-count<={bound}",
     )
-    return run.state, count, EngineTrace(s, tuple(run.steps), claims)
+    return run.result(), count, EngineTrace(s, tuple(run.steps), claims)
 
 
 def unbraid_with_branch(s: DecoratedSurface):
@@ -2067,7 +2059,7 @@ def unbraid_with_branch(s: DecoratedSurface):
     if st.b >= 2 * (s.chart.degree - 1):
         _drain_handles(run)
     claims = ("unknotted", f"handle-count<={bound}")
-    return run.state, count, EngineTrace(s, tuple(run.steps), claims)
+    return run.result(), count, EngineTrace(s, tuple(run.steps), claims)
 
 
 def _drain_handles(run: _Runner):
@@ -2135,7 +2127,7 @@ def unbraid_repeated_pattern(s: DecoratedSurface):
             break
         run.do(PatternTwist(-1 if n > 1 else 1))
     claims = ("empty", f"handle-mn={m},{n}")
-    return run.state, EngineTrace(s, tuple(run.steps), claims)
+    return run.result(), EngineTrace(s, tuple(run.steps), claims)
 
 
 # ---------------------------------------------------------------------------
@@ -2260,8 +2252,8 @@ def certify_trace(trace: EngineTrace) -> CertifyResult:
     for claim in trace.claims:
         ok, why = _check_claim(state, trace, claim)
         if not ok:
-            return CertifyResult(False, None, why, state)
-    return CertifyResult(True, None, None, state)
+            return CertifyResult(False, None, why, _handed_back(trace.initial, state))
+    return CertifyResult(True, None, None, _handed_back(trace.initial, state))
 
 
 # ---------------------------------------------------------------------------
@@ -2450,24 +2442,44 @@ def parse_script(text: str, initial: DecoratedSurface) -> EngineTrace:
             raise ParseError(ln, 1, f"expected move or claim, got {head[0]!r}")
         if claims:
             raise ParseError(ln, 1, "move after a claim: claims follow the moves")
-        toks = line.split()
-        if len(toks) < 2:
-            raise ParseError(ln, len(line) + 1, "missing move name")
-        name = toks[1]
-        if name not in _BY_NAME:
-            raise ParseError(ln, line.find(name) + 1, f"unknown move {name!r}")
-        kv = {}
-        for tok in toks[2:]:
-            if "=" not in tok:
-                raise ParseError(
-                    ln, line.find(tok) + 1, f"expected key=value, got {tok!r}"
-                )
-            k, _, v = tok.partition("=")
-            if k in kv:
-                raise ParseError(ln, line.find(tok) + 1, f"duplicate key {k!r}")
-            kv[k] = v
         try:
-            steps.append(_decode_move(name, kv, degree))
-        except ValueError as exc:
-            raise ParseError(ln, 1, str(exc)) from None
+            steps.append(_move_line(line, degree))
+        except _LineError as exc:
+            raise ParseError(ln, exc.col, str(exc)) from None
     return EngineTrace(initial, tuple(steps), tuple(claims))
+
+
+class _LineError(ValueError):
+    """A bad move line, with the column to report."""
+
+    def __init__(self, col, message):
+        super().__init__(message)
+        self.col = col
+
+
+@lru_cache(maxsize=4096)
+def _move_line(line, degree):
+    """The move a `move ...` line names.
+
+    Moves are immutable values, so a line is decoded once: a script parsed
+    again gives the same move objects, and traces kept side by side share
+    them.
+    """
+    toks = line.split()
+    if len(toks) < 2:
+        raise _LineError(len(line) + 1, "missing move name")
+    name = toks[1]
+    if name not in _BY_NAME:
+        raise _LineError(line.find(name) + 1, f"unknown move {name!r}")
+    kv = {}
+    for tok in toks[2:]:
+        if "=" not in tok:
+            raise _LineError(line.find(tok) + 1, f"expected key=value, got {tok!r}")
+        k, _, v = tok.partition("=")
+        if k in kv:
+            raise _LineError(line.find(tok) + 1, f"duplicate key {k!r}")
+        kv[k] = v
+    try:
+        return _decode_move(name, kv, degree)
+    except ValueError as exc:
+        raise _LineError(1, str(exc)) from None

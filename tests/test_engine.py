@@ -10,9 +10,11 @@ import hashlib
 import random
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+from handleforge import chart as chart_mod
 from handleforge import engine
 from handleforge.braid import BraidWord, format_word, parse_word
 from handleforge.chart import (
@@ -889,16 +891,15 @@ class TestPatchChecks:
             for mv in moves:
                 out = apply_move(s, mv)[0].chart
                 created = set(_created_darts(ch, out))
-                slot = surface_map(out).slot_of
+                at = surface_map(out).vertex_at
                 # created edges between two vertices, one of them a crossing
                 # or a white vertex, whose word the edge enters
                 edges = [
                     k
                     for k, e in enumerate(out.edges)
                     if e.darts[0] in created
-                    and slot[e.darts[0]][0] != slot[e.darts[1]][0]
-                    and {out.vertices[slot[d][0]].kind for d in e.darts}
-                    & {"crossing", "white"}
+                    and at[e.darts[0]] is not at[e.darts[1]]
+                    and {at[d].kind for d in e.darts} & {"crossing", "white"}
                 ]
                 vertices = [
                     k
@@ -1016,3 +1017,234 @@ class TestGenerator:
             chart = generate_blackless_chart(degree, steps, random.Random(seed))
             text = format_chart(chart).encode()
             assert hashlib.sha256(text).hexdigest() == digest, (degree, steps, seed)
+
+
+class TestPinnedTraces:
+    # sha256 of format_script for traces made when every move derived its
+    # output's map in full; carrying the map must not change one move
+    PINNED = (
+        (40, "weak", "877f6c7be1fc9799e31decbd7935365083a568b70f3be5143ae4b873c550ec80"),
+        (40, "strong", "e36bb8002dc21b57588b4f8c1af9b90c51434d18eb4d150fbe65cfc16c83e8d9"),
+        (80, "weak", "9ea5295bf1f5f8f49332304f4414e30237066b666d33bb97330bae205e0af14f"),
+        (80, "strong", "97b3056151463ca61fa5fd343b259899474cf779b292135af781b30ff8812375"),
+    )
+    BRANCH = "faa4dfac6755e3c2010722cde9bc439583c9fd7f5d09fec2660e556e899fdbdb"
+
+    @staticmethod
+    def _digest(trace):
+        return hashlib.sha256(format_script(trace).encode()).hexdigest()
+
+    def test_blackless_traces_are_unchanged(self):
+        for steps, mode, digest in self.PINNED:
+            chart = generate_blackless_chart(4, steps, random.Random(1))
+            _, _, trace = unbraid_without_branch(surf(chart), mode)
+            assert self._digest(trace) == digest, (steps, mode)
+
+    def test_branch_trace_of_the_bundled_chart_is_unchanged(self):
+        root = resources.files("handleforge") / "data"
+        chart = parse_chart((root / "twist_spun_trefoil.chart").read_text())
+        _, handles, trace = unbraid_with_branch(surf(chart))
+        assert (handles, len(trace.steps)) == (0, 22)
+        assert self._digest(trace) == self.BRANCH
+
+
+BENCH_CHARTS = Path(__file__).resolve().parents[1] / "bench" / "data"
+
+
+def _fresh_copy(chart):
+    """The same chart as a new value, which derives its map in full."""
+    return Chart(chart.degree, chart.genus, chart.vertices, chart.edges,
+                 chart.loops, chart.pattern_loops)
+
+
+def _map_key(m):
+    """A map as plain data: dart tables, faces as a set of walks, components
+    as a partition of darts with their Euler counts and sizes, and the
+    counts read off it."""
+    parts = {}
+    for d, k in m.comp.items():
+        parts.setdefault(k, set()).add(d)
+    assert set(parts) == set(m.chi) == set(m.size)
+    comps = {frozenset(p): (m.chi[k], m.size[k]) for k, p in parts.items()}
+    return (
+        m.alpha, m.sigma, m.edge_at, m.vertex_at, m.face_at,
+        set(m.face_at.values()), comps, m.ends, m.genus,
+        {frozenset(parts[k]) for k in m.bad},
+    )
+
+
+class TestCarriedMap:
+    """apply_move carries the input's map through the move's patch; the
+    carried map must be the map a full derivation of the output finds."""
+
+    @staticmethod
+    def _compare_every_output(monkeypatch):
+        seen = {"carried": 0}
+        original = engine._check_surface
+
+        def check(s, touched=None):
+            original(s, touched)
+            out, m, bare = chart_mod._derived(s.chart)
+            fout, fm, fbare = chart_mod._derive(_fresh_copy(s.chart))
+            assert (out, bare) == (fout, fbare)
+            assert _map_key(m) == _map_key(fm)
+            seen["carried"] += touched is not None
+
+        monkeypatch.setattr(engine, "_check_surface", check)
+        return seen
+
+    def test_carried_map_equals_a_full_derivation(self, monkeypatch):
+        seen = self._compare_every_output(monkeypatch)
+        rng = random.Random(60)
+        charts = [
+            generate_blackless_chart(rng.randint(2, 4), rng.randint(5, 30),
+                                     random.Random(1000 + i))
+            for i in range(30)
+        ]
+        charts += [
+            parse_chart((BENCH_CHARTS / f"unbraid_v{n}.chart").read_text())
+            for n in (52, 106)
+        ]
+        for chart in charts:
+            for mode in ("weak", "strong"):
+                _, _, trace = unbraid_without_branch(surf(chart), mode)
+                assert certify_trace(trace).ok
+        root = resources.files("handleforge") / "data"
+        bundled = parse_chart((root / "twist_spun_trefoil.chart").read_text())
+        _, _, trace = unbraid_with_branch(surf(bundled))
+        assert certify_trace(trace).ok
+        script = parse_script((root / "twist_spun_trefoil.script").read_text(),
+                              surf(bundled))
+        assert certify_trace(script).ok
+        assert seen["carried"] > 8000, seen
+
+    def test_one_full_derivation_per_unbraid_and_certify(self, monkeypatch):
+        calls = []
+        full = chart_mod._derive
+
+        def counting(chart):
+            calls.append(chart)
+            return full(chart)
+
+        monkeypatch.setattr(chart_mod, "_derive", counting)
+        chart = parse_chart((BENCH_CHARTS / "unbraid_v106.chart").read_text())
+        s = surf(chart)
+        final, _, trace = unbraid_without_branch(s, "weak")
+        parsed = parse_script(format_script(trace), s)
+        assert certify_trace(parsed).ok
+        assert len(trace.steps) == 381
+        assert calls == [chart]
+        # a run hands its final surface back without the map, a cache that
+        # the next use derives again
+        surface_map(final.chart)
+        assert calls == [chart, final.chart]
+
+    def test_moves_that_keep_the_graph_share_the_map(self):
+        s = surf(generate_blackless_chart(4, 20, random.Random(5)))
+        m = surface_map(s.chart)
+        added, _ = apply_move(s, CIM1Add(1, 1))
+        assert surface_map(added.chart) is m
+        erased, _ = apply_move(added, CIM1Erase(len(added.chart.loops) - 1))
+        assert surface_map(erased.chart) is m
+
+
+class TestIncrementalPathRefusals:
+    """A broken applier output that carries its patch is refused with the
+    violations a full check of a fresh copy reports."""
+
+    @staticmethod
+    def _refused_like_a_fresh_copy(monkeypatch, s, mv, applier):
+        made = []
+
+        def recording(s, mv):
+            out, inv = applier(s, mv)
+            made.append(out)
+            return out, inv
+
+        monkeypatch.setitem(engine._APPLY, type(mv), recording)
+        with pytest.raises(SiteMismatch) as exc:
+            apply_move(s, mv)
+        (out,) = made
+        want = validate_chart(_fresh_copy(out.chart))
+        assert want
+        assert str(exc.value) == "; ".join(want)
+        return want, out.chart
+
+    def test_a_live_dart_reused_in_a_new_edge(self, monkeypatch):
+        s = surf(generate_blackless_chart(4, 20, random.Random(5)))
+        mv = next(m for m in enumerate_chart_moves(s) if isinstance(m, CIM2Reconnect))
+        emap = surface_map(s.chart).edge_at
+        ea, eb = emap[mv.a], emap[mv.b]
+        live = next(d for d in sorted(emap) if emap[d] is not ea and emap[d] is not eb)
+
+        def applier(s, mv):
+            new = (Edge((mv.a, mv.b), ea.label, mv.a), Edge((live, mv.b + 10**6), 1, live))
+            return engine._rewrite(s, (ea, eb), new), mv
+
+        want, _ = self._refused_like_a_fresh_copy(monkeypatch, s, mv, applier)
+        assert f"dart {live} appears in more than one edge" in want
+
+    def test_a_dart_left_only_on_the_vertex_side(self, monkeypatch):
+        s = surf(generate_blackless_chart(4, 20, random.Random(5)))
+        mv = next(m for m in enumerate_chart_moves(s) if isinstance(m, CIM2Reconnect))
+        e = surface_map(s.chart).edge_at[mv.a]
+
+        def applier(s, mv):
+            return engine._rewrite(s, (e,), ()), mv
+
+        want, _ = self._refused_like_a_fresh_copy(monkeypatch, s, mv, applier)
+        assert want == [f"dart {d} appears only on the vertex side" for d in sorted(e.darts)]
+
+    def test_a_vertex_rewritten_in_place(self, monkeypatch):
+        # only the vertex changes: its darts alone name the patch
+        s = surf(generate_blackless_chart(4, 20, random.Random(5)))
+        mv = next(m for m in enumerate_chart_moves(s) if isinstance(m, CIM2Reconnect))
+        v = next(v for v in s.chart.vertices if v.kind == "crossing")
+        bad = Vertex(v.kind, (v.cycle[1], v.cycle[0]) + v.cycle[2:])
+
+        def applier(s, mv):
+            verts = tuple(bad if x is v else x for x in s.chart.vertices)
+            return engine._rewrite(s, (v,), (bad,), vertices=verts), mv
+
+        want, _ = self._refused_like_a_fresh_copy(monkeypatch, s, mv, applier)
+        assert len(want) == 1 and "invalid crossing word" in want[0]
+
+    def test_a_non_planar_insert_refused_by_the_euler_count(self, monkeypatch):
+        calls = []
+        full = chart_mod._derive
+        monkeypatch.setattr(chart_mod, "_derive", lambda ch: calls.append(ch) or full(ch))
+        honest = engine._APPLY[CIR2Insert]
+        refused = 0
+        for seed in range(5, 10):
+            s = surf(generate_blackless_chart(4, 20, random.Random(seed)))
+            surface_map(s.chart)
+            offered = set(enumerate_chart_moves(s))
+            emap = surface_map(s.chart).edge_at
+            for a in sorted(emap):
+                for b in sorted(emap):
+                    mv = CIR2Insert(a, b)
+                    if a >= b or abs(emap[a].label - emap[b].label) < 2 or mv in offered:
+                        continue
+                    try:
+                        honest(s, mv)
+                    except ValueError:
+                        continue
+                    # the applier accepts the site; only the map's Euler
+                    # count, carried through the patch, refuses the output
+                    want, out = self._refused_like_a_fresh_copy(
+                        monkeypatch, s, mv, honest
+                    )
+                    assert not any(c is out for c in calls)
+                    assert any("Euler" in v or "genus" in v for v in want)
+                    refused += 1
+        assert refused >= 5, refused
+
+
+def test_the_inverse_of_a_restore_patch_undoes_it():
+    s = surf(generate_blackless_chart(4, 30, random.Random(3)))
+    mv = next(m for m in enumerate_chart_moves(s) if isinstance(m, CIR2Straighten))
+    out, inv = apply_move(s, mv)
+    back, inv2 = apply_move(out, inv)
+    assert surfaces_equal(back, s)
+    again, _ = apply_move(back, inv2)
+    assert surfaces_equal(again, out)
