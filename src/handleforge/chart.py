@@ -648,45 +648,33 @@ def surface_map(chart):
     return sm
 
 
-def _vertex(chart, vertex, kind):
-    """The Vertex named by an index into chart.vertices, or the Vertex itself,
-    and its word; ValueError unless it has the given kind."""
-    if isinstance(vertex, Vertex):
-        v, name = vertex, f"vertex {vertex.cycle}"
-    else:
-        v, name = chart.vertices[vertex], f"vertex {vertex}"
+def _vertex(chart, v, kind):
+    """The word of the Vertex v; ValueError unless it has the given kind."""
     if v.kind != kind:
-        raise ValueError(f"{name} is {v.kind}, not {kind}")
-    return name, _word(surface_map(chart).edge_at, v)
+        raise ValueError(f"vertex {v.cycle} is {v.kind}, not {kind}")
+    return _word(surface_map(chart).edge_at, v)
 
 
-def white_type(chart, vertex):
-    """Ordered label pair and rotation offset of a white vertex's word.
-
-    vertex is an index into chart.vertices or one of its Vertex objects.
-    """
-    name, word = _vertex(chart, vertex, "white")
-    got = _match_white(word)
+def white_type(chart, v):
+    """Ordered label pair and rotation offset of the white Vertex v's word."""
+    got = _match_white(_vertex(chart, v, "white"))
     if got is None:
-        raise ValueError(f"{name} has no valid white word")
+        raise ValueError(f"vertex {v.cycle} has no valid white word")
     return got
 
 
-def middle_positions(chart, vertex):
-    """Cycle positions of the two middle ends at a white vertex."""
-    _, rot = white_type(chart, vertex)
+def middle_positions(chart, v):
+    """Cycle positions of the two middle ends at the white Vertex v."""
+    _, rot = white_type(chart, v)
     return {(1 - rot) % 6, (4 - rot) % 6}
 
 
-def crossing_type(chart, vertex):
-    """Label pair (i, j) with i < j and intersection sign of a crossing.
-
-    vertex is an index into chart.vertices or one of its Vertex objects.
-    """
-    name, word = _vertex(chart, vertex, "crossing")
-    got = _match_crossing(word)
+def crossing_type(chart, v):
+    """Label pair (i, j) with i < j and intersection sign of the crossing
+    Vertex v."""
+    got = _match_crossing(_vertex(chart, v, "crossing"))
     if got is None:
-        raise ValueError(f"{name} has no valid crossing word")
+        raise ValueError(f"vertex {v.cycle} has no valid crossing word")
     return got
 
 
@@ -695,14 +683,14 @@ def chart_stats(chart):
     _require_valid(chart)
     w = b = c = 0
     matrix = {}
-    for vi, v in enumerate(chart.vertices):
+    for v in chart.vertices:
         if v.kind == "white":
             w += 1
         elif v.kind == "black":
             b += 1
         elif v.kind == "crossing":
             c += 1
-            pair, sign = crossing_type(chart, vi)
+            pair, sign = crossing_type(chart, v)
             matrix[pair] = matrix.get(pair, 0) + sign
     total = sum(abs(x) for x in matrix.values())
     return ChartStats(w=w, b=b, c=c, c_alg_matrix=matrix, c_alg_total=total)

@@ -362,7 +362,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "kv"), default="text",
         help="report rendering (default: text)",
     )
-    common.add_argument(
+    # only the commands that write a trace take --emit-trace
+    traced = argparse.ArgumentParser(add_help=False, parents=[common])
+    traced.add_argument(
         "--emit-trace", metavar="PATH",
         help="write the replayable trace of this run to PATH",
     )
@@ -387,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser(
-        "normalize", parents=[common],
+        "normalize", parents=[traced],
         help="run a handle-system normal form and report it")
     p.add_argument("target", choices=("thm1", "thm2", "thm3", "thm4"))
     p.add_argument("file")
@@ -401,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_replay)
 
     p = sub.add_parser(
-        "unbraid", parents=[common],
+        "unbraid", parents=[traced],
         help="eliminate the chart into decorated handles, with certificate")
     p.add_argument("file")
     p.add_argument("--mode", choices=("weak", "strong", "branch"),

@@ -372,12 +372,12 @@ class _Patch:
 
     Never enumerated and never serialized; it exists so that every apply
     can hand back an exact undo even when no single named move would do.
+    gone and new are the move's own patch reversed: gone holds the Edge and
+    Vertex objects the move made, which the surface must hold by identity.
     """
 
-    remove_edges: tuple[Edge, ...]
-    add_edges: tuple[Edge, ...]
-    remove_vertices: tuple[Vertex, ...]
-    add_vertices: tuple[Vertex, ...]
+    gone: tuple
+    new: tuple
     loops: tuple
     patterns: tuple
     handles: tuple
@@ -423,27 +423,69 @@ SURFACE_MOVES = (
 # shared machinery
 
 
-def _edge_maps(ch: Chart):
-    """dart -> Edge and dart -> Vertex, from the chart's map."""
-    m = surface_map(ch)
-    return m.edge_at, m.vertex_at
-
-
-def _edge_at(emap, dart):
-    e = emap.get(dart)
+def _edge_at(ch: Chart, dart):
+    """The edge holding dart; SiteMismatch when the chart has no such dart."""
+    e = surface_map(ch).edge_at.get(dart)
     if e is None:
         raise SiteMismatch(f"no dart {dart}")
     return e
+
+
+def _vertex_at(ch: Chart, dart, kind):
+    """The vertex holding dart, which must be of the given kind."""
+    v = surface_map(ch).vertex_at.get(dart)
+    if v is None:
+        raise SiteMismatch(f"no dart {dart}")
+    if v.kind != kind:
+        raise SiteMismatch(f"the site is not a {kind} vertex")
+    return v
+
+
+def _lone_black(m, dart) -> bool:
+    """True when dart, in the map m, is the end of a lone black vertex."""
+    v = m.vertex_at.get(dart)
+    return v is not None and v.kind == "black" and len(v.cycle) == 1
+
+
+def _black_ends(ch: Chart):
+    """The darts of the lone black vertices, sorted."""
+    ends = (v.cycle for v in ch.vertices if v.kind == "black")
+    return sorted(c[0] for c in ends if len(c) == 1)
 
 
 def _other(e: Edge, dart: int) -> int:
     return e.darts[0] if e.darts[1] == dart else e.darts[1]
 
 
+def _across(v: Vertex):
+    """Each end of a crossing paired with the opposite end."""
+    return {v.cycle[k]: v.cycle[(k + 2) % 4] for k in range(4)}
+
+
 def _loop_at(ch: Chart, idx):
     if not isinstance(idx, int) or not 0 <= idx < len(ch.loops):
         raise SiteMismatch(f"no loop record {idx}")
     return ch.loops[idx]
+
+
+def _with_loop(ch: Chart, index, rec):
+    """ch's loop records with rec inserted at index (None: after the last),
+    and the index it got."""
+    idx = len(ch.loops) if index is None else index
+    if not 0 <= idx <= len(ch.loops):
+        raise SiteMismatch(f"no record slot {idx}")
+    return ch.loops[:idx] + (rec,) + ch.loops[idx:], idx
+
+
+def _without_loops(ch: Chart, *idxs):
+    """ch's loop records without those at the given indices."""
+    return tuple(r for k, r in enumerate(ch.loops) if k not in idxs)
+
+
+def _with_handles(s: DecoratedSurface, *hs):
+    """s's handles, each of hs in place of the handle with its id."""
+    by_id = {h.id: h for h in hs}
+    return tuple(by_id.get(x.id, x) for x in s.handles)
 
 
 def _fresh(ch: Chart, n: int, drop=()) -> tuple[int, ...]:
@@ -519,16 +561,26 @@ def _rewrite(s: DecoratedSurface, gone=(), new=(), handles=None, **chart_fields)
     return DecoratedSurface(chart, s.handles if handles is None else handles)
 
 
-def _collapse(ch: Chart, kill, ports, mute=()):
-    """Drop the given vertices and every incident edge, resewing strands.
+def _restore(before: DecoratedSurface, gone=(), new=()) -> _Patch:
+    """The patch that takes the rewrite of before that removed gone and
+    added new back to before."""
+    ch = before.chart
+    return _Patch(
+        tuple(new), tuple(gone), ch.loops, ch.pattern_loops, before.handles, ch.genus
+    )
+
+
+def _collapse(s: DecoratedSurface, kill, ports, mute=(), handles=None, signed=False):
+    """Drop the given vertices and every incident edge, resewing strands;
+    returns the output surface and the patch that restores s.
 
     ports pairs up darts of the killed vertices; a strand entering the
     removed region leaves through the paired dart.  Edges in mute carry
-    geometry but do not vote on the seam's label or direction.  Returns
-    the removed vertices and edges, the new seam edges and, for chains that
-    closed up into circles, a list of (label, arrives_at_min_dart) pairs in
-    min-dart order.
+    geometry but do not vote on the seam's label or direction.  Chains that
+    close up into circles become loop records, in min-dart order: positive,
+    or when signed, positive exactly if the chain arrives at its min dart.
     """
+    ch = s.chart
     edge_at = surface_map(ch).edge_at
     killed_darts = {d for v in kill for d in v.cycle}
     chain_edges = {}
@@ -588,41 +640,11 @@ def _collapse(ch: Chart, kill, ports, mute=()):
         closed_out.append((md, label, arrives))
     closed_out.sort()
     gone = (*kill, *{id(e): e for e in chain_edges.values()}.values())
-    return gone, seams, [(lab, arr) for _, lab, arr in closed_out]
-
-
-def _changed(old, new, key):
-    """(items of new that old lacks, items of old that new lacks), by key.
-
-    Items both sides share by identity are equal and are skipped; the rest
-    are matched by key and value, and each side comes back sorted by key.
-    """
-    kept = set(map(id, old)).intersection(map(id, new))
-    okey = {key(x): x for x in old if id(x) not in kept}
-    nkey = {key(x): x for x in new if id(x) not in kept}
-    gone = tuple(nkey[k] for k in sorted(nkey) if okey.get(k) != nkey[k])
-    back = tuple(okey[k] for k in sorted(okey) if nkey.get(k) != okey[k])
-    return gone, back
-
-
-def _restore(before: DecoratedSurface, gone=(), new=()) -> _Patch:
-    """The patch that takes a rewrite of before, which removed gone and
-    added new, back to before."""
-    edges = [[x for x in side if type(x) is Edge] for side in (gone, new)]
-    verts = [[x for x in side if type(x) is Vertex] for side in (gone, new)]
-    rm_e, ad_e = _changed(*edges, lambda e: tuple(sorted(e.darts)))
-    rm_v, ad_v = _changed(*verts, lambda v: tuple(sorted(v.cycle)))
-    a = before.chart
-    return _Patch(
-        rm_e,
-        ad_e,
-        rm_v,
-        ad_v,
-        a.loops,
-        a.pattern_loops,
-        before.handles,
-        a.genus,
+    loops = ch.loops + tuple(
+        FloatingLoop(label, 1 if arrives or not signed else -1)
+        for _, label, arrives in closed_out
     )
+    return _rewrite(s, gone, seams, handles, loops=loops), _restore(s, gone, seams)
 
 
 # ---------------------------------------------------------------------------
@@ -641,34 +663,24 @@ def _applies(cls):
 
 @_applies(_Patch)
 def _do_patch(s, mv):
-    edges = list(s.chart.edges)
-    for e in mv.remove_edges:
-        try:
-            edges.remove(e)
-        except ValueError:
-            raise SiteMismatch("restore patch does not match the surface") from None
-    edges.extend(mv.add_edges)
-    verts = list(s.chart.vertices)
-    for v in mv.remove_vertices:
-        try:
-            verts.remove(v)
-        except ValueError:
-            raise SiteMismatch("restore patch does not match the surface") from None
-    verts.extend(mv.add_vertices)
-    gone = mv.remove_edges + mv.remove_vertices
-    new = mv.add_edges + mv.add_vertices
+    m = surface_map(s.chart)
+    for x in mv.gone:
+        if type(x) is Edge:
+            at = m.edge_at.get(x.darts[0])
+        else:
+            at = m.vertex_at.get(x.cycle[0])
+        if at is not x:
+            raise SiteMismatch("restore patch does not match the surface")
     out = _rewrite(
         s,
-        gone,
-        new,
+        mv.gone,
+        mv.new,
         mv.handles,
-        vertices=tuple(verts),
-        edges=tuple(edges),
         loops=mv.loops,
         pattern_loops=mv.patterns,
         genus=mv.genus,
     )
-    return out, _restore(s, gone, new)
+    return out, _restore(s, mv.gone, mv.new)
 
 
 @_applies(CIM1Add)
@@ -678,10 +690,7 @@ def _do_cim1add(s, mv):
         raise LabelConstraintViolated(f"label {mv.label} out of range")
     if mv.sign not in (1, -1):
         raise SiteMismatch(f"bad sign {mv.sign}")
-    idx = mv.index if mv.index is not None else len(ch.loops)
-    if not 0 <= idx <= len(ch.loops):
-        raise SiteMismatch(f"no record slot {idx}")
-    loops = ch.loops[:idx] + (FloatingLoop(mv.label, mv.sign),) + ch.loops[idx:]
+    loops, idx = _with_loop(ch, mv.index, FloatingLoop(mv.label, mv.sign))
     return _rewrite(s, loops=loops), CIM1Erase(idx)
 
 
@@ -692,43 +701,35 @@ def _do_cim1erase(s, mv):
         raise SiteMismatch("pinned records cannot be erased in place")
     if rec.over:
         raise SiteMismatch("the record rides a handle")
-    loops = s.chart.loops[: mv.loop] + s.chart.loops[mv.loop + 1 :]
+    loops = _without_loops(s.chart, mv.loop)
     return _rewrite(s, loops=loops), CIM1Add(rec.label, rec.sign, mv.loop)
 
 
 @_applies(CIM2Split)
 def _do_cim2split(s, mv):
-    ch = s.chart
-    emap, _ = _edge_maps(ch)
-    e = _edge_at(emap, mv.dart)
+    e = _edge_at(s.chart, mv.dart)
     if mv.sign not in (1, -1):
         raise SiteMismatch(f"bad sign {mv.sign}")
-    idx = mv.index if mv.index is not None else len(ch.loops)
-    if not 0 <= idx <= len(ch.loops):
-        raise SiteMismatch(f"no record slot {idx}")
-    loops = ch.loops[:idx] + (FloatingLoop(e.label, mv.sign),) + ch.loops[idx:]
+    loops, idx = _with_loop(s.chart, mv.index, FloatingLoop(e.label, mv.sign))
     return _rewrite(s, loops=loops), CIM2Absorb(mv.dart, idx)
 
 
 @_applies(CIM2Absorb)
 def _do_cim2absorb(s, mv):
-    ch = s.chart
-    emap, _ = _edge_maps(ch)
-    e = _edge_at(emap, mv.dart)
-    rec = _loop_at(ch, mv.loop)
+    e = _edge_at(s.chart, mv.dart)
+    rec = _loop_at(s.chart, mv.loop)
     if rec.over:
         raise SiteMismatch("the record rides a handle")
     if rec.label != e.label:
         raise LabelConstraintViolated(
             f"record label {rec.label} vs edge label {e.label}"
         )
-    loops = tuple(r for k, r in enumerate(ch.loops) if k != mv.loop)
+    loops = _without_loops(s.chart, mv.loop)
     return _rewrite(s, loops=loops), CIM2Split(mv.dart, rec.sign, mv.loop)
 
 
 def _reconnect_check(s, a, b):
-    emap, _ = _edge_maps(s.chart)
-    ea, eb = _edge_at(emap, a), _edge_at(emap, b)
+    ea, eb = _edge_at(s.chart, a), _edge_at(s.chart, b)
     if ea is eb:
         raise SiteMismatch("the two darts already share an edge")
     if ea.label != eb.label:
@@ -771,8 +772,7 @@ def _do_cim2reconnect(s, mv):
 @_applies(CIR2Insert)
 def _do_cir2insert(s, mv):
     ch = s.chart
-    emap, _ = _edge_maps(ch)
-    ea, eb = _edge_at(emap, mv.a), _edge_at(emap, mv.b)
+    ea, eb = _edge_at(ch, mv.a), _edge_at(ch, mv.b)
     if abs(ea.label - eb.label) < 2:
         raise LabelConstraintViolated(
             f"labels {ea.label} and {eb.label} do not far-commute"
@@ -819,23 +819,16 @@ def _do_cir2bootstrap(s, mv):
         Vertex("crossing", (w1, s1, e1, n1)),
         Vertex("crossing", (w2, s2, e2, n2)),
     )
-    loops = tuple(r for k, r in enumerate(ch.loops) if k not in (mv.i, mv.j))
+    loops = _without_loops(ch, mv.i, mv.j)
     return _rewrite(s, (), new, loops=loops), CIR2Straighten(w1, w2)
 
 
 @_applies(CIR2Straighten)
 def _do_cir2straighten(s, mv):
     ch = s.chart
-    _, vmap = _edge_maps(ch)
-    for d in (mv.a, mv.b):
-        if d not in vmap:
-            raise SiteMismatch(f"no dart {d}")
-    va, vb = vmap[mv.a], vmap[mv.b]
+    va, vb = _vertex_at(ch, mv.a, "crossing"), _vertex_at(ch, mv.b, "crossing")
     if va is vb:
         raise SiteMismatch("need two distinct crossings")
-    for v in (va, vb):
-        if v.kind != "crossing":
-            raise SiteMismatch("both sites must be crossings")
     ta, sa = crossing_type(ch, va)
     tb, sb = crossing_type(ch, vb)
     if ta != tb or sa != -sb:
@@ -848,37 +841,15 @@ def _do_cir2straighten(s, mv):
     )
     if not bigon:
         raise SiteMismatch("the crossings are not adjacent along both strands")
-    ports = {}
-    for v in (va, vb):
-        cyc = v.cycle
-        for p in range(4):
-            ports[cyc[p]] = cyc[(p + 2) % 4]
-    gone, seams, closed = _collapse(ch, (va, vb), ports)
-    loops2 = ch.loops + tuple(
-        FloatingLoop(lab, 1 if arr else -1) for lab, arr in closed
-    )
-    return _rewrite(s, gone, seams, loops=loops2), _restore(s, gone, seams)
-
-
-def _lone_blacks(ch: Chart):
-    out = {}
-    for vi, v in enumerate(ch.vertices):
-        if v.kind == "black" and len(v.cycle) == 1:
-            out[v.cycle[0]] = vi
-    return out
+    return _collapse(s, (va, vb), {**_across(va), **_across(vb)}, signed=True)
 
 
 @_applies(CIISweep)
 def _do_ciisweep(s, mv):
     ch = s.chart
-    emap, vmap = _edge_maps(ch)
-    if mv.black not in vmap:
-        raise SiteMismatch(f"no dart {mv.black}")
-    bv = vmap[mv.black]
-    if bv.kind != "black" or len(bv.cycle) != 1:
-        raise SiteMismatch("the moving end must be a lone black vertex")
-    e0 = emap[mv.black]
-    et = _edge_at(emap, mv.target)
+    _vertex_at(ch, mv.black, "black")
+    e0 = _edge_at(ch, mv.black)
+    et = _edge_at(ch, mv.target)
     if et is e0:
         raise SiteMismatch("cannot sweep across the strand's own edge")
     i, j = e0.label, et.label
@@ -903,34 +874,20 @@ def _do_ciisweep(s, mv):
 
 @_applies(CIIRetract)
 def _do_ciiretract(s, mv):
-    ch = s.chart
-    emap, vmap = _edge_maps(ch)
-    if mv.dart not in vmap:
-        raise SiteMismatch(f"no dart {mv.dart}")
-    xv = vmap[mv.dart]
-    if xv.kind != "crossing":
-        raise SiteMismatch("the site is not a crossing")
-    far = _other(emap[mv.dart], mv.dart)
-    if far not in _lone_blacks(ch):
+    xv = _vertex_at(s.chart, mv.dart, "crossing")
+    m = surface_map(s.chart)
+    if not _lone_black(m, _other(m.edge_at[mv.dart], mv.dart)):
         raise SiteMismatch("no lone black end across the crossing")
-    ports = {xv.cycle[k]: xv.cycle[(k + 2) % 4] for k in range(4)}
-    gone, seams, closed = _collapse(ch, (xv,), ports)
-    loops2 = ch.loops + tuple(FloatingLoop(lab, 1) for lab, _ in closed)
-    return _rewrite(s, gone, seams, loops=loops2), _restore(s, gone, seams)
+    return _collapse(s, (xv,), _across(xv))
 
 
 @_applies(CIIIEliminate)
 def _do_ciii(s, mv):
     ch = s.chart
-    emap, vmap = _edge_maps(ch)
-    if mv.dart not in vmap:
-        raise SiteMismatch(f"no dart {mv.dart}")
-    wv = vmap[mv.dart]
-    if wv.kind != "white":
-        raise SiteMismatch("the site is not a white vertex")
-    e1 = emap[mv.dart]
-    far = _other(e1, mv.dart)
-    if far not in _lone_blacks(ch):
+    wv = _vertex_at(ch, mv.dart, "white")
+    m = surface_map(ch)
+    e1 = m.edge_at[mv.dart]
+    if not _lone_black(m, _other(e1, mv.dart)):
         raise SiteMismatch("the branch must end at a lone black vertex")
     cyc = wv.cycle
     p = cyc.index(mv.dart)
@@ -940,9 +897,19 @@ def _do_ciii(s, mv):
     for a, b in ((0, 3), (1, 5), (2, 4)):
         ports[cyc[(p + a) % 6]] = cyc[(p + b) % 6]
         ports[cyc[(p + b) % 6]] = cyc[(p + a) % 6]
-    gone, seams, closed = _collapse(ch, (wv,), ports, mute=(e1,))
-    loops2 = ch.loops + tuple(FloatingLoop(lab, 1) for lab, _ in closed)
-    return _rewrite(s, gone, seams, loops=loops2), _restore(s, gone, seams)
+    return _collapse(s, (wv,), ports, mute=(e1,))
+
+
+def _ciii_sites(ch: Chart):
+    """The darts where CIIIEliminate applies, in vertex and cycle order: the
+    non-middle ends of white vertices whose edges end at lone black ones."""
+    m = surface_map(ch)
+    for v in ch.vertices:
+        if v.kind == "white":
+            mids = middle_positions(ch, v)
+            for p, d in enumerate(v.cycle):
+                if p not in mids and _lone_black(m, _other(m.edge_at[d], d)):
+                    yield d
 
 
 def _white_relator(x, y):
@@ -976,16 +943,16 @@ def _do_cim3bootstrap(s, mv):
         far = b[(6 - k) % 6]
         new.append(Edge((a[k], far), lab, far if sign > 0 else a[k]))
     new += (Vertex("white", a), Vertex("white", b))
-    loops = tuple(r for k, r in enumerate(ch.loops) if k not in set(idxs))
+    loops = _without_loops(ch, *idxs)
     return _rewrite(s, (), new, loops=loops), CIM3Cancel(a[0])
 
 
-def _mirror_pair(emap, vmap, dart):
+def _mirror_pair(ch: Chart, dart):
     """Check the direct mirror wiring through dart's edge; return its data."""
-    e0 = _edge_at(emap, dart)
+    m = surface_map(ch)
+    emap, vmap = m.edge_at, m.vertex_at
+    e0 = _edge_at(ch, dart)
     d1, d2 = dart, _other(e0, dart)
-    if d1 not in vmap or d2 not in vmap:
-        raise SiteMismatch("dangling edge")
     v1, v2 = vmap[d1], vmap[d2]
     if v1.kind != "white" or v2.kind != "white":
         raise SiteMismatch("the edge does not join two white vertices")
@@ -996,7 +963,7 @@ def _mirror_pair(emap, vmap, dart):
     arcs = []
     for k in range(1, 6):
         da = c1[(p1 + k) % 6]
-        ea = _edge_at(emap, da)
+        ea = emap[da]
         fa = _other(ea, da)
         vv = vmap[fa]
         if vv is not v2:
@@ -1011,14 +978,23 @@ def _mirror_pair(emap, vmap, dart):
     return v1, v2, e0, arcs
 
 
+def _cim3_sites(ch: Chart):
+    """The darts where CIM3Cancel applies: the least dart of each edge that
+    joins a mirror-wired white pair, in least-dart order."""
+    for d in sorted(min(e.darts) for e in ch.edges):
+        try:
+            _mirror_pair(ch, d)
+        except ValueError:
+            continue
+        yield d
+
+
 @_applies(CIM3Cancel)
 def _do_cim3cancel(s, mv):
-    ch = s.chart
-    emap, vmap = _edge_maps(ch)
-    v1, v2, e0, arcs = _mirror_pair(emap, vmap, mv.dart)
+    v1, v2, e0, arcs = _mirror_pair(s.chart, mv.dart)
     gone = (v1, v2, e0, *arcs)
-    loops2 = ch.loops + tuple(FloatingLoop(e.label, 1) for e in arcs)
-    return _rewrite(s, gone, loops=loops2), _restore(s, gone)
+    loops = s.chart.loops + tuple(FloatingLoop(e.label, 1) for e in arcs)
+    return _rewrite(s, gone, loops=loops), _restore(s, gone)
 
 
 @_applies(AttachTrivialHandle)
@@ -1090,53 +1066,34 @@ def _do_across(s, mv):
     h = _handle(s, mv.handle)
     if h.mn is not None:
         raise NonTrivialHandle("a coiled handle cannot move across edges")
-    forms = [
-        k
-        for k, v in (
-            ("dart", mv.dart),
-            ("end", mv.end),
-            ("loop", mv.loop),
-            ("emit", mv.emit_label),
-        )
-        if v is not None
-    ]
+    sites = {"dart": mv.dart, "end": mv.end, "loop": mv.loop, "emit": mv.emit_label}
+    forms = [k for k, v in sites.items() if v is not None]
     if len(forms) != 1:
         raise SiteMismatch("exactly one of dart/end/loop/emit_label is required")
     if mv.side not in ("left", "right"):
         raise SiteMismatch(f"bad side {mv.side!r}")
     form = forms[0]
-    emap, vmap = _edge_maps(ch)
-    b = h.coreloop
-
+    if form in ("dart", "end") and mv.sign not in (1, -1):
+        raise SiteMismatch(f"bad sign {mv.sign}")
+    loops = ch.loops
     if form == "dart":
-        if mv.sign not in (1, -1):
-            raise SiteMismatch(f"bad sign {mv.sign}")
         if h.feet is not None:
             raise SiteMismatch("a spanned handle cannot slide around a strand")
-        e = _edge_at(emap, mv.dart)
-        g = BraidWord.from_signed(n, (e.label * mv.sign,))
-        cl = conjugate(b, g)
+        letter = _edge_at(ch, mv.dart).label * mv.sign
         inv = MoveHandleAcrossEdge(mv.handle, dart=mv.dart, sign=-mv.sign)
-        loops2 = ch.loops
     elif form == "end":
-        if mv.sign not in (1, -1):
-            raise SiteMismatch(f"bad sign {mv.sign}")
-        if mv.end not in _lone_blacks(ch):
+        if not _lone_black(surface_map(ch), mv.end):
             raise SiteMismatch("the push site must be a lone black end")
-        e = _edge_at(emap, mv.end)
-        g = BraidWord.from_signed(n, (e.label * mv.sign,))
-        cl = free_reduce(g * b) if mv.side == "left" else free_reduce(b * g)
+        letter = _edge_at(ch, mv.end).label * mv.sign
         inv = MoveHandleAcrossEdge(mv.handle, end=mv.end, sign=-mv.sign, side=mv.side)
-        loops2 = ch.loops
     elif form == "loop":
         rec = _loop_at(ch, mv.loop)
         if rec.over:
             raise SiteMismatch("the record rides another handle")
         if rec.pinned:
             raise SiteMismatch("pinned records cannot be captured")
-        g = BraidWord.from_signed(n, (rec.label * rec.sign,))
-        cl = free_reduce(g * b) if mv.side == "left" else free_reduce(b * g)
-        loops2 = tuple(r for k, r in enumerate(ch.loops) if k != mv.loop)
+        letter = rec.label * rec.sign
+        loops = _without_loops(ch, mv.loop)
         inv = MoveHandleAcrossEdge(
             mv.handle,
             emit_label=rec.label,
@@ -1149,19 +1106,17 @@ def _do_across(s, mv):
             raise LabelConstraintViolated(f"label {mv.emit_label} out of range")
         if mv.emit_sign not in (1, -1):
             raise SiteMismatch(f"bad sign {mv.emit_sign}")
-        idx = mv.index if mv.index is not None else len(ch.loops)
-        if not 0 <= idx <= len(ch.loops):
-            raise SiteMismatch(f"no record slot {idx}")
-        g = BraidWord.from_signed(n, (-mv.emit_label * mv.emit_sign,))
-        cl = free_reduce(g * b) if mv.side == "left" else free_reduce(b * g)
         rec = FloatingLoop(mv.emit_label, mv.emit_sign)
-        loops2 = ch.loops[:idx] + (rec,) + ch.loops[idx:]
+        loops, idx = _with_loop(ch, mv.index, rec)
+        letter = -mv.emit_label * mv.emit_sign
         inv = MoveHandleAcrossEdge(mv.handle, loop=idx, side=mv.side)
-
-    handles2 = tuple(
-        replace(x, coreloop=cl) if x.id == h.id else x for x in s.handles
-    )
-    return _rewrite(s, handles=handles2, loops=loops2), inv
+    g, b = BraidWord.from_signed(n, (letter,)), h.coreloop
+    if form == "dart":
+        cl = conjugate(b, g)
+    else:
+        cl = free_reduce(g * b) if mv.side == "left" else free_reduce(b * g)
+    handles = _with_handles(s, replace(h, coreloop=cl))
+    return _rewrite(s, handles=handles, loops=loops), inv
 
 
 @_applies(Bridge)
@@ -1172,8 +1127,7 @@ def _do_bridge(s, mv):
     e = _span_edge(s, h)
     if e is None:
         raise NonTrivialHandle("the handle is already threaded")
-    emap, _ = _edge_maps(s.chart)
-    et = _edge_at(emap, mv.dart)
+    et = _edge_at(s.chart, mv.dart)
     if et is e:
         raise SiteMismatch("cannot bridge the handle onto its own span")
     if et.label != e.label:
@@ -1193,12 +1147,8 @@ def _do_transfer(s, mv):
         raise SiteMismatch("the handle has no feet to pull through")
     if mv.side not in ("left", "right"):
         raise SiteMismatch(f"bad side {mv.side!r}")
-    emap, vmap = _edge_maps(ch)
-    if mv.dart not in vmap:
-        raise SiteMismatch(f"no dart {mv.dart}")
-    v = vmap[mv.dart]
-    if v.kind != "crossing":
-        raise SiteMismatch("the site is not a crossing")
+    v = _vertex_at(ch, mv.dart, "crossing")
+    emap = surface_map(ch).edge_at
     feet = set(h.feet)
     cands = [d for d in v.cycle if _other(emap[d], d) in feet]
     if not cands:
@@ -1207,20 +1157,14 @@ def _do_transfer(s, mv):
     p = v.cycle.index(cF)
     ej = emap[v.cycle[(p + 1) % 4]]
     eps = 1 if ej.head != v.cycle[(p + 1) % 4] else -1
-    ports = {v.cycle[k]: v.cycle[(k + 2) % 4] for k in range(4)}
-    gone, seams, closed = _collapse(ch, (v,), ports)
-    loops2 = ch.loops + tuple(FloatingLoop(lab, 1) for lab, _ in closed)
     g = BraidWord.from_signed(ch.degree, (ej.label * eps,))
     cl = (
         free_reduce(h.coreloop * g)
         if mv.side == "right"
         else free_reduce(g * h.coreloop)
     )
-    handles2 = tuple(
-        replace(x, coreloop=cl) if x.id == h.id else x for x in s.handles
-    )
-    out = _rewrite(s, gone, seams, handles2, loops=loops2)
-    return out, _restore(s, gone, seams)
+    handles = _with_handles(s, replace(h, coreloop=cl))
+    return _collapse(s, (v,), _across(v), handles=handles)
 
 
 @_applies(RotateTrivialHandleDecoration)
@@ -1259,25 +1203,28 @@ def _do_rotate(s, mv):
         feet2 = (f1, f2)
     else:
         new, feet2 = (), None
-    h2 = AttachedHandle(h.id, new_b, feet2, None)
-    handles2 = tuple(h2 if x.id == h.id else x for x in s.handles)
+    handles = _with_handles(s, AttachedHandle(h.id, new_b, feet2, None))
     other = "ccw" if mv.direction == "cw" else "cw"
     return (
-        _rewrite(s, gone, new, handles2),
+        _rewrite(s, gone, new, handles),
         RotateTrivialHandleDecoration(mv.handle, other),
     )
 
 
-def _require_generators(s):
-    n = s.chart.degree
-    have = set()
+def _carrier(s: DecoratedSurface, label):
+    """The first uncoiled handle with an empty loop word spanned by a clean
+    edge of this label, or None."""
     for h in s.handles:
         if h.mn is None and h.coreloop.is_empty:
             e = _span_edge(s, h)
-            if e is not None:
-                have.add(e.label)
-    if not have.issuperset(range(1, n)):
-        missing = sorted(set(range(1, n)) - have)
+            if e is not None and e.label == label:
+                return h
+    return None
+
+
+def _require_generators(s):
+    missing = [lab for lab in range(1, s.chart.degree) if _carrier(s, lab) is None]
+    if missing:
         raise MissingGeneratorHandles(
             f"need clean undecorated handles for labels {missing}"
         )
@@ -1312,10 +1259,8 @@ def _relabelled(s, e, new):
 @_applies(FreeEdgeRelabel)
 def _do_relabel(s, mv):
     ch = s.chart
-    emap, _ = _edge_maps(ch)
-    e = _edge_at(emap, mv.dart)
-    lone = _lone_blacks(ch)
-    if not all(d in lone for d in e.darts):
+    e = _edge_at(ch, mv.dart)
+    if not all(_lone_black(surface_map(ch), d) for d in e.darts):
         raise SiteMismatch("both ends must be lone black vertices")
     if not 1 <= mv.label <= ch.degree - 1:
         raise LabelConstraintViolated(f"label {mv.label} out of range")
@@ -1351,31 +1296,20 @@ def _do_slide(s, mv):
     else:
         raise SiteMismatch(f"unknown variant {mv.variant!r}")
     gone = (el, *_foot_vertices(s, hl))
-    handles2 = []
-    for x in s.handles:
-        if x.id == hk.id:
-            handles2.append(replace(x, coreloop=bk))
-        elif x.id == hl.id:
-            handles2.append(replace(x, feet=None))
-        else:
-            handles2.append(x)
-    return _rewrite(s, gone, (), tuple(handles2)), _restore(s, gone)
+    handles = _with_handles(s, replace(hk, coreloop=bk), replace(hl, feet=None))
+    return _rewrite(s, gone, (), handles), _restore(s, gone)
 
 
 @_applies(OrientationReversalAid)
 def _do_aid(s, mv):
     ch = s.chart
-    emap, vmap = _edge_maps(ch)
-    if mv.dart not in vmap:
-        raise SiteMismatch(f"no dart {mv.dart}")
-    wv = vmap[mv.dart]
-    if wv.kind != "white":
-        raise SiteMismatch("the site is not a white vertex")
+    wv = _vertex_at(ch, mv.dart, "white")
+    m = surface_map(ch)
     flip = {}
     for d in wv.cycle:
-        e = emap[d]
+        e = m.edge_at[d]
         flip[id(e)] = (e, Edge(e.darts, e.label, _other(e, e.head)))
-        fv = vmap[_other(e, d)]
+        fv = m.vertex_at[_other(e, d)]
         if fv is not wv and len(fv.cycle) != 1:
             raise SiteMismatch("every strand must end freely to reverse")
     edges = tuple(flip[id(e)][1] if id(e) in flip else e for e in ch.edges)
@@ -1391,12 +1325,12 @@ def _do_aid(s, mv):
 
 @_applies(SlideEndAlongEdge)
 def _do_slideend(s, mv):
-    emap, vmap = _edge_maps(s.chart)
-    if mv.dart not in vmap:
+    v = surface_map(s.chart).vertex_at.get(mv.dart)
+    if v is None:
         raise SiteMismatch(f"no dart {mv.dart}")
-    if len(vmap[mv.dart].cycle) != 1:
+    if len(v.cycle) != 1:
         raise SiteMismatch("only a lone end can slide")
-    _edge_at(emap, mv.along)
+    _edge_at(s.chart, mv.along)
     # isotopy of the end along the strand: nothing combinatorial changes
     return s, SlideEndAlongEdge(mv.dart, mv.along)
 
@@ -1411,22 +1345,18 @@ def _do_absorbhandle(s, mv):
         raise NonTrivialHandle("the handle is threaded through the chart")
     if h.coreloop.letters:
         raise NonTrivialHandle("the loop word must be empty to absorb the span")
-    emap, _ = _edge_maps(s.chart)
-    et = _edge_at(emap, mv.dart)
+    et = _edge_at(s.chart, mv.dart)
     if et is e:
         raise SiteMismatch("cannot absorb the span into itself")
     if et.label != e.label:
         raise LabelConstraintViolated(
             f"span label {e.label} vs target label {et.label}"
         )
-    lone = _lone_blacks(s.chart)
-    if not any(d in lone for d in et.darts):
+    if not any(_lone_black(surface_map(s.chart), d) for d in et.darts):
         raise SiteMismatch("the target strand has no free end to slide over")
     gone = (e, *_foot_vertices(s, h))
-    handles2 = tuple(
-        replace(x, feet=None) if x.id == h.id else x for x in s.handles
-    )
-    return _rewrite(s, gone, (), handles2), _restore(s, gone)
+    handles = _with_handles(s, replace(h, feet=None))
+    return _rewrite(s, gone, (), handles), _restore(s, gone)
 
 
 def _the_coil(s):
@@ -1462,10 +1392,9 @@ def _do_patterncapture(s, mv):
     if rec.curve != min(p.curve for p in pats):
         raise SiteMismatch("only the innermost copy can be captured")
     m, n = coil.mn
-    h2 = replace(coil, mn=(m, n + rec.sense))
-    handles2 = tuple(h2 if x.id == coil.id else x for x in s.handles)
+    handles = _with_handles(s, replace(coil, mn=(m, n + rec.sense)))
     pats2 = tuple(p for k, p in enumerate(pats) if k != mv.index)
-    return _rewrite(s, handles=handles2, pattern_loops=pats2), _restore(s)
+    return _rewrite(s, handles=handles, pattern_loops=pats2), _restore(s)
 
 
 @_applies(PatternTwist)
@@ -1474,9 +1403,8 @@ def _do_patterntwist(s, mv):
         raise SiteMismatch(f"bad sign {mv.sign}")
     coil = _the_coil(s)
     m, n = coil.mn
-    h2 = replace(coil, mn=(m, n + 2 * mv.sign * m))
-    handles2 = tuple(h2 if x.id == coil.id else x for x in s.handles)
-    return DecoratedSurface(s.chart, handles2), PatternTwist(-mv.sign)
+    handles = _with_handles(s, replace(coil, mn=(m, n + 2 * mv.sign * m)))
+    return DecoratedSurface(s.chart, handles), PatternTwist(-mv.sign)
 
 
 # ---------------------------------------------------------------------------
@@ -1555,8 +1483,7 @@ def enumerate_chart_moves(s: DecoratedSurface):
         if not r.pinned and not r.over:
             out.append(CIM1Erase(k))
 
-    edge_list = sorted(ch.edges, key=lambda e: min(e.darts))
-    for e in edge_list:
+    for e in sorted(ch.edges, key=lambda e: min(e.darts)):
         d = min(e.darts)
         for sign in (1, -1):
             out.append(CIM2Split(d, sign))
@@ -1614,13 +1541,10 @@ def enumerate_chart_moves(s: DecoratedSurface):
                     continue
                 out.append(mv)
 
-    lone = _lone_blacks(ch)
-    for d in sorted(lone):
+    for d in _black_ends(ch):
         e = emap[d]
         for t in darts:
-            if emap[t] is e:
-                continue
-            if abs(emap[t].label - e.label) < 2:
+            if emap[t] is e or abs(emap[t].label - e.label) < 2:
                 continue
             mv = CIISweep(d, t)
             try:
@@ -1629,18 +1553,9 @@ def enumerate_chart_moves(s: DecoratedSurface):
                 continue
             out.append(mv)
     for d in darts:
-        if vmap[d].kind == "crossing" and _other(emap[d], d) in lone:
+        if vmap[d].kind == "crossing" and _lone_black(m, _other(emap[d], d)):
             out.append(CIIRetract(d))
-
-    for vi, v in enumerate(ch.vertices):
-        if v.kind != "white":
-            continue
-        mids = middle_positions(ch, vi)
-        for p, d in enumerate(v.cycle):
-            if p in mids:
-                continue
-            if _other(emap[d], d) in lone:
-                out.append(CIIIEliminate(d))
+    out += map(CIIIEliminate, _ciii_sites(ch))
 
     for x in range(1, n):
         for y in (x - 1, x + 1):
@@ -1667,13 +1582,7 @@ def enumerate_chart_moves(s: DecoratedSurface):
             if len(picked) == 5:
                 out.append(CIM3Bootstrap(x, y, tuple(picked)))
 
-    for e in edge_list:
-        d = min(e.darts)
-        try:
-            _mirror_pair(emap, vmap, d)
-        except ValueError:
-            continue
-        out.append(CIM3Cancel(d))
+    out += map(CIM3Cancel, _cim3_sites(ch))
     return out
 
 
@@ -1762,6 +1671,9 @@ class EngineTrace:
 
 
 class _Runner:
+    """A run of moves from start.  A trial is a child _Runner(run.state)
+    that the run adopts once all its moves apply."""
+
     def __init__(self, start):
         self.start = self.state = start
         self.steps = []
@@ -1771,6 +1683,11 @@ class _Runner:
         self.state = nxt
         self.steps.append(mv)
         return nxt
+
+    def adopt(self, child):
+        """Take over the state and the moves of a child run from this state."""
+        self.state = child.state
+        self.steps += child.steps
 
     def result(self):
         return _handed_back(self.start, self.state)
@@ -1791,10 +1708,8 @@ def _handed_back(start: DecoratedSurface, state: DecoratedSurface):
 def _collect_crossing(run: _Runner) -> int:
     """Resolve one crossing onto a fresh handle; returns handles spent."""
     ch = run.state.chart
-    xs = [(min(v.cycle), vi) for vi, v in enumerate(ch.vertices) if v.kind == "crossing"]
-    _, vi = min(xs)
-    cyc = ch.vertices[vi].cycle
-    emap, _ = _edge_maps(ch)
+    cyc = min((v.cycle for v in ch.vertices if v.kind == "crossing"), key=min)
+    emap = surface_map(ch).edge_at
     i = min(emap[d].label for d in cyc)
     d_i = min(d for d in cyc if emap[d].label == i)
     run.do(AttachTrivialHandle(cocore_label=i))
@@ -1812,76 +1727,47 @@ def _cancel_whites(run: _Runner) -> int:
     spent = 0
     while True:
         ch = run.state.chart
-        whites = [vi for vi, v in enumerate(ch.vertices) if v.kind == "white"]
+        whites = [v for v in ch.vertices if v.kind == "white"]
         if not whites:
             return spent
-        emap, vmap = _edge_maps(ch)
-        lone = _lone_blacks(ch)
-        fired = None
-        for vi in whites:
-            mids = middle_positions(ch, vi)
-            for p, d in enumerate(ch.vertices[vi].cycle):
-                if p not in mids and _other(emap[d], d) in lone:
-                    fired = d
-                    break
-            if fired is not None:
-                break
+        fired = next(_ciii_sites(ch), None)
         if fired is not None:
             run.do(CIIIEliminate(fired))
             continue
-        hit = None
-        for e in sorted(ch.edges, key=lambda e: min(e.darts)):
-            d = min(e.darts)
-            try:
-                _mirror_pair(emap, vmap, d)
-            except ValueError:
-                continue
-            hit = d
-            break
+        hit = next(_cim3_sites(ch), None)
         if hit is not None:
             run.do(CIM3Cancel(hit))
+        elif not _pair_whites(run, whites):
+            spent += _bridge_out_white(run)
+
+
+def _pair_whites(run: _Runner, whites) -> bool:
+    """Rewire a swapped-type pair of white vertices into mirror position and
+    cancel it; False when no pair can be."""
+    ch = run.state.chart
+    types = {}
+    for v in whites:
+        pair, rot = white_type(ch, v)
+        types.setdefault(pair, []).append((v, rot))
+    for (a_lab, b_lab), lst in sorted(types.items()):
+        partner = types.get((b_lab, a_lab))
+        if not partner or (a_lab, b_lab) > (b_lab, a_lab):
             continue
-        # gather a swapped-type pair by rewiring, then cancel it
-        types = {}
-        for vi in whites:
-            pair, rot = white_type(ch, vi)
-            types.setdefault(pair, []).append((vi, rot))
-        progressed = False
-        for (a_lab, b_lab), lst in sorted(types.items()):
-            partner = types.get((b_lab, a_lab))
-            if not partner or (a_lab, b_lab) > (b_lab, a_lab):
-                continue
-            for (v1, r1), (v2, r2) in (
-                (x, y) for x in lst for y in partner
-            ):
+        for v1, r1 in lst:
+            for v2, r2 in partner:
                 q = (-r1 - r2 - 1) % 6
-                c1 = ch.vertices[v1].cycle
-                c2 = ch.vertices[v2].cycle
-                trial = run.state
-                moves = []
+                trial = _Runner(run.state)
                 try:
                     for k in range(6):
-                        em_k, _ = _edge_maps(trial.chart)
-                        a = c1[k]
-                        target = c2[(q - k) % 6]
-                        if _other(em_k[a], a) == target:
-                            continue
-                        mv = CIM2Reconnect(a, target)
-                        trial, _ = apply_move(trial, mv)
-                        moves.append(mv)
-                    mv = CIM3Cancel(c1[0])
-                    apply_move(trial, mv)
-                    moves.append(mv)
+                        a, target = v1.cycle[k], v2.cycle[(q - k) % 6]
+                        if _other(_edge_at(trial.state.chart, a), a) != target:
+                            trial.do(CIM2Reconnect(a, target))
+                    trial.do(CIM3Cancel(v1.cycle[0]))
                 except ValueError:
                     continue
-                for mv in moves:
-                    run.do(mv)
-                progressed = True
-                break
-            if progressed:
-                break
-        if not progressed:
-            spent += _bridge_out_white(run)
+                run.adopt(trial)
+                return True
+    return False
 
 
 def _bridge_out_white(run: _Runner) -> int:
@@ -1892,42 +1778,25 @@ def _bridge_out_white(run: _Runner) -> int:
     clean matching handle when one is available.
     """
     ch = run.state.chart
-    emap, _ = _edge_maps(ch)
-    order = sorted(
-        (vi for vi, v in enumerate(ch.vertices) if v.kind == "white"),
-        key=lambda vi: min(ch.vertices[vi].cycle),
-    )
-    for vi in order:
-        mids = middle_positions(ch, vi)
-        for p, d in enumerate(ch.vertices[vi].cycle):
+    emap = surface_map(ch).edge_at
+    whites = [v for v in ch.vertices if v.kind == "white"]
+    for v in sorted(whites, key=lambda v: min(v.cycle)):
+        mids = middle_positions(ch, v)
+        for p, d in enumerate(v.cycle):
             if p in mids:
                 continue
             label = emap[d].label
-            carrier = None
-            for h in run.state.handles:
-                if h.mn is not None or h.coreloop.letters or h.feet is None:
-                    continue
-                e = _span_edge(run.state, h)
-                if e is not None and e.label == label:
-                    carrier = h.id
-                    break
-            trial = run.state
+            carrier = _carrier(run.state, label)
+            trial = _Runner(run.state)
             try:
                 if carrier is None:
-                    trial, _ = apply_move(
-                        trial, AttachTrivialHandle(cocore_label=label)
-                    )
-                    hid = trial.handles[-1].id
-                else:
-                    hid = carrier
-                trial, _ = apply_move(trial, Bridge(hid, d))
-                apply_move(trial, CIIIEliminate(d))
+                    trial.do(AttachTrivialHandle(cocore_label=label))
+                hid = trial.state.handles[-1].id if carrier is None else carrier.id
+                trial.do(Bridge(hid, d))
+                trial.do(CIIIEliminate(d))
             except ValueError:
                 continue
-            if carrier is None:
-                run.do(AttachTrivialHandle(cocore_label=label))
-            run.do(Bridge(hid, d))
-            run.do(CIIIEliminate(d))
+            run.adopt(trial)
             return 0 if carrier is not None else 1
     raise RuntimeError("no white vertex accepts a bridged branch")
 
@@ -1944,13 +1813,7 @@ def _clear_records(run: _Runner) -> int:
             run.do(CIM1Erase(idx))
             continue
         # essential records ride a same-labelled generator handle instead
-        carrier = None
-        for h in run.state.handles:
-            if h.mn is None and h.coreloop.is_empty:
-                e = _span_edge(run.state, h)
-                if e is not None and e.label == rec.label:
-                    carrier = h
-                    break
+        carrier = _carrier(run.state, rec.label)
         if carrier is None:
             run.do(AttachTrivialHandle(cocore_label=rec.label))
             count += 1
@@ -2037,23 +1900,13 @@ def unbraid_with_branch(s: DecoratedSurface):
     count = 0
     while True:
         ch = run.state.chart
-        emap, _ = _edge_maps(ch)
-        lone = _lone_blacks(ch)
-        cand = []
-        for vi, v in enumerate(ch.vertices):
-            if v.kind != "white":
-                continue
-            mids = middle_positions(ch, vi)
-            for p, d in enumerate(v.cycle):
-                if p not in mids and _other(emap[d], d) in lone:
-                    cand.append(d)
-        if cand:
-            run.do(CIIIEliminate(min(cand)))
-            continue
-        if any(v.kind == "crossing" for v in ch.vertices):
+        site = min(_ciii_sites(ch), default=None)
+        if site is not None:
+            run.do(CIIIEliminate(site))
+        elif any(v.kind == "crossing" for v in ch.vertices):
             count += _collect_crossing(run)
-            continue
-        break
+        else:
+            break
     count += _cancel_whites(run)
     count += _clear_records(run)
     if st.b >= 2 * (s.chart.degree - 1):
@@ -2070,9 +1923,9 @@ def _drain_handles(run: _Runner):
             if h.mn is not None or not h.coreloop.letters:
                 break
             v = h.coreloop.letters[-1]
-            lone = _lone_blacks(run.state.chart)
-            emap, _ = _edge_maps(run.state.chart)
-            d = next((d for d in sorted(lone) if emap[d].label == abs(v)), None)
+            emap = surface_map(run.state.chart).edge_at
+            ends = _black_ends(run.state.chart)
+            d = next((d for d in ends if emap[d].label == abs(v)), None)
             if d is None:
                 break
             run.do(
@@ -2084,12 +1937,11 @@ def _drain_handles(run: _Runner):
         e = _span_edge(run.state, h)
         if e is None:
             continue
-        lone = _lone_blacks(run.state.chart)
-        emap, _ = _edge_maps(run.state.chart)
+        emap = surface_map(run.state.chart).edge_at
         target = next(
             (
                 d
-                for d in sorted(lone)
+                for d in _black_ends(run.state.chart)
                 if emap[d] is not e and emap[d].label == e.label
             ),
             None,

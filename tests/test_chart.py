@@ -335,18 +335,18 @@ class TestStats:
 class TestClassifiers:
     def test_white_type_and_middles(self):
         c = white_spider(rotation=0)
-        pair, rot = white_type(c, 0)
+        pair, rot = white_type(c, c.vertices[0])
         assert pair == (1, 2) and rot == 0
-        assert middle_positions(c, 0) == {1, 4}
+        assert middle_positions(c, c.vertices[0]) == {1, 4}
 
     def test_middles_follow_rotation(self):
         for r in range(6):
             c = white_spider(rotation=r)
-            assert middle_positions(c, 0) == {(1 - r) % 6, (4 - r) % 6}
+            assert middle_positions(c, c.vertices[0]) == {(1 - r) % 6, (4 - r) % 6}
 
     def test_crossing_type(self):
         c = crossing_spider(eps=1, delta=-1)
-        pair, sign = crossing_type(c, 0)
+        pair, sign = crossing_type(c, c.vertices[0])
         assert pair == (1, 3) and sign == -1
 
 

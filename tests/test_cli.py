@@ -221,6 +221,16 @@ class TestUnbraid:
             main(["unbraid", CHART, "--mode", "sideways"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("command", ["validate", "stats", "bounds", "replay", "oracle"])
+    def test_emit_trace_is_a_usage_error_without_a_trace(self, command, tmp_path, capsys):
+        out = tmp_path / "t.trace"
+        files = [CHART, SCRIPT] if command == "replay" else [CHART]
+        with pytest.raises(SystemExit) as info:
+            main([command, *files, "--emit-trace", str(out)])
+        assert info.value.code == 2
+        assert "--emit-trace" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOracle:
     def test_reachable_state_count_frozen(self, tmp_path, capsys):

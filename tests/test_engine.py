@@ -6,6 +6,7 @@ of the far-commutation square, and every move is checked against the
 stats-delta table and exact (canonical) reversibility.
 """
 
+import dataclasses
 import hashlib
 import random
 from dataclasses import replace
@@ -1048,6 +1049,31 @@ class TestPinnedTraces:
         assert self._digest(trace) == self.BRANCH
 
 
+class TestPinnedEnumeration:
+    # sha256 of repr(enumerate_chart_moves(...)), with the number of moves,
+    # as offered when each move kind had a site scan of its own
+    PINNED = (
+        (4, 30, 3, 3449, "9fd294e71edec411b2f2a65b3b876da863225579648c313ef0115c6f2d9f69a6"),
+        (3, 20, 5, 1457, "0d812a88bf4aa2daaf9b006eb0b295093132743af50212a9a3d97d702dca992a"),
+    )
+    BUNDLED = (59, "fe12423aa0ae55c89b8a9643c922343b43be0bcfe09f134b7f6d15423082108a")
+
+    @staticmethod
+    def _pin(chart):
+        moves = enumerate_chart_moves(surf(chart))
+        return len(moves), hashlib.sha256(repr(moves).encode()).hexdigest()
+
+    def test_generated_charts_offer_the_same_moves(self):
+        for degree, steps, seed, count, digest in self.PINNED:
+            chart = generate_blackless_chart(degree, steps, random.Random(seed))
+            assert self._pin(chart) == (count, digest), (degree, steps, seed)
+
+    def test_the_bundled_chart_offers_the_same_moves(self):
+        root = resources.files("handleforge") / "data"
+        chart = parse_chart((root / "twist_spun_trefoil.chart").read_text())
+        assert self._pin(chart) == self.BUNDLED
+
+
 BENCH_CHARTS = Path(__file__).resolve().parents[1] / "bench" / "data"
 
 
@@ -1248,3 +1274,48 @@ def test_the_inverse_of_a_restore_patch_undoes_it():
     assert surfaces_equal(back, s)
     again, _ = apply_move(back, inv2)
     assert surfaces_equal(again, out)
+
+
+def test_a_restore_patch_refuses_every_other_surface():
+    # the patch names the edges its move made by identity: the move's
+    # input, an equal copy of its output made of new objects and the
+    # outputs of other moves hold none of them
+    s = surf(generate_blackless_chart(4, 30, random.Random(3)))
+    first, second = [m for m in enumerate_chart_moves(s) if isinstance(m, CIR2Straighten)][:2]
+    out, inv = apply_move(s, first)
+    c = out.chart
+    copy = replace(
+        c,
+        vertices=tuple(Vertex(v.kind, v.cycle) for v in c.vertices),
+        edges=tuple(Edge(e.darts, e.label, e.head) for e in c.edges),
+    )
+    assert copy == c
+    others = [
+        s,
+        surf(copy),
+        apply_move(s, second)[0],
+        surf(generate_blackless_chart(4, 30, random.Random(4))),
+    ]
+    for other in others:
+        with pytest.raises(SiteMismatch, match="^restore patch does not match the surface$"):
+            apply_move(other, inv)
+    assert surfaces_equal(apply_move(out, inv)[0], s)
+
+
+def test_every_move_class_applies_and_round_trips_through_text():
+    assert set(engine._APPLY) == {*engine.CHART_MOVES, *engine.SURFACE_MOVES, engine._Patch}
+    s = surf(mk(degree=9))
+    away = {
+        "sign": -1, "cocore_sign": -1, "emit_sign": -1, "side": "left",
+        "direction": "ccw", "variant": "B", "loops": (1, 2, 3, 4, 5),
+        "coreloop": BraidWord.from_signed(9, (1, -3)),
+    }
+    moves = []
+    for cls in engine.CHART_MOVES + engine.SURFACE_MOVES:
+        fields = dataclasses.fields(cls)
+        mv = cls(**{f.name: away.get(f.name, 7 + k) for k, f in enumerate(fields)})
+        for f in fields:
+            assert getattr(mv, f.name) != f.default, (cls.__name__, f.name)
+        moves.append(mv)
+    trace = EngineTrace(s, tuple(moves), ())
+    assert parse_script(format_script(trace), s).steps == trace.steps
