@@ -69,6 +69,10 @@ class NotRepeatedPattern(ValueError):
     """The surface is not in the coiled single-handle normal position."""
 
 
+class StuckWhiteVertex(ValueError):
+    """Unbraiding found no move that removes a white vertex."""
+
+
 # ---------------------------------------------------------------------------
 # decorated surfaces
 
@@ -373,7 +377,9 @@ class _Patch:
     Never enumerated and never serialized; it exists so that every apply
     can hand back an exact undo even when no single named move would do.
     gone and new are the move's own patch reversed: gone holds the Edge and
-    Vertex objects the move made, which the surface must hold by identity.
+    Vertex objects the move made, and left the loop records, pattern loops
+    and handles of the move's output.  The surface must hold all of them by
+    identity.
     """
 
     gone: tuple
@@ -382,6 +388,7 @@ class _Patch:
     patterns: tuple
     handles: tuple
     genus: int
+    left: tuple
 
 
 CHART_MOVES = (
@@ -561,13 +568,20 @@ def _rewrite(s: DecoratedSurface, gone=(), new=(), handles=None, **chart_fields)
     return DecoratedSurface(chart, s.handles if handles is None else handles)
 
 
-def _restore(before: DecoratedSurface, gone=(), new=()) -> _Patch:
-    """The patch that takes the rewrite of before that removed gone and
-    added new back to before."""
+def _restore(before: DecoratedSurface, after: DecoratedSurface, gone=(), new=()) -> _Patch:
+    """The patch that takes after, the rewrite of before that removed gone
+    and added new, back to before."""
     ch = before.chart
+    left = (after.chart.loops, after.chart.pattern_loops, after.handles)
     return _Patch(
-        tuple(new), tuple(gone), ch.loops, ch.pattern_loops, before.handles, ch.genus
+        tuple(new), tuple(gone), ch.loops, ch.pattern_loops, before.handles, ch.genus, left
     )
+
+
+def _undoable(s: DecoratedSurface, gone=(), new=(), handles=None, **chart_fields):
+    """_rewrite(s, ...) and the patch that restores s from it."""
+    out = _rewrite(s, gone, new, handles, **chart_fields)
+    return out, _restore(s, out, gone, new)
 
 
 def _collapse(s: DecoratedSurface, kill, ports, mute=(), handles=None, signed=False):
@@ -644,7 +658,7 @@ def _collapse(s: DecoratedSurface, kill, ports, mute=(), handles=None, signed=Fa
         FloatingLoop(label, 1 if arrives or not signed else -1)
         for _, label, arrives in closed_out
     )
-    return _rewrite(s, gone, seams, handles, loops=loops), _restore(s, gone, seams)
+    return _undoable(s, gone, seams, handles, loops=loops)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +685,11 @@ def _do_patch(s, mv):
             at = m.vertex_at.get(x.cycle[0])
         if at is not x:
             raise SiteMismatch("restore patch does not match the surface")
-    out = _rewrite(
+    held = (s.chart.loops, s.chart.pattern_loops, s.handles)
+    for have, want in zip(held, mv.left):
+        if len(have) != len(want) or any(a is not b for a, b in zip(have, want)):
+            raise SiteMismatch("restore patch does not match the surface")
+    return _undoable(
         s,
         mv.gone,
         mv.new,
@@ -680,7 +698,6 @@ def _do_patch(s, mv):
         pattern_loops=mv.patterns,
         genus=mv.genus,
     )
-    return out, _restore(s, mv.gone, mv.new)
 
 
 @_applies(CIM1Add)
@@ -760,7 +777,7 @@ def _reconnect_surface(s, a, b):
     out = _rewrite(s, (ea, eb), new)
     inv = CIM2Reconnect(a, pa)
     if not _reconnect_legal(out, a, pa):
-        inv = _restore(s, (ea, eb), new)
+        inv = _restore(s, out, (ea, eb), new)
     return out, inv
 
 
@@ -994,7 +1011,7 @@ def _do_cim3cancel(s, mv):
     v1, v2, e0, arcs = _mirror_pair(s.chart, mv.dart)
     gone = (v1, v2, e0, *arcs)
     loops = s.chart.loops + tuple(FloatingLoop(e.label, 1) for e in arcs)
-    return _rewrite(s, gone, loops=loops), _restore(s, gone)
+    return _undoable(s, gone, loops=loops)
 
 
 @_applies(AttachTrivialHandle)
@@ -1297,7 +1314,7 @@ def _do_slide(s, mv):
         raise SiteMismatch(f"unknown variant {mv.variant!r}")
     gone = (el, *_foot_vertices(s, hl))
     handles = _with_handles(s, replace(hk, coreloop=bk), replace(hl, feet=None))
-    return _rewrite(s, gone, (), handles), _restore(s, gone)
+    return _undoable(s, gone, (), handles)
 
 
 @_applies(OrientationReversalAid)
@@ -1317,10 +1334,7 @@ def _do_aid(s, mv):
     new = tuple(e for _, e in flip.values())
     hid = max((h.id for h in s.handles), default=0) + 1
     aid = AttachedHandle(hid, BraidWord(ch.degree), None, None)
-    out = _rewrite(
-        s, gone, new, s.handles + (aid,), edges=edges, genus=ch.genus + 1
-    )
-    return out, _restore(s, gone, new)
+    return _undoable(s, gone, new, s.handles + (aid,), edges=edges, genus=ch.genus + 1)
 
 
 @_applies(SlideEndAlongEdge)
@@ -1356,7 +1370,7 @@ def _do_absorbhandle(s, mv):
         raise SiteMismatch("the target strand has no free end to slide over")
     gone = (e, *_foot_vertices(s, h))
     handles = _with_handles(s, replace(h, feet=None))
-    return _rewrite(s, gone, (), handles), _restore(s, gone)
+    return _undoable(s, gone, (), handles)
 
 
 def _the_coil(s):
@@ -1379,7 +1393,7 @@ def _do_patterncancel(s, mv):
     if pats[k2].sense != -rec.sense:
         raise SiteMismatch("neighbouring senses do not cancel")
     pats2 = tuple(p for k, p in enumerate(pats) if k not in (mv.index, k2))
-    return _rewrite(s, pattern_loops=pats2), _restore(s)
+    return _undoable(s, pattern_loops=pats2)
 
 
 @_applies(PatternCapture)
@@ -1394,7 +1408,7 @@ def _do_patterncapture(s, mv):
     m, n = coil.mn
     handles = _with_handles(s, replace(coil, mn=(m, n + rec.sense)))
     pats2 = tuple(p for k, p in enumerate(pats) if k != mv.index)
-    return _rewrite(s, handles=handles, pattern_loops=pats2), _restore(s)
+    return _undoable(s, handles=handles, pattern_loops=pats2)
 
 
 @_applies(PatternTwist)
@@ -1722,14 +1736,14 @@ def _collect_crossing(run: _Runner) -> int:
     return 1
 
 
-def _cancel_whites(run: _Runner) -> int:
-    """Remove every white vertex; returns handles spent on stubborn ones."""
-    spent = 0
+def _cancel_whites(run: _Runner) -> None:
+    """Remove every white vertex; StuckWhiteVertex names the least one that
+    no CIII site, mirror pair or swapped pair removes."""
     while True:
         ch = run.state.chart
         whites = [v for v in ch.vertices if v.kind == "white"]
         if not whites:
-            return spent
+            return
         fired = next(_ciii_sites(ch), None)
         if fired is not None:
             run.do(CIIIEliminate(fired))
@@ -1738,7 +1752,8 @@ def _cancel_whites(run: _Runner) -> int:
         if hit is not None:
             run.do(CIM3Cancel(hit))
         elif not _pair_whites(run, whites):
-            spent += _bridge_out_white(run)
+            stuck = min(v.cycle for v in whites)
+            raise StuckWhiteVertex(f"no move removes the white vertex at darts {stuck}")
 
 
 def _pair_whites(run: _Runner, whites) -> bool:
@@ -1768,37 +1783,6 @@ def _pair_whites(run: _Runner, whites) -> bool:
                 run.adopt(trial)
                 return True
     return False
-
-
-def _bridge_out_white(run: _Runner) -> int:
-    """Open a branch into one white over a spanned handle, then absorb it.
-
-    The span is reconnected across a non-middle edge of the white, leaving
-    a lone foot on that edge, which the white then swallows.  Reuses a
-    clean matching handle when one is available.
-    """
-    ch = run.state.chart
-    emap = surface_map(ch).edge_at
-    whites = [v for v in ch.vertices if v.kind == "white"]
-    for v in sorted(whites, key=lambda v: min(v.cycle)):
-        mids = middle_positions(ch, v)
-        for p, d in enumerate(v.cycle):
-            if p in mids:
-                continue
-            label = emap[d].label
-            carrier = _carrier(run.state, label)
-            trial = _Runner(run.state)
-            try:
-                if carrier is None:
-                    trial.do(AttachTrivialHandle(cocore_label=label))
-                hid = trial.state.handles[-1].id if carrier is None else carrier.id
-                trial.do(Bridge(hid, d))
-                trial.do(CIIIEliminate(d))
-            except ValueError:
-                continue
-            run.adopt(trial)
-            return 0 if carrier is not None else 1
-    raise RuntimeError("no white vertex accepts a bridged branch")
 
 
 def _clear_records(run: _Runner) -> int:
@@ -1878,7 +1862,7 @@ def unbraid_without_branch(s: DecoratedSurface, mode: str = "weak"):
     count = 0
     while any(v.kind == "crossing" for v in run.state.chart.vertices):
         count += _collect_crossing(run)
-    count += _cancel_whites(run)
+    _cancel_whites(run)
     count += _clear_records(run)
     if mode == "strong":
         count += _strengthen(run)
@@ -1907,7 +1891,7 @@ def unbraid_with_branch(s: DecoratedSurface):
             count += _collect_crossing(run)
         else:
             break
-    count += _cancel_whites(run)
+    _cancel_whites(run)
     count += _clear_records(run)
     if st.b >= 2 * (s.chart.degree - 1):
         _drain_handles(run)

@@ -4,11 +4,13 @@ Words travel as tuples of signed integers (+i for the i-th positive
 generator letter, -i for its inverse), and handle states as sorted tuples
 of (m, n) pairs.  The two rewriting searches (the identity closure and the
 single-word search) share one breadth-first layer loop over numpy arrays of
-packed words; handle reduction and the handle-state search are plain Python.
+packed words, in which the closure expands one word per symmetry orbit;
+handle reduction and the handle-state search are plain Python.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import cache
 from itertools import product
 from typing import Sequence
@@ -180,6 +182,75 @@ def _letter_tables(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return inv, far, rel
 
 
+@cache
+def _symmetry_tables(degree: int) -> tuple[int, np.ndarray]:
+    """Lookup table over blocks of letter codes, for _orbit_images.
+
+    The moves commute with three involutions of words: reverse-and-invert,
+    the index flip i -> N-i and the mirror si -> Si.  The eight images of a
+    word are its images under the four letter maps (identity, mirror, flip,
+    both), read forwards or backwards.  Returns the letters per block, k,
+    the largest with (2N-1)**k <= 2**16, and a table with one row per image
+    and one column per k-letter block value: rows 0-3 hold the block's
+    images forwards, rows 4-7 backwards.  Code 0, the padding above a word's
+    top letter, maps to 0.  Built once per degree and read-only.
+    """
+    import numpy as np
+
+    base = 2 * degree - 1
+    k = 1
+    while base ** (k + 1) <= 1 << 16:
+        k += 1
+    codes = np.arange(base)
+    index, positive = (codes + 1) // 2, codes % 2 == 1
+    mirror = np.where(positive, codes + 1, codes - 1)
+    flip = 2 * (degree - index) - positive
+    mirror[0] = flip[0] = 0
+    maps = np.stack([codes, mirror, flip, mirror[flip]]).astype(np.uint64)[:, None]
+    # append one letter at a time below the blocks built so far
+    forward = backward = np.zeros((4, 1), dtype=np.uint64)
+    for p in range(k):
+        forward = (forward[:, :, None] * np.uint64(base) + maps).reshape(4, -1)
+        backward = (backward[:, :, None] + maps * np.uint64(base**p)).reshape(4, -1)
+    table = np.concatenate([forward, backward])
+    table.flags.writeable = False
+    return k, table
+
+
+def _orbit_images(words: np.ndarray, length: int, degree: int) -> np.ndarray:
+    """The eight images of each word of length letters, one row per image.
+
+    The word is cut into k-letter blocks from its last letter; the top block
+    may be shorter.  Block j lands at letter j*k of the forward images, and
+    at letter length-(j+1)*k of the backward ones.  A short top block has
+    its backward image looked up shifted up to k letters, which drops its
+    padding.
+    """
+    import numpy as np
+
+    base = 2 * degree - 1
+    k, table = _symmetry_tables(degree)
+    size = np.uint64(base**k)
+    out = np.empty((8, words.size), dtype=np.uint64)
+    part = np.empty(words.size, dtype=np.uint64)
+    rest = words
+    for j in range(max(1, -(-length // k))):
+        high = rest // size
+        block = (rest - high * size).astype(np.intp)
+        rest = high
+        back = length - (j + 1) * k
+        shifted = block if back >= 0 else block * base**-back
+        for row in range(8):
+            at, index = (j * k, block) if row < 4 else (max(back, 0), shifted)
+            into = part if j else out[row]
+            np.take(table[row], index, out=into)
+            if at:
+                np.multiply(into, np.uint64(base**at), out=into)
+            if j:
+                np.add(out[row], part, out=out[row])
+    return out
+
+
 def _neighbour_blocks(
     words: np.ndarray, n: int, base: int, cap: int, tables
 ) -> list[tuple[int, np.ndarray]]:
@@ -267,7 +338,27 @@ def _over_budget(search: str, max_states: int, reached: int, layer: int) -> Budg
 _CHUNK_CANDIDATES = 1 << 18
 
 
-def _layers(degree: int, start: dict, cap: int, max_states: int, search: str):
+def _each_word(new: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unfold of _layers that expands every word of a layer."""
+    return new, new
+
+
+def _orbit_unfold(degree: int):
+    """The unfold of _layers that expands one word per symmetry orbit.
+
+    The new words of one length unfold to the union of their eight images,
+    the layer's array of that length; the least image of each word is its
+    orbit's representative, and the representatives are the words to expand.
+    """
+
+    def unfold(new: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+        images = _orbit_images(new, length, degree)
+        return _sorted_unique(images.ravel()), _sorted_unique(images.min(axis=0))
+
+    return unfold
+
+
+def _layers(degree: int, start: dict, cap: int, max_states: int, search: str, unfold):
     """Breadth-first layers of the rewriting moves, starting from start.
 
     A layer maps a word length to the sorted uint64 array of the base-(2N-1)
@@ -276,22 +367,29 @@ def _layers(degree: int, start: dict, cap: int, max_states: int, search: str):
     expanded a whole array at a time, with intermediate words of at most cap
     letters.  The moves are invertible, so a neighbour of layer d lies in
     layer d-1, d or d+1: new words are the neighbours found in neither of
-    the two latest layers.  Raises BudgetExceeded, before yielding the
-    layer, once more than max_states words have been reached.
+    the two latest layers.  unfold(new, length) takes the sorted new words
+    of one length to the sorted array of that length in the layer and the
+    words of it to expand; when the start and the moves are closed under a
+    symmetry, expanding one word of each orbit finds every orbit of the
+    next layer.  Raises BudgetExceeded, before yielding the layer, once
+    more than max_states words have been reached.
     """
     import numpy as np
 
     base = 2 * degree - 1
     tables = _letter_tables(degree)
-    total = sum(words.size for words in start.values())
+    layer: dict[int, np.ndarray] = {}
+    expand: dict[int, np.ndarray] = {}
+    for length, words in start.items():
+        layer[length], expand[length] = unfold(words, length)
+    total = sum(words.size for words in layer.values())
     previous: dict[int, np.ndarray] = {}
-    layer = start
     depth = 0
     while layer:
         yield layer
         depth += 1
         parts: dict[int, list[np.ndarray]] = {}
-        for length, words in layer.items():
+        for length, words in expand.items():
             # at most: inserts, plus one cancel, swap or relator per position
             per_word = (length + 1) * (base - 1) + 3 * length + 1
             step = max(1, _CHUNK_CANDIDATES // per_word)
@@ -309,38 +407,42 @@ def _layers(degree: int, start: dict, cap: int, max_states: int, search: str):
                     fresh += new.size
                 if fresh and total + fresh > max_states:
                     raise _over_budget(search, max_states, total + fresh, depth)
-        previous, layer = layer, {}
+        previous, layer, expand = layer, {}, {}
         for to, values in parts.items():
             new = _sorted_unique(np.concatenate(values))
             if new.size:
-                layer[to] = new
-                total += new.size
+                layer[to], expand[to] = unfold(new, to)
+                total += layer[to].size
         if total > max_states:
             raise _over_budget(search, max_states, total, depth)
 
 
 def identity_component(
     degree: int, universe_len: int, excursion_cap: int, max_states: int
-) -> list[int]:
+) -> array:
     """All words of length <= universe_len reachable from the empty word.
 
     Breadth-first closure under the rewriting moves, with intermediate words
-    allowed up to excursion_cap letters.  Returns packed words.  Raises
-    ValueError when words of excursion_cap letters cannot be packed exactly
-    in 64 bits, and BudgetExceeded once more than max_states words have been
-    reached.
+    allowed up to excursion_cap letters.  The closure is closed under
+    reverse-and-invert, the index flip and the mirror, so each layer expands
+    one word per orbit and unfolds the new words by their eight images.
+    Returns the packed words as an array("Q"), layer by layer, each layer's
+    words by length and then in increasing order.  Raises ValueError when
+    words of excursion_cap letters cannot be packed exactly in 64 bits, and
+    BudgetExceeded once more than max_states words have been reached.
     """
     _check_packs(degree, excursion_cap)
     import numpy as np
 
     start = {0: np.zeros(1, dtype=np.uint64)}
-    return [
-        packed
-        for layer in _layers(degree, start, excursion_cap, max_states, "component search")
-        for length, words in layer.items()
-        if length <= universe_len
-        for packed in (words * np.uint64(64) + np.uint64(length)).tolist()
-    ]
+    out = array("Q")
+    for layer in _layers(
+        degree, start, excursion_cap, max_states, "component search", _orbit_unfold(degree)
+    ):
+        for length, words in layer.items():
+            if length <= universe_len:
+                out.frombytes((words * np.uint64(64) + np.uint64(length)).tobytes())
+    return out
 
 
 def word_reaches_identity(
@@ -366,7 +468,7 @@ def word_reaches_identity(
     base = np.uint64(2 * degree - 1)
     inv = _letter_tables(degree)[0]
     first = {len(start): np.array([pack_word(start, degree) >> 6], dtype=np.uint64)}
-    for layer in _layers(degree, first, excursion_cap, max_states, "rewriting search"):
+    for layer in _layers(degree, first, excursion_cap, max_states, "rewriting search", _each_word):
         pairs = layer.get(2)
         if pairs is not None and (pairs % base == inv[pairs // base]).any():
             return True

@@ -1,3 +1,6 @@
+import hashlib
+from array import array
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -275,6 +278,81 @@ class TestKernelBackends:
                 kernels.identity_component(degree, 0, largest, 1_000)
             with pytest.raises(ValueError):
                 kernels.identity_component(degree, 0, largest + 1, 1_000)
+
+
+def closure_layers(degree, cap, unfold):
+    import numpy as np
+
+    start = {0: np.zeros(1, dtype=np.uint64)}
+    return list(kernels._layers(degree, start, cap, 40_000_000, "closure", unfold))
+
+
+def symmetric_images(vals, degree):
+    """The word's images under reverse-and-invert, the index flip and the mirror."""
+    return (
+        tuple(-v for v in reversed(vals)),
+        tuple(v // abs(v) * (degree - abs(v)) for v in vals),
+        tuple(-v for v in vals),
+    )
+
+
+class TestIdentityClosure:
+    # sha256 of the returned words' bytes, pinned before the closure expanded
+    # one word per symmetry orbit: they fix both the words and their order
+    DIGESTS = {
+        (4, 8, 10): "860f22aa5097f15f0e6f382e36b3a8471d057c6354c3e84e2f0746fc7c8db4eb",
+        (5, 6, 8): "5daaaa09093d63fba5a6435afc4b59abccdccbb42c0ae07b47805504035b442e",
+        (2, 12, 14): "e48eeeb5063e0b22773d6b9458ea6105df59b40b9fdaab99211e766789ca105d",
+    }
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_pinned_words_and_order(self, case):
+        packed = kernels.identity_component(*case, 1_000_000)
+        assert isinstance(packed, array) and packed.typecode == "Q"
+        assert hashlib.sha256(packed.tobytes()).hexdigest() == self.DIGESTS[case]
+
+    def test_counts_per_length(self):
+        packed = kernels.identity_component(4, 10, 10, 1_000_000)
+        counts = Counter(p % 64 for p in packed)
+        assert [counts[n] for n in range(0, 11, 2)] == [1, 6, 74, 1164, 20778, 401716]
+        assert sum(counts.values()) == len(packed)
+
+    @pytest.mark.parametrize("degree, cap", [(4, 10), (5, 8), (2, 14), (3, 9)])
+    def test_orbit_expansion_gives_the_layers_of_full_expansion(self, degree, cap):
+        full = closure_layers(degree, cap, kernels._each_word)
+        orbits = closure_layers(degree, cap, kernels._orbit_unfold(degree))
+        assert [list(layer) for layer in orbits] == [list(layer) for layer in full]
+        for got, want in zip(orbits, full):
+            for length in want:
+                assert (got[length] == want[length]).all()
+
+    @pytest.mark.parametrize("degree, universe, cap", [(5, 6, 8), (2, 12, 14)])
+    def test_membership_matches_handle_reduction(self, degree, universe, cap):
+        # the flip fixes no letter at degree 5 and is trivial at degree 2
+        component = set(kernels.identity_component(degree, universe, cap, 1_000_000))
+        for vals in all_words(degree, universe):
+            got = kernels.pack_word(vals, degree) in component
+            assert got == kernels.dehornoy_trivial(vals, degree), vals
+
+    @pytest.mark.parametrize("case", [(4, 8, 10), (5, 6, 8), (3, 8, 9)])
+    def test_closed_under_the_symmetries(self, case):
+        degree = case[0]
+        packed = kernels.identity_component(*case, 1_000_000)
+        component = set(packed)
+        for p in packed:
+            for image in symmetric_images(kernels.unpack_word(p, degree), degree):
+                assert kernels.pack_word(image, degree) in component
+
+    def test_limit_inside_the_largest_layer(self):
+        sizes = [
+            sum(words.size for words in layer.values())
+            for layer in closure_layers(4, 10, kernels._each_word)
+        ]
+        largest = sizes.index(max(sizes))
+        before = sum(sizes[:largest])
+        with pytest.raises(BudgetExceeded, match=f"by layer {largest}"):
+            kernels.identity_component(4, 10, 10, before + sizes[largest] // 2)
+        assert len(kernels.identity_component(4, 10, 10, sum(sizes))) == sum(sizes)
 
 
 def reference_search(values, degree, cap, max_states=1_000_000):

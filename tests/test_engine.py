@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from handleforge import chart as chart_mod
+from handleforge import cli
 from handleforge import engine
 from handleforge.braid import BraidWord, format_word, parse_word
 from handleforge.chart import (
@@ -66,6 +67,7 @@ from handleforge.engine import (
     RotateTrivialHandleDecoration,
     SiteMismatch,
     SlideEndAlongEdge,
+    StuckWhiteVertex,
     apply_chart_move,
     apply_move,
     apply_surface_move,
@@ -1300,6 +1302,42 @@ def test_a_restore_patch_refuses_every_other_surface():
         with pytest.raises(SiteMismatch, match="^restore patch does not match the surface$"):
             apply_move(other, inv)
     assert surfaces_equal(apply_move(out, inv)[0], s)
+
+
+def test_a_restore_patch_that_made_nothing_checks_what_the_move_left():
+    # CIM3Cancel makes no Edge or Vertex, so its restore patch names none:
+    # it must still find the loop records, pattern loops and handles its
+    # move left, or it would graft the white pair and the first chart's
+    # records onto any surface (loops 2 -> 8, vertices 6 -> 8 here)
+    s = surf(generate_blackless_chart(4, 30, random.Random(3)))
+    mv = next(m for m in enumerate_chart_moves(s) if isinstance(m, CIM3Cancel))
+    out, inv = apply_move(s, mv)
+    assert inv.gone == ()
+    other = surf(generate_blackless_chart(4, 5, random.Random(0)))
+    for target in (other, s, surf(replace(out.chart, loops=out.chart.loops[:-1]))):
+        with pytest.raises(SiteMismatch, match="^restore patch does not match the surface$"):
+            apply_move(target, inv)
+    assert surfaces_equal(apply_move(out, inv)[0], s)
+
+
+def test_a_white_vertex_no_move_removes_is_a_typed_error(monkeypatch, tmp_path, capsys):
+    # the spider's lone white goes by one CIIIEliminate; with its CIII
+    # sites withheld it has no mirror or swapped partner either, and the
+    # unbraiding stops with the typed error that names it
+    run = engine._Runner(surf(white_spider()))
+    engine._cancel_whites(run)
+    assert [type(m) for m in run.steps] == [CIIIEliminate]
+    monkeypatch.setattr(engine, "_ciii_sites", lambda ch: iter(()))
+    for rotation in range(6):
+        run = engine._Runner(surf(white_spider(rotation)))
+        with pytest.raises(StuckWhiteVertex, match=r"white vertex at darts \(1, 2, 3, 4, 5, 6\)$"):
+            engine._cancel_whites(run)
+    path = tmp_path / "spider.chart"
+    path.write_text(format_chart(white_spider()))
+    assert cli.main(["unbraid", str(path), "--mode", "branch"]) == 1
+    assert capsys.readouterr().err == (
+        "error: no move removes the white vertex at darts (1, 2, 3, 4, 5, 6)\n"
+    )
 
 
 def test_every_move_class_applies_and_round_trips_through_text():
