@@ -16,7 +16,9 @@ surface). Neither touches the map axioms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import ParseError
 
@@ -87,10 +89,10 @@ class Chart:
 class SurfaceMap:
     """Derived view of a chart's rotation system, its faces and components.
 
-    Every table is keyed by dart or by component key, never by a position in
-    the chart's tuples, so a move's output carries its input's map through
-    the move's patch (see rewrite).  Maps are shared between charts and must
-    not be modified.
+    Every table is keyed by dart, by component key or by the identity of an
+    Edge or Vertex, never by a position in the chart's tuples, so a move's
+    output carries its input's map through the move's patch (see rewrite).
+    Maps are shared between charts and must not be modified.
     """
 
     alpha: dict  # dart -> the other dart of its edge
@@ -104,6 +106,10 @@ class SurfaceMap:
     ends: frozenset  # the darts of the free_end vertices
     genus: int  # summed genus of the components whose count is possible
     bad: tuple  # keys of the components whose Euler count is impossible
+    # id of each Edge and Vertex -> its rank, increasing along the chart's
+    # edge and vertex tuples, and the least rank above every rank in use
+    rank: dict
+    top: int
 
     @property
     def darts(self):
@@ -154,38 +160,87 @@ def _derived(chart):
     return got
 
 
-def rewrite(chart, gone=(), new=(), **fields):
+def rewrite(chart, gone=(), new=(), swap=(), **fields):
     """chart with fields replaced, made by removing the Edge and Vertex
-    objects in gone and adding those in new.
+    objects in gone, putting each (old, new) pair of swap in place, and
+    adding the Edge and Vertex objects in new.
 
-    The caller passes in fields the vertex and edge tuples that result, if
-    they change.  The new chart's map is chart's map plus this patch: only
-    the faces and components the patch reaches are walked again.
+    The vertex and edge tuples keep the order of what they keep, with
+    swapped objects in their old places and added ones at the end; each
+    removed object is found by its rank in chart's map.  new may also name
+    the loop and pattern-loop records the caller puts into fields, which
+    the patch check then checks.  The new chart's map is chart's map plus
+    this patch: only the faces and components the patch reaches are walked
+    again.
     """
-    out = replace(chart, **fields)
-    object.__setattr__(out, "_step", (chart, tuple(gone), tuple(new)))
+    gone, new, swap = tuple(gone), tuple(new), tuple(swap)
+    parts = []
+    for items, cls in ((chart.vertices, Vertex), (chart.edges, Edge)):
+        drop = [x for x in gone if type(x) is cls]
+        put = [p for p in swap if type(p[0]) is cls]
+        add = tuple(x for x in new if type(x) is cls)
+        if drop or put:
+            items = _cut(items, drop, put, surface_map(chart).rank)
+        parts.append(items + add if add else items)
+    out = Chart(
+        fields.pop("degree", chart.degree),
+        fields.pop("genus", chart.genus),
+        *parts,
+        fields.pop("loops", chart.loops),
+        fields.pop("pattern_loops", chart.pattern_loops),
+        **fields,
+    )
+    object.__setattr__(out, "_step", (chart, gone, new, swap))
     return out
 
 
-def take_patch(before, after):
-    """The darts of the edges and vertices that after adds to before.
+def _cut(items, drop, swap, rank):
+    """items without the objects in drop and with each (old, new) of swap
+    put in place, found by bisecting on their ranks; objects items does not
+    hold are passed over."""
+    def key(x):
+        return rank[id(x)]
 
-    () when after is before, None when after is no rewrite of before.  It
-    derives after's map, then drops after's link to before, so that a run of
-    moves does not keep every earlier chart alive.
+    cuts = []
+    for x, put in [(x, ()) for x in drop] + [(a, (b,)) for a, b in swap]:
+        r = rank.get(id(x))
+        if r is not None:
+            cuts.append((bisect_left(items, r, key=key), put))
+    cuts.sort(key=lambda c: c[0])
+    out, start = (), 0
+    for k, put in cuts:
+        out += items[start:k] + put
+        start = k + 1
+    return out + items[start:]
+
+
+def take_patch(before, after):
+    """What after adds to before: the darts of its new edges and vertices,
+    then the loop and pattern-loop records its patch names.
+
+    () when after is before, None when after is no rewrite of before or
+    changes its degree.  It derives after's map, then drops after's link to
+    before, so that a run of moves does not keep every earlier chart alive.
     """
     if after is before:
         return ()
     step = after.__dict__.get("_step")
     _derived(after)
     after.__dict__.pop("_step", None)
-    if step is None or step[0] is not before:
+    if step is None or step[0] is not before or after.degree != before.degree:
         return None
-    return [d for x in step[2] for d in _darts_of(x)]
+    made = []
+    for x in (*step[2], *(b for _, b in step[3])):
+        if type(x) is Edge or type(x) is Vertex:
+            made += _darts_of(x)
+        else:
+            made.append(x)
+    return made
 
 
 def drop_map(chart):
-    """Forget the chart's map, a cache; the next use derives it in full."""
+    """Forget the chart's map, a cache; the next use derives it in full.
+    The chart's validity verdict stays."""
     chart.__dict__.pop("_derived", None)
 
 
@@ -293,9 +348,12 @@ def _derive(chart):
         chi[key] = _euler(group, vertex_at, face_at)
         size[key] = len(group)
     genus, bad = _tally(chi, chi)
+    rank = {id(v): k for k, v in enumerate(chart.vertices)}
+    rank.update({id(e): k for k, e in enumerate(chart.edges)})
     sm = SurfaceMap(
         alpha, sigma, edge_at, vertex_at, face_at, comp, chi, size,
         frozenset(_ends(chart.vertices)), genus, tuple(bad),
+        rank, max(len(chart.vertices), len(chart.edges)),
     )
     return out, sm, bare
 
@@ -349,9 +407,8 @@ def _searches(seeds, alpha, sigma):
     return done, last, owner
 
 
-def _carry(chart, parent, gone, new):
-    """The map of chart, made from parent by removing the Edge and Vertex
-    objects in gone and adding those in new (see rewrite).
+def _carry(chart, parent, gone, new, swap):
+    """The map of chart, made from parent by rewrite(parent, gone, new, swap).
 
     The dart tables are copied and patched, and only the faces through a
     patch dart are walked again.  Components are searched
@@ -363,12 +420,15 @@ def _carry(chart, parent, gone, new):
     pout, pm, pbare = _derived(parent)
     if pout or pbare or pm.bad or _header(chart):
         return _derive(chart)
-    if not gone and not new:
-        return [], pm, []
+    added = [x for x in new if type(x) is Edge or type(x) is Vertex]
+    gone = [*gone, *(a for a, _ in swap)]
+    new = [*added, *(b for _, b in swap)]
     ge = [x for x in gone if type(x) is Edge]
-    gv = [x for x in gone if type(x) is not Edge]
+    gv = [x for x in gone if type(x) is Vertex]
     ne = [x for x in new if type(x) is Edge]
-    nv = [x for x in new if type(x) is not Edge]
+    nv = [x for x in new if type(x) is Vertex]
+    if not (ge or gv or ne or nv):
+        return [], pm, []
     if len(chart.edges) != len(parent.edges) - len(ge) + len(ne) or len(
         chart.vertices
     ) != len(parent.vertices) - len(gv) + len(nv):
@@ -376,14 +436,15 @@ def _carry(chart, parent, gone, new):
 
     alpha, sigma = pm.alpha.copy(), pm.sigma.copy()
     edge_at, vertex_at = pm.edge_at.copy(), pm.vertex_at.copy()
+    rank, top = pm.rank.copy(), pm.top
     for e in ge:
         for d in e.darts:
-            if edge_at.pop(d, None) != e:
+            if edge_at.pop(d, None) is not e:
                 return _derive(chart)
             del alpha[d]
     for v in gv:
         for d in v.cycle:
-            if vertex_at.pop(d, None) != v:
+            if vertex_at.pop(d, None) is not v:
                 return _derive(chart)
             del sigma[d]
     for e in ne:
@@ -403,7 +464,16 @@ def _carry(chart, parent, gone, new):
             vertex_at[d] = v
             sigma[prev] = d
             prev = d
-    touched = {d for x in (*gone, *new) for d in _darts_of(x)}
+    # ranks: a swapped object takes its old one's, added ones follow top in
+    # the order rewrite appends them
+    for x in (*ge, *gv):
+        del rank[id(x)]
+    for a, b in swap:
+        rank[id(b)] = pm.rank[id(a)]
+    for x in added:
+        rank[id(x)] = top
+        top += 1
+    touched = {d for x in (*ge, *gv, *ne, *nv) for d in _darts_of(x)}
     if any((d in alpha) != (d in vertex_at) for d in touched):
         return _derive(chart)
 
@@ -488,20 +558,23 @@ def _carry(chart, parent, gone, new):
         ends = ends.difference(_ends(gv)).union(_ends(nv))
     sm = SurfaceMap(
         alpha, sigma, edge_at, vertex_at, face_at, comp, chi, size,
-        ends, pm.genus - lost + won, tuple(bad),
+        ends, pm.genus - lost + won, tuple(bad), rank, top,
     )
     return [], sm, []
 
 
 def _word(edge_at, v):
-    """Counterclockwise (label, out_sign) word around one vertex."""
+    """Counterclockwise (label, out_sign) word around one vertex, a tuple."""
     seq = []
     for d in v.cycle:
         e = edge_at[d]
         seq.append((e.label, 1 if e.head != d else -1))
-    return seq
+    return tuple(seq)
 
 
+# the boundary words of a chart's vertices come from a small set, so each
+# is matched once
+@lru_cache(maxsize=4096)
 def _match_white(seq):
     """Return ((i, j), rotation) if seq is a rotated white relator word."""
     labels = sorted({lab for lab, _ in seq})
@@ -521,6 +594,7 @@ def _match_white(seq):
     return None
 
 
+@lru_cache(maxsize=4096)
 def _match_crossing(seq):
     """Return ((i, j), sign) if seq is a valid crossing word, else None."""
     a, b = seq[0][0], seq[1][0]
@@ -542,27 +616,45 @@ def validate_chart(chart, touched=None):
     The map-level axioms (degree, genus, dart structure) and the Euler and
     genus count are read off the chart's map, which keeps them per
     component; a move's output updates them for the components its patch
-    reaches (see rewrite).  The loop records are checked every time.  The
-    per-vertex and per-edge axioms run everywhere, or, given touched darts,
-    only at the vertices and edges holding one of them (and at vertices
-    without darts, which no dart can name).  The patch check suffices after
-    a move over a valid chart: a vertex whose Vertex and Edge objects the
-    move kept has the same word as before.
+    reaches (see rewrite).  The full check runs the per-vertex and per-edge
+    axioms everywhere and checks every loop and pattern-loop record; its
+    verdict is kept on the frozen chart.  Given touched, a collection of
+    darts and records, it runs them only at the vertices and edges holding
+    one of those darts (and at vertices without darts, which no dart can
+    name) and checks only those records.  The patch check suffices after a
+    move over a valid chart: a vertex whose Vertex and Edge objects the
+    move kept has the same word as before, and a kept record is unchanged.
     """
+    if touched is None:
+        got = chart.__dict__.get("_verdict")
+        if got is None:
+            got = tuple(_violations(chart, None))
+            object.__setattr__(chart, "_verdict", got)
+        return list(got)
+    return _violations(chart, touched)
+
+
+def _violations(chart, touched):
     out, sm, bare = _derived(chart)
     if out:
         return list(out)
     if touched is None:
         verts = list(enumerate(chart.vertices))
         edges = list(enumerate(chart.edges))
+        loops = list(enumerate(chart.loops))
+        pats = list(enumerate(chart.pattern_loops))
     else:
-        # indices are looked up only for a vertex or edge that fails
-        vs = {id(v): (None, v) for v in map(sm.vertex_at.get, touched) if v}
-        es = {id(e): (None, e) for e in map(sm.edge_at.get, touched) if e}
+        # indices are looked up only for an item that fails
+        darts = [d for d in touched if type(d) is int]
+        vs = {id(v): (None, v) for v in map(sm.vertex_at.get, darts) if v}
+        es = {id(e): (None, e) for e in map(sm.edge_at.get, darts) if e}
         verts = [*vs.values(), *((vi, chart.vertices[vi]) for vi in bare)]
         edges = list(es.values())
+        loops = [(None, x) for x in touched if type(x) is FloatingLoop]
+        pats = [(None, x) for x in touched if type(x) is PatternLoop]
 
-    bad_v, bad_e = [], []
+    hi = chart.degree - 1
+    bad_v, bad_e, bad_l, bad_p = [], [], [], []
     for vi, v in verts:
         if v.kind not in VERTEX_DEGREE:
             bad_v.append((vi, v, f": unknown kind {v.kind!r}"))
@@ -571,25 +663,25 @@ def validate_chart(chart, touched=None):
         if len(v.cycle) != want:
             bad_v.append((vi, v, f" ({v.kind}): degree {len(v.cycle)} != {want}"))
     for idx, e in edges:
-        if not 1 <= e.label <= chart.degree - 1:
-            bad_e.append(
-                (idx, e, f": label {e.label} out of range 1..{chart.degree - 1}")
-            )
-    out = _named(chart.vertices, "vertex", bad_v) + _named(chart.edges, "edge", bad_e)
-    for li, loop in enumerate(chart.loops):
-        if not 1 <= loop.label <= chart.degree - 1:
-            out.append(
-                f"loop {li}: label {loop.label} out of range 1..{chart.degree - 1}"
-            )
+        if not 1 <= e.label <= hi:
+            bad_e.append((idx, e, f": label {e.label} out of range 1..{hi}"))
+    for li, loop in loops:
+        if not 1 <= loop.label <= hi:
+            bad_l.append((li, loop, f": label {loop.label} out of range 1..{hi}"))
         if loop.sign not in (1, -1):
-            out.append(f"loop {li}: sign must be +1 or -1")
-    for pi, pl in enumerate(chart.pattern_loops):
+            bad_l.append((li, loop, ": sign must be +1 or -1"))
+    for pi, pl in pats:
         if pl.sense not in (1, -1):
-            out.append(f"pattern loop {pi}: sense must be +1 or -1")
+            bad_p.append((pi, pl, ": sense must be +1 or -1"))
         if pl.curve < 1:
-            out.append(f"pattern loop {pi}: curve index must be positive")
-    if out:
-        return out
+            bad_p.append((pi, pl, ": curve index must be positive"))
+    if bad_v or bad_e or bad_l or bad_p:
+        return (
+            _named(chart.vertices, "vertex", bad_v)
+            + _named(chart.edges, "edge", bad_e)
+            + _named(chart.loops, "loop", bad_l)
+            + _named(chart.pattern_loops, "pattern loop", bad_p)
+        )
 
     bad_v = []
     for vi, v in verts:
@@ -602,13 +694,13 @@ def validate_chart(chart, touched=None):
                 " opposite-sign diagonal pairs"
             )
             bad_v.append((vi, v, text))
-    out = _named(chart.vertices, "vertex", bad_v)
-    if out:
-        return out
+    if bad_v:
+        return _named(chart.vertices, "vertex", bad_v)
 
     # orientability bookkeeping: each connected component of the map has an
     # even Euler characteristic; the component genera must fit the carrier.
     # A component is named by its least vertex index.
+    out = []
     if sm.bad:
         least = {}
         for vi, v in enumerate(chart.vertices):
@@ -624,14 +716,16 @@ def validate_chart(chart, touched=None):
 
 
 def _named(items, what, bad):
-    """Messages for (index or None, item, text) triples, in index order; a
-    missing index is the item's position in items, found by identity."""
+    """Messages for (index or None, item, text) triples, in index order and,
+    for one index, in the order given; a missing index is the item's
+    position in items, found by identity."""
     named = []
     for i, x, text in bad:
         if i is None:
             i = next(k for k, y in enumerate(items) if y is x)
         named.append((i, f"{what} {i}{text}"))
-    return [m for _, m in sorted(named)]
+    named.sort(key=lambda m: m[0])
+    return [m for _, m in named]
 
 
 def _require_valid(chart):

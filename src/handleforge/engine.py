@@ -485,8 +485,12 @@ def _with_loop(ch: Chart, index, rec):
 
 
 def _without_loops(ch: Chart, *idxs):
-    """ch's loop records without those at the given indices."""
-    return tuple(r for k, r in enumerate(ch.loops) if k not in idxs)
+    """ch's loop records without those at the given indices, which exist."""
+    out, start = (), 0
+    for k in sorted(idxs):
+        out += ch.loops[start:k]
+        start = k + 1
+    return out + ch.loops[start:]
 
 
 def _with_handles(s: DecoratedSurface, *hs):
@@ -550,21 +554,17 @@ def _planar_insert(m, a, pa, b):
     return m.face_at[pa] is m.face_at[b]
 
 
-def _rewrite(s: DecoratedSurface, gone=(), new=(), handles=None, **chart_fields):
-    """s with the Edge and Vertex objects in gone removed from its chart and
-    those in new appended, other chart fields and the handles replaced.
+def _rewrite(
+    s: DecoratedSurface, gone=(), new=(), handles=None, swap=(), **chart_fields
+):
+    """s with its chart rewritten by chart.rewrite(s.chart, gone, new, swap,
+    **chart_fields), and its handles replaced.
 
-    A caller that keeps an order of its own passes the edge or vertex tuple
-    in chart_fields.  The output chart carries s's map through this patch.
+    new names the Edge and Vertex objects the move adds and the loop and
+    pattern-loop records it puts into chart_fields; the output chart
+    carries s's map through this patch.
     """
-    ch = s.chart
-    drop = {id(x) for x in gone}
-    for name, cls in (("edges", Edge), ("vertices", Vertex)):
-        add = tuple(x for x in new if type(x) is cls)
-        if name not in chart_fields and (add or any(type(x) is cls for x in gone)):
-            kept = [x for x in getattr(ch, name) if id(x) not in drop]
-            chart_fields[name] = (*kept, *add)
-    chart = rewrite(ch, gone, new, **chart_fields)
+    chart = rewrite(s.chart, gone, new, swap, **chart_fields)
     return DecoratedSurface(chart, s.handles if handles is None else handles)
 
 
@@ -573,14 +573,19 @@ def _restore(before: DecoratedSurface, after: DecoratedSurface, gone=(), new=())
     and added new, back to before."""
     ch = before.chart
     left = (after.chart.loops, after.chart.pattern_loops, after.handles)
+    made = tuple(x for x in new if type(x) is Edge or type(x) is Vertex)
     return _Patch(
-        tuple(new), tuple(gone), ch.loops, ch.pattern_loops, before.handles, ch.genus, left
+        made, tuple(gone), ch.loops, ch.pattern_loops, before.handles, ch.genus, left
     )
 
 
-def _undoable(s: DecoratedSurface, gone=(), new=(), handles=None, **chart_fields):
+def _undoable(
+    s: DecoratedSurface, gone=(), new=(), handles=None, swap=(), **chart_fields
+):
     """_rewrite(s, ...) and the patch that restores s from it."""
-    out = _rewrite(s, gone, new, handles, **chart_fields)
+    out = _rewrite(s, gone, new, handles, swap, **chart_fields)
+    gone = (*gone, *(a for a, _ in swap))
+    new = (*new, *(b for _, b in swap))
     return out, _restore(s, out, gone, new)
 
 
@@ -654,11 +659,11 @@ def _collapse(s: DecoratedSurface, kill, ports, mute=(), handles=None, signed=Fa
         closed_out.append((md, label, arrives))
     closed_out.sort()
     gone = (*kill, *{id(e): e for e in chain_edges.values()}.values())
-    loops = ch.loops + tuple(
+    recs = tuple(
         FloatingLoop(label, 1 if arrives or not signed else -1)
         for _, label, arrives in closed_out
     )
-    return _undoable(s, gone, seams, handles, loops=loops)
+    return _undoable(s, gone, (*seams, *recs), handles, loops=ch.loops + recs)
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +697,7 @@ def _do_patch(s, mv):
     return _undoable(
         s,
         mv.gone,
-        mv.new,
+        (*mv.new, *mv.loops, *mv.patterns),
         mv.handles,
         loops=mv.loops,
         pattern_loops=mv.patterns,
@@ -707,8 +712,9 @@ def _do_cim1add(s, mv):
         raise LabelConstraintViolated(f"label {mv.label} out of range")
     if mv.sign not in (1, -1):
         raise SiteMismatch(f"bad sign {mv.sign}")
-    loops, idx = _with_loop(ch, mv.index, FloatingLoop(mv.label, mv.sign))
-    return _rewrite(s, loops=loops), CIM1Erase(idx)
+    rec = FloatingLoop(mv.label, mv.sign)
+    loops, idx = _with_loop(ch, mv.index, rec)
+    return _rewrite(s, new=(rec,), loops=loops), CIM1Erase(idx)
 
 
 @_applies(CIM1Erase)
@@ -727,8 +733,9 @@ def _do_cim2split(s, mv):
     e = _edge_at(s.chart, mv.dart)
     if mv.sign not in (1, -1):
         raise SiteMismatch(f"bad sign {mv.sign}")
-    loops, idx = _with_loop(s.chart, mv.index, FloatingLoop(e.label, mv.sign))
-    return _rewrite(s, loops=loops), CIM2Absorb(mv.dart, idx)
+    rec = FloatingLoop(e.label, mv.sign)
+    loops, idx = _with_loop(s.chart, mv.index, rec)
+    return _rewrite(s, new=(rec,), loops=loops), CIM2Absorb(mv.dart, idx)
 
 
 @_applies(CIM2Absorb)
@@ -754,8 +761,14 @@ def _reconnect_check(s, a, b):
     ha, hb = ea.head == a, eb.head == b
     if ha == hb:
         raise SiteMismatch("the strands run the same way at the two darts")
-    # the band may run through a handle joining exactly these two feet
-    if not any(h.feet is not None and set(h.feet) == {a, b} for h in s.handles):
+    # the band may run through a handle joining exactly these two feet,
+    # which are free ends
+    ends = surface_map(s.chart).ends
+    if not (
+        a in ends
+        and b in ends
+        and any(h.feet is not None and set(h.feet) == {a, b} for h in s.handles)
+    ):
         if not _faces_touch(s, a, _other(ea, a), b, _other(eb, b)):
             raise SiteMismatch("the two darts do not cobound a face")
     return ea, eb, ha
@@ -1009,9 +1022,8 @@ def _cim3_sites(ch: Chart):
 @_applies(CIM3Cancel)
 def _do_cim3cancel(s, mv):
     v1, v2, e0, arcs = _mirror_pair(s.chart, mv.dart)
-    gone = (v1, v2, e0, *arcs)
-    loops = s.chart.loops + tuple(FloatingLoop(e.label, 1) for e in arcs)
-    return _undoable(s, gone, loops=loops)
+    recs = tuple(FloatingLoop(e.label, 1) for e in arcs)
+    return _undoable(s, (v1, v2, e0, *arcs), recs, loops=s.chart.loops + recs)
 
 
 @_applies(AttachTrivialHandle)
@@ -1092,7 +1104,7 @@ def _do_across(s, mv):
     form = forms[0]
     if form in ("dart", "end") and mv.sign not in (1, -1):
         raise SiteMismatch(f"bad sign {mv.sign}")
-    loops = ch.loops
+    loops, made = ch.loops, ()
     if form == "dart":
         if h.feet is not None:
             raise SiteMismatch("a spanned handle cannot slide around a strand")
@@ -1125,6 +1137,7 @@ def _do_across(s, mv):
             raise SiteMismatch(f"bad sign {mv.emit_sign}")
         rec = FloatingLoop(mv.emit_label, mv.emit_sign)
         loops, idx = _with_loop(ch, mv.index, rec)
+        made = (rec,)
         letter = -mv.emit_label * mv.emit_sign
         inv = MoveHandleAcrossEdge(mv.handle, loop=idx, side=mv.side)
     g, b = BraidWord.from_signed(n, (letter,)), h.coreloop
@@ -1133,7 +1146,7 @@ def _do_across(s, mv):
     else:
         cl = free_reduce(g * b) if mv.side == "left" else free_reduce(b * g)
     handles = _with_handles(s, replace(h, coreloop=cl))
-    return _rewrite(s, handles=handles, loops=loops), inv
+    return _rewrite(s, new=made, handles=handles, loops=loops), inv
 
 
 @_applies(Bridge)
@@ -1269,8 +1282,7 @@ def _do_convert(s, mv):
 
 def _relabelled(s, e, new):
     """s with edge e replaced in place by the edge new on the same darts."""
-    edges = tuple(new if x is e else x for x in s.chart.edges)
-    return _rewrite(s, (e,), (new,), edges=edges)
+    return _rewrite(s, swap=((e, new),))
 
 
 @_applies(FreeEdgeRelabel)
@@ -1329,12 +1341,11 @@ def _do_aid(s, mv):
         fv = m.vertex_at[_other(e, d)]
         if fv is not wv and len(fv.cycle) != 1:
             raise SiteMismatch("every strand must end freely to reverse")
-    edges = tuple(flip[id(e)][1] if id(e) in flip else e for e in ch.edges)
-    gone = tuple(e for e, _ in flip.values())
-    new = tuple(e for _, e in flip.values())
     hid = max((h.id for h in s.handles), default=0) + 1
     aid = AttachedHandle(hid, BraidWord(ch.degree), None, None)
-    return _undoable(s, gone, new, s.handles + (aid,), edges=edges, genus=ch.genus + 1)
+    return _undoable(
+        s, handles=s.handles + (aid,), swap=flip.values(), genus=ch.genus + 1
+    )
 
 
 @_applies(SlideEndAlongEdge)
@@ -1425,23 +1436,30 @@ def _do_patterntwist(s, mv):
 # apply entry points
 
 
-def _check_surface(s: DecoratedSurface, touched=None):
-    """Raise SiteMismatch unless the surface is valid; see validate_chart."""
+def _check_surface(s: DecoratedSurface, touched=None, held=None):
+    """Raise SiteMismatch unless the surface is valid; see validate_chart.
+
+    Given the patch's touched darts and records, and held, the handle tuple
+    and free-end set of the valid input the move rewrote, the chart is
+    checked on its patch, and the handles only when either of the two is
+    not the input's.
+    """
     problems = validate_chart(s.chart, touched)
     if problems:
         raise SiteMismatch("; ".join(problems))
     ends = surface_map(s.chart).ends
-    feet, seen = [], set()
-    for h in s.handles:
-        if h.id in seen:
-            raise SiteMismatch(f"duplicate handle id {h.id}")
-        seen.add(h.id)
-        if h.coreloop.degree != s.chart.degree:
-            raise SiteMismatch(f"handle {h.id}: loop word degree mismatch")
-        if h.feet is not None:
-            feet.extend(h.feet)
-    if len(feet) != len(ends) or ends != set(feet):
-        raise SiteMismatch("free ends and handle feet out of step")
+    if touched is None or held[0] is not s.handles or held[1] is not ends:
+        feet, seen = [], set()
+        for h in s.handles:
+            if h.id in seen:
+                raise SiteMismatch(f"duplicate handle id {h.id}")
+            seen.add(h.id)
+            if h.coreloop.degree != s.chart.degree:
+                raise SiteMismatch(f"handle {h.id}: loop word degree mismatch")
+            if h.feet is not None:
+                feet.extend(h.feet)
+        if len(feet) != len(ends) or ends != set(feet):
+            raise SiteMismatch("free ends and handle feet out of step")
     object.__setattr__(s, "_checked", True)
 
 
@@ -1451,18 +1469,20 @@ def apply_move(s: DecoratedSurface, mv):
     A surface that no checked move produced is checked in full first.  The
     applier hands over its patch with the output chart (see _rewrite): the
     output's map is the input's map plus the patch, and the output is
-    checked on the darts of the edges and vertices the move created, plus
-    the map-level counts the map keeps; over a valid input that decides
-    validity (see validate_chart).  An output chart that carries no patch
-    from the input is derived and checked in full.
+    checked on the darts of the edges and vertices the move created and on
+    the records it names, plus the map-level counts the map keeps, and its
+    handles only if they or the free ends changed; over a valid input that
+    decides validity (see validate_chart).  An output chart that carries no
+    patch from the input is derived and checked in full.
     """
     fn = _APPLY.get(type(mv))
     if fn is None:
         raise TypeError(f"not a move: {mv!r}")
     if not getattr(s, "_checked", False):
         _check_surface(s)
+    held = (s.handles, surface_map(s.chart).ends)
     out, inv = fn(s, mv)
-    _check_surface(out, take_patch(s.chart, out.chart))
+    _check_surface(out, take_patch(s.chart, out.chart), held)
     return out, inv
 
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from handleforge import chart as chart_mod
 from handleforge.chart import (
     BoundsReport,
     Chart,
@@ -16,6 +17,7 @@ from handleforge.chart import (
     canonical_chart,
     chart_stats,
     crossing_type,
+    drop_map,
     format_chart,
     is_unknotted_chart,
     middle_positions,
@@ -330,6 +332,27 @@ class TestStats:
         )
         assert validate_chart(renamed) == []
         assert chart_stats(renamed) == chart_stats(base)
+
+
+class TestVerdict:
+    def test_the_full_verdict_is_kept_on_the_chart(self, monkeypatch):
+        calls = []
+        real = chart_mod._violations
+        monkeypatch.setattr(
+            chart_mod, "_violations", lambda c, t: calls.append(t) or real(c, t)
+        )
+        c = free_edge_chart(degree=4, label=9)
+        want = ["edge 0: label 9 out of range 1..3"]
+        got = validate_chart(c)
+        assert got == want
+        got.append("changed by the caller")
+        assert validate_chart(c) == want
+        drop_map(c)
+        assert validate_chart(c) == want
+        assert calls == [None]
+        # a patch check is not kept
+        assert validate_chart(c, [1]) == want
+        assert calls == [None, [1]]
 
 
 class TestClassifiers:

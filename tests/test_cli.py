@@ -306,6 +306,34 @@ def in_process(argv, capsys):
     return code, out.out, out.err
 
 
+def test_each_chart_is_validated_in_full_once(monkeypatch, capsys, tmp_path):
+    # parse_input validates the chart, and the command's own check (stats,
+    # bounds, the initial check of a replay) reads the kept verdict
+    from handleforge import chart as chart_mod
+
+    full = []
+    real = chart_mod._violations
+
+    def counting(chart, touched):
+        if touched is None:
+            full.append(chart)
+        return real(chart, touched)
+
+    monkeypatch.setattr(chart_mod, "_violations", counting)
+    trace = str(tmp_path / "t.script")
+    for argv in (
+        ["stats", CHART],
+        ["bounds", CHART],
+        ["replay", CHART, SCRIPT],
+        ["unbraid", CHART, "--mode", "branch", "--emit-trace", trace],
+        ["replay", CHART, trace],
+    ):
+        full.clear()
+        assert main(argv) == 0, argv
+        assert full and len(full) == len({id(c) for c in full}), argv
+    capsys.readouterr()
+
+
 class TestOneProcess:
     def test_commands_in_one_process_match_fresh_processes(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")

@@ -8,7 +8,10 @@ stats-delta table and exact (canonical) reversibility.
 
 import dataclasses
 import hashlib
+import os
 import random
+import re
+import sys
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -819,20 +822,30 @@ def _harness_surfaces():
 
 class TestPatchChecks:
     """apply_move checks each output on the move's patch plus the map-level
-    axioms; that must decide validity exactly as the full check does."""
+    axioms, and its handles only when they or the free ends changed; that
+    must decide validity exactly as the full check of a fresh copy does."""
 
     @staticmethod
     def _compare_every_check(monkeypatch):
         seen = {"valid": 0, "invalid": 0}
         original = engine._check_surface
 
-        def check(s, touched=None):
-            if touched is not None:
-                full = validate_chart(s.chart)
-                patch = validate_chart(s.chart, touched)
-                assert (patch == []) == (full == []), (full, patch)
-                seen["invalid" if full else "valid"] += 1
-            return original(s, touched)
+        def verdict(*args):
+            try:
+                original(*args)
+            except SiteMismatch as exc:
+                return str(exc)
+            return None
+
+        def check(s, touched=None, held=None):
+            if touched is None:
+                return original(s, touched, held)
+            full = verdict(surf(_fresh_copy(s.chart), s.handles))
+            patch = verdict(s, touched, held)
+            assert patch == full
+            seen["invalid" if full else "valid"] += 1
+            if patch is not None:
+                raise SiteMismatch(patch)
 
         monkeypatch.setattr(engine, "_check_surface", check)
         return seen
@@ -964,6 +977,70 @@ class TestPatchChecks:
             corrupting(type(mv), corrupt)
             with pytest.raises(SiteMismatch):
                 apply_move(s, mv)
+
+    def test_corrupted_records_and_handles_are_refused(self, monkeypatch):
+        # each applier hands over an honest patch that names what it adds, so
+        # the output carries its map and only the patch check can refuse it;
+        # it must say what a full check of a fresh copy says
+        s = surf(generate_blackless_chart(4, 20, random.Random(5)))
+        s, _ = apply_move(s, AttachTrivialHandle(cocore_label=1))
+        ch, n, hid = s.chart, s.chart.degree, s.handles[0].id
+        ends = surface_map(ch).ends
+        strand = next(e for e in ch.edges if e.darts[0] not in ends)
+        k = len(ch.loops)
+
+        def records(rec):
+            loops = ch.loops + (rec,)
+            return lambda s, mv: engine._rewrite(s, (), (rec,), loops=loops)
+
+        def patterns(rec):
+            pats = ch.pattern_loops + (rec,)
+            return lambda s, mv: engine._rewrite(s, (), (rec,), pattern_loops=pats)
+
+        def handles(h):
+            more = s.handles + (h,)
+            return lambda s, mv: engine._rewrite(s, handles=more, genus=ch.genus + 1)
+
+        cases = (
+            (records(FloatingLoop(0, 1)), f"loop {k}: label 0 out of range 1..3"),
+            (records(FloatingLoop(n, 1)), f"loop {k}: label 4 out of range 1..3"),
+            (records(FloatingLoop(1, 2)), f"loop {k}: sign must be +1 or -1"),
+            (
+                patterns(PatternLoop(0, 1)),
+                "pattern loop 0: curve index must be positive",
+            ),
+            (handles(AttachedHandle(hid, BraidWord(n))), f"duplicate handle id {hid}"),
+            (
+                handles(AttachedHandle(hid + 1, BraidWord(n + 1))),
+                f"handle {hid + 1}: loop word degree mismatch",
+            ),
+            (
+                handles(AttachedHandle(hid + 1, BraidWord(n), strand.darts)),
+                "free ends and handle feet out of step",
+            ),
+        )
+        full = chart_mod._derive
+        derived = []
+        monkeypatch.setattr(
+            chart_mod, "_derive", lambda c: derived.append(c) or full(c)
+        )
+        for corrupt, want in cases:
+            made = []
+
+            def applier(s, mv, corrupt=corrupt):
+                out = corrupt(s, mv)
+                made.append(out)
+                return out, mv
+
+            monkeypatch.setitem(engine._APPLY, CIM1Add, applier)
+            with pytest.raises(SiteMismatch) as exc:
+                apply_move(s, CIM1Add(1, 1))
+            assert str(exc.value) == want
+            (out,) = made
+            assert not any(c is out.chart for c in derived)
+            fresh = surf(_fresh_copy(out.chart), out.handles)
+            with pytest.raises(SiteMismatch, match=f"^{re.escape(want)}$"):
+                engine._check_surface(fresh)
 
     def test_an_unchecked_input_is_checked_in_full(self):
         # a crossing of the adjacent labels 1 and 2, which the record move
@@ -1110,12 +1187,18 @@ class TestCarriedMap:
         seen = {"carried": 0}
         original = engine._check_surface
 
-        def check(s, touched=None):
-            original(s, touched)
+        def check(s, touched=None, held=None):
+            original(s, touched, held)
             out, m, bare = chart_mod._derived(s.chart)
             fout, fm, fbare = chart_mod._derive(_fresh_copy(s.chart))
             assert (out, bare) == (fout, fbare)
             assert _map_key(m) == _map_key(fm)
+            # the carried ranks order the vertex and edge tuples
+            ch = s.chart
+            assert len(m.rank) == len(ch.vertices) + len(ch.edges)
+            for items in (ch.vertices, ch.edges):
+                ranks = [m.rank[id(x)] for x in items]
+                assert ranks == sorted(set(ranks)) and all(r < m.top for r in ranks)
             seen["carried"] += touched is not None
 
         monkeypatch.setattr(engine, "_check_surface", check)
@@ -1231,8 +1314,7 @@ class TestIncrementalPathRefusals:
         bad = Vertex(v.kind, (v.cycle[1], v.cycle[0]) + v.cycle[2:])
 
         def applier(s, mv):
-            verts = tuple(bad if x is v else x for x in s.chart.vertices)
-            return engine._rewrite(s, (v,), (bad,), vertices=verts), mv
+            return engine._rewrite(s, swap=((v, bad),)), mv
 
         want, _ = self._refused_like_a_fresh_copy(monkeypatch, s, mv, applier)
         assert len(want) == 1 and "invalid crossing word" in want[0]
@@ -1266,6 +1348,112 @@ class TestIncrementalPathRefusals:
                     assert any("Euler" in v or "genus" in v for v in want)
                     refused += 1
         assert refused >= 5, refused
+
+
+def _line_events(fn, *args):
+    """Line events inside handleforge while fn(*args) runs, after one
+    untraced call that fills the caches the call uses."""
+    root = os.path.dirname(engine.__file__)
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(root) else None
+
+    fn(*args)
+    sys.settrace(calls)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(None)
+    return count
+
+
+class TestMoveCost:
+    """A move costs its patch: the same move at the same darts runs as many
+    lines on a surface padded with records, footless handles and a disjoint
+    chart as on the surface itself."""
+
+    BASE = generate_blackless_chart(4, 30, random.Random(3))
+
+    def _padded(self, s, handles):
+        # ten times the records, ten times the handles (when handles) and
+        # four disjoint copies of the base chart, darts shifted above s's
+        ch = s.chart
+        verts, edges = list(ch.vertices), list(ch.edges)
+        shift = max(surface_map(ch).alpha)
+        for k in range(1, 5):
+            for v in self.BASE.vertices:
+                verts.append(Vertex(v.kind, tuple(d + k * shift for d in v.cycle)))
+            for e in self.BASE.edges:
+                darts = tuple(d + k * shift for d in e.darts)
+                edges.append(Edge(darts, e.label, e.head + k * shift))
+        assert len(verts) + len(edges) >= 4 * (len(ch.vertices) + len(ch.edges))
+        p = surf(replace(ch, vertices=tuple(verts), edges=tuple(edges)), s.handles)
+        for _ in range(10 * len(ch.loops)):
+            p, _ = apply_move(p, CIM1Add(1, 1))
+        for _ in range(10 * len(s.handles) if handles else 0):
+            p, _ = apply_move(p, AttachTrivialHandle())
+        return p
+
+    def test_a_move_costs_its_patch(self):
+        ch = self.BASE
+        emap = surface_map(ch).edge_at
+        cyc = min((v.cycle for v in ch.vertices if v.kind == "crossing"), key=min)
+        i = min(emap[d].label for d in cyc)
+        d_i = min(d for d in cyc if emap[d].label == i)
+        spanned, _ = apply_move(surf(ch), AttachTrivialHandle(cocore_label=i))
+        hid = spanned.handles[-1].id
+        bridged, _ = apply_move(spanned, Bridge(hid, d_i))
+        assert spanned.chart.loops and spanned.handles
+        ends = surface_map(spanned.chart).ends
+        reconnect = next(
+            mv
+            for mv in enumerate_chart_moves(spanned)
+            if isinstance(mv, CIM2Reconnect) and not (mv.a in ends and mv.b in ends)
+        )
+        cancel = CIM3Cancel(next(engine._cim3_sites(spanned.chart)))
+        cases = (
+            (spanned, CIM1Erase(len(ch.loops) - 1), True),
+            (spanned, reconnect, True),
+            (spanned, cancel, True),
+            (spanned, AttachTrivialHandle(cocore_label=1), False),
+            (spanned, Bridge(hid, d_i), False),
+            (bridged, CrossingTransfer(d_i, hid), False),
+        )
+        counts = {}
+        for s, mv, handles in cases:
+            padded = self._padded(s, handles)
+            counts[type(mv).__name__] = (
+                _line_events(apply_move, s, mv),
+                _line_events(apply_move, padded, mv),
+            )
+        assert all(b <= 1.1 * a for a, b in counts.values()), counts
+
+
+def test_ciii_sites_are_unchanged_along_a_run():
+    # sha256 of repr of the CIIIEliminate sites at every state of the
+    # bundled chart's branch run and of a seeded walk of enumerated moves
+    # from it, as found when every white word was matched afresh
+    root = resources.files("handleforge") / "data"
+    chart = parse_chart((root / "twist_spun_trefoil.chart").read_text())
+    s = surf(chart)
+    _, _, trace = unbraid_with_branch(s)
+    sites = [list(engine._ciii_sites(s.chart))]
+    for mv in trace.steps:
+        s, _ = apply_move(s, mv)
+        sites.append(list(engine._ciii_sites(s.chart)))
+    rng, s = random.Random(9), surf(chart)
+    for _ in range(60):
+        s, _ = apply_move(s, rng.choice(enumerate_chart_moves(s)))
+        sites.append(list(engine._ciii_sites(s.chart)))
+    assert (len(sites), sum(map(bool, sites)), sum(map(len, sites))) == (83, 62, 85)
+    digest = hashlib.sha256(repr(sites).encode()).hexdigest()
+    assert digest == "55abb12216975da5ba162430c21c2c9ef6fb874567b30f5945f298897a24f388"
 
 
 def test_the_inverse_of_a_restore_patch_undoes_it():
@@ -1314,7 +1502,9 @@ def test_a_restore_patch_that_made_nothing_checks_what_the_move_left():
     out, inv = apply_move(s, mv)
     assert inv.gone == ()
     other = surf(generate_blackless_chart(4, 5, random.Random(0)))
-    for target in (other, s, surf(replace(out.chart, loops=out.chart.loops[:-1]))):
+    more = apply_move(out, AttachTrivialHandle())[0]
+    fewer = surf(replace(out.chart, loops=out.chart.loops[:-1]))
+    for target in (other, s, fewer, more):
         with pytest.raises(SiteMismatch, match="^restore patch does not match the surface$"):
             apply_move(target, inv)
     assert surfaces_equal(apply_move(out, inv)[0], s)
