@@ -834,12 +834,14 @@ def canonical_dart_map(chart):
     return remap
 
 
-def canonical_chart(chart):
+def canonical_chart(chart, remap=None):
     """Stable renaming: darts numbered by first appearance, everything sorted.
 
-    Idempotent, so the serialized form is byte stable.
+    Idempotent, so the serialized form is byte stable.  remap, when given,
+    is the chart's canonical_dart_map.
     """
-    remap = canonical_dart_map(chart)
+    if remap is None:
+        remap = canonical_dart_map(chart)
     verts = [Vertex(v.kind, _rotated(v.cycle)) for v in chart.vertices]
     new_verts = sorted(
         (Vertex(v.kind, _rotated(tuple(remap[d] for d in v.cycle))) for v in verts),

@@ -19,7 +19,6 @@ from .braid import format_word
 from .chart import (
     InvalidChart,
     chart_stats,
-    format_chart,
     parse_chart,
     unbraiding_bounds,
     validate_chart,
@@ -35,7 +34,8 @@ from .engine import (
 from .errors import ParseError
 from .handles import (
     BudgetExceeded,
-    apply_handle_move,
+    HandleTrace,
+    IllegalStep,
     classify_standard,
     enumerate_reachable,
     format_handles,
@@ -45,6 +45,7 @@ from .handles import (
     normalize_with_stabilizer,
     parse_handles,
     parse_trace_moves,
+    replay_trace,
     system_invariants,
 )
 
@@ -114,17 +115,11 @@ def parse_input(path: str):
     raise ParseError(1, 1, f"unrecognized file kind {head!r}")
 
 
-def _load_chart(path: str):
-    kind, obj = parse_input(path)
-    if kind != "chart":
-        raise ParseError(1, 1, "expected a chart file")
-    return obj
-
-
-def _load_handles(path: str):
-    kind, obj = parse_input(path)
-    if kind != "handles":
-        raise ParseError(1, 1, "expected a handle system file")
+def _load(path: str, kind: str):
+    got, obj = parse_input(path)
+    if got != kind:
+        name = "chart" if kind == "chart" else "handle system"
+        raise ParseError(1, 1, f"expected a {name} file")
     return obj
 
 
@@ -170,32 +165,25 @@ def _extends_by_stabilization(initial, base) -> bool:
                for h in initial.handles[k:])
 
 
-def _cmd_validate(args) -> int:
-    text = _read(args.file)
-    head = text.split(None, 1)[0] if text.split() else ""
+# Each _cmd_* returns its report and whether the command holds; main adds
+# ok=true or ok=false, renders the report, and exits 0 or 1.
+
+
+def _cmd_validate(args):
     rep = Report("validate")
-    if head == "chart":
-        chart = parse_chart(text)
+    try:
+        kind, _ = parse_input(args.file)
+    except InvalidChart as exc:
         rep.add("kind", "chart")
-        violations = validate_chart(chart)
-        if violations:
-            for v in violations:
-                rep.add("violation", v)
-            rep.add("ok", "false")
-            rep.emit(args.format)
-            return 1
-    elif head == "handles":
-        parse_handles(text)
-        rep.add("kind", "handles")
-    else:
-        raise ParseError(1, 1, f"unrecognized file kind {head!r}")
-    rep.add("ok", "true")
-    rep.emit(args.format)
-    return 0
+        for v in exc.violations:
+            rep.add("violation", v)
+        return rep, False
+    rep.add("kind", kind)
+    return rep, True
 
 
-def _cmd_stats(args) -> int:
-    chart = _load_chart(args.file)
+def _cmd_stats(args):
+    chart = _load(args.file, "chart")
     st = chart_stats(chart)
     rep = Report("stats")
     rep.add("degree", chart.degree)
@@ -207,13 +195,11 @@ def _cmd_stats(args) -> int:
     for (i, j), v in sorted(st.c_alg_matrix.items()):
         if v:
             rep.add(f"c_alg_{i}_{j}", v)
-    rep.add("ok", "true")
-    rep.emit(args.format)
-    return 0
+    return rep, True
 
 
-def _cmd_bounds(args) -> int:
-    chart = _load_chart(args.file)
+def _cmd_bounds(args):
+    chart = _load(args.file, "chart")
     b = unbraiding_bounds(chart)
     rep = Report("bounds")
     rep.add("u_w_upper", b.u_w_upper)
@@ -221,9 +207,7 @@ def _cmd_bounds(args) -> int:
     rep.add("u_gamma_upper", b.u_gamma_upper)
     if b.u_lower_blackless is not None:
         rep.add("u_lower_blackless", b.u_lower_blackless)
-    rep.add("ok", "true")
-    rep.emit(args.format)
-    return 0
+    return rep, True
 
 
 _NORMALIZERS = {
@@ -234,8 +218,8 @@ _NORMALIZERS = {
 }
 
 
-def _cmd_normalize(args) -> int:
-    system = _load_handles(args.file)
+def _cmd_normalize(args):
+    system = _load(args.file, "handles")
     rep = Report("normalize")
     rep.add("target", args.target)
     if args.target in ("thm1", "thm4"):
@@ -248,20 +232,16 @@ def _cmd_normalize(args) -> int:
     else:
         final, trace = _NORMALIZERS[args.target](system)
         _add_system(rep, final)
-    steps = trace.steps if trace is not None else ()
-    rep.add("trace-steps", len(steps))
+    rep.add("trace-steps", len(trace.steps))
     if args.emit_trace:
-        start = trace.initial if trace is not None else system
         with open(args.emit_trace, "w", encoding="utf-8") as fh:
-            fh.write(format_handles(start))
-            fh.write(format_trace_moves(steps))
+            fh.write(format_handles(trace.initial))
+            fh.write(format_trace_moves(trace.steps))
         rep.add("trace", args.emit_trace)
-    rep.add("ok", "true")
-    rep.emit(args.format)
-    return 0
+    return rep, True
 
 
-def _cmd_replay(args) -> int:
+def _cmd_replay(args):
     kind, obj = parse_input(args.data)
     trace_text = _read(args.trace)
     rep = Report("replay")
@@ -274,44 +254,31 @@ def _cmd_replay(args) -> int:
         if result.ok:
             for claim in trace.claims:
                 rep.add("claim", claim)
-            rep.add("ok", "true")
-            rep.emit(args.format)
-            return 0
+            return rep, True
         if result.step is not None:
             rep.add("step", result.step + 1)
         rep.add("reason", result.reason)
-        rep.add("ok", "false")
-        rep.emit(args.format)
-        return 1
+        return rep, False
     declared, moves = _split_handle_trace(trace_text)
     rep.add("kind", "handle-trace")
     rep.add("steps", len(moves))
-    current = obj
-    if declared is not None:
-        if not _extends_by_stabilization(declared, obj):
-            rep.add("reason", "trace starting system is not the data system "
-                    "plus trivial stabilizers")
-            rep.add("ok", "false")
-            rep.emit(args.format)
-            return 1
-        current = declared
-    for idx, mv in enumerate(moves):
-        try:
-            current = apply_handle_move(current, mv)
-        except ValueError as exc:
-            rep.add("step", idx + 1)
-            rep.add("reason", exc)
-            rep.add("ok", "false")
-            rep.emit(args.format)
-            return 1
-    _add_system(rep, current)
-    rep.add("ok", "true")
-    rep.emit(args.format)
-    return 0
+    if declared is not None and not _extends_by_stabilization(declared, obj):
+        rep.add("reason", "trace starting system is not the data system "
+                "plus trivial stabilizers")
+        return rep, False
+    start = obj if declared is None else declared
+    try:
+        final = replay_trace(HandleTrace(start, moves))
+    except IllegalStep as exc:
+        rep.add("step", exc.index + 1)
+        rep.add("reason", exc.reason)
+        return rep, False
+    _add_system(rep, final)
+    return rep, True
 
 
-def _cmd_unbraid(args) -> int:
-    chart = _load_chart(args.file)
+def _cmd_unbraid(args):
+    chart = _load(args.file, "chart")
     surface = DecoratedSurface(chart=chart, handles=())
     if args.mode == "branch":
         final, count, trace = unbraid_with_branch(surface)
@@ -325,13 +292,11 @@ def _cmd_unbraid(args) -> int:
         with open(args.emit_trace, "w", encoding="utf-8") as fh:
             fh.write(format_script(trace))
         rep.add("trace", args.emit_trace)
-    rep.add("ok", "true")
-    rep.emit(args.format)
-    return 0
+    return rep, True
 
 
-def _cmd_oracle(args) -> int:
-    system = _load_handles(args.file)
+def _cmd_oracle(args):
+    system = _load(args.file, "handles")
     states = enumerate_reachable(
         system, args.budget, args.bound, max_states=args.max_states
     )
@@ -339,9 +304,7 @@ def _cmd_oracle(args) -> int:
     rep.add("budget", args.budget)
     rep.add("bound", args.bound)
     rep.add("states", len(states))
-    rep.add("ok", "true")
-    rep.emit(args.format)
-    return 0
+    return rep, True
 
 
 @cache
@@ -427,7 +390,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        rep, ok = args.fn(args)
+        rep.add("ok", "true" if ok else "false")
+        rep.emit(args.format)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -447,6 +412,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # last resort: report, never traceback
         print(f"error: internal: {exc!r}", file=sys.stderr)
         return 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -110,12 +110,32 @@ def _handle(s: DecoratedSurface, hid: int) -> AttachedHandle:
     raise SiteMismatch(f"no handle {hid}")
 
 
-def _span_edge(s: DecoratedSurface, h: AttachedHandle) -> Edge | None:
-    """The clean spanning edge joining the handle's two feet, if any."""
+def _uncoiled(s: DecoratedSurface, hid: int, verb: str) -> AttachedHandle:
+    """The handle hid, refused when it is coiled."""
+    h = _handle(s, hid)
+    if h.mn is not None:
+        raise NonTrivialHandle(f"a coiled handle cannot {verb}")
+    return h
+
+
+def _span(s: DecoratedSurface, h: AttachedHandle):
+    """(edge, signed cocore letter) of the clean edge joining the handle's
+    two feet, the letter positive when the edge runs to the second foot;
+    None when the handle is footless or threaded."""
     if h.feet is None:
         return None
     e = surface_map(s.chart).edge_at.get(h.feet[0])
-    return e if e is not None and set(e.darts) == set(h.feet) else None
+    if e is None or set(e.darts) != set(h.feet):
+        return None
+    return e, e.label if e.head == h.feet[1] else -e.label
+
+
+def _clean_span(s: DecoratedSurface, h: AttachedHandle):
+    """_span(s, h), refused when the handle has no clean span."""
+    span = _span(s, h)
+    if span is None:
+        raise NonTrivialHandle("the handle is threaded through the chart")
+    return span
 
 
 def _foot_vertices(s: DecoratedSurface, h: AttachedHandle):
@@ -127,14 +147,10 @@ def _foot_vertices(s: DecoratedSurface, h: AttachedHandle):
 def derived_cocore(s: DecoratedSurface, hid: int) -> BraidWord | None:
     """Cocore word read off the spanning edge; None when threaded."""
     h = _handle(s, hid)
-    n = s.chart.degree
     if h.feet is None:
-        return BraidWord(n)
-    e = _span_edge(s, h)
-    if e is None:
-        return None
-    sign = 1 if e.head == h.feet[1] else -1
-    return BraidWord.from_signed(n, (e.label * sign,))
+        return BraidWord(s.chart.degree)
+    span = _span(s, h)
+    return None if span is None else BraidWord.from_signed(s.chart.degree, (span[1],))
 
 
 def _handle_key(s, remap):
@@ -145,13 +161,14 @@ def _handle_key(s, remap):
     return tuple(sorted(out))
 
 
+def _canonical_key(s: DecoratedSurface):
+    remap = canonical_dart_map(s.chart)
+    return canonical_chart(s.chart, remap), _handle_key(s, remap)
+
+
 def surfaces_equal(a: DecoratedSurface, b: DecoratedSurface) -> bool:
     """Equality up to dart renaming and handle id renumbering."""
-    if canonical_chart(a.chart) != canonical_chart(b.chart):
-        return False
-    return _handle_key(a, canonical_dart_map(a.chart)) == _handle_key(
-        b, canonical_dart_map(b.chart)
-    )
+    return _canonical_key(a) == _canonical_key(b)
 
 
 # ---------------------------------------------------------------------------
@@ -519,31 +536,22 @@ def _faces_touch(s: DecoratedSurface, a, pa, b, pb):
 
 
 def _planar_reconnect(m, a, pa, b, pb):
-    """True when resewing a-b and pa-pb keeps the surface planar.
+    """True when resewing a-b and pa-pb keeps the surface planar, with the
+    two edges cobounding a face as the applier requires.
 
-    The rewiring composes the face walk with the transpositions (a pb)
-    and (b pa); it preserves genus exactly when both steps split a face.
+    The rewiring keeps the vertex and edge counts and composes the face
+    walk with the disjoint transpositions (a pb) and (b pa), each of which
+    splits one face or merges two.  The genus is kept unless both merge:
+    so when a and pb lie on one face, or b and pa do.  Otherwise (a pb)
+    merges face(a) with face(pb), and (b pa) splits the merged walk only
+    when b and pa both lie on it; of those placements, b on face(a) with pa
+    on face(pb) is the one where the edges cobound a face.
     """
     if m.comp.get(a) != m.comp.get(b):
         return True
     face_at = m.face_at
-    f = face_at[a]
-    if face_at[pb] is not f:
-        return False
-    L = len(f)
-    py = f.index(pb)
-    span = (f.index(a) - py) % L
-
-    def piece_x(d):
-        return 0 < (f.index(d) - py) % L <= span
-
-    in_f_b = face_at[b] is f
-    in_f_pa = face_at[pa] is f
-    if in_f_b and in_f_pa:
-        return piece_x(b) == piece_x(pa)
-    if in_f_b or in_f_pa:
-        return False
-    return face_at[b] is face_at[pa]
+    fa, fb, fpa, fpb = face_at[a], face_at[b], face_at[pa], face_at[pb]
+    return fpb is fa or fpa is fb or (fb is fa and fpa is fpb)
 
 
 def _planar_insert(m, a, pa, b):
@@ -1065,25 +1073,20 @@ def _do_attach(s, mv):
 @_applies(DetachTrivialHandle)
 def _do_detach(s, mv):
     ch = s.chart
-    h = _handle(s, mv.handle)
-    if h.mn is not None:
-        raise NonTrivialHandle("a coiled handle cannot detach")
+    h = _uncoiled(s, mv.handle, "detach")
     handles2 = tuple(x for x in s.handles if x.id != h.id)
     if h.feet is None:
         if h.coreloop.letters:
             raise NonTrivialHandle("the handle still carries loop letters")
         return _rewrite(s, (), (), handles2, genus=ch.genus - 1), AttachTrivialHandle()
-    e = _span_edge(s, h)
-    if e is None:
-        raise NonTrivialHandle("the handle is threaded through the chart")
+    e, a = _clean_span(s, h)
     if len(h.coreloop.letters) > 1:
         raise NonTrivialHandle("the handle still carries loop letters")
     if h.coreloop.letters and abs(abs(h.coreloop.letters[0]) - e.label) < 2:
         raise NonCommutingDecoration("loop letter too close to the span label")
-    sign = 1 if e.head == h.feet[1] else -1
     out = _rewrite(s, (e, *_foot_vertices(s, h)), (), handles2, genus=ch.genus - 1)
     back = AttachTrivialHandle(
-        e.label, sign, h.coreloop if h.coreloop.letters else None
+        e.label, 1 if a > 0 else -1, h.coreloop if h.coreloop.letters else None
     )
     return out, back
 
@@ -1092,9 +1095,7 @@ def _do_detach(s, mv):
 def _do_across(s, mv):
     ch = s.chart
     n = ch.degree
-    h = _handle(s, mv.handle)
-    if h.mn is not None:
-        raise NonTrivialHandle("a coiled handle cannot move across edges")
+    h = _uncoiled(s, mv.handle, "move across edges")
     sites = {"dart": mv.dart, "end": mv.end, "loop": mv.loop, "emit": mv.emit_label}
     forms = [k for k, v in sites.items() if v is not None]
     if len(forms) != 1:
@@ -1154,9 +1155,10 @@ def _do_bridge(s, mv):
     h = _handle(s, mv.handle)
     if h.feet is None:
         raise NonTrivialHandle("only a spanned handle can bridge")
-    e = _span_edge(s, h)
-    if e is None:
+    span = _span(s, h)
+    if span is None:
         raise NonTrivialHandle("the handle is already threaded")
+    e = span[0]
     et = _edge_at(s.chart, mv.dart)
     if et is e:
         raise SiteMismatch("cannot bridge the handle onto its own span")
@@ -1199,9 +1201,7 @@ def _do_transfer(s, mv):
 
 @_applies(RotateTrivialHandleDecoration)
 def _do_rotate(s, mv):
-    h = _handle(s, mv.handle)
-    if h.mn is not None:
-        raise NonTrivialHandle("a coiled handle cannot rotate")
+    h = _uncoiled(s, mv.handle, "rotate")
     if mv.direction not in ("cw", "ccw"):
         raise SiteMismatch(f"bad direction {mv.direction!r}")
     n = s.chart.degree
@@ -1211,11 +1211,8 @@ def _do_rotate(s, mv):
         a = BraidWord(n)
         gone = ()
     else:
-        e = _span_edge(s, h)
-        if e is None:
-            raise NonTrivialHandle("the handle is threaded through the chart")
-        sign = 1 if e.head == h.feet[1] else -1
-        a = BraidWord.from_signed(n, (e.label * sign,))
+        e, letter = _clean_span(s, h)
+        a = BraidWord.from_signed(n, (letter,))
         gone = (e, *_foot_vertices(s, h))
     if mv.direction == "cw":
         new_a, new_b = h.coreloop.inverse(), a
@@ -1246,8 +1243,8 @@ def _carrier(s: DecoratedSurface, label):
     edge of this label, or None."""
     for h in s.handles:
         if h.mn is None and h.coreloop.is_empty:
-            e = _span_edge(s, h)
-            if e is not None and e.label == label:
+            span = _span(s, h)
+            if span is not None and span[0].label == label:
                 return h
     return None
 
@@ -1262,22 +1259,17 @@ def _require_generators(s):
 
 @_applies(ConvertViaGeneratorSet)
 def _do_convert(s, mv):
-    h = _handle(s, mv.handle)
-    if h.mn is not None:
-        raise NonTrivialHandle("a coiled handle cannot convert")
-    e = _span_edge(s, h)
-    if e is None:
-        raise NonTrivialHandle("the handle is threaded through the chart")
+    h = _uncoiled(s, mv.handle, "convert")
+    e, a = _clean_span(s, h)
     n = s.chart.degree
     if not 1 <= mv.label <= n - 1:
         raise LabelConstraintViolated(f"label {mv.label} out of range")
     if mv.sign not in (1, -1):
         raise SiteMismatch(f"bad sign {mv.sign}")
     _require_generators(s)
-    old_sign = 1 if e.head == h.feet[1] else -1
     head = h.feet[1] if mv.sign > 0 else h.feet[0]
     out = _relabelled(s, e, Edge(e.darts, mv.label, head))
-    return out, ConvertViaGeneratorSet(mv.handle, e.label, old_sign)
+    return out, ConvertViaGeneratorSet(mv.handle, e.label, 1 if a > 0 else -1)
 
 
 def _relabelled(s, e, new):
@@ -1305,21 +1297,20 @@ def _do_slide(s, mv):
         raise SiteMismatch("a handle cannot slide across itself")
     if hk.mn is not None or hl.mn is not None:
         raise NonTrivialHandle("coiled handles cannot slide")
-    ek, el = _span_edge(s, hk), _span_edge(s, hl)
-    if ek is None or el is None:
+    sk, sl = _span(s, hk), _span(s, hl)
+    if sk is None or sl is None:
         raise NonTrivialHandle("both handles must carry clean spans")
+    (ek, ak), (el, al) = sk, sl
     if ek.label != el.label:
         raise LabelConstraintViolated(
             f"span labels {ek.label} and {el.label} differ"
         )
-    sk = 1 if ek.head == hk.feet[1] else -1
-    sl = 1 if el.head == hl.feet[1] else -1
     if mv.variant == "A":
-        if sk != sl:
+        if ak != al:
             raise SiteMismatch("the spans must run the same way")
         bk = free_reduce(hk.coreloop * hl.coreloop)
     elif mv.variant == "B":
-        if sk != -sl:
+        if ak != -al:
             raise SiteMismatch("the spans must run opposite ways")
         bk = free_reduce(hl.coreloop.inverse() * hk.coreloop)
     else:
@@ -1362,12 +1353,8 @@ def _do_slideend(s, mv):
 
 @_applies(AbsorbLoopIntoFreeEdge)
 def _do_absorbhandle(s, mv):
-    h = _handle(s, mv.handle)
-    if h.mn is not None:
-        raise NonTrivialHandle("a coiled handle cannot absorb")
-    e = _span_edge(s, h)
-    if e is None:
-        raise NonTrivialHandle("the handle is threaded through the chart")
+    h = _uncoiled(s, mv.handle, "absorb")
+    e, _ = _clean_span(s, h)
     if h.coreloop.letters:
         raise NonTrivialHandle("the loop word must be empty to absorb the span")
     et = _edge_at(s.chart, mv.dart)
@@ -1486,24 +1473,20 @@ def apply_move(s: DecoratedSurface, mv):
     return out, inv
 
 
-def apply_chart_move(s: DecoratedSurface, mv) -> DecoratedSurface:
-    if not isinstance(mv, CHART_MOVES):
-        raise TypeError(f"{type(mv).__name__} is not a chart move")
-    return apply_move(s, mv)[0]
-
-
-def apply_surface_move(s: DecoratedSurface, mv) -> DecoratedSurface:
-    if not isinstance(mv, SURFACE_MOVES):
-        raise TypeError(f"{type(mv).__name__} is not a surface move")
-    return apply_move(s, mv)[0]
-
-
 # ---------------------------------------------------------------------------
 # legal-site enumeration
 
 
 def enumerate_chart_moves(s: DecoratedSurface):
-    """All chart moves legal in this state, in a deterministic order."""
+    """The chart moves legal in this state that keep the chart's map
+    planar, in a deterministic order.
+
+    On a genus-0 surface every reconnect and insert that apply_move
+    accepts is listed (a reconnect under one of its two dart orders).
+    Where the surface has genus (a chart of genus >= 1, or attached
+    handles), apply_move also accepts reconnects and inserts that raise the
+    map's genus; they are not listed.
+    """
     ch = s.chart
     n = ch.degree
     out = []
@@ -1538,8 +1521,11 @@ def enumerate_chart_moves(s: DecoratedSurface):
                 and _planar_reconnect(m, a, pa, b, pb)
             ):
                 out.append(CIM2Reconnect(a, b))
-            if abs(ea.label - eb.label) >= 2 and _planar_insert(m, a, pa, b):
-                out.append(CIR2Insert(a, b))
+            if abs(ea.label - eb.label) >= 2:
+                if _planar_insert(m, a, pa, b):
+                    out.append(CIR2Insert(a, b))
+                if _planar_insert(m, b, pb, a):
+                    out.append(CIR2Insert(b, a))
 
     for i in range(len(ch.loops)):
         for j in range(i + 1, len(ch.loops)):
@@ -1751,7 +1737,7 @@ def _collect_crossing(run: _Runner) -> int:
     run.do(Bridge(hid, d_i))
     run.do(CrossingTransfer(d_i, hid))
     h = _handle(run.state, hid)
-    if _span_edge(run.state, h) is None:
+    if _span(run.state, h) is None:
         run.do(CIM2Reconnect(h.feet[0], h.feet[1]))
     return 1
 
@@ -1831,39 +1817,70 @@ def _strengthen(run: _Runner) -> int:
         s = run.state
         loaded = []
         for h in s.handles:
-            if h.mn is not None or not h.coreloop.letters:
-                continue
-            e = _span_edge(s, h)
-            if e is None or len(h.coreloop.letters) != 1:
-                continue
-            sign = 1 if e.head == h.feet[1] else -1
-            loaded.append((h, e.label, sign))
+            if h.mn is None and len(h.coreloop.letters) == 1:
+                span = _span(s, h)
+                if span is not None:
+                    loaded.append((h, span[1]))
         if not loaded:
             return count
-        done = False
-        for a in range(len(loaded)):
-            for b in range(len(loaded)):
-                if a == b:
-                    continue
-                hk, lk, sk = loaded[a]
-                hl, ll, sl = loaded[b]
-                if lk != ll or sk != sl:
-                    continue
-                if hk.coreloop != hl.coreloop.inverse():
-                    continue
-                run.do(HandleSlideDecorated(hk.id, hl.id, "A"))
-                run.do(RotateTrivialHandleDecoration(hl.id, "cw"))
-                done = True
-                break
-            if done:
-                break
-        if done:
+        pair = next(
+            (
+                (hk, hl)
+                for hk, ak in loaded
+                for hl, al in loaded
+                if hk is not hl and ak == al and hk.coreloop == hl.coreloop.inverse()
+            ),
+            None,
+        )
+        if pair is not None:
+            run.do(HandleSlideDecorated(pair[0].id, pair[1].id, "A"))
+            run.do(RotateTrivialHandleDecoration(pair[1].id, "cw"))
             continue
         # no cancelling partner: attach one carrying the inverse letter
-        hk, lk, sk = loaded[0]
+        hk, ak = loaded[0]
         helper = BraidWord(s.chart.degree, (-hk.coreloop.letters[0],))
-        run.do(AttachTrivialHandle(cocore_label=lk, cocore_sign=sk, coreloop=helper))
+        run.do(
+            AttachTrivialHandle(
+                cocore_label=abs(ak), cocore_sign=1 if ak > 0 else -1, coreloop=helper
+            )
+        )
         count += 1
+
+
+def _unbraid(s: DecoratedSurface, mode: str):
+    """Unbraid s in mode weak, strong or branch: eliminate CIII sites (only
+    on a chart with black vertices) and collect crossings onto handles,
+    then cancel white vertices and clear records; strong mode cancels the
+    loop decorations, branch mode drains the handles over free ends."""
+    st = chart_stats(s.chart)
+    if st.b == 0 and mode == "branch":
+        mode = "weak"
+    elif st.b and mode != "branch":
+        raise HasBlackVertices(f"{st.b} black vertices present")
+    bound = st.w + 2 * st.c + s.chart.degree - 1
+    run = _Runner(s)
+    count = 0
+    while True:
+        ch = run.state.chart
+        # a blackless chart has no CIII site: skip the scan
+        site = min(_ciii_sites(ch), default=None) if st.b else None
+        if site is not None:
+            run.do(CIIIEliminate(site))
+        elif any(v.kind == "crossing" for v in ch.vertices):
+            count += _collect_crossing(run)
+        else:
+            break
+    _cancel_whites(run)
+    count += _clear_records(run)
+    if mode == "strong":
+        count += _strengthen(run)
+    if mode == "branch":
+        if st.b >= 2 * (s.chart.degree - 1):
+            _drain_handles(run)
+        claims = ("unknotted", f"handle-count<={bound}")
+    else:
+        claims = ("empty", f"{mode}-forms", f"handle-count<={bound}")
+    return run.result(), count, EngineTrace(s, tuple(run.steps), claims)
 
 
 def unbraid_without_branch(s: DecoratedSurface, mode: str = "weak"):
@@ -1874,49 +1891,21 @@ def unbraid_without_branch(s: DecoratedSurface, mode: str = "weak"):
     """
     if mode not in ("weak", "strong"):
         raise ValueError(f"unknown mode {mode!r}")
-    st = chart_stats(s.chart)
-    if st.b:
-        raise HasBlackVertices(f"{st.b} black vertices present")
-    bound = st.w + 2 * st.c + s.chart.degree - 1
-    run = _Runner(s)
-    count = 0
-    while any(v.kind == "crossing" for v in run.state.chart.vertices):
-        count += _collect_crossing(run)
-    _cancel_whites(run)
-    count += _clear_records(run)
-    if mode == "strong":
-        count += _strengthen(run)
-    claims = (
-        "empty",
-        "strong-forms" if mode == "strong" else "weak-forms",
-        f"handle-count<={bound}",
-    )
-    return run.result(), count, EngineTrace(s, tuple(run.steps), claims)
+    return _unbraid(s, mode)
 
 
 def unbraid_with_branch(s: DecoratedSurface):
-    """Unknot a chart with black vertices, eliminating branches greedily."""
-    st = chart_stats(s.chart)
-    if st.b == 0:
-        return unbraid_without_branch(s)
-    bound = st.w + 2 * st.c + s.chart.degree - 1
-    run = _Runner(s)
-    count = 0
-    while True:
-        ch = run.state.chart
-        site = min(_ciii_sites(ch), default=None)
-        if site is not None:
-            run.do(CIIIEliminate(site))
-        elif any(v.kind == "crossing" for v in ch.vertices):
-            count += _collect_crossing(run)
-        else:
-            break
-    _cancel_whites(run)
-    count += _clear_records(run)
-    if st.b >= 2 * (s.chart.degree - 1):
-        _drain_handles(run)
-    claims = ("unknotted", f"handle-count<={bound}")
-    return run.result(), count, EngineTrace(s, tuple(run.steps), claims)
+    """Unknot a chart with black vertices, eliminating branches greedily;
+    a blackless chart is unbraided in weak mode."""
+    return _unbraid(s, "branch")
+
+
+def _black_end(ch: Chart, label, skip=None):
+    """The least lone black end on an edge of this label other than skip."""
+    emap = surface_map(ch).edge_at
+    ends = _black_ends(ch)
+    hits = (d for d in ends if emap[d].label == label and emap[d] is not skip)
+    return next(hits, None)
 
 
 def _drain_handles(run: _Runner):
@@ -1927,31 +1916,18 @@ def _drain_handles(run: _Runner):
             if h.mn is not None or not h.coreloop.letters:
                 break
             v = h.coreloop.letters[-1]
-            emap = surface_map(run.state.chart).edge_at
-            ends = _black_ends(run.state.chart)
-            d = next((d for d in ends if emap[d].label == abs(v)), None)
+            d = _black_end(run.state.chart, abs(v))
             if d is None:
                 break
             run.do(
                 MoveHandleAcrossEdge(hid, end=d, sign=-1 if v > 0 else 1, side="right")
             )
         h = _handle(run.state, hid)
-        if h.coreloop.letters or h.feet is None:
-            continue
-        e = _span_edge(run.state, h)
-        if e is None:
-            continue
-        emap = surface_map(run.state.chart).edge_at
-        target = next(
-            (
-                d
-                for d in _black_ends(run.state.chart)
-                if emap[d] is not e and emap[d].label == e.label
-            ),
-            None,
-        )
-        if target is not None:
-            run.do(AbsorbLoopIntoFreeEdge(hid, target))
+        span = None if h.coreloop.letters else _span(run.state, h)
+        if span is not None:
+            target = _black_end(run.state.chart, span[0].label, span[0])
+            if target is not None:
+                run.do(AbsorbLoopIntoFreeEdge(hid, target))
 
 
 def unbraid_repeated_pattern(s: DecoratedSurface):
@@ -2048,20 +2024,13 @@ def _check_claim(state, trace, claim):
             if not _deco_form_ok(state, h, strong):
                 return False, f"claim {claim}: handle {h.id} is not in form"
         return True, None
-    if claim.startswith("handle-count<="):
+    at_most = claim.startswith("handle-count<=")
+    if at_most or claim.startswith("added-handles="):
         try:
-            k = int(claim.split("<=")[1])
+            k = int(claim.split("<=" if at_most else "=")[1])
         except ValueError:
             return False, f"claim {claim}: bad count"
-        if attached > k:
-            return False, f"claim {claim}: {attached} handles were attached"
-        return True, None
-    if claim.startswith("added-handles="):
-        try:
-            k = int(claim.split("=")[1])
-        except ValueError:
-            return False, f"claim {claim}: bad count"
-        if attached != k:
+        if (attached > k) if at_most else (attached != k):
             return False, f"claim {claim}: {attached} handles were attached"
         return True, None
     if claim.startswith("handle-deco="):

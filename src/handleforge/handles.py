@@ -426,6 +426,39 @@ def normalize_general(s: HandleSystem) -> tuple[HandleSystem, HandleTrace]:
     return tb.state, tb.trace()
 
 
+def _stabilized(s: HandleSystem) -> _TraceBuilder:
+    """A trace builder from s with a trivial handle 1(0,0) appended."""
+    return _TraceBuilder(HandleSystem(
+        s.generator_count,
+        s.handles + (DecoratedHandle(HandleLabel(()), 0, 0),),
+        s.pattern_braid,
+    ))
+
+
+def _transfer_into_last(tb: _TraceBuilder, j: int, c: int) -> None:
+    # c transfers of handle j's m into the appended handle, signed as c
+    sign = 1 if c > 0 else -1
+    for _ in range(abs(c)):
+        tb.do(Transfer7(j, len(tb.state.handles), sign))
+
+
+def _clear_onto_last(tb: _TraceBuilder, d: int) -> None:
+    """With d = m of the appended handle dividing every m_j, slide it over
+    each other handle until m_j = 0, then bring each n_j into {0..d-1}."""
+    G = len(tb.state.handles)
+    for j in range(1, G):
+        mj = tb.state.handles[j - 1].m
+        variant = "A" if mj > 0 else "B"
+        for _ in range(abs(mj) // d):
+            tb.do(Slide(G, j, variant))
+    for j in range(1, G):
+        nj = tb.state.handles[j - 1].n
+        delta = (nj % d - nj) // d
+        sign = 1 if delta > 0 else -1
+        for _ in range(abs(delta)):
+            tb.do(Transfer9(j, G, sign))
+
+
 def normalize_with_stabilizer(s: HandleSystem) -> tuple[HandleSystem, HandleTrace]:
     """Concentrate all cocore weight on one appended trivial handle.
 
@@ -436,30 +469,11 @@ def normalize_with_stabilizer(s: HandleSystem) -> tuple[HandleSystem, HandleTrac
     """
     if not s.handles or all(hd.m == 0 for hd in s.handles):
         raise DegenerateAllZero("every cocore power is zero")
-    count = len(s.handles)
-    extended = HandleSystem(
-        s.generator_count,
-        s.handles + (DecoratedHandle(HandleLabel(()), 0, 0),),
-        s.pattern_braid,
-    )
-    tb = _TraceBuilder(extended)
-    G = count + 1
+    tb = _stabilized(s)
     d, coeffs = _bezout([hd.m for hd in s.handles])
     for j, c in enumerate(coeffs, start=1):
-        sign = 1 if c > 0 else -1
-        for _ in range(abs(c)):
-            tb.do(Transfer7(j, G, sign))
-    for j in range(1, count + 1):
-        mj = tb.state.handles[j - 1].m
-        variant = "A" if mj > 0 else "B"
-        for _ in range(abs(mj) // d):
-            tb.do(Slide(G, j, variant))
-    for j in range(1, count + 1):
-        nj = tb.state.handles[j - 1].n
-        delta = (nj % d - nj) // d
-        sign = 1 if delta > 0 else -1
-        for _ in range(abs(delta)):
-            tb.do(Transfer9(j, G, sign))
+        _transfer_into_last(tb, j, c)
+    _clear_onto_last(tb, d)
     return tb.state, tb.trace()
 
 
@@ -477,45 +491,24 @@ def classify_standard(s: HandleSystem) -> NormalFormTag:
     even, or the all-zero system when d = 0.
     """
     _require_trivial_labels(s)
-    count = len(s.handles)
-    extended = HandleSystem(
-        s.generator_count,
-        s.handles + (DecoratedHandle(HandleLabel(()), 0, 0),),
-        s.pattern_braid,
-    )
-    tb = _TraceBuilder(extended)
-    G = count + 1
-    vals = [v for hd in s.handles for v in (hd.m, hd.n)]
-    d = math.gcd(*vals) if vals else 0
+    tb = _stabilized(s)
+    G = len(tb.state.handles)
+    inv = system_invariants(s)
+    d = inv.d
     if d == 0:
         return ZeroType(tb.trace())
-    pairing = sum(hd.m * hd.n for hd in s.handles)
-    q = pairing // (d * d)
-    _, coeffs = _bezout(vals)
-    for j in range(1, count + 1):
-        cm = coeffs[2 * (j - 1)]
-        cn = coeffs[2 * (j - 1) + 1]
-        if cm:
-            sign = 1 if cm > 0 else -1
-            for _ in range(abs(cm)):
-                tb.do(Transfer7(j, G, sign))
+    q = inv.pairing // (d * d)
+    _, coeffs = _bezout([v for hd in s.handles for v in (hd.m, hd.n)])
+    for j in range(1, G):
+        cm, cn = coeffs[2 * j - 2], coeffs[2 * j - 1]
+        _transfer_into_last(tb, j, cm)
         if cn:
             # rotate so the n-entry sits in the m slot, transfer, rotate back
             tb.do(Rotate(j, "ccw"))
-            sign = 1 if cn > 0 else -1
-            for _ in range(abs(cn)):
-                tb.do(Transfer7(j, G, sign))
+            _transfer_into_last(tb, j, cn)
             tb.do(Rotate(j, "cw"))
-    for j in range(1, count + 1):
-        mj = tb.state.handles[j - 1].m
-        variant = "A" if mj > 0 else "B"
-        for _ in range(abs(mj) // d):
-            tb.do(Slide(G, j, variant))
-    for j in range(1, count + 1):
-        nj = tb.state.handles[j - 1].n
-        sign = -1 if nj > 0 else 1
-        for _ in range(abs(nj) // d):
-            tb.do(Transfer9(j, G, sign))
+    # d divides every n_j, so the reduction into {0..d-1} zeroes them
+    _clear_onto_last(tb, d)
     target = d * (q % 2)
     diff = tb.state.handles[G - 1].n - target
     sign = -1 if diff > 0 else 1

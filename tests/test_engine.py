@@ -28,6 +28,7 @@ from handleforge.chart import (
     FloatingLoop,
     PatternLoop,
     Vertex,
+    canonical_chart,
     chart_stats,
     format_chart,
     parse_chart,
@@ -64,6 +65,7 @@ from handleforge.engine import (
     MissingGeneratorHandles,
     MoveHandleAcrossEdge,
     NotRepeatedPattern,
+    OrientationReversalAid,
     PatternCancel,
     PatternCapture,
     PatternTwist,
@@ -71,9 +73,7 @@ from handleforge.engine import (
     SiteMismatch,
     SlideEndAlongEdge,
     StuckWhiteVertex,
-    apply_chart_move,
     apply_move,
-    apply_surface_move,
     certify_trace,
     derived_cocore,
     empty_surface,
@@ -515,6 +515,70 @@ class TestHandleAbsorption:
         with pytest.raises(SiteMismatch):
             apply_move(s, SlideEndAlongEdge(99, 1))
 
+    def test_orientation_reversal_aid_round_trips_and_certifies(self):
+        s = surf(white_spider())
+        s2, inv = apply_move(s, OrientationReversalAid(1))
+        assert s2.chart.genus == 1
+        assert [(h.feet, h.coreloop.letters) for h in s2.handles] == [(None, ())]
+        before = {e.darts: e.head for e in s.chart.edges}
+        after = {e.darts: e.head for e in s2.chart.edges}
+        assert before.keys() == after.keys()
+        assert all(after[d] != head for d, head in before.items())
+        assert surfaces_equal(apply_move(s2, inv)[0], s)
+        trace = parse_script("move reverseaid dart=1\n", s)
+        assert trace.steps == (OrientationReversalAid(1),)
+        res = certify_trace(trace)
+        assert res.ok
+        assert surfaces_equal(res.final, s2)
+        with pytest.raises(SiteMismatch):
+            apply_move(s, OrientationReversalAid(7))
+
+    def test_orientation_reversal_aid_needs_free_strands(self):
+        # sweep a far-labelled free end across one of the spider's strands
+        spider = white_spider(degree=5)
+        ch = mk(degree=5,
+                vertices=(*spider.vertices, Vertex("black", (13,)), Vertex("black", (14,))),
+                edges=(*spider.edges, Edge((13, 14), 4, 14)))
+        s, _ = apply_move(surf(ch), CIISweep(13, 7))
+        with pytest.raises(SiteMismatch, match="end freely"):
+            apply_move(s, OrientationReversalAid(1))
+
+
+class TestSurfacesEqual:
+    def base(self):
+        s, _ = apply_move(surf(free_edge_chart(label=1)), AttachTrivialHandle(cocore_label=3))
+        return s
+
+    def test_renamed_darts_and_ids_are_equal(self):
+        s = self.base()
+        shift = {d: d + 100 for d in surface_map(s.chart).darts}
+        ch = s.chart
+        renamed = mk(
+            vertices=[Vertex(v.kind, tuple(shift[d] for d in v.cycle)) for v in ch.vertices],
+            edges=[Edge(tuple(shift[d] for d in e.darts), e.label, shift[e.head])
+                   for e in ch.edges],
+            genus=ch.genus,
+        )
+        h = s.handles[0]
+        moved = replace(h, id=7, feet=tuple(shift[d] for d in h.feet))
+        assert surfaces_equal(surf(renamed, [moved]), s)
+
+    def test_a_different_chart_is_unequal(self):
+        s = self.base()
+        other, _ = apply_move(s, CIM1Add(2, 1))
+        assert not surfaces_equal(other, s)
+        assert not surfaces_equal(s, other)
+
+    def test_handles_that_differ_are_unequal(self):
+        s = self.base()
+        h = s.handles[0]
+        for other in (
+            replace(h, feet=tuple(reversed(h.feet))),
+            replace(h, coreloop=BraidWord(4, (1,))),
+            replace(h, mn=(1, 0)),
+        ):
+            assert not surfaces_equal(DecoratedSurface(s.chart, (other,)), s), other
+
 
 class TestMoveTable:
     """Random legal moves: validity, the stats-delta table, reversibility."""
@@ -567,16 +631,10 @@ class TestMoveTable:
                 checked += 1
         assert checked >= 60
 
-    def test_wrapper_dispatch(self):
-        s = empty_surface(4)
-        s2 = apply_chart_move(s, CIM1Add(1, 1))
-        assert len(s2.chart.loops) == 1
-        s3 = apply_surface_move(s2, AttachTrivialHandle())
-        assert len(s3.handles) == 1
-        with pytest.raises(TypeError):
-            apply_chart_move(s, AttachTrivialHandle())
-        with pytest.raises(TypeError):
-            apply_surface_move(s, CIM1Add(1, 1))
+
+    def test_apply_move_refuses_a_non_move(self):
+        with pytest.raises(TypeError, match="not a move"):
+            apply_move(empty_surface(4), (1, 2))
 
 
 class TestUnbraidWeak:
@@ -1109,6 +1167,7 @@ class TestPinnedTraces:
         (80, "strong", "97b3056151463ca61fa5fd343b259899474cf779b292135af781b30ff8812375"),
     )
     BRANCH = "faa4dfac6755e3c2010722cde9bc439583c9fd7f5d09fec2660e556e899fdbdb"
+    BRANCH_CROSSING = "adc32068f59aab93d1e308145ccb6b471a95d621f9a0cdabaad9da7dc97621d3"
 
     @staticmethod
     def _digest(trace):
@@ -1127,30 +1186,136 @@ class TestPinnedTraces:
         assert (handles, len(trace.steps)) == (0, 22)
         assert self._digest(trace) == self.BRANCH
 
+    def test_branch_mode_collects_a_crossing_and_drains_its_handle(self):
+        # one crossing made by sweeping a black end across a far strand
+        ch = mk(vertices=[Vertex("black", (d,)) for d in range(1, 9)],
+                edges=(Edge((1, 2), 1, 2), Edge((3, 4), 3, 4),
+                       Edge((5, 6), 3, 6), Edge((7, 8), 2, 8)))
+        s, _ = apply_move(surf(ch), CIISweep(1, 3))
+        final, handles, trace = unbraid_with_branch(s)
+        assert [type(mv) for mv in trace.steps] == [
+            AttachTrivialHandle, Bridge, CrossingTransfer, CIM2Reconnect,
+            MoveHandleAcrossEdge, AbsorbLoopIntoFreeEdge,
+        ]
+        assert handles == 1
+        assert [(h.feet, h.coreloop.letters) for h in final.handles] == [(None, ())]
+        assert certify_trace(trace).ok
+        assert self._digest(trace) == self.BRANCH_CROSSING
+
+
+def _old_planar_reconnect(m, a, pa, b, pb):
+    """The reconnect rule of the earlier enumeration: both transpositions
+    (a pb) and (b pa) must split a face."""
+    if m.comp.get(a) != m.comp.get(b):
+        return True
+    f = m.face_at[a]
+    if m.face_at[pb] is not f:
+        return False
+    span = (f.index(a) - f.index(pb)) % len(f)
+
+    def piece_x(d):
+        return 0 < (f.index(d) - f.index(pb)) % len(f) <= span
+
+    in_f_b, in_f_pa = m.face_at[b] is f, m.face_at[pa] is f
+    if in_f_b and in_f_pa:
+        return piece_x(b) == piece_x(pa)
+    if in_f_b or in_f_pa:
+        return False
+    return m.face_at[b] is m.face_at[pa]
+
+
+def _offered_before(s, moves):
+    """The moves the earlier enumeration offered, which listed an insert
+    only for a dart pair in dart order and a reconnect only under
+    _old_planar_reconnect."""
+    m = surface_map(s.chart)
+    rank = {d: k for k, d in enumerate(m.darts)}
+    for mv in moves:
+        if isinstance(mv, CIR2Insert) and rank[mv.a] > rank[mv.b]:
+            continue
+        if isinstance(mv, CIM2Reconnect):
+            pa = engine._other(m.edge_at[mv.a], mv.a)
+            pb = engine._other(m.edge_at[mv.b], mv.b)
+            if not _old_planar_reconnect(m, mv.a, pa, mv.b, pb):
+                continue
+        yield mv
+
+
+def _pin(moves):
+    moves = list(moves)
+    return len(moves), hashlib.sha256(repr(moves).encode()).hexdigest()
+
 
 class TestPinnedEnumeration:
-    # sha256 of repr(enumerate_chart_moves(...)), with the number of moves,
-    # as offered when each move kind had a site scan of its own
+    # (count, sha256 of repr(enumerate_chart_moves(...))) now, and as offered
+    # when inserts were listed for one dart order and reconnects only when
+    # both face transpositions split; the earlier list is a subsequence
     PINNED = (
-        (4, 30, 3, 3449, "9fd294e71edec411b2f2a65b3b876da863225579648c313ef0115c6f2d9f69a6"),
-        (3, 20, 5, 1457, "0d812a88bf4aa2daaf9b006eb0b295093132743af50212a9a3d97d702dca992a"),
+        (4, 30, 3, (5074, "a0b9e1cfbc4e3fb550e4222fe3e244715c6199897edd653dcdf013deba5a659d"),
+         (3449, "9fd294e71edec411b2f2a65b3b876da863225579648c313ef0115c6f2d9f69a6")),
+        (3, 20, 5, (1457, "0d812a88bf4aa2daaf9b006eb0b295093132743af50212a9a3d97d702dca992a"),
+         (1457, "0d812a88bf4aa2daaf9b006eb0b295093132743af50212a9a3d97d702dca992a")),
     )
-    BUNDLED = (59, "fe12423aa0ae55c89b8a9643c922343b43be0bcfe09f134b7f6d15423082108a")
+    BUNDLED = (
+        (65, "159732db2ae07f1d45917debb954103193ec35add88129b516511eb8e38bb765"),
+        (59, "fe12423aa0ae55c89b8a9643c922343b43be0bcfe09f134b7f6d15423082108a"),
+    )
 
     @staticmethod
-    def _pin(chart):
-        moves = enumerate_chart_moves(surf(chart))
-        return len(moves), hashlib.sha256(repr(moves).encode()).hexdigest()
+    def _pins(chart):
+        s = surf(chart)
+        moves = enumerate_chart_moves(s)
+        return _pin(moves), _pin(_offered_before(s, moves))
 
     def test_generated_charts_offer_the_same_moves(self):
-        for degree, steps, seed, count, digest in self.PINNED:
+        for degree, steps, seed, now, before in self.PINNED:
             chart = generate_blackless_chart(degree, steps, random.Random(seed))
-            assert self._pin(chart) == (count, digest), (degree, steps, seed)
+            assert self._pins(chart) == (now, before), (degree, steps, seed)
 
     def test_the_bundled_chart_offers_the_same_moves(self):
         root = resources.files("handleforge") / "data"
         chart = parse_chart((root / "twist_spun_trefoil.chart").read_text())
-        assert self._pin(chart) == self.BUNDLED
+        assert self._pins(chart) == self.BUNDLED
+
+
+class TestEnumeratedOutputs:
+    """On genus-0 charts, the reconnects and inserts enumerate_chart_moves
+    offers make exactly the outputs apply_move accepts from any dart pair."""
+
+    def _check(self, chart):
+        s = surf(chart)
+        m = surface_map(chart)
+        made = {}
+        for a in m.darts:
+            for b in m.darts:
+                ea, eb = m.edge_at[a], m.edge_at[b]
+                if ea is eb:
+                    continue
+                if abs(ea.label - eb.label) >= 2:
+                    mv = CIR2Insert(a, b)
+                elif ea.label == eb.label and (ea.head == a) != (eb.head == b):
+                    mv = CIM2Reconnect(a, b)
+                else:
+                    continue
+                try:
+                    out, _ = apply_move(s, mv)
+                except ValueError:
+                    continue
+                made[mv] = (type(mv), canonical_chart(out.chart))
+        offered = [mv for mv in enumerate_chart_moves(s)
+                   if isinstance(mv, (CIM2Reconnect, CIR2Insert))]
+        assert [mv for mv in offered if mv not in made] == []
+        assert {made[mv] for mv in offered} == set(made.values())
+
+    @pytest.mark.parametrize("degree,steps,seed", [
+        *((4, 12, k) for k in range(6)), (3, 10, 9), (4, 25, 7),
+    ])
+    def test_generated_charts(self, degree, steps, seed):
+        self._check(generate_blackless_chart(degree, steps, random.Random(seed)))
+
+    def test_the_bundled_chart(self):
+        root = resources.files("handleforge") / "data"
+        self._check(parse_chart((root / "twist_spun_trefoil.chart").read_text()))
 
 
 BENCH_CHARTS = Path(__file__).resolve().parents[1] / "bench" / "data"
@@ -1438,7 +1603,8 @@ class TestMoveCost:
 def test_ciii_sites_are_unchanged_along_a_run():
     # sha256 of repr of the CIIIEliminate sites at every state of the
     # bundled chart's branch run and of a seeded walk of enumerated moves
-    # from it, as found when every white word was matched afresh
+    # from it, as found when every white word was matched afresh; the walk
+    # draws from the moves the earlier enumeration offered
     root = resources.files("handleforge") / "data"
     chart = parse_chart((root / "twist_spun_trefoil.chart").read_text())
     s = surf(chart)
@@ -1449,7 +1615,7 @@ def test_ciii_sites_are_unchanged_along_a_run():
         sites.append(list(engine._ciii_sites(s.chart)))
     rng, s = random.Random(9), surf(chart)
     for _ in range(60):
-        s, _ = apply_move(s, rng.choice(enumerate_chart_moves(s)))
+        s, _ = apply_move(s, rng.choice(list(_offered_before(s, enumerate_chart_moves(s)))))
         sites.append(list(engine._ciii_sites(s.chart)))
     assert (len(sites), sum(map(bool, sites)), sum(map(len, sites))) == (83, 62, 85)
     digest = hashlib.sha256(repr(sites).encode()).hexdigest()
