@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ParseError
@@ -53,15 +53,10 @@ class Edge:
 
 @dataclass(frozen=True, slots=True)
 class FloatingLoop:
-    """Closed vertex-free loop record; crosses nothing.
-
-    over holds ids of attached handles the loop runs across; it is session
-    bookkeeping for the move engine and never serializes.
-    """
+    """Closed vertex-free loop record; crosses nothing."""
 
     label: int
     sign: int
-    over: frozenset = field(default_factory=frozenset)
     # pinned loops may be essential on a positive-genus surface and cannot
     # be erased in place, only absorbed
     pinned: bool = False
@@ -852,10 +847,7 @@ def canonical_chart(chart, remap=None):
         d1, d2 = sorted((remap[e.darts[0]], remap[e.darts[1]]))
         new_edges.append(Edge(darts=(d1, d2), label=e.label, head=remap[e.head]))
     new_edges.sort(key=lambda e: e.darts[0])
-    loops = tuple(
-        sorted(chart.loops,
-               key=lambda l: (l.label, l.sign, l.pinned, tuple(sorted(l.over))))
-    )
+    loops = tuple(sorted(chart.loops, key=lambda l: (l.label, l.sign, l.pinned)))
     patterns = tuple(sorted(chart.pattern_loops, key=lambda p: (p.curve, p.sense)))
     return Chart(
         degree=chart.degree,

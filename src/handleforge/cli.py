@@ -64,14 +64,13 @@ class Report:
     def add(self, key: str, value) -> None:
         self.pairs.append((key, str(value)))
 
-    def emit(self, fmt: str, out=None) -> None:
-        out = out or sys.stdout
+    def emit(self, fmt: str) -> None:
         if fmt == "kv":
             for k, v in self.pairs:
-                print(f"{k}={v}", file=out)
+                print(f"{k}={v}")
         else:
             for k, v in self.pairs:
-                print(f"{k}: {v}", file=out)
+                print(f"{k}: {v}")
 
 
 def parse_report(text: str) -> list[tuple[str, str]]:

@@ -13,7 +13,7 @@ one of the ValueError subclasses below without side effects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import lru_cache
 
 from .braid import BraidWord, conjugate, format_word, free_reduce, parse_word
@@ -167,7 +167,8 @@ def _canonical_key(s: DecoratedSurface):
 
 
 def surfaces_equal(a: DecoratedSurface, b: DecoratedSurface) -> bool:
-    """Equality up to dart renaming and handle id renumbering."""
+    """Equality up to a dart renaming that keeps dart order, and handle id
+    renumbering."""
     return _canonical_key(a) == _canonical_key(b)
 
 
@@ -299,8 +300,8 @@ class MoveHandleAcrossEdge:
     loop: int | None = None
     emit_label: int | None = None
     sign: int = 1
-    side: str = "right"
     emit_sign: int = 1
+    side: str = "right"
     index: int | None = None
 
 
@@ -441,6 +442,46 @@ SURFACE_MOVES = (
     PatternCapture,
     PatternTwist,
 )
+
+# the moves whose step attaches a handle
+_ATTACHING = (AttachTrivialHandle, OrientationReversalAid)
+
+# Each move class is the one statement of its fields.  apply_move checks
+# these fields by name before the applier runs: a sign is +1 or -1, a label
+# is 1..N-1 when set, and a choice is one of its values.
+_LABELS = ("label", "cocore_label", "emit_label")
+_CHOICES = {
+    "side": (("left", "right"), "bad side {!r}"),
+    "direction": (("cw", "ccw"), "bad direction {!r}"),
+    "variant": (("A", "B"), "unknown variant {!r}"),
+}
+
+
+def _field_rules(cls):
+    """(field, allowed values or None for a label, refusal) per checked field."""
+    rules = []
+    for f in fields(cls):
+        if f.name.endswith("sign"):
+            rules.append((f.name, (1, -1), "bad sign {}"))
+        elif f.name in _LABELS:
+            rules.append((f.name, None, "label {} out of range"))
+        elif f.name in _CHOICES:
+            rules.append((f.name, *_CHOICES[f.name]))
+    return tuple(rules)
+
+
+_RULES = {cls: _field_rules(cls) for cls in CHART_MOVES + SURFACE_MOVES}
+
+
+def _check_fields(mv, degree):
+    """Refuse a move whose sign, label or choice field is out of range."""
+    for name, allowed, refusal in _RULES.get(type(mv), ()):
+        v = getattr(mv, name)
+        if allowed is not None:
+            if v not in allowed:
+                raise SiteMismatch(refusal.format(v))
+        elif v is not None and not 1 <= v <= degree - 1:
+            raise LabelConstraintViolated(refusal.format(v))
 
 
 # ---------------------------------------------------------------------------
@@ -715,13 +756,8 @@ def _do_patch(s, mv):
 
 @_applies(CIM1Add)
 def _do_cim1add(s, mv):
-    ch = s.chart
-    if not 1 <= mv.label <= ch.degree - 1:
-        raise LabelConstraintViolated(f"label {mv.label} out of range")
-    if mv.sign not in (1, -1):
-        raise SiteMismatch(f"bad sign {mv.sign}")
     rec = FloatingLoop(mv.label, mv.sign)
-    loops, idx = _with_loop(ch, mv.index, rec)
+    loops, idx = _with_loop(s.chart, mv.index, rec)
     return _rewrite(s, new=(rec,), loops=loops), CIM1Erase(idx)
 
 
@@ -730,8 +766,6 @@ def _do_cim1erase(s, mv):
     rec = _loop_at(s.chart, mv.loop)
     if rec.pinned:
         raise SiteMismatch("pinned records cannot be erased in place")
-    if rec.over:
-        raise SiteMismatch("the record rides a handle")
     loops = _without_loops(s.chart, mv.loop)
     return _rewrite(s, loops=loops), CIM1Add(rec.label, rec.sign, mv.loop)
 
@@ -739,8 +773,6 @@ def _do_cim1erase(s, mv):
 @_applies(CIM2Split)
 def _do_cim2split(s, mv):
     e = _edge_at(s.chart, mv.dart)
-    if mv.sign not in (1, -1):
-        raise SiteMismatch(f"bad sign {mv.sign}")
     rec = FloatingLoop(e.label, mv.sign)
     loops, idx = _with_loop(s.chart, mv.index, rec)
     return _rewrite(s, new=(rec,), loops=loops), CIM2Absorb(mv.dart, idx)
@@ -750,8 +782,6 @@ def _do_cim2split(s, mv):
 def _do_cim2absorb(s, mv):
     e = _edge_at(s.chart, mv.dart)
     rec = _loop_at(s.chart, mv.loop)
-    if rec.over:
-        raise SiteMismatch("the record rides a handle")
     if rec.label != e.label:
         raise LabelConstraintViolated(
             f"record label {rec.label} vs edge label {e.label}"
@@ -842,11 +872,8 @@ def _do_cir2bootstrap(s, mv):
         raise LabelConstraintViolated(
             f"labels {ra.label} and {rb.label} do not far-commute"
         )
-    for r in (ra, rb):
-        if r.over:
-            raise SiteMismatch("the record rides a handle")
-        if r.pinned:
-            raise SiteMismatch("pinned records cannot be rewired")
+    if ra.pinned or rb.pinned:
+        raise SiteMismatch("pinned records cannot be rewired")
     w1, s1, e1, n1, w2, s2, e2, n2 = _fresh(ch, 8)
     i, j, si, sj = ra.label, rb.label, ra.sign, rb.sign
     new = (
@@ -971,7 +998,7 @@ def _do_cim3bootstrap(s, mv):
             raise LabelConstraintViolated(
                 f"record labels must read {pattern}, got {tuple(x.label for x in recs)}"
             )
-        if r.sign != 1 or r.pinned or r.over:
+        if r.sign != 1 or r.pinned:
             raise SiteMismatch("records must be plain positive loops")
     m = _fresh(ch, 12)
     a, b = m[:6], m[6:]
@@ -1041,8 +1068,6 @@ def _do_attach(s, mv):
     cl = mv.coreloop if mv.coreloop is not None else BraidWord(n)
     if cl.degree != n:
         raise SiteMismatch(f"coreloop degree {cl.degree} vs chart degree {n}")
-    if mv.cocore_sign not in (1, -1):
-        raise SiteMismatch(f"bad sign {mv.cocore_sign}")
     hid = max((h.id for h in s.handles), default=0) + 1
     if mv.cocore_label is None:
         if cl.letters:
@@ -1050,8 +1075,6 @@ def _do_attach(s, mv):
         h = AttachedHandle(hid, cl, None, None)
         new = ()
     else:
-        if not 1 <= mv.cocore_label <= n - 1:
-            raise LabelConstraintViolated(f"label {mv.cocore_label} out of range")
         if len(cl.letters) > 1:
             raise NonTrivialHandle("a standard handle carries at most one loop letter")
         if cl.letters and abs(abs(cl.letters[0]) - mv.cocore_label) < 2:
@@ -1100,11 +1123,7 @@ def _do_across(s, mv):
     forms = [k for k, v in sites.items() if v is not None]
     if len(forms) != 1:
         raise SiteMismatch("exactly one of dart/end/loop/emit_label is required")
-    if mv.side not in ("left", "right"):
-        raise SiteMismatch(f"bad side {mv.side!r}")
     form = forms[0]
-    if form in ("dart", "end") and mv.sign not in (1, -1):
-        raise SiteMismatch(f"bad sign {mv.sign}")
     loops, made = ch.loops, ()
     if form == "dart":
         if h.feet is not None:
@@ -1118,8 +1137,6 @@ def _do_across(s, mv):
         inv = MoveHandleAcrossEdge(mv.handle, end=mv.end, sign=-mv.sign, side=mv.side)
     elif form == "loop":
         rec = _loop_at(ch, mv.loop)
-        if rec.over:
-            raise SiteMismatch("the record rides another handle")
         if rec.pinned:
             raise SiteMismatch("pinned records cannot be captured")
         letter = rec.label * rec.sign
@@ -1132,10 +1149,6 @@ def _do_across(s, mv):
             index=mv.loop,
         )
     else:
-        if not 1 <= mv.emit_label <= n - 1:
-            raise LabelConstraintViolated(f"label {mv.emit_label} out of range")
-        if mv.emit_sign not in (1, -1):
-            raise SiteMismatch(f"bad sign {mv.emit_sign}")
         rec = FloatingLoop(mv.emit_label, mv.emit_sign)
         loops, idx = _with_loop(ch, mv.index, rec)
         made = (rec,)
@@ -1177,8 +1190,6 @@ def _do_transfer(s, mv):
     h = _handle(s, mv.handle)
     if h.feet is None:
         raise SiteMismatch("the handle has no feet to pull through")
-    if mv.side not in ("left", "right"):
-        raise SiteMismatch(f"bad side {mv.side!r}")
     v = _vertex_at(ch, mv.dart, "crossing")
     emap = surface_map(ch).edge_at
     feet = set(h.feet)
@@ -1202,8 +1213,6 @@ def _do_transfer(s, mv):
 @_applies(RotateTrivialHandleDecoration)
 def _do_rotate(s, mv):
     h = _uncoiled(s, mv.handle, "rotate")
-    if mv.direction not in ("cw", "ccw"):
-        raise SiteMismatch(f"bad direction {mv.direction!r}")
     n = s.chart.degree
     if len(h.coreloop.letters) > 1:
         raise NonTrivialHandle("the loop word must be at most one letter to rotate")
@@ -1261,11 +1270,6 @@ def _require_generators(s):
 def _do_convert(s, mv):
     h = _uncoiled(s, mv.handle, "convert")
     e, a = _clean_span(s, h)
-    n = s.chart.degree
-    if not 1 <= mv.label <= n - 1:
-        raise LabelConstraintViolated(f"label {mv.label} out of range")
-    if mv.sign not in (1, -1):
-        raise SiteMismatch(f"bad sign {mv.sign}")
     _require_generators(s)
     head = h.feet[1] if mv.sign > 0 else h.feet[0]
     out = _relabelled(s, e, Edge(e.darts, mv.label, head))
@@ -1283,8 +1287,6 @@ def _do_relabel(s, mv):
     e = _edge_at(ch, mv.dart)
     if not all(_lone_black(surface_map(ch), d) for d in e.darts):
         raise SiteMismatch("both ends must be lone black vertices")
-    if not 1 <= mv.label <= ch.degree - 1:
-        raise LabelConstraintViolated(f"label {mv.label} out of range")
     _require_generators(s)
     out = _relabelled(s, e, Edge(e.darts, mv.label, e.head))
     return out, FreeEdgeRelabel(mv.dart, e.label)
@@ -1309,12 +1311,10 @@ def _do_slide(s, mv):
         if ak != al:
             raise SiteMismatch("the spans must run the same way")
         bk = free_reduce(hk.coreloop * hl.coreloop)
-    elif mv.variant == "B":
+    else:
         if ak != -al:
             raise SiteMismatch("the spans must run opposite ways")
         bk = free_reduce(hl.coreloop.inverse() * hk.coreloop)
-    else:
-        raise SiteMismatch(f"unknown variant {mv.variant!r}")
     gone = (el, *_foot_vertices(s, hl))
     handles = _with_handles(s, replace(hk, coreloop=bk), replace(hl, feet=None))
     return _undoable(s, gone, (), handles)
@@ -1411,8 +1411,6 @@ def _do_patterncapture(s, mv):
 
 @_applies(PatternTwist)
 def _do_patterntwist(s, mv):
-    if mv.sign not in (1, -1):
-        raise SiteMismatch(f"bad sign {mv.sign}")
     coil = _the_coil(s)
     m, n = coil.mn
     handles = _with_handles(s, replace(coil, mn=(m, n + 2 * mv.sign * m)))
@@ -1453,8 +1451,10 @@ def _check_surface(s: DecoratedSurface, touched=None, held=None):
 def apply_move(s: DecoratedSurface, mv):
     """Apply one move; returns (new surface, exact inverse move).
 
-    A surface that no checked move produced is checked in full first.  The
-    applier hands over its patch with the output chart (see _rewrite): the
+    A surface that no checked move produced is checked in full first, and
+    the move's sign, label and choice fields are checked by name (see
+    _field_rules) before its applier runs.  The applier hands over its
+    patch with the output chart (see _rewrite): the
     output's map is the input's map plus the patch, and the output is
     checked on the darts of the edges and vertices the move created and on
     the records it names, plus the map-level counts the map keeps, and its
@@ -1467,6 +1467,7 @@ def apply_move(s: DecoratedSurface, mv):
         raise TypeError(f"not a move: {mv!r}")
     if not getattr(s, "_checked", False):
         _check_surface(s)
+    _check_fields(mv, s.chart.degree)
     held = (s.handles, surface_map(s.chart).ends)
     out, inv = fn(s, mv)
     _check_surface(out, take_patch(s.chart, out.chart), held)
@@ -1497,7 +1498,7 @@ def enumerate_chart_moves(s: DecoratedSurface):
         for sign in (1, -1):
             out.append(CIM1Add(lab, sign))
     for k, r in enumerate(ch.loops):
-        if not r.pinned and not r.over:
+        if not r.pinned:
             out.append(CIM1Erase(k))
 
     for e in sorted(ch.edges, key=lambda e: min(e.darts)):
@@ -1505,7 +1506,7 @@ def enumerate_chart_moves(s: DecoratedSurface):
         for sign in (1, -1):
             out.append(CIM2Split(d, sign))
         for k, r in enumerate(ch.loops):
-            if r.label == e.label and not r.over:
+            if r.label == e.label:
                 out.append(CIM2Absorb(d, k))
 
     darts = m.darts
@@ -1530,36 +1531,24 @@ def enumerate_chart_moves(s: DecoratedSurface):
     for i in range(len(ch.loops)):
         for j in range(i + 1, len(ch.loops)):
             ri, rj = ch.loops[i], ch.loops[j]
-            if (
-                abs(ri.label - rj.label) >= 2
-                and not (ri.pinned or rj.pinned)
-                and not (ri.over or rj.over)
-            ):
+            if abs(ri.label - rj.label) >= 2 and not (ri.pinned or rj.pinned):
                 out.append(CIR2Bootstrap(i, j))
 
-    if ch.edges:
-        seen_pairs = set()
-        for f in m.faces:
-            if len(f) != 2:
-                continue
-            va, vb = vmap[f[0]], vmap[f[1]]
-            if va is vb:
-                continue
-            if va.kind != "crossing" or vb.kind != "crossing":
-                continue
-            key = frozenset((id(va), id(vb)))
-            if key in seen_pairs:
-                continue
-            ta, sa = crossing_type(ch, va)
-            tb, sb = crossing_type(ch, vb)
-            if ta == tb and sa == -sb:
-                seen_pairs.add(key)
-                mv = CIR2Straighten(f[0], f[1])
-                try:
-                    apply_move(s, mv)
-                except ValueError:
-                    continue
-                out.append(mv)
+    # each cancelling crossing pair once, under its first bigon face
+    seen_pairs = set()
+    for f in m.faces:
+        if len(f) != 2:
+            continue
+        key = frozenset((id(vmap[f[0]]), id(vmap[f[1]])))
+        if key in seen_pairs:
+            continue
+        mv = CIR2Straighten(f[0], f[1])
+        try:
+            apply_move(s, mv)
+        except ValueError:
+            continue
+        seen_pairs.add(key)
+        out.append(mv)
 
     for d in _black_ends(ch):
         e = emap[d]
@@ -1591,7 +1580,6 @@ def enumerate_chart_moves(s: DecoratedSurface):
                         and r.label == lab
                         and r.sign == 1
                         and not r.pinned
-                        and not r.over
                     ),
                     None,
                 )
@@ -1984,27 +1972,23 @@ def _non_handle_vertices(s: DecoratedSurface):
 def _deco_form_ok(s, h, strong):
     if h.mn is not None:
         return False
-    b = h.coreloop
-    if h.feet is None:
-        a = BraidWord(s.chart.degree)
-    else:
-        a = derived_cocore(s, h.id)
-        if a is None:
-            return False
-    if b.is_empty:
-        return True
-    if strong:
+    span = None if h.feet is None else _span(s, h)
+    if h.feet is not None and span is None:
         return False
+    b = h.coreloop.letters
+    if not b:
+        return True
     return (
-        len(a.letters) == 1
-        and len(b.letters) == 1
-        and abs(abs(a.letters[0]) - abs(b.letters[0])) >= 2
+        not strong
+        and span is not None
+        and len(b) == 1
+        and abs(abs(span[1]) - abs(b[0])) >= 2
     )
 
 
 def _check_claim(state, trace, claim):
     n = state.chart.degree
-    attached = sum(isinstance(mv, AttachTrivialHandle) for mv in trace.steps)
+    attached = sum(isinstance(mv, _ATTACHING) for mv in trace.steps)
     if claim == "empty":
         if _non_handle_vertices(state):
             return False, "claim empty: the chart still has components"
@@ -2084,102 +2068,68 @@ def certify_trace(trace: EngineTrace) -> CertifyResult:
 # ---------------------------------------------------------------------------
 # script format
 
-_REQ = object()
-
-
-def _enc_sign(v):
-    return "+" if v > 0 else "-"
-
-
-def _dec(kind, text, degree):
-    if kind == "int":
-        return int(text)
+def _dec(kind, text):
     if kind == "sign":
         if text not in ("+", "-"):
             raise ValueError(f"expected + or -, got {text!r}")
         return 1 if text == "+" else -1
     if kind == "ints":
         return tuple(int(x) for x in text.split(","))
-    if kind == "word":
-        return parse_word(text.replace(".", " "), degree)
-    return text
+    return int(text) if kind == "int" else text
 
 
 def _enc(kind, value):
-    if kind == "int":
-        return str(value)
     if kind == "sign":
-        return _enc_sign(value)
+        return "+" if value > 0 else "-"
     if kind == "ints":
         return ",".join(str(x) for x in value)
-    if kind == "word":
-        return format_word(value).replace(" ", ".")
     return str(value)
 
 
-# key, dataclass field, value kind, default (omitted when equal)
+# The text form of a move is its name and key=value tokens, one per field
+# that is set away from its default; a field with no default is required.
+# Move names that are not the class name in lower case:
+_NAMES = {
+    CIR2Bootstrap: "cir2loops",
+    CIISweep: "cii",
+    CIIIEliminate: "ciii",
+    CIM3Bootstrap: "cim3loops",
+    DetachTrivialHandle: "detach",
+    MoveHandleAcrossEdge: "across",
+    CrossingTransfer: "transfer",
+    RotateTrivialHandleDecoration: "rotate",
+    ConvertViaGeneratorSet: "convert",
+    FreeEdgeRelabel: "relabel",
+    HandleSlideDecorated: "slide",
+    OrientationReversalAid: "reverseaid",
+    SlideEndAlongEdge: "slideend",
+    AbsorbLoopIntoFreeEdge: "absorbhandle",
+}
+# keys that are not the field name
+_KEYS = {"emit_label": "emit", "emit_sign": "emitsign", "direction": "dir"}
+
+
+def _kind(name):
+    """The value kind of a move field, by its name."""
+    if name.endswith("sign"):
+        return "sign"
+    if name in _CHOICES:
+        return "str"
+    return "ints" if name == "loops" else "int"
+
+
+# class -> (name, ((key, field, kind, default), ...)); attach has its own form
 _SPECS = {
-    CIM1Add: ("cim1add", (("label", "label", "int", _REQ),
-                          ("sign", "sign", "sign", _REQ),
-                          ("index", "index", "int", None))),
-    CIM1Erase: ("cim1erase", (("loop", "loop", "int", _REQ),)),
-    CIM2Split: ("cim2split", (("dart", "dart", "int", _REQ),
-                              ("sign", "sign", "sign", _REQ),
-                              ("index", "index", "int", None))),
-    CIM2Absorb: ("cim2absorb", (("dart", "dart", "int", _REQ),
-                                ("loop", "loop", "int", _REQ))),
-    CIM2Reconnect: ("cim2reconnect", (("a", "a", "int", _REQ),
-                                      ("b", "b", "int", _REQ))),
-    CIR2Insert: ("cir2insert", (("a", "a", "int", _REQ),
-                                ("b", "b", "int", _REQ))),
-    CIR2Straighten: ("cir2straighten", (("a", "a", "int", _REQ),
-                                        ("b", "b", "int", _REQ))),
-    CIR2Bootstrap: ("cir2loops", (("i", "i", "int", _REQ),
-                                  ("j", "j", "int", _REQ))),
-    CIISweep: ("cii", (("black", "black", "int", _REQ),
-                       ("target", "target", "int", _REQ))),
-    CIIRetract: ("ciiretract", (("dart", "dart", "int", _REQ),)),
-    CIIIEliminate: ("ciii", (("dart", "dart", "int", _REQ),)),
-    CIM3Bootstrap: ("cim3loops", (("x", "x", "int", _REQ),
-                                  ("y", "y", "int", _REQ),
-                                  ("loops", "loops", "ints", _REQ))),
-    CIM3Cancel: ("cim3cancel", (("dart", "dart", "int", _REQ),)),
-    DetachTrivialHandle: ("detach", (("handle", "handle", "int", _REQ),)),
-    MoveHandleAcrossEdge: ("across", (("handle", "handle", "int", _REQ),
-                                      ("dart", "dart", "int", None),
-                                      ("end", "end", "int", None),
-                                      ("loop", "loop", "int", None),
-                                      ("emit", "emit_label", "int", None),
-                                      ("sign", "sign", "sign", 1),
-                                      ("emitsign", "emit_sign", "sign", 1),
-                                      ("side", "side", "str", "right"),
-                                      ("index", "index", "int", None))),
-    Bridge: ("bridge", (("handle", "handle", "int", _REQ),
-                        ("dart", "dart", "int", _REQ))),
-    CrossingTransfer: ("transfer", (("dart", "dart", "int", _REQ),
-                                    ("handle", "handle", "int", _REQ),
-                                    ("side", "side", "str", "right"))),
-    RotateTrivialHandleDecoration: ("rotate", (("handle", "handle", "int", _REQ),
-                                               ("dir", "direction", "str", _REQ))),
-    ConvertViaGeneratorSet: ("convert", (("handle", "handle", "int", _REQ),
-                                         ("label", "label", "int", _REQ),
-                                         ("sign", "sign", "sign", 1))),
-    FreeEdgeRelabel: ("relabel", (("dart", "dart", "int", _REQ),
-                                  ("label", "label", "int", _REQ))),
-    HandleSlideDecorated: ("slide", (("handle", "handle", "int", _REQ),
-                                     ("over", "over", "int", _REQ),
-                                     ("variant", "variant", "str", _REQ))),
-    OrientationReversalAid: ("reverseaid", (("dart", "dart", "int", _REQ),)),
-    SlideEndAlongEdge: ("slideend", (("dart", "dart", "int", _REQ),
-                                     ("along", "along", "int", _REQ))),
-    AbsorbLoopIntoFreeEdge: ("absorbhandle", (("handle", "handle", "int", _REQ),
-                                              ("dart", "dart", "int", _REQ))),
-    PatternCancel: ("patterncancel", (("index", "index", "int", _REQ),)),
-    PatternCapture: ("patterncapture", (("index", "index", "int", _REQ),)),
-    PatternTwist: ("patterntwist", (("sign", "sign", "sign", _REQ),)),
+    cls: (
+        _NAMES.get(cls, cls.__name__.lower()),
+        tuple((_KEYS.get(f.name, f.name), f.name, _kind(f.name), f.default)
+              for f in fields(cls)),
+    )
+    for cls in CHART_MOVES + SURFACE_MOVES
+    if cls is not AttachTrivialHandle
 }
 
-_BY_NAME = {name: (cls, fields) for cls, (name, fields) in _SPECS.items()}
+_BY_NAME = {name: (cls, rows) for cls, (name, rows) in _SPECS.items()}
 _BY_NAME["attach"] = (AttachTrivialHandle, None)
 
 
@@ -2190,52 +2140,43 @@ def _encode_move(mv):
             letter = ("s" if mv.cocore_sign > 0 else "S") + str(mv.cocore_label)
             toks.append(f"cocore={letter}")
         if mv.coreloop is not None and mv.coreloop.letters:
-            toks.append(f"coreloop={_enc('word', mv.coreloop)}")
+            toks.append("coreloop=" + format_word(mv.coreloop).replace(" ", "."))
         return toks
     spec = _SPECS.get(type(mv))
     if spec is None:
         raise ValueError(f"{type(mv).__name__} has no text form")
-    name, fields = spec
+    name, rows = spec
     toks = [name]
-    for key, field_name, kind, default in fields:
+    for key, field_name, kind, default in rows:
         value = getattr(mv, field_name)
-        if default is not _REQ and value == default:
-            continue
-        if value is None:
+        if value is None or value == default:
             continue
         toks.append(f"{key}={_enc(kind, value)}")
     return toks
 
 
 def _decode_move(name, kv, degree):
-    cls, fields = _BY_NAME[name]
-    if cls is AttachTrivialHandle:
-        allowed = {"cocore", "coreloop"}
-        extra = set(kv) - allowed
-        if extra:
-            raise ValueError(f"unknown keys {sorted(extra)}")
-        label = sign = None
+    cls, rows = _BY_NAME[name]
+    keys = {"cocore", "coreloop"} if rows is None else {row[0] for row in rows}
+    extra = set(kv) - keys
+    if extra:
+        raise ValueError(f"unknown keys {sorted(extra)}")
+    if rows is None:
+        label, sign, coreloop = None, 1, None
         if "cocore" in kv:
             w = parse_word(kv["cocore"], degree)
             if len(w.letters) != 1:
                 raise ValueError("cocore must be a single letter")
             label, sign = abs(w.letters[0]), 1 if w.letters[0] > 0 else -1
-        coreloop = None
         if "coreloop" in kv:
-            coreloop = _dec("word", kv["coreloop"], degree)
-        return AttachTrivialHandle(label, sign if sign is not None else 1, coreloop)
+            coreloop = parse_word(kv["coreloop"].replace(".", " "), degree)
+        return AttachTrivialHandle(label, sign, coreloop)
     values = {}
-    keys = {key for key, _, _, _ in fields}
-    extra = set(kv) - keys
-    if extra:
-        raise ValueError(f"unknown keys {sorted(extra)}")
-    for key, field_name, kind, default in fields:
+    for key, field_name, kind, default in rows:
         if key in kv:
-            values[field_name] = _dec(kind, kv[key], degree)
-        elif default is _REQ:
+            values[field_name] = _dec(kind, kv[key])
+        elif default is MISSING:
             raise ValueError(f"missing key {key}")
-        else:
-            values[field_name] = default
     return cls(**values)
 
 

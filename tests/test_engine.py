@@ -579,6 +579,26 @@ class TestSurfacesEqual:
         ):
             assert not surfaces_equal(DecoratedSurface(s.chart, (other,)), s), other
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="canonical_dart_map roots cycles at their least dart, so a "
+        "renaming that reorders darts changes the key (ROADMAP item 5)",
+    )
+    def test_a_dart_shuffle_is_equal(self):
+        ch = generate_blackless_chart(4, 12, random.Random(1))
+        darts = sorted(surface_map(ch).darts)
+        shuffled = list(darts)
+        random.Random(5).shuffle(shuffled)
+        to = dict(zip(darts, shuffled))
+        renamed = mk(
+            vertices=[Vertex(v.kind, tuple(to[d] for d in v.cycle)) for v in ch.vertices],
+            edges=[Edge(tuple(to[d] for d in e.darts), e.label, to[e.head])
+                   for e in ch.edges],
+            loops=ch.loops,
+        )
+        assert_valid(renamed)
+        assert surfaces_equal(surf(renamed), surf(ch))
+
 
 class TestMoveTable:
     """Random legal moves: validity, the stats-delta table, reversibility."""
@@ -771,6 +791,19 @@ class TestCertification:
         res = certify_trace(bad)
         assert not res.ok
         assert res.step == len(trace.steps)
+
+    @pytest.mark.parametrize("claim, ok", [
+        ("added-handles=1", True),
+        ("added-handles=0", False),
+        ("handle-count<=0", False),
+    ])
+    def test_the_orientation_aid_counts_as_an_attached_handle(self, claim, ok):
+        s = surf(white_spider())
+        trace = parse_script(f"move reverseaid dart=1\nclaim {claim}\n", s)
+        res = certify_trace(trace)
+        assert res.ok is ok, res.reason
+        if not ok:
+            assert res.reason == f"claim {claim}: 1 handles were attached"
 
     def test_false_claim_fails(self):
         s = surf(white_spider())
@@ -1696,9 +1729,8 @@ def test_a_white_vertex_no_move_removes_is_a_typed_error(monkeypatch, tmp_path, 
     )
 
 
-def test_every_move_class_applies_and_round_trips_through_text():
-    assert set(engine._APPLY) == {*engine.CHART_MOVES, *engine.SURFACE_MOVES, engine._Patch}
-    s = surf(mk(degree=9))
+def _off_default_moves():
+    """One move of every class, each field away from its default."""
     away = {
         "sign": -1, "cocore_sign": -1, "emit_sign": -1, "side": "left",
         "direction": "ccw", "variant": "B", "loops": (1, 2, 3, 4, 5),
@@ -1711,5 +1743,115 @@ def test_every_move_class_applies_and_round_trips_through_text():
         for f in fields:
             assert getattr(mv, f.name) != f.default, (cls.__name__, f.name)
         moves.append(mv)
-    trace = EngineTrace(s, tuple(moves), ())
+    return tuple(moves)
+
+
+def test_every_move_class_applies_and_round_trips_through_text():
+    assert set(engine._APPLY) == {*engine.CHART_MOVES, *engine.SURFACE_MOVES, engine._Patch}
+    s = surf(mk(degree=9))
+    trace = EngineTrace(s, _off_default_moves(), ())
     assert parse_script(format_script(trace), s).steps == trace.steps
+
+
+# the script text of every move class, as written before the codec was
+# derived from the move classes; a renamed key or move name shows here
+PINNED_MOVE_TEXT = """\
+move cim1add label=7 sign=- index=9
+move cim1erase loop=7
+move cim2split dart=7 sign=- index=9
+move cim2absorb dart=7 loop=8
+move cim2reconnect a=7 b=8
+move cir2insert a=7 b=8
+move cir2loops i=7 j=8
+move cir2straighten a=7 b=8
+move cii black=7 target=8
+move ciiretract dart=7
+move ciii dart=7
+move cim3loops x=7 y=8 loops=1,2,3,4,5
+move cim3cancel dart=7
+move attach cocore=S7 coreloop=s1.S3
+move detach handle=7
+move across handle=7 dart=8 end=9 loop=10 emit=11 sign=- emitsign=- side=left index=15
+move bridge handle=7 dart=8
+move transfer dart=7 handle=8 side=left
+move rotate handle=7 dir=ccw
+move convert handle=7 label=8 sign=-
+move relabel dart=7 label=8
+move slide handle=7 over=8 variant=B
+move reverseaid dart=7
+move slideend dart=7 along=8
+move absorbhandle handle=7 dart=8
+move patterncancel index=7
+move patterncapture index=7
+move patterntwist sign=-
+"""
+
+
+def test_the_script_text_of_every_move_class_is_pinned():
+    trace = EngineTrace(surf(mk(degree=9)), _off_default_moves(), ())
+    assert format_script(trace) == PINNED_MOVE_TEXT
+
+
+# (class, field, bad value, site fields, error, message); the site fields
+# alone would apply on _field_check_surface() wherever the class can
+BAD_FIELDS = [
+    (CIM1Add, "label", 0, {}, LabelConstraintViolated, "label 0 out of range"),
+    (CIM1Add, "label", 4, {}, LabelConstraintViolated, "label 4 out of range"),
+    (CIM1Add, "sign", 0, {}, SiteMismatch, "bad sign 0"),
+    (CIM2Split, "sign", 2, {}, SiteMismatch, "bad sign 2"),
+    (AttachTrivialHandle, "cocore_label", 4, {}, LabelConstraintViolated,
+     "label 4 out of range"),
+    (AttachTrivialHandle, "cocore_sign", 0, {}, SiteMismatch, "bad sign 0"),
+    (MoveHandleAcrossEdge, "sign", 0, {"loop": 0}, SiteMismatch, "bad sign 0"),
+    (MoveHandleAcrossEdge, "sign", 5, {"emit_label": 2}, SiteMismatch, "bad sign 5"),
+    (MoveHandleAcrossEdge, "emit_label", 0, {}, LabelConstraintViolated,
+     "label 0 out of range"),
+    (MoveHandleAcrossEdge, "emit_sign", -2, {"loop": 0}, SiteMismatch, "bad sign -2"),
+    (MoveHandleAcrossEdge, "side", "x", {"loop": 0}, SiteMismatch, "bad side 'x'"),
+    (CrossingTransfer, "side", "up", {}, SiteMismatch, "bad side 'up'"),
+    (RotateTrivialHandleDecoration, "direction", "x", {}, SiteMismatch,
+     "bad direction 'x'"),
+    (ConvertViaGeneratorSet, "label", 9, {}, LabelConstraintViolated,
+     "label 9 out of range"),
+    (ConvertViaGeneratorSet, "sign", 0, {}, SiteMismatch, "bad sign 0"),
+    (FreeEdgeRelabel, "label", 9, {}, LabelConstraintViolated, "label 9 out of range"),
+    (HandleSlideDecorated, "variant", "C", {}, SiteMismatch, "unknown variant 'C'"),
+    (PatternTwist, "sign", 0, {}, SiteMismatch, "bad sign 0"),
+]
+
+
+def _field_check_surface():
+    """Degree 4, footless handle 1, and loop record 0 of label 2."""
+    s, _ = apply_move(empty_surface(4), AttachTrivialHandle())
+    return apply_move(s, CIM1Add(2, 1))[0]
+
+
+@pytest.mark.parametrize(
+    "cls, name, bad, site, error, message", BAD_FIELDS,
+    ids=[f"{c.__name__}-{n}={b!r}" for c, n, b, *_ in BAD_FIELDS],
+)
+def test_a_bad_sign_label_or_choice_is_refused(cls, name, bad, site, error, message):
+    given = {**site, name: bad}
+    required = {f.name: 1 for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING and f.name not in given}
+    mv = cls(**required, **given)
+    with pytest.raises(error) as info:
+        apply_move(_field_check_surface(), mv)
+    assert str(info.value) == message
+
+
+def test_every_sign_label_and_choice_field_has_a_refusal_case():
+    checked = {
+        (cls, f.name)
+        for cls in engine.CHART_MOVES + engine.SURFACE_MOVES
+        for f in dataclasses.fields(cls)
+        if f.name.endswith("sign")
+        or f.name in ("label", "cocore_label", "emit_label", "side", "direction", "variant")
+    }
+    assert checked == {(cls, name) for cls, name, *_ in BAD_FIELDS}
+
+
+def test_the_site_fields_of_the_handle_refusals_apply():
+    s = _field_check_surface()
+    for site in ({"loop": 0}, {"emit_label": 2}):
+        apply_move(s, MoveHandleAcrossEdge(1, **site))
