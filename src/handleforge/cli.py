@@ -39,13 +39,14 @@ from .handles import (
     classify_standard,
     enumerate_reachable,
     format_handles,
-    format_trace_moves,
+    format_trace,
     normalize_general,
     normalize_hirose,
     normalize_with_stabilizer,
     parse_handles,
-    parse_trace_moves,
+    parse_trace,
     replay_trace,
+    stabilized,
     system_invariants,
 )
 
@@ -130,40 +131,6 @@ def _add_system(rep: Report, system) -> None:
         rep.add("handle", line)
 
 
-_MOVE_VERBS = ("invert", "twist", "rotate", "slide", "transfer7", "transfer9")
-
-
-def _split_handle_trace(text: str):
-    """Split a trace file into its optional starting system and the moves.
-
-    Normal forms that stabilize first replay from the stabilized system, so
-    emitted trace files carry that system ahead of the move lines.
-    """
-    lines = text.splitlines()
-    cut = len(lines)
-    for idx, line in enumerate(lines):
-        parts = line.split()
-        if parts and parts[0] in _MOVE_VERBS:
-            cut = idx
-            break
-    system_text = "\n".join(lines[:cut]).strip()
-    moves = parse_trace_moves("\n".join(lines[cut:]))
-    if not system_text:
-        return None, moves
-    return parse_handles(system_text + "\n"), moves
-
-
-def _extends_by_stabilization(initial, base) -> bool:
-    if (initial.generator_count != base.generator_count
-            or initial.pattern_braid != base.pattern_braid):
-        return False
-    k = len(base.handles)
-    if initial.handles[:k] != base.handles:
-        return False
-    return all(h.label.is_trivial and h.m == 0 and h.n == 0
-               for h in initial.handles[k:])
-
-
 # Each _cmd_* returns its report and whether the command holds; main adds
 # ok=true or ok=false, renders the report, and exits 0 or 1.
 
@@ -234,8 +201,7 @@ def _cmd_normalize(args):
     rep.add("trace-steps", len(trace.steps))
     if args.emit_trace:
         with open(args.emit_trace, "w", encoding="utf-8") as fh:
-            fh.write(format_handles(trace.initial))
-            fh.write(format_trace_moves(trace.steps))
+            fh.write(format_trace(trace))
         rep.add("trace", args.emit_trace)
     return rep, True
 
@@ -258,14 +224,14 @@ def _cmd_replay(args):
             rep.add("step", result.step + 1)
         rep.add("reason", result.reason)
         return rep, False
-    declared, moves = _split_handle_trace(trace_text)
+    start, moves = parse_trace(trace_text)
     rep.add("kind", "handle-trace")
     rep.add("steps", len(moves))
-    if declared is not None and not _extends_by_stabilization(declared, obj):
+    start = obj if start is None else start
+    if start != stabilized(obj, len(start.handles) - len(obj.handles)):
         rep.add("reason", "trace starting system is not the data system "
                 "plus trivial stabilizers")
         return rep, False
-    start = obj if declared is None else declared
     try:
         final = replay_trace(HandleTrace(start, moves))
     except IllegalStep as exc:

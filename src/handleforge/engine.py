@@ -1070,6 +1070,8 @@ def _do_attach(s, mv):
         raise SiteMismatch(f"coreloop degree {cl.degree} vs chart degree {n}")
     hid = max((h.id for h in s.handles), default=0) + 1
     if mv.cocore_label is None:
+        if mv.cocore_sign != 1:
+            raise SiteMismatch("a footless attachment takes no cocore sign")
         if cl.letters:
             raise NonTrivialHandle("a footless attachment must carry no loop word")
         h = AttachedHandle(hid, cl, None, None)
@@ -1114,6 +1116,17 @@ def _do_detach(s, mv):
     return out, back
 
 
+# the fields each form of MoveHandleAcrossEdge does not read; they must keep
+# their defaults, so that each script line names one step
+_ACROSS_UNREAD = {
+    "dart": ("emit_sign", "side", "index"),
+    "end": ("emit_sign", "index"),
+    "loop": ("sign", "emit_sign", "index"),
+    "emit": ("sign",),
+}
+_ACROSS_DEFAULT = MoveHandleAcrossEdge(0)
+
+
 @_applies(MoveHandleAcrossEdge)
 def _do_across(s, mv):
     ch = s.chart
@@ -1124,6 +1137,9 @@ def _do_across(s, mv):
     if len(forms) != 1:
         raise SiteMismatch("exactly one of dart/end/loop/emit_label is required")
     form = forms[0]
+    for name in _ACROSS_UNREAD[form]:
+        if getattr(mv, name) != getattr(_ACROSS_DEFAULT, name):
+            raise SiteMismatch(f"the {form} form takes no {name}")
     loops, made = ch.loops, ()
     if form == "dart":
         if h.feet is not None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Union
 
 from . import kernels
@@ -122,62 +123,71 @@ class HandleSystem:
 # ---------------------------------------------------------------------------
 # moves
 
-@dataclass(frozen=True)
+# The rule of each checked move field, run as the __post_init__ of every move
+# class with that field; no class has two.  Transfer7 and Transfer9 share the
+# noun "transfer".
+def _sign_rule(mv) -> None:
+    if mv.sign not in (1, -1):
+        raise ValueError(f"{type(mv).__name__.lower().rstrip('79')} sign must be +1 or -1")
+
+
+def _direction_rule(mv) -> None:
+    if mv.direction not in ("cw", "ccw"):
+        raise ValueError("rotation direction must be 'cw' or 'ccw'")
+
+
+def _variant_rule(mv) -> None:
+    if mv.variant not in ("A", "B"):
+        raise ValueError("slide variant must be 'A' or 'B'")
+
+
+_FIELD_RULES = {"sign": _sign_rule, "direction": _direction_rule, "variant": _variant_rule}
+
+
+def _move(cls):
+    """A frozen dataclass checked by the rule of its one checked field, if any."""
+    rules = [_FIELD_RULES[name] for name in cls.__annotations__ if name in _FIELD_RULES]
+    if rules:
+        (cls.__post_init__,) = rules  # a class with two fails here
+    return dataclass(frozen=True)(cls)
+
+
+@_move
 class Invert:
     k: int
 
 
-@dataclass(frozen=True)
+@_move
 class Twist:
     k: int
     sign: int
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError("twist sign must be +1 or -1")
 
-
-@dataclass(frozen=True)
+@_move
 class Rotate:
     k: int
     direction: str
 
-    def __post_init__(self) -> None:
-        if self.direction not in ("cw", "ccw"):
-            raise ValueError("rotation direction must be 'cw' or 'ccw'")
 
-
-@dataclass(frozen=True)
+@_move
 class Slide:
     k: int
     over: int
     variant: str
 
-    def __post_init__(self) -> None:
-        if self.variant not in ("A", "B"):
-            raise ValueError("slide variant must be 'A' or 'B'")
 
-
-@dataclass(frozen=True)
+@_move
 class Transfer7:
     k: int
     l: int
     sign: int
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError("transfer sign must be +1 or -1")
 
-
-@dataclass(frozen=True)
+@_move
 class Transfer9:
     k: int
     l: int
     sign: int
-
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError("transfer sign must be +1 or -1")
 
 
 HandleMove = Union[Invert, Twist, Rotate, Slide, Transfer7, Transfer9]
@@ -323,18 +333,6 @@ class NormalFormTag:
     trace: HandleTrace = field(default=_EMPTY_TRACE, compare=False, repr=False)
 
 
-def DiagonalType(k: int, trace: HandleTrace = _EMPTY_TRACE) -> NormalFormTag:
-    return NormalFormTag("diagonal", k, trace)
-
-
-def OffType(k: int, trace: HandleTrace = _EMPTY_TRACE) -> NormalFormTag:
-    return NormalFormTag("off", k, trace)
-
-
-def ZeroType(trace: HandleTrace = _EMPTY_TRACE) -> NormalFormTag:
-    return NormalFormTag("zero", 0, trace)
-
-
 # ---------------------------------------------------------------------------
 # normalizers
 
@@ -426,13 +424,11 @@ def normalize_general(s: HandleSystem) -> tuple[HandleSystem, HandleTrace]:
     return tb.state, tb.trace()
 
 
-def _stabilized(s: HandleSystem) -> _TraceBuilder:
-    """A trace builder from s with a trivial handle 1(0,0) appended."""
-    return _TraceBuilder(HandleSystem(
-        s.generator_count,
-        s.handles + (DecoratedHandle(HandleLabel(()), 0, 0),),
-        s.pattern_braid,
-    ))
+def stabilized(s: HandleSystem, k: int) -> HandleSystem:
+    """s with k trivial handles 1(0,0) appended (none when k <= 0): the start
+    of a stabilizing normal form's trace (k = 1) and of any replayed trace."""
+    trivial = DecoratedHandle(HandleLabel(()), 0, 0)
+    return HandleSystem(s.generator_count, s.handles + (trivial,) * k, s.pattern_braid)
 
 
 def _transfer_into_last(tb: _TraceBuilder, j: int, c: int) -> None:
@@ -469,7 +465,7 @@ def normalize_with_stabilizer(s: HandleSystem) -> tuple[HandleSystem, HandleTrac
     """
     if not s.handles or all(hd.m == 0 for hd in s.handles):
         raise DegenerateAllZero("every cocore power is zero")
-    tb = _stabilized(s)
+    tb = _TraceBuilder(stabilized(s, 1))
     d, coeffs = _bezout([hd.m for hd in s.handles])
     for j, c in enumerate(coeffs, start=1):
         _transfer_into_last(tb, j, c)
@@ -491,12 +487,12 @@ def classify_standard(s: HandleSystem) -> NormalFormTag:
     even, or the all-zero system when d = 0.
     """
     _require_trivial_labels(s)
-    tb = _stabilized(s)
+    tb = _TraceBuilder(stabilized(s, 1))
     G = len(tb.state.handles)
     inv = system_invariants(s)
     d = inv.d
     if d == 0:
-        return ZeroType(tb.trace())
+        return NormalFormTag("zero", 0, tb.trace())
     q = inv.pairing // (d * d)
     _, coeffs = _bezout([v for hd in s.handles for v in (hd.m, hd.n)])
     for j in range(1, G):
@@ -530,7 +526,7 @@ def normalize_hirose(s: HandleSystem) -> NormalFormTag:
     tb = _TraceBuilder(s)
     count = len(s.handles)
     if count == 0:
-        return ZeroType(tb.trace())
+        return NormalFormTag("zero", 0, tb.trace())
     while True:
         _euclid_m_into_first(tb)
         _euclid_n_into_second(tb)
@@ -558,7 +554,7 @@ def normalize_hirose(s: HandleSystem) -> NormalFormTag:
             continue
         if a == 0:
             if b == 0:
-                return ZeroType(tb.trace())
+                return NormalFormTag("zero", 0, tb.trace())
             tb.do(Rotate(1, "cw"))
             continue
         t = b % (2 * a)
@@ -651,9 +647,8 @@ def enumerate_reachable(
                 if c not in seen:
                     seen.add(c)
                     if len(seen) > max_states:
-                        raise BudgetExceeded(
-                            f"reachability search exceeded its budget of {max_states} "
-                            f"states: {len(seen)} states reached by layer {depth}"
+                        raise kernels._over_budget(
+                            "reachability search", max_states, len(seen), depth
                         )
                     nxt.append(c)
         frontier = nxt
@@ -739,55 +734,75 @@ def format_handles(s: HandleSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The trace line of each move.  The first word is the move's verb, a {field}
+# is written as the field's value (a sign as + or -), and any other word is
+# literal.  The fields appear in the class's field order.
+_TRACE_LINES = {
+    Invert: "invert {k}",
+    Twist: "twist {k} {sign}",
+    Rotate: "rotate {k} {direction}",
+    Slide: "slide {k} over {over} {variant}",
+    Transfer7: "transfer7 {k} {l} {sign}",
+    Transfer9: "transfer9 {k} {l} {sign}",
+}
+# verb -> (move class, operand words)
+_VERBS = {
+    line.split()[0]: (cls, tuple(line.split()[1:])) for cls, line in _TRACE_LINES.items()
+}
 _SIGN = {"+": 1, "-": -1}
+# how a field word reads its operand; any other field is an integer
+_READ = {"{sign}": _SIGN.__getitem__, "{direction}": str, "{variant}": str}
 
 
-def parse_trace_moves(text: str) -> tuple[HandleMove, ...]:
+@lru_cache(maxsize=4096)
+def _parse_move(line: str) -> HandleMove:
+    """The move a trace line names, decoded once per line: moves are immutable."""
+    parts = line.split()
+    cls, words = _VERBS.get(parts[0], (None, ()))
+    operands = parts[1:]
+    if cls is None or len(operands) != len(words) or any(
+        w != p for w, p in zip(words, operands) if w[0] != "{"
+    ):
+        raise ValueError("unrecognized move syntax")
+    return cls(*(_READ.get(w, int)(p) for w, p in zip(words, operands) if w[0] == "{"))
+
+
+def format_trace(t: HandleTrace) -> str:
+    """The trace file of t: its start system, then one move per line."""
+    lines = []
+    for mv in t.steps:
+        line = _TRACE_LINES.get(type(mv))
+        if line is None:
+            raise TypeError(f"not a handle move: {mv!r}")
+        values = vars(mv)
+        if "sign" in values:
+            values = {**values, "sign": "+" if mv.sign > 0 else "-"}
+        lines.append(line.format_map(values) + "\n")
+    return format_handles(t.initial) + "".join(lines)
+
+
+def parse_trace(text: str) -> tuple[HandleSystem | None, tuple[HandleMove, ...]]:
+    """Read a trace file: an optional start system, then one move per line.
+
+    The moves begin at the first line whose first word is a verb, and a
+    move's ParseError counts lines from there.  A text of move lines only
+    gives None as its start.
+    """
+    lines = text.splitlines()
+    cut = len(lines)
+    for idx, line in enumerate(lines):
+        parts = line.split()
+        if parts and parts[0] in _VERBS:
+            cut = idx
+            break
     moves: list[HandleMove] = []
-    for idx, raw in enumerate(text.splitlines()):
+    for idx, raw in enumerate(lines[cut:]):
         line = raw.strip()
         if not line:
             continue
-        parts = line.split()
         try:
-            moves.append(_parse_move(parts))
-        except (ValueError, KeyError, IndexError) as exc:
+            moves.append(_parse_move(line))
+        except (ValueError, KeyError) as exc:
             raise ParseError(idx + 1, 1, f"bad move {line!r}: {exc}") from None
-    return tuple(moves)
-
-
-def _parse_move(parts: list[str]) -> HandleMove:
-    head = parts[0]
-    if head == "invert" and len(parts) == 2:
-        return Invert(int(parts[1]))
-    if head == "twist" and len(parts) == 3:
-        return Twist(int(parts[1]), _SIGN[parts[2]])
-    if head == "rotate" and len(parts) == 3:
-        return Rotate(int(parts[1]), parts[2])
-    if head == "slide" and len(parts) == 5 and parts[2] == "over":
-        return Slide(int(parts[1]), int(parts[3]), parts[4])
-    if head == "transfer7" and len(parts) == 4:
-        return Transfer7(int(parts[1]), int(parts[2]), _SIGN[parts[3]])
-    if head == "transfer9" and len(parts) == 4:
-        return Transfer9(int(parts[1]), int(parts[2]), _SIGN[parts[3]])
-    raise ValueError("unrecognized move syntax")
-
-
-def format_trace_moves(moves: Iterable[HandleMove]) -> str:
-    lines = []
-    for mv in moves:
-        if isinstance(mv, Invert):
-            lines.append(f"invert {mv.k}")
-        elif isinstance(mv, Twist):
-            lines.append(f"twist {mv.k} {'+' if mv.sign > 0 else '-'}")
-        elif isinstance(mv, Rotate):
-            lines.append(f"rotate {mv.k} {mv.direction}")
-        elif isinstance(mv, Slide):
-            lines.append(f"slide {mv.k} over {mv.over} {mv.variant}")
-        elif isinstance(mv, Transfer7):
-            lines.append(f"transfer7 {mv.k} {mv.l} {'+' if mv.sign > 0 else '-'}")
-        elif isinstance(mv, Transfer9):
-            lines.append(f"transfer9 {mv.k} {mv.l} {'+' if mv.sign > 0 else '-'}")
-        else:
-            raise TypeError(f"not a handle move: {mv!r}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    start = "\n".join(lines[:cut]).strip()
+    return (parse_handles(start + "\n") if start else None), tuple(moves)

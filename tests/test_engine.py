@@ -1855,3 +1855,41 @@ def test_the_site_fields_of_the_handle_refusals_apply():
     s = _field_check_surface()
     for site in ({"loop": 0}, {"emit_label": 2}):
         apply_move(s, MoveHandleAcrossEdge(1, **site))
+
+
+def _across_surface():
+    """A free edge of label 1 (dart 1 at a lone end), footless handle 1 and
+    loop record 0 of label 2."""
+    s, _ = apply_move(surf(free_edge_chart(label=1)), AttachTrivialHandle())
+    return apply_move(s, CIM1Add(2, 1))[0]
+
+
+# each form of MoveHandleAcrossEdge: its site, and the fields it reads
+ACROSS_FORMS = {
+    "dart": ({"dart": 1}, {"sign"}),
+    "end": ({"end": 1}, {"sign", "side"}),
+    "loop": ({"loop": 0}, {"side"}),
+    "emit": ({"emit_label": 2}, {"emit_sign", "side", "index"}),
+}
+
+
+@pytest.mark.parametrize("form", ACROSS_FORMS)
+@pytest.mark.parametrize(
+    "name, value", [("sign", -1), ("emit_sign", -1), ("side", "left"), ("index", 1)]
+)
+def test_a_move_across_refuses_a_field_its_form_does_not_read(form, name, value):
+    site, reads = ACROSS_FORMS[form]
+    mv = MoveHandleAcrossEdge(1, **site, **{name: value})
+    if name in reads:
+        apply_move(_across_surface(), mv)
+    else:
+        with pytest.raises(SiteMismatch) as info:
+            apply_move(_across_surface(), mv)
+        assert str(info.value) == f"the {form} form takes no {name}"
+
+
+def test_a_footless_attachment_refuses_a_cocore_sign():
+    with pytest.raises(SiteMismatch) as info:
+        apply_move(empty_surface(4), AttachTrivialHandle(None, -1))
+    assert str(info.value) == "a footless attachment takes no cocore sign"
+    apply_move(empty_surface(4), AttachTrivialHandle(1, -1))

@@ -20,10 +20,12 @@ from handleforge.handles import (
     HandleSystem,
     classify_standard,
     format_handles,
-    format_trace_moves,
+    format_trace,
     normalize_general,
     normalize_hirose,
     normalize_with_stabilizer,
+    parse_trace,
+    stabilized,
 )
 
 FIXTURE_DIR = resources.files("handleforge") / "data"
@@ -161,13 +163,11 @@ def normalizer_traces():
         for fn in (normalize_hirose, classify_standard):
             tag = fn(s)
             h.update(repr((tag.kind, tag.k)).encode())
-            h.update(format_handles(tag.trace.initial).encode())
-            h.update(format_trace_moves(tag.trace.steps).encode())
+            h.update(format_trace(tag.trace).encode())
         for system in (s, _seeded_system(seed, trivial=False)):
             for fn in (normalize_general, normalize_with_stabilizer):
                 final, trace = fn(system)
-                h.update(format_handles(trace.initial).encode())
-                h.update(format_trace_moves(trace.steps).encode())
+                h.update(format_trace(trace).encode())
                 h.update(format_handles(final).encode())
     return h.hexdigest()
 
@@ -184,6 +184,23 @@ def test_cli_transcript_is_unchanged(tmp_path):
 
 def test_normalizer_traces_are_unchanged():
     assert normalizer_traces() == NORMALIZER_DIGEST
+
+
+def test_every_normalizer_trace_file_round_trips():
+    starts = set()
+    for seed in range(20):
+        s = _seeded_system(seed, trivial=True)
+        runs = [(s, fn(s).trace) for fn in (normalize_hirose, classify_standard)]
+        for system in (s, _seeded_system(seed, trivial=False)):
+            runs += [(system, fn(system)[1])
+                     for fn in (normalize_general, normalize_with_stabilizer)]
+        for system, trace in runs:
+            k = len(trace.initial.handles) - len(system.handles)
+            assert trace.initial == stabilized(system, k)
+            assert parse_trace(format_trace(trace)) == (trace.initial, trace.steps)
+            starts.add(k)
+    # both plain and stabilized starts were read back
+    assert starts == {0, 1}
 
 
 if __name__ == "__main__":

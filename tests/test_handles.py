@@ -1,41 +1,44 @@
 import math
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from handleforge import handles
 from handleforge.braid import BraidWord, parse_word
+from handleforge.errors import ParseError
 from handleforge.handles import (
     BudgetExceeded,
     DecoratedHandle,
     DegenerateAllZero,
-    DiagonalType,
     HandleLabel,
+    HandleMove,
     HandleSystem,
     HandleTrace,
     IllegalStep,
     IndexOutOfRange,
     Invert,
     NonTrivialLabel,
-    OffType,
+    NormalFormTag,
     PreconditionViolated,
     Rotate,
     Slide,
     Transfer7,
     Transfer9,
     Twist,
-    ZeroType,
     apply_handle_move,
     classify_standard,
     enumerate_reachable,
     format_handles,
-    format_trace_moves,
+    format_trace,
     inverse_moves,
     normalize_general,
     normalize_hirose,
     normalize_with_stabilizer,
     parse_handles,
-    parse_trace_moves,
+    parse_trace,
     replay_trace,
+    stabilized,
     system_invariants,
 )
 
@@ -223,6 +226,22 @@ class TestMoves:
         with pytest.raises(IndexOutOfRange):
             apply_handle_move(s, Invert(0))
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Twist(1, 0), "twist sign must be +1 or -1"),
+        (lambda: Rotate(1, "up"), "rotation direction must be 'cw' or 'ccw'"),
+        (lambda: Slide(1, 2, "C"), "slide variant must be 'A' or 'B'"),
+        (lambda: Transfer7(1, 2, 2), "transfer sign must be +1 or -1"),
+        (lambda: Transfer9(1, 2, -2), "transfer sign must be +1 or -1"),
+    ])
+    def test_a_bad_sign_direction_or_variant_is_refused(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_only_the_moves_with_a_checked_field_run_a_check(self):
+        checked = {cls for cls in get_args(HandleMove) if hasattr(cls, "__post_init__")}
+        assert checked == {Twist, Rotate, Slide, Transfer7, Transfer9}
+
     @given(labeled_systems(), st.data())
     @settings(deadline=None, max_examples=200)
     def test_every_move_reverses_exactly(self, s, data):
@@ -374,22 +393,22 @@ class TestNormalizeWithStabilizer:
 class TestClassifyStandard:
     def test_off_type(self):
         tag = classify_standard(sys_of((2, 4), (6, 0)))
-        assert tag == OffType(2)
+        assert tag == NormalFormTag("off", 2)
         final = replay_trace(tag.trace)
         assert entries(final) == ((0, 0), (0, 0), (2, 0))
 
     def test_diagonal_type(self):
         tag = classify_standard(sys_of((2, 4), (6, 2)))
-        assert tag == DiagonalType(2)
+        assert tag == NormalFormTag("diagonal", 2)
         final = replay_trace(tag.trace)
         assert entries(final) == ((0, 0), (0, 0), (2, 2))
 
     def test_unit_diagonal(self):
-        assert classify_standard(sys_of((1, 1))) == DiagonalType(1)
+        assert classify_standard(sys_of((1, 1))) == NormalFormTag("diagonal", 1)
 
     def test_zero_type(self):
         tag = classify_standard(sys_of((0, 0), (0, 0)))
-        assert tag == ZeroType()
+        assert tag == NormalFormTag("zero", 0)
         assert entries(replay_trace(tag.trace)) == ((0, 0), (0, 0), (0, 0))
 
     def test_nontrivial_label_rejected(self):
@@ -398,7 +417,7 @@ class TestClassifyStandard:
 
     def test_pure_coreloop_system(self):
         tag = classify_standard(sys_of((0, 3)))
-        assert tag == OffType(3)
+        assert tag == NormalFormTag("off", 3)
         assert entries(replay_trace(tag.trace)) == ((0, 0), (3, 0))
 
     @given(trivial_systems(max_handles=3, bound=6))
@@ -419,7 +438,7 @@ class TestClassifyStandard:
 class TestNormalizeHirose:
     def test_zero_handle(self):
         tag = normalize_hirose(sys_of((0, 0)))
-        assert tag == ZeroType()
+        assert tag == NormalFormTag("zero", 0)
 
     def test_single_handle_cross_check(self):
         s = sys_of((2, 1))
@@ -428,7 +447,7 @@ class TestNormalizeHirose:
 
     def test_split_unit_pair(self):
         tag = normalize_hirose(sys_of((1, 0), (0, 1)))
-        assert tag == OffType(1)
+        assert tag == NormalFormTag("off", 1)
         assert entries(replay_trace(tag.trace)) == ((1, 0), (0, 0))
 
     def test_nontrivial_label_rejected(self):
@@ -481,8 +500,22 @@ class TestEnumerateReachable:
         assert sys_of((0, -1)) in ball
 
     def test_budget_exceeded(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="states reached by layer"):
             enumerate_reachable(sys_of((1, 0), (0, 1)), 6, 9, max_states=50)
+
+    @pytest.mark.parametrize("labels, force_slow, search", [
+        (None, False, "handle search"),
+        (None, True, "reachability search"),
+        ([gen(1), TRIV], False, "reachability search"),
+    ])
+    def test_every_search_names_how_far_it_got(self, labels, force_slow, search):
+        s = sys_of((1, 0), (0, 1), labels=labels, g=1)
+        with pytest.raises(BudgetExceeded) as info:
+            enumerate_reachable(s, 6, 9, max_states=50, force_slow=force_slow)
+        assert str(info.value) == (
+            f"{search} exceeded its budget of 50 states: "
+            "at least 51 states reached by layer 2"
+        )
 
     @given(trivial_systems(max_handles=2, bound=2))
     @settings(deadline=None, max_examples=30)
@@ -561,8 +594,8 @@ class TestTextFormats:
             Transfer7(1, 2, 1),
             Transfer9(1, 2, -1),
         )
-        text = format_trace_moves(moves)
-        assert text.splitlines() == [
+        text = format_trace(HandleTrace(HandleSystem(0), moves))
+        assert text.splitlines()[1:] == [
             "invert 1",
             "twist 1 +",
             "rotate 2 cw",
@@ -570,9 +603,38 @@ class TestTextFormats:
             "transfer7 1 2 +",
             "transfer9 1 2 -",
         ]
-        assert parse_trace_moves(text) == moves
+        assert parse_trace(text) == (HandleSystem(0), moves)
+
+    def test_every_move_class_has_a_verb(self):
+        assert {cls for cls, _ in handles._VERBS.values()} == set(get_args(HandleMove))
+        with pytest.raises(TypeError):
+            format_trace(HandleTrace(HandleSystem(0), (HandleLabel(()),)))
+
+    def test_a_trace_file_round_trips_with_its_start(self):
+        t = normalize_with_stabilizer(sys_of((2, 4), (6, 0)))[1]
+        text = format_trace(t)
+        assert text.startswith("handles g=0 degree=2 pattern=e\n1 2 4\n1 6 0\n1 0 0\n")
+        assert parse_trace(text) == (t.initial, t.steps)
+
+    def test_a_trace_of_move_lines_only_has_no_start(self):
+        assert parse_trace("\nslide 1 over 2 A\ninvert 2\n") == (
+            None, (Slide(1, 2, "A"), Invert(2))
+        )
+        assert parse_trace("") == (None, ())
+
+    def test_a_bad_move_line_counts_from_the_first_move(self):
+        text = "handles g=0 degree=2 pattern=e\n1 1 0\ninvert 1\ntwist 1 2\n"
+        with pytest.raises(ParseError) as info:
+            parse_trace(text)
+        assert str(info.value) == "line 2, column 1: bad move 'twist 1 2': '2'"
+
+    def test_stabilized_appends_trivial_handles(self):
+        s = sys_of((2, 4), labels=[gen(1)], g=1)
+        assert stabilized(s, 0) == s
+        assert stabilized(s, 2) == HandleSystem(1, (h(2, 4, gen(1)), h(0, 0), h(0, 0)))
+        assert stabilized(s, -1) == s
 
     def test_bad_trace_rejected(self):
-        for text in ("invert", "twist 1 2", "slide 1 over 1 C", "wobble 3"):
-            with pytest.raises(ValueError):
-                parse_trace_moves(text)
+        for text in ("invert", "twist 1 2", "slide 1 over 1 C", "invert 1\nwobble 3"):
+            with pytest.raises(ParseError, match="bad move"):
+                parse_trace(text)
