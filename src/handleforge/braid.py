@@ -18,24 +18,37 @@ class DegreeMismatch(ValueError):
     """Two words that should live on the same number of strands do not."""
 
 
+def _check(degree: int, letters: tuple[int, ...]) -> None:
+    """The refusals of every BraidWord: a degree below 2, a letter out of range."""
+    if degree < 2:
+        raise ValueError(f"degree must be at least 2, got {degree}")
+    kernels.check_letters(letters, degree)
+
+
+_new, _set = object.__new__, object.__setattr__
+
+
 @dataclass(frozen=True, slots=True)
 class BraidWord:
     degree: int  # number of strands, at least 2
     letters: tuple[int, ...] = ()  # +i for si, -i for Si
 
     def __post_init__(self) -> None:
-        if self.degree < 2:
-            raise ValueError(f"degree must be at least 2, got {self.degree}")
-        n, letters = self.degree, self.letters
-        # min/max/in run in C: far cheaper than a per-letter loop
-        if letters and (0 in letters or max(letters) >= n or -min(letters) >= n):
-            bad = next(v for v in letters if not 0 < abs(v) < n)
-            raise ValueError(f"letter index {abs(bad)} out of range for degree {n}")
+        _check(self.degree, self.letters)
 
     @classmethod
     def from_signed(cls, degree: int, values: Iterable[int]) -> BraidWord:
-        """Build a word from signed integers: +i for si, -i for Si."""
-        return cls(degree, tuple(values))
+        """Build a word from signed integers: +i for si, -i for Si.
+
+        The value is built here, as the frozen __init__ would build it,
+        without that call and its __post_init__ call.
+        """
+        letters = tuple(values)
+        _check(degree, letters)
+        word = _new(cls)
+        _set(word, "degree", degree)
+        _set(word, "letters", letters)
+        return word
 
     def signed(self) -> tuple[int, ...]:
         return self.letters
@@ -90,15 +103,9 @@ def free_reduce(word: BraidWord) -> BraidWord:
 def permutation_of(word: BraidWord) -> tuple[int, ...]:
     """Image of each strand under the word, as a 1-based tuple.
 
-    Letters act left to right, so the image of strand x is what the leftmost
-    letter sends x to, pushed through the rest of the word.
+    Letters act left to right (kernels.strand_permutation).
     """
-    n = word.degree
-    perm = list(range(n + 1))  # perm[x] = image of x, slot 0 unused
-    for v in word.letters:
-        i = abs(v)
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    return tuple(perm[1:])
+    return tuple(kernels.strand_permutation(word.letters, word.degree)[1:])
 
 
 def reduce_far_commutation(word: BraidWord) -> BraidWord:
@@ -122,7 +129,7 @@ def reduce_far_commutation(word: BraidWord) -> BraidWord:
 
 
 def is_identity(word: BraidWord) -> bool:
-    """Exact triviality test via handle reduction."""
+    """Exact triviality test: exponent sum, permutation, then handle reduction."""
     return kernels.dehornoy_trivial(word.letters, word.degree)
 
 

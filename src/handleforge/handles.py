@@ -784,9 +784,9 @@ def format_trace(t: HandleTrace) -> str:
 def parse_trace(text: str) -> tuple[HandleSystem | None, tuple[HandleMove, ...]]:
     """Read a trace file: an optional start system, then one move per line.
 
-    The moves begin at the first line whose first word is a verb, and a
-    move's ParseError counts lines from there.  A text of move lines only
-    gives None as its start.
+    The moves begin at the first line whose first word is a verb.  Every
+    ParseError names its line in the file, blank lines counted.  A text of
+    move lines only gives None as its start.
     """
     lines = text.splitlines()
     cut = len(lines)
@@ -796,13 +796,13 @@ def parse_trace(text: str) -> tuple[HandleSystem | None, tuple[HandleMove, ...]]
             cut = idx
             break
     moves: list[HandleMove] = []
-    for idx, raw in enumerate(lines[cut:]):
-        line = raw.strip()
+    for idx in range(cut, len(lines)):
+        line = lines[idx].strip()
         if not line:
             continue
         try:
             moves.append(_parse_move(line))
         except (ValueError, KeyError) as exc:
             raise ParseError(idx + 1, 1, f"bad move {line!r}: {exc}") from None
-    start = "\n".join(lines[:cut]).strip()
-    return (parse_handles(start + "\n") if start else None), tuple(moves)
+    start = "\n".join(lines[:cut])
+    return (parse_handles(start) if start.strip() else None), tuple(moves)

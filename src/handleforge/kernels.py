@@ -11,6 +11,7 @@ handle reduction and the handle-state search are plain Python.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from functools import cache
 from itertools import product
 from typing import Sequence
@@ -27,14 +28,42 @@ BACKEND = "pure"
 # ---------------------------------------------------------------------------
 # word packing
 
+# a word of degree 2 .. _SET_DEGREES is checked against a cached set of
+# the degree's letters, in one C-level call; other degrees, which would
+# make large or many sets, by the word's least and greatest letter
+_SET_DEGREES = 64
+
+
+@cache
+def _letter_set(degree: int) -> frozenset[int]:
+    return frozenset(range(1 - degree, degree)) - {0}
+
+
+def check_letters(values: Sequence[int], degree: int) -> None:
+    """Refuse with ValueError a letter outside +-1 .. +-(degree-1)."""
+    if 2 <= degree <= _SET_DEGREES:
+        ok = _letter_set(degree).issuperset(values)
+    else:
+        ok = not values or (0 not in values and max(values) < degree and -min(values) < degree)
+    if not ok:
+        raise _letter_error(values, degree)
+
+
+def _letter_error(values: Sequence[int], degree: int) -> ValueError:
+    bad = next(v for v in values if not (isinstance(v, int) and 0 < abs(v) < degree))
+    return ValueError(f"letter index {abs(bad)} out of range for degree {degree}")
+
+
 def pack_word(values: Sequence[int], degree: int) -> int:
     """Pack a signed-letter word into one integer, leftmost letter first.
 
     The length lives in the low 6 bits, so words of 64 letters or more are
-    refused with ValueError.
+    refused with ValueError, and so are letters outside +-1 .. +-(degree-1),
+    which would pack as some other word.
     """
     if len(values) >= 64:
         raise ValueError(f"cannot pack a word of {len(values)} letters (limit 63)")
+    check_letters(values, degree)
     base = 2 * degree - 1
     acc = 0
     for v in values:
@@ -83,15 +112,50 @@ def _find_handle(w: list[int]) -> tuple[int, int] | None:
     return None
 
 
-def dehornoy_trivial(values: Sequence[int], degree: int) -> bool:
-    """Decide triviality by repeated handle elimination.
+def strand_permutation(values: Sequence[int], degree: int) -> list[int]:
+    """Image of each strand under the word: entry x is the image of strand x.
 
-    A handle is a segment e v e^-1 where e is a letter and every letter of v
-    has strictly larger index.  Eliminating the leftmost-closing handle
-    (delete the pair, push index i+1 letters through: x -> e^-1 x' e with the
-    index dropped by the braid relation) terminates, and the result is empty
-    exactly for words representing the identity.
+    Strands are 1-based and entry 0 is 0.  Letters act left to right, so the
+    image of strand x is what the leftmost letter sends x to, pushed through
+    the rest of the word.  The letters must be in range (check_letters).
     """
+    perm = list(range(degree + 1))
+    for i in map(abs, values):
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+    return perm
+
+
+def dehornoy_trivial(values: Sequence[int], degree: int) -> bool:
+    """Decide triviality: two invariants first, then handle reduction.
+
+    The exponent sum B_N -> Z and the strand permutation B_N -> S_N are
+    homomorphisms, so a word is not the identity when its exponent sum is
+    not 0 (as for every word of odd length) or when its permutation is not
+    the identity.  At degree 2, B_2 is infinite cyclic and the exponent sum
+    decides the word on its own.  One sort of the letters gives both the
+    exponent sum and the range check: raises ValueError for a letter outside
+    +-1 .. +-(degree-1).
+
+    The words that pass both go on to handle reduction.  A handle is a
+    segment e v e^-1 where e is a letter and every letter of v has strictly
+    larger index.  Eliminating the leftmost-closing handle (delete the pair,
+    push index i+1 letters through: x -> e^-1 x' e with the index dropped
+    by the braid relation) terminates, and the result is empty exactly for
+    words representing the identity.
+    """
+    ordered = sorted(values)
+    negative = bisect_left(ordered, 0)
+    if ordered and (
+        ordered[0] <= -degree
+        or ordered[-1] >= degree
+        or bisect_right(ordered, 0, negative) > negative  # a letter 0
+    ):
+        raise _letter_error(values, degree)
+    # the exponent sum is len(values) - 2 * negative
+    if 2 * negative != len(ordered):
+        return False
+    if strand_permutation(values, degree) != list(range(degree + 1)):
+        return False
     w = free_cancel(values)
     while w:
         hit = _find_handle(w)
@@ -295,10 +359,12 @@ def _neighbour_blocks(
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    # sorting beats np.unique, which hashes uint64 input before sorting it
+    """The distinct values, in increasing order.  Sorts values in place."""
+    # sorting beats np.unique, which hashes uint64 input before sorting it;
+    # sorting in place saves a copy of the largest arrays of the closure
     import numpy as np
 
-    values = np.sort(values)
+    values.sort()
     keep = np.empty(values.size, dtype=bool)
     keep[:1] = True
     np.not_equal(values[1:], values[:-1], out=keep[1:])
@@ -353,7 +419,8 @@ def _orbit_unfold(degree: int):
 
     def unfold(new: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
         images = _orbit_images(new, length, degree)
-        return _sorted_unique(images.ravel()), _sorted_unique(images.min(axis=0))
+        expand = _sorted_unique(images.min(axis=0))
+        return _sorted_unique(images.ravel()), expand
 
     return unfold
 
@@ -460,8 +527,7 @@ def word_reaches_identity(
     start = tuple(values)
     if not start:
         return True
-    if not all(0 < abs(v) < degree for v in start):
-        raise ValueError(f"letter out of range for degree {degree} in {start}")
+    check_letters(start, degree)
     _check_packs(degree, max(excursion_cap, len(start)))
     import numpy as np
 

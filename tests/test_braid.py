@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import random
 from array import array
 from collections import Counter
 from itertools import product
@@ -189,6 +191,129 @@ class TestIsIdentity:
     def test_trivial_words_have_identity_permutation(self, word):
         if is_identity(word):
             assert permutation_of(word) == tuple(range(1, word.degree + 1))
+
+
+
+def plain_handle_reduction(values):
+    """Handle reduction with no invariant filter: the reference for dehornoy_trivial."""
+    w = kernels.free_cancel(values)
+    while w:
+        hit = kernels._find_handle(w)
+        if hit is None:
+            return False
+        p, q = hit
+        e = 1 if w[p] > 0 else -1
+        i = abs(w[p])
+        out = w[:p]
+        for v in w[p + 1 : q]:
+            if abs(v) == i + 1:
+                out += [-e * (i + 1), i if v > 0 else -i, e * (i + 1)]
+            else:
+                out.append(v)
+        out.extend(w[q + 1 :])
+        w = kernels.free_cancel(out)
+    return True
+
+
+def passes_filters(values, degree):
+    exponent_sum = sum(1 if v > 0 else -1 for v in values)
+    return exponent_sum == 0 and kernels.strand_permutation(values, degree) == list(
+        range(degree + 1)
+    )
+
+
+def inverse_of(values):
+    return tuple(-v for v in reversed(values))
+
+
+class TestInvariantFilters:
+    def random_word(self, rng, degree, length):
+        return tuple(rng.randrange(1, degree) * rng.choice((1, -1)) for _ in range(length))
+
+    def pure_word(self, rng, degree, length):
+        # conjugates of squares of generators, one of each sign: exponent
+        # sum 0 and the identity permutation, so handle reduction decides
+        out = ()
+        for sign in (1, -1, 1, -1):
+            g = self.random_word(rng, degree, rng.randrange(length // 4 + 1))
+            i = rng.randrange(1, degree)
+            out += g + (sign * i, sign * i) + inverse_of(g)
+        return out
+
+    def test_filters_keep_the_verdict_of_handle_reduction(self):
+        rng = random.Random(1301)
+        reached = Counter()
+        for degree in range(2, 7):
+            for _ in range(300):
+                length = rng.randrange(10, 41)
+                for vals in (self.random_word(rng, degree, length),
+                             self.pure_word(rng, degree, length)):
+                    expected = plain_handle_reduction(vals)
+                    assert kernels.dehornoy_trivial(vals, degree) == expected, (degree, vals)
+                    if passes_filters(vals, degree):
+                        reached[expected] += 1
+        # both verdicts come out of handle reduction, not only the filters
+        assert reached[True] > 50 and reached[False] > 500
+
+    def test_conjugated_relators_are_trivial(self):
+        rng = random.Random(1302)
+        for degree in range(3, 7):
+            for _ in range(50):
+                i = rng.randrange(1, degree - 1)
+                j = rng.choice([k for k in range(1, degree) if abs(k - i) >= 2] or [i])
+                relators = [(i, i + 1, i, -(i + 1), -i, -(i + 1)), (i, -i)]
+                if j != i:
+                    relators.append((i, j, -i, -j))
+                g = self.random_word(rng, degree, rng.randrange(1, 12))
+                for r in relators:
+                    vals = g + r + inverse_of(g)
+                    assert kernels.dehornoy_trivial(vals, degree) is True, vals
+                    assert kernels.dehornoy_trivial(vals + (i,), degree) is False
+
+    def test_a_word_that_passes_both_filters_can_be_nontrivial(self):
+        vals = (1, 1, 2, 2, -1, -1, -2, -2)
+        assert passes_filters(vals, 3)
+        assert kernels.dehornoy_trivial(vals, 3) is False
+        assert plain_handle_reduction(vals) is False
+
+    def test_degree_two_is_decided_by_the_exponent_sum(self):
+        for length in range(9):
+            for vals in product((1, -1), repeat=length):
+                assert kernels.dehornoy_trivial(vals, 2) == (sum(vals) == 0)
+
+    def test_out_of_range_letters_are_refused(self):
+        for vals, degree in (((5, -5), 4), ((4, -4), 3), ((0, 0), 3), ((1, 0, -1), 3),
+                             ((4,), 4), ((-4, 1, 1), 4), ((0,), 2)):
+            with pytest.raises(ValueError, match="out of range for degree"):
+                kernels.dehornoy_trivial(vals, degree)
+
+    def test_from_signed_equals_the_direct_constructor(self):
+        rng = random.Random(1303)
+        for degree in range(2, 7):
+            for length in range(12):
+                vals = self.random_word(rng, degree, length)
+                for given_as in (vals, list(vals), iter(vals)):
+                    word = BraidWord.from_signed(degree, given_as)
+                    assert word == BraidWord(degree, vals)
+                    assert hash(word) == hash(BraidWord(degree, vals))
+                    assert repr(word) == repr(BraidWord(degree, vals))
+
+    def test_from_signed_is_a_frozen_dataclass_value(self):
+        word = BraidWord.from_signed(4, (1, -3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            word.degree = 5
+        assert dataclasses.replace(word, letters=(2,)) == BraidWord(4, (2,))
+        with pytest.raises(ValueError, match="letter index 3 out of range for degree 3"):
+            dataclasses.replace(word, degree=3)
+        with pytest.raises(ValueError, match="degree must be at least 2, got 1"):
+            BraidWord.from_signed(1, ())
+
+    def test_letters_of_high_degrees_are_checked(self):
+        # above the degrees with a cached letter set
+        assert BraidWord(100, (99, -99, 1)).letters == (99, -99, 1)
+        for letter in (100, -100, 0):
+            with pytest.raises(ValueError, match=f"letter index {abs(letter)} "):
+                BraidWord.from_signed(100, (1, letter))
 
 
 class TestConjugate:
@@ -450,6 +575,14 @@ class TestRewritingSearch:
 
 
 class TestKernelLimits:
+    def test_pack_word_refuses_letters_out_of_range(self):
+        # each of these once packed as some other word: (4,) as (0,) and
+        # (-4,) as (1,) at degree 4
+        for vals in ((4,), (-4,), (0,), (1, 0, -1)):
+            with pytest.raises(ValueError, match="out of range for degree 4"):
+                kernels.pack_word(vals, 4)
+        assert kernels.unpack_word(kernels.pack_word((3, -3), 4), 4) == (3, -3)
+
     def test_pack_word_refuses_words_of_64_letters(self):
         word = (1, -2, 3) * 21  # 63 letters: the longest length field
         assert kernels.unpack_word(kernels.pack_word(word, 4), 4) == word

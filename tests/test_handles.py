@@ -622,11 +622,21 @@ class TestTextFormats:
         )
         assert parse_trace("") == (None, ())
 
-    def test_a_bad_move_line_counts_from_the_first_move(self):
-        text = "handles g=0 degree=2 pattern=e\n1 1 0\ninvert 1\ntwist 1 2\n"
-        with pytest.raises(ParseError) as info:
-            parse_trace(text)
-        assert str(info.value) == "line 2, column 1: bad move 'twist 1 2': '2'"
+    def test_a_bad_trace_line_is_numbered_from_the_top_of_the_file(self):
+        start = "handles g=0 degree=2 pattern=e\n1 1 0\n"
+        for text, message in (
+            (start + "invert 1\ntwist 1 2\n", "line 4, column 1: bad move 'twist 1 2': '2'"),
+            # leading and inner blank lines are counted too
+            ("\n\n" + start + "\ninvert 1\ntwist 1 2\n",
+             "line 7, column 1: bad move 'twist 1 2': '2'"),
+            ("\n\nhandles g=0 degree=2 pattern=e\n1 x 0\ninvert 1\n",
+             "line 4, column 1: bad integer in '1 x 0'"),
+            ("\nhandles g=0 degree=2 pattern=q\ninvert 1\n",
+             "line 2, column 1: bad pattern braid: bad braid letter 'q'"),
+        ):
+            with pytest.raises(ParseError) as info:
+                parse_trace(text)
+            assert str(info.value) == message
 
     def test_stabilized_appends_trivial_handles(self):
         s = sys_of((2, 4), labels=[gen(1)], g=1)
