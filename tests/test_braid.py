@@ -309,7 +309,6 @@ class TestInvariantFilters:
             BraidWord.from_signed(1, ())
 
     def test_letters_of_high_degrees_are_checked(self):
-        # above the degrees with a cached letter set
         assert BraidWord(100, (99, -99, 1)).letters == (99, -99, 1)
         for letter in (100, -100, 0):
             with pytest.raises(ValueError, match=f"letter index {abs(letter)} "):
