@@ -150,9 +150,59 @@ def _derived(chart):
     got = chart.__dict__.get("_derived")
     if got is None:
         step = chart.__dict__.get("_step")
-        got = _carry(chart, *step) if step else _derive(chart)
+        got = _carry(chart, step) if step else _derive(chart)
         object.__setattr__(chart, "_derived", got)
     return got
+
+
+class Patch:
+    """The patch of one rewrite, split by kind once.
+
+    parent is the chart rewritten.  old_v and old_e hold the Vertex and
+    Edge objects the rewrite removes, new_v and new_e those it makes, each
+    with the swapped objects last; swap_v and swap_e hold the (old, new)
+    pairs put in place, and records the loop and pattern-loop records the
+    caller names.
+    """
+
+    __slots__ = (
+        "parent", "old_v", "old_e", "new_v", "new_e", "swap_v", "swap_e", "records"
+    )
+
+    def __init__(self, parent, gone, new, swap):
+        self.parent = parent
+        old_v, old_e, new_v, new_e, records = [], [], [], [], []
+        for x in gone:
+            if type(x) is Edge:
+                old_e.append(x)
+            elif type(x) is Vertex:
+                old_v.append(x)
+        for x in new:
+            if type(x) is Edge:
+                new_e.append(x)
+            elif type(x) is Vertex:
+                new_v.append(x)
+            else:
+                records.append(x)
+        swap_v, swap_e = [], []
+        for a, b in swap:
+            if type(a) is Edge:
+                swap_e.append((a, b))
+            elif type(a) is Vertex:
+                swap_v.append((a, b))
+        for pairs, old, made in ((swap_v, old_v, new_v), (swap_e, old_e, new_e)):
+            for a, b in pairs:
+                old.append(a)
+                made.append(b)
+        self.old_v, self.old_e, self.new_v, self.new_e = old_v, old_e, new_v, new_e
+        self.swap_v, self.swap_e, self.records = swap_v, swap_e, records
+
+    def made_darts(self):
+        """The darts of the Edge and Vertex objects the rewrite makes."""
+        out = [d for e in self.new_e for d in e.darts]
+        for v in self.new_v:
+            out += v.cycle
+        return out
 
 
 def rewrite(chart, gone=(), new=(), swap=(), **fields):
@@ -164,19 +214,20 @@ def rewrite(chart, gone=(), new=(), swap=(), **fields):
     swapped objects in their old places and added ones at the end; each
     removed object is found by its rank in chart's map.  new may also name
     the loop and pattern-loop records the caller puts into fields, which
-    the patch check then checks.  The new chart's map is chart's map plus
-    this patch: only the faces and components the patch reaches are walked
-    again.
+    the patch check then checks.  The new chart keeps the patch, split once
+    as a Patch, and its map is chart's map plus this patch: only the faces
+    and components the patch reaches are walked again.
     """
-    gone, new, swap = tuple(gone), tuple(new), tuple(swap)
+    p = Patch(chart, gone, new, swap)
     parts = []
-    for items, cls in ((chart.vertices, Vertex), (chart.edges, Edge)):
-        drop = [x for x in gone if type(x) is cls]
-        put = [p for p in swap if type(p[0]) is cls]
-        add = tuple(x for x in new if type(x) is cls)
-        if drop or put:
-            items = _cut(items, drop, put, surface_map(chart).rank)
-        parts.append(items + add if add else items)
+    for items, old, made, pairs in (
+        (chart.vertices, p.old_v, p.new_v, p.swap_v),
+        (chart.edges, p.old_e, p.new_e, p.swap_e),
+    ):
+        if old:
+            items = _cut(items, old, pairs, surface_map(chart).rank)
+        added = len(made) - len(pairs)
+        parts.append(items + tuple(made[:added]) if added else items)
     out = Chart(
         fields.pop("degree", chart.degree),
         fields.pop("genus", chart.genus),
@@ -185,22 +236,23 @@ def rewrite(chart, gone=(), new=(), swap=(), **fields):
         fields.pop("pattern_loops", chart.pattern_loops),
         **fields,
     )
-    object.__setattr__(out, "_step", (chart, gone, new, swap))
+    object.__setattr__(out, "_step", p)
     return out
 
 
-def _cut(items, drop, swap, rank):
-    """items without the objects in drop and with each (old, new) of swap
-    put in place, found by bisecting on their ranks; objects items does not
-    hold are passed over."""
+def _cut(items, old, swap, rank):
+    """items without the objects in old, except that the old object of each
+    (old, new) pair of swap is replaced by the new one; objects are found by
+    bisecting on their ranks, and those items does not hold are passed over."""
     def key(x):
         return rank[id(x)]
 
+    put = {id(a): (b,) for a, b in swap}
     cuts = []
-    for x, put in [(x, ()) for x in drop] + [(a, (b,)) for a, b in swap]:
+    for x in old:
         r = rank.get(id(x))
         if r is not None:
-            cuts.append((bisect_left(items, r, key=key), put))
+            cuts.append((bisect_left(items, r, key=key), put.get(id(x), ())))
     cuts.sort(key=lambda c: c[0])
     out, start = (), 0
     for k, put in cuts:
@@ -210,8 +262,8 @@ def _cut(items, drop, swap, rank):
 
 
 def take_patch(before, after):
-    """What after adds to before: the darts of its new edges and vertices,
-    then the loop and pattern-loop records its patch names.
+    """The Patch that made after from before: the patch check reads the
+    darts it makes and the records it names.
 
     () when after is before, None when after is no rewrite of before or
     changes its degree.  It derives after's map, then drops after's link to
@@ -219,28 +271,18 @@ def take_patch(before, after):
     """
     if after is before:
         return ()
-    step = after.__dict__.get("_step")
+    p = after.__dict__.get("_step")
     _derived(after)
     after.__dict__.pop("_step", None)
-    if step is None or step[0] is not before or after.degree != before.degree:
+    if p is None or p.parent is not before or after.degree != before.degree:
         return None
-    made = []
-    for x in (*step[2], *(b for _, b in step[3])):
-        if type(x) is Edge or type(x) is Vertex:
-            made += _darts_of(x)
-        else:
-            made.append(x)
-    return made
+    return p
 
 
 def drop_map(chart):
     """Forget the chart's map, a cache; the next use derives it in full.
     The chart's validity verdict stays."""
     chart.__dict__.pop("_derived", None)
-
-
-def _darts_of(x):
-    return x.darts if type(x) is Edge else x.cycle
 
 
 def _header(chart):
@@ -402,26 +444,21 @@ def _searches(seeds, alpha, sigma):
     return done, last, owner
 
 
-def _carry(chart, parent, gone, new, swap):
-    """The map of chart, made from parent by rewrite(parent, gone, new, swap).
+def _carry(chart, p):
+    """The map of chart, made from p.parent by rewrite with the Patch p.
 
     The dart tables are copied and patched, and only the faces through a
     patch dart are walked again.  Components are searched
     from the patch alone, and the Euler count of the one component left
-    unexplored follows by difference.  A patch that does not fit parent, or
-    an output with a broken dart structure, is derived in full instead,
-    which names the violations.
+    unexplored follows by difference.  A patch that does not fit its
+    parent, or an output with a broken dart structure, is derived in full
+    instead, which names the violations.
     """
+    parent = p.parent
     pout, pm, pbare = _derived(parent)
     if pout or pbare or pm.bad or _header(chart):
         return _derive(chart)
-    added = [x for x in new if type(x) is Edge or type(x) is Vertex]
-    gone = [*gone, *(a for a, _ in swap)]
-    new = [*added, *(b for _, b in swap)]
-    ge = [x for x in gone if type(x) is Edge]
-    gv = [x for x in gone if type(x) is Vertex]
-    ne = [x for x in new if type(x) is Edge]
-    nv = [x for x in new if type(x) is Vertex]
+    ge, gv, ne, nv = p.old_e, p.old_v, p.new_e, p.new_v
     if not (ge or gv or ne or nv):
         return [], pm, []
     if len(chart.edges) != len(parent.edges) - len(ge) + len(ne) or len(
@@ -432,22 +469,27 @@ def _carry(chart, parent, gone, new, swap):
     alpha, sigma = pm.alpha.copy(), pm.sigma.copy()
     edge_at, vertex_at = pm.edge_at.copy(), pm.vertex_at.copy()
     rank, top = pm.rank.copy(), pm.top
+    touched = set()
     for e in ge:
         for d in e.darts:
             if edge_at.pop(d, None) is not e:
                 return _derive(chart)
             del alpha[d]
+        touched.update(e.darts)
     for v in gv:
         for d in v.cycle:
             if vertex_at.pop(d, None) is not v:
                 return _derive(chart)
             del sigma[d]
+        touched.update(v.cycle)
     for e in ne:
         d1, d2 = e.darts
         if d1 == d2 or d1 in edge_at or d2 in edge_at or e.head not in e.darts:
             return _derive(chart)
         edge_at[d1] = edge_at[d2] = e
         alpha[d1], alpha[d2] = d2, d1
+        touched.add(d1)
+        touched.add(d2)
     for v in nv:
         cycle = v.cycle
         if not cycle:
@@ -459,16 +501,19 @@ def _carry(chart, parent, gone, new, swap):
             vertex_at[d] = v
             sigma[prev] = d
             prev = d
-    # ranks: a swapped object takes its old one's, added ones follow top in
-    # the order rewrite appends them
-    for x in (*ge, *gv):
+        touched.update(cycle)
+    # ranks: added objects follow top in the order rewrite appends them,
+    # and a swapped object takes its old one's
+    for x in ge:
         del rank[id(x)]
-    for a, b in swap:
-        rank[id(b)] = pm.rank[id(a)]
-    for x in added:
-        rank[id(x)] = top
-        top += 1
-    touched = {d for x in (*ge, *gv, *ne, *nv) for d in _darts_of(x)}
+    for x in gv:
+        del rank[id(x)]
+    for made, pairs in ((nv, p.swap_v), (ne, p.swap_e)):
+        for x in made[: len(made) - len(pairs)]:
+            rank[id(x)] = top
+            top += 1
+        for a, b in pairs:
+            rank[id(b)] = pm.rank[id(a)]
     if any((d in alpha) != (d in vertex_at) for d in touched):
         return _derive(chart)
 
@@ -614,7 +659,9 @@ def validate_chart(chart, touched=None):
     reaches (see rewrite).  The full check runs the per-vertex and per-edge
     axioms everywhere and checks every loop and pattern-loop record; its
     verdict is kept on the frozen chart.  Given touched, a collection of
-    darts and records, it runs them only at the vertices and edges holding
+    darts and records or a move's Patch (which names the darts of the
+    objects it makes, and its records), it runs them only at the vertices
+    and edges holding
     one of those darts (and at vertices without darts, which no dart can
     name) and checks only those records.  The patch check suffices after a
     move over a valid chart: a vertex whose Vertex and Edge objects the
@@ -640,13 +687,17 @@ def _violations(chart, touched):
         pats = list(enumerate(chart.pattern_loops))
     else:
         # indices are looked up only for an item that fails
-        darts = [d for d in touched if type(d) is int]
+        if type(touched) is Patch:
+            darts, records = touched.made_darts(), touched.records
+        else:
+            darts = [d for d in touched if type(d) is int]
+            records = touched
         vs = {id(v): (None, v) for v in map(sm.vertex_at.get, darts) if v}
         es = {id(e): (None, e) for e in map(sm.edge_at.get, darts) if e}
         verts = [*vs.values(), *((vi, chart.vertices[vi]) for vi in bare)]
         edges = list(es.values())
-        loops = [(None, x) for x in touched if type(x) is FloatingLoop]
-        pats = [(None, x) for x in touched if type(x) is PatternLoop]
+        loops = [(None, x) for x in records if type(x) is FloatingLoop]
+        pats = [(None, x) for x in records if type(x) is PatternLoop]
 
     hi = chart.degree - 1
     bad_v, bad_e, bad_l, bad_p = [], [], [], []
@@ -883,6 +934,9 @@ def format_chart(chart):
 
 
 _HEADER_RE = re.compile(r"^chart degree=(\d+) genus=(\d+)\s*$")
+_INT_RE = {key: re.compile(key + r"=(-?\d+)") for key in ("label", "head", "curve")}
+_SIGN_RE = {key: re.compile(key + r"=([+-])") for key in ("sign", "sense")}
+_CYCLE_RE = re.compile(r"cycle=(\d+(?:,\d+)*)")
 
 
 def parse_chart(text):
@@ -901,13 +955,13 @@ def parse_chart(text):
         raise ParseError(lineno, col, message)
 
     def kv_int(lineno, raw, token, key):
-        m = re.fullmatch(key + r"=(-?\d+)", token)
+        m = _INT_RE[key].fullmatch(token)
         if not m:
             err(lineno, raw, token, f"expected {key}=<integer>")
         return int(m.group(1))
 
     def kv_sign(lineno, raw, token, key):
-        m = re.fullmatch(key + r"=([+-])", token)
+        m = _SIGN_RE[key].fullmatch(token)
         if not m:
             err(lineno, raw, token, f"expected {key}=+ or {key}=-")
         return 1 if m.group(1) == "+" else -1
@@ -965,7 +1019,7 @@ def parse_chart(text):
             vkind = toks[1]
             if vkind not in VERTEX_DEGREE:
                 err(lineno, raw, vkind, f"unknown vertex kind {vkind!r}")
-            m = re.fullmatch(r"cycle=(\d+(?:,\d+)*)", toks[2])
+            m = _CYCLE_RE.fullmatch(toks[2])
             if not m:
                 err(lineno, raw, toks[2], "expected cycle=<d,...>")
             cycle = tuple(int(x) for x in m.group(1).split(","))

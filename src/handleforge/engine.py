@@ -13,8 +13,10 @@ one of the ValueError subclasses below without side effects.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import lru_cache
+from itertools import accumulate
 
 from .braid import BraidWord, conjugate, format_word, free_reduce, parse_word
 from .chart import (
@@ -1045,8 +1047,18 @@ def _mirror_pair(ch: Chart, dart):
 
 def _cim3_sites(ch: Chart):
     """The darts where CIM3Cancel applies: the least dart of each edge that
-    joins a mirror-wired white pair, in least-dart order."""
-    for d in sorted(min(e.darts) for e in ch.edges):
+    joins a mirror-wired white pair, in least-dart order.  Only the edges
+    that join two white vertices are tried."""
+    m = surface_map(ch)
+    alpha, vmap = m.alpha, m.vertex_at
+    ends = sorted(
+        d
+        for v in ch.vertices
+        if v.kind == "white"
+        for d in v.cycle
+        if d < alpha[d] and vmap[alpha[d]].kind == "white"
+    )
+    for d in ends:
         try:
             _mirror_pair(ch, d)
         except ValueError:
@@ -1440,7 +1452,7 @@ def _do_patterntwist(s, mv):
 def _check_surface(s: DecoratedSurface, touched=None, held=None):
     """Raise SiteMismatch unless the surface is valid; see validate_chart.
 
-    Given the patch's touched darts and records, and held, the handle tuple
+    Given the move's patch (see take_patch), and held, the handle tuple
     and free-end set of the valid input the move rewrote, the chart is
     checked on its patch, and the handles only when either of the two is
     not the input's.
@@ -1614,6 +1626,58 @@ def enumerate_chart_moves(s: DecoratedSurface):
 # random blackless charts
 
 
+class _InsertSites:
+    """The CIR2Insert sites (a, b) with a < b of a chart's map m, in dart
+    pair order, as a sequence: its length and its k-th site are counted,
+    not listed.
+
+    A site pairs darts of far labels (which lie on two edges) that lie in
+    two components, or where b lies on the face of a's partner.  So the
+    sites at a are the darts above a of each far label, less those in a's
+    component, plus those on that face, each read off a count per label,
+    per component and label, and per face and label, kept while the darts
+    are taken from the top down.
+    """
+
+    def __init__(self, m, degree):
+        self.m = m
+        self.darts = darts = m.darts
+        emap, comp, face_at, alpha = m.edge_at, m.comp, m.face_at, m.alpha
+        labels = range(1, degree)
+        far = {x: [y for y in labels if abs(x - y) >= 2] for x in labels}
+        above = {}
+        get = above.get
+        counts = []
+        for a in reversed(darts):
+            lab, k = emap[a].label, comp[a]
+            f = id(face_at[alpha[a]])
+            n = 0
+            for x in far[lab]:
+                n += get(x, 0) - get((k, x), 0) + get((f, x), 0)
+            counts.append(n)
+            for key in (lab, (k, lab), (id(face_at[a]), lab)):
+                above[key] = get(key, 0) + 1
+        counts.reverse()
+        self.ends = list(accumulate(counts))
+
+    def __len__(self):
+        return self.ends[-1] if self.ends else 0
+
+    def __getitem__(self, k):
+        if not 0 <= k < len(self):
+            raise IndexError(k)
+        m, darts = self.m, self.darts
+        i = bisect_right(self.ends, k)
+        a, j = darts[i], k - (self.ends[i - 1] if i else 0)
+        la, pa = m.edge_at[a].label, m.alpha[a]
+        for b in darts[i + 1 :]:
+            if abs(m.edge_at[b].label - la) >= 2 and _planar_insert(m, a, pa, b):
+                if not j:
+                    return a, b
+                j -= 1
+        raise AssertionError("the site counts disagree with the map")
+
+
 def generate_blackless_chart(degree: int, steps: int, rng) -> Chart:
     """Grow a valid blackless genus-0 chart by random inverse-direction moves."""
     s = empty_surface(degree)
@@ -1621,21 +1685,21 @@ def generate_blackless_chart(degree: int, steps: int, rng) -> Chart:
         ch = s.chart
         m = surface_map(ch)
         emap, darts = m.edge_at, m.darts
-        # insertion sites in pair order; the list is built only when an
-        # insert is drawn, so the random stream matches the eager list's
+        # whether an insert site exists: none without two labels two apart,
+        # else the first in pair order is sought; the sites are counted
+        # only when an insert is drawn
+        labels = {e.label for e in ch.edges}
         inserts = (
             (a, b)
             for ai, a in enumerate(darts)
             for b in darts[ai + 1 :]
-            if emap[a] is not emap[b]
-            and abs(emap[a].label - emap[b].label) >= 2
+            if abs(emap[a].label - emap[b].label) >= 2
             and _planar_insert(m, a, _other(emap[a], a), b)
         )
-        first = next(inserts, None)
         opts = ["addloop", "addloop"]
         if ch.edges:
             opts.append("split")
-            if first is not None:
+            if max(labels) - min(labels) >= 2 and next(inserts, None):
                 opts += ["insert", "insert"]
         pairs = [
             (i, j)
@@ -1657,7 +1721,7 @@ def generate_blackless_chart(degree: int, steps: int, rng) -> Chart:
                 e = rng.choice(sorted(ch.edges, key=lambda e: min(e.darts)))
                 s, _ = apply_move(s, CIM2Split(min(e.darts), rng.choice((1, -1))))
             elif kind == "insert":
-                a, b = rng.choice([first, *inserts])
+                a, b = rng.choice(_InsertSites(m, degree))
                 s, _ = apply_move(s, CIR2Insert(a, b))
             elif kind == "bootcir":
                 i, j = rng.choice(pairs)
@@ -1729,18 +1793,18 @@ def _handed_back(start: DecoratedSurface, state: DecoratedSurface):
     return state
 
 
-def _collect_crossing(run: _Runner) -> int:
-    """Resolve one crossing onto a fresh handle; returns handles spent."""
-    ch = run.state.chart
-    cyc = min((v.cycle for v in ch.vertices if v.kind == "crossing"), key=min)
-    emap = surface_map(ch).edge_at
+def _collect_crossing(run: _Runner, cyc) -> int:
+    """Resolve the crossing with the darts cyc onto a fresh handle; returns
+    handles spent."""
+    emap = surface_map(run.state.chart).edge_at
     i = min(emap[d].label for d in cyc)
     d_i = min(d for d in cyc if emap[d].label == i)
     run.do(AttachTrivialHandle(cocore_label=i))
     hid = run.state.handles[-1].id
     run.do(Bridge(hid, d_i))
     run.do(CrossingTransfer(d_i, hid))
-    h = _handle(run.state, hid)
+    # the attach appended the handle, and neither move reorders handles
+    h = run.state.handles[-1]
     if _span(run.state, h) is None:
         run.do(CIM2Reconnect(h.feet[0], h.feet[1]))
     return 1
@@ -1749,12 +1813,15 @@ def _collect_crossing(run: _Runner) -> int:
 def _cancel_whites(run: _Runner) -> None:
     """Remove every white vertex; StuckWhiteVertex names the least one that
     no CIII site, mirror pair or swapped pair removes."""
+    # no move here makes a black vertex, and without one there is no CIII
+    # site: a blackless chart skips the scan
+    blacks = any(v.kind == "black" for v in run.state.chart.vertices)
     while True:
         ch = run.state.chart
         whites = [v for v in ch.vertices if v.kind == "white"]
         if not whites:
             return
-        fired = next(_ciii_sites(ch), None)
+        fired = next(_ciii_sites(ch), None) if blacks else None
         if fired is not None:
             run.do(CIIIEliminate(fired))
             continue
@@ -1864,14 +1931,20 @@ def _unbraid(s: DecoratedSurface, mode: str):
     bound = st.w + 2 * st.c + s.chart.degree - 1
     run = _Runner(s)
     count = 0
+    # the crossings, least dart last: collecting one removes it and no
+    # other, and no move of the run makes one
+    crossings = sorted(
+        (v.cycle for v in s.chart.vertices if v.kind == "crossing"),
+        key=min,
+        reverse=True,
+    )
     while True:
-        ch = run.state.chart
         # a blackless chart has no CIII site: skip the scan
-        site = min(_ciii_sites(ch), default=None) if st.b else None
+        site = min(_ciii_sites(run.state.chart), default=None) if st.b else None
         if site is not None:
             run.do(CIIIEliminate(site))
-        elif any(v.kind == "crossing" for v in ch.vertices):
-            count += _collect_crossing(run)
+        elif crossings:
+            count += _collect_crossing(run, crossings.pop())
         else:
             break
     _cancel_whites(run)

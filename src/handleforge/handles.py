@@ -624,12 +624,13 @@ def enumerate_reachable(
     if not force_slow and all(hd.label.is_trivial for hd in s.handles):
         start = [(hd.m, hd.n) for hd in s.handles]
         ball = kernels.handle_ball(start, move_budget, coeff_bound, max_states)
+        # one handle per distinct (m, n), shared by every state holding it
         triv = HandleLabel(())
+        pairs = {mn for state in ball for mn in state}
+        made = {mn: DecoratedHandle(triv, *mn) for mn in pairs}
         return {
             HandleSystem(
-                s.generator_count,
-                tuple(DecoratedHandle(triv, m, n) for m, n in state),
-                s.pattern_braid,
+                s.generator_count, tuple(map(made.__getitem__, state)), s.pattern_braid
             )
             for state in ball
         }

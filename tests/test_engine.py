@@ -1189,6 +1189,62 @@ class TestGenerator:
             text = format_chart(chart).encode()
             assert hashlib.sha256(text).hexdigest() == digest, (degree, steps, seed)
 
+    # the first 20 hex digits of sha256 over format_chart(canonical_chart(c))
+    # for c = generate_blackless_chart(4, steps, Random(1)), as made when
+    # every insert step listed all its sites
+    LARGE = ((80, "37f0e3d251636eef0b5d"), (160, "ef9fca2c70bb40c51636"),
+             (320, "cfdd3ec66d3dec08c4de"))
+
+    def test_large_seeded_charts_are_unchanged(self):
+        for steps, digest in self.LARGE:
+            chart = generate_blackless_chart(4, steps, random.Random(1))
+            text = format_chart(canonical_chart(chart)).encode()
+            assert hashlib.sha256(text).hexdigest()[:20] == digest, steps
+
+    def test_counted_insert_sites_are_the_listed_ones(self, monkeypatch):
+        # at every step of a seeded run that draws an insert, the counted
+        # sites are as many as the listed ones and equal at the positions
+        # probed, and a run that draws from the list makes the same chart
+        counted = engine._InsertSites
+        probe = random.Random(7)
+        seen = {"draws": 0, "sites": 0}
+
+        def listed(m, degree):
+            want = _listed_insert_sites(m)
+            got = counted(m, degree)
+            assert len(got) == len(want) > 0
+            picks = probe.sample(range(len(want)), min(5, len(want)))
+            for k in {0, len(want) - 1, *picks}:
+                assert got[k] == want[k]
+            with pytest.raises(IndexError):
+                got[len(want)]
+            seen["draws"] += 1
+            seen["sites"] += len(want)
+            return want
+
+        rng = random.Random(14)
+        runs = [(rng.randint(2, 5), rng.randint(5, 80), 3000 + i) for i in range(200)]
+        made = [generate_blackless_chart(d, n, random.Random(seed)) for d, n, seed in runs]
+        monkeypatch.setattr(engine, "_InsertSites", listed)
+        for (degree, steps, seed), chart in zip(runs, made):
+            again = generate_blackless_chart(degree, steps, random.Random(seed))
+            assert again == chart, (degree, steps, seed)
+        assert seen["draws"] > 500 and seen["sites"] > 10**6, seen
+
+
+def _listed_insert_sites(m):
+    """Every CIR2Insert site (a, b) with a < b of the map m, listed in dart
+    pair order: the list the generator drew from before it counted them."""
+    emap, darts = m.edge_at, m.darts
+    return [
+        (a, b)
+        for ai, a in enumerate(darts)
+        for b in darts[ai + 1 :]
+        if emap[a] is not emap[b]
+        and abs(emap[a].label - emap[b].label) >= 2
+        and engine._planar_insert(m, a, engine._other(emap[a], a), b)
+    ]
+
 
 class TestPinnedTraces:
     # sha256 of format_script for traces made when every move derived its
@@ -1571,6 +1627,20 @@ def _line_events(fn, *args):
     return count
 
 
+def _with_copies(ch, base, copies=4):
+    """ch with disjoint copies of the chart base, darts shifted above ch's."""
+    verts, edges = list(ch.vertices), list(ch.edges)
+    shift = max(surface_map(ch).alpha)
+    for k in range(1, copies + 1):
+        for v in base.vertices:
+            verts.append(Vertex(v.kind, tuple(d + k * shift for d in v.cycle)))
+        for e in base.edges:
+            darts = tuple(d + k * shift for d in e.darts)
+            edges.append(Edge(darts, e.label, e.head + k * shift))
+    assert len(verts) + len(edges) >= copies * (len(ch.vertices) + len(ch.edges))
+    return replace(ch, vertices=tuple(verts), edges=tuple(edges))
+
+
 class TestMoveCost:
     """A move costs its patch: the same move at the same darts runs as many
     lines on a surface padded with records, footless handles and a disjoint
@@ -1582,16 +1652,7 @@ class TestMoveCost:
         # ten times the records, ten times the handles (when handles) and
         # four disjoint copies of the base chart, darts shifted above s's
         ch = s.chart
-        verts, edges = list(ch.vertices), list(ch.edges)
-        shift = max(surface_map(ch).alpha)
-        for k in range(1, 5):
-            for v in self.BASE.vertices:
-                verts.append(Vertex(v.kind, tuple(d + k * shift for d in v.cycle)))
-            for e in self.BASE.edges:
-                darts = tuple(d + k * shift for d in e.darts)
-                edges.append(Edge(darts, e.label, e.head + k * shift))
-        assert len(verts) + len(edges) >= 4 * (len(ch.vertices) + len(ch.edges))
-        p = surf(replace(ch, vertices=tuple(verts), edges=tuple(edges)), s.handles)
+        p = surf(_with_copies(ch, self.BASE), s.handles)
         for _ in range(10 * len(ch.loops)):
             p, _ = apply_move(p, CIM1Add(1, 1))
         for _ in range(10 * len(s.handles) if handles else 0):
@@ -1631,6 +1692,90 @@ class TestMoveCost:
                 _line_events(apply_move, padded, mv),
             )
         assert all(b <= 1.1 * a for a, b in counts.values()), counts
+
+
+class TestRunSideSites:
+    """The unbraid driver keeps its crossings in a list of its own and
+    scans for CIII sites only where black vertices can make one."""
+
+    def test_a_blackless_unbraid_scans_no_ciii_site(self, monkeypatch):
+        def refuse(ch):
+            raise AssertionError("a blackless chart was scanned for CIII sites")
+
+        charts = [parse_chart((BENCH_CHARTS / "unbraid_v52.chart").read_text())]
+        charts += [generate_blackless_chart(d, 30, random.Random(d)) for d in (3, 4, 5)]
+        monkeypatch.setattr(engine, "_ciii_sites", refuse)
+        for chart in charts:
+            for mode in ("weak", "strong"):
+                _, _, trace = unbraid_without_branch(surf(chart), mode)
+                assert certify_trace(trace).ok
+            _, _, trace = unbraid_with_branch(surf(chart))
+            assert certify_trace(trace).ok
+
+    def test_branch_mode_still_eliminates_ciii_sites_among_the_whites(self, monkeypatch):
+        # the driver's own scan is blinded, so the spider's one CIII site is
+        # left to _cancel_whites, which must look for it on a chart with
+        # black vertices
+        real_sites, real_cancel = engine._ciii_sites, engine._cancel_whites
+        cancelling = []
+
+        def sites(ch):
+            return real_sites(ch) if cancelling else iter(())
+
+        def cancel(run):
+            cancelling.append(len(run.steps))
+            return real_cancel(run)
+
+        monkeypatch.setattr(engine, "_ciii_sites", sites)
+        monkeypatch.setattr(engine, "_cancel_whites", cancel)
+        _, _, trace = unbraid_with_branch(surf(white_spider()))
+        assert cancelling == [0]
+        assert [type(mv) for mv in trace.steps] == [CIIIEliminate]
+        assert certify_trace(trace).ok
+
+    def test_the_driver_costs_each_collected_crossing_alike_on_a_padded_chart(
+        self, monkeypatch
+    ):
+        # line events of the crossing collection outside apply_move, per
+        # crossing collected, with four disjoint copies of the chart added
+        real_apply, inside = engine.apply_move, [0]
+
+        def apply(s, mv):
+            inside[0] += 1
+            try:
+                return real_apply(s, mv)
+            finally:
+                inside[0] -= 1
+
+        root = os.path.dirname(engine.__file__)
+        events = [0]
+
+        def local(frame, event, arg):
+            events[0] += event == "line"
+            return local
+
+        def calls(frame, event, arg):
+            if inside[0] or not frame.f_code.co_filename.startswith(root):
+                return None
+            return local
+
+        monkeypatch.setattr(engine, "apply_move", apply)
+        monkeypatch.setattr(engine, "_cancel_whites", lambda run: None)
+        monkeypatch.setattr(engine, "_clear_records", lambda run: 0)
+        base = TestMoveCost.BASE
+        per = []
+        for chart in (base, _with_copies(base, base)):
+            s = surf(chart)
+            unbraid_without_branch(s)
+            events[0] = 0
+            sys.settrace(calls)
+            try:
+                _, count, _ = unbraid_without_branch(s)
+            finally:
+                sys.settrace(None)
+            assert count == chart_stats(chart).c > 0
+            per.append(events[0] / count)
+        assert per[1] <= 1.1 * per[0], per
 
 
 def test_ciii_sites_are_unchanged_along_a_run():

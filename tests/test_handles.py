@@ -531,6 +531,20 @@ class TestEnumerateReachable:
         fast = enumerate_reachable(s, 3, 4)
         assert slow == fast
 
+    def test_the_kernel_path_makes_one_handle_per_pair(self, monkeypatch):
+        made = []
+
+        def counting(*args):
+            made.append(DecoratedHandle(*args))
+            return made[-1]
+
+        monkeypatch.setattr(handles, "DecoratedHandle", counting)
+        ball = enumerate_reachable(sys_of((1, 2), (2, 0), (0, 1)), 3, 4)
+        held = [hd for r in ball for hd in r.handles]
+        pairs = {(hd.m, hd.n) for hd in held}
+        assert len(held) > 3 * len(pairs)
+        assert len(made) == len({id(hd) for hd in held}) == len(pairs)
+
     @pytest.mark.parametrize(
         "pairs, budget, bound",
         [
