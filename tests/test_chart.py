@@ -548,3 +548,195 @@ class TestFileFormat:
         text = "chart degree=2 genus=0\ndart 1\ndart 2\nedge 1 2 label=0 head=2\n"
         with pytest.raises(ParseError):
             parse_chart(text)
+
+
+# Odd and malformed chart lines, with the chart the parser reads from each
+# text or its exact ParseError (line, column, message), as read before the
+# parser took its fast path for plain tokens.  int() reads "+3", "1_0" and
+# non-ASCII digits in a dart id, and the label, head and cycle patterns read
+# non-ASCII digits; the column is the first place the bad token appears.
+H = "chart degree=4 genus=0"
+D = "dart 1\ndart 2\ndart 12"
+PARSE_TABLE = [
+    (f"{H}\ndart +3\ndart 4\nedge 3 4 label=1 head=4",
+     ('chart', 4, 0, (), (((3, 4), 1, 4),), (), ())),
+    (f"{H}\ndart 1_0\ndart 11\nedge 10 11 label=1 head=11",
+     ('chart', 4, 0, (), (((10, 11), 1, 11),), (), ())),
+    (f"{H}\ndart \uff13\ndart 4\nedge 3 4 label=1 head=4",
+     ('chart', 4, 0, (), (((3, 4), 1, 4),), (), ())),
+    (f"{H}\ndart 007\ndart 8\nedge 7 8 label=1 head=8",
+     ('chart', 4, 0, (), (((7, 8), 1, 8),), (), ())),
+    (f"{H}\n  dart\t5  \ndart\xa06\nedge 5 6 label=1 head=6",
+     ('chart', 4, 0, (), (((5, 6), 1, 6),), (), ())),
+    (f"{H}\ndart 0",
+     ('error', 2, 6, 'dart ids must be positive')),
+    (f"{H}\ndart -2",
+     ('error', 2, 6, 'dart ids must be positive')),
+    (f"{H}\ndart 1\ndart 1",
+     ('error', 3, 6, 'dart 1 declared twice')),
+    (f"{H}\ndart 1\ndart +1",
+     ('error', 3, 6, 'dart 1 declared twice')),
+    (f"{H}\ndart 1 2",
+     ('error', 2, 1, "expected 'dart <id>'")),
+    (f"{H}\ndart",
+     ('error', 2, 1, "expected 'dart <id>'")),
+    (f"{H}\ndart x",
+     ('error', 2, 6, 'expected an integer dart id')),
+    (f"{H}\ndart 1.0",
+     ('error', 2, 6, 'expected an integer dart id')),
+    (f"{H}\ndart 1\x1cdart 2\x85dart 2",
+     ('error', 4, 6, 'dart 2 declared twice')),
+    (f"{H}\n{D}\nedge 1 2 label=1 head=2",
+     ('chart', 4, 0, (), (((1, 2), 1, 2),), (), ())),
+    (f"{H}\n{D}\nedge 1 2 label=+1 head=2",
+     ('error', 5, 10, 'expected label=<integer>')),
+    (f"{H}\n{D}\nedge 1 2 label=007 head=2",
+     ('chart', 4, 0, (), (((1, 2), 7, 2),), (), ())),
+    (f"{H}\n{D}\nedge 1 2 label=1_0 head=2",
+     ('error', 5, 10, 'expected label=<integer>')),
+    (f"{H}\n{D}\nedge 1 2 label=\uff11 head=2",
+     ('chart', 4, 0, (), (((1, 2), 1, 2),), (), ())),
+    (f"{H}\n{D}\nedge 1 2 label=0 head=2",
+     ('error', 5, 10, 'labels start at 1')),
+    (f"{H}\n{D}\nedge 1 2 label=-1 head=2",
+     ('error', 5, 10, 'labels start at 1')),
+    (f"{H}\n{D}\nedge 1 2 label=x head=2",
+     ('error', 5, 10, 'expected label=<integer>')),
+    (f"{H}\n{D}\nedge 1 2 label= head=2",
+     ('error', 5, 10, 'expected label=<integer>')),
+    (f"{H}\n{D}\nedge 1 2 head=2 label=1",
+     ('error', 5, 10, 'expected label=<integer>')),
+    (f"{H}\n{D}\nedge 1 2 label=1 head=x",
+     ('error', 5, 18, 'expected head=<integer>')),
+    (f"{H}\n{D}\nedge 1 2 label=1 head=12",
+     ('error', 5, 18, 'head 12 is not one of the darts')),
+    (f"{H}\n{D}\nedge 1 2 label=1 head=02",
+     ('chart', 4, 0, (), (((1, 2), 1, 2),), (), ())),
+    (f"{H}\n{D}\nedge 1 2 label=1 head=-2",
+     ('error', 5, 18, 'head -2 is not one of the darts')),
+    (f"{H}\n{D}\nedge 1 3 label=1 head=1",
+     ('error', 5, 8, 'dart 3 was never declared')),
+    (f"{H}\n{D}\nedge 12 3 label=1 head=12",
+     ('error', 5, 9, 'dart 3 was never declared')),
+    (f"{H}\n{D}\nedge +1 2 label=1 head=2",
+     ('chart', 4, 0, (), (((1, 2), 1, 2),), (), ())),
+    (f"{H}\n{D}\nedge 1 x label=1 head=1",
+     ('error', 5, 8, 'expected an integer dart id')),
+    (f"{H}\n{D}\nedge 1 1 label=1 head=1",
+     ('chart', 4, 0, (), (((1, 1), 1, 1),), (), ())),
+    (f"{H}\n{D}\nedge 1 2 label=1 head=2\nedge 2 12 label=1 head=2",
+     ('error', 6, 6, 'dart 2 already used by an edge')),
+    (f"{H}\n{D}\nedge 1 2 label=1",
+     ('error', 5, 1, "expected 'edge <d1> <d2> label=<i> head=<d>'")),
+    (f"{H}\n{D}\nedge 1 2 label=1 head=2 extra",
+     ('error', 5, 1, "expected 'edge <d1> <d2> label=<i> head=<d>'")),
+    (f"{H}\n{D}\nedge 1 2 label=9 head=2",
+     ('chart', 4, 0, (), (((1, 2), 9, 2),), (), ())),
+    (f"{H}\n{D}\nedge \uff11 2 label=1 head=2",
+     ('chart', 4, 0, (), (((1, 2), 1, 2),), (), ())),
+    (f"{H}\n{D}\nedge 1 2 label=1 head=+2",
+     ('error', 5, 18, 'expected head=<integer>')),
+    (f"{H}\n{D}\nedge 1 2 label=1 head=\uff12",
+     ('chart', 4, 0, (), (((1, 2), 1, 2),), (), ())),
+    (f"{H}\n{D}\nedge 1 2 label=1 head=2_",
+     ('error', 5, 18, 'expected head=<integer>')),
+    (f"{H}\n{D}\nvertex black cycle=1",
+     ('chart', 4, 0, (('black', (1,)),), (), (), ())),
+    (f"{H}\n{D}\nvertex white cycle=1,,2",
+     ('error', 5, 14, 'expected cycle=<d,...>')),
+    (f"{H}\n{D}\nvertex blob cycle=1",
+     ('error', 5, 8, "unknown vertex kind 'blob'")),
+    (f"{H}\n{D}\nvertex black cycle=1,",
+     ('error', 5, 14, 'expected cycle=<d,...>')),
+    (f"{H}\n{D}\nvertex black cycle=,1",
+     ('error', 5, 14, 'expected cycle=<d,...>')),
+    (f"{H}\n{D}\nvertex black cycle=01",
+     ('chart', 4, 0, (('black', (1,)),), (), (), ())),
+    (f"{H}\n{D}\nvertex black cycle=+1",
+     ('error', 5, 14, 'expected cycle=<d,...>')),
+    (f"{H}\n{D}\nvertex black cycle=\uff11",
+     ('chart', 4, 0, (('black', (1,)),), (), (), ())),
+    (f"{H}\n{D}\nvertex black cycle=3",
+     ('error', 5, 14, 'dart 3 was never declared')),
+    (f"{H}\n{D}\nvertex black cycle=1,1",
+     ('chart', 4, 0, (('black', (1, 1)),), (), (), ())),
+    (f"{H}\n{D}\nvertex black cycle=1\nvertex black cycle=2,1",
+     ('error', 6, 14, 'dart 1 already used by a vertex')),
+    (f"{H}\n{D}\nvertex black",
+     ('error', 5, 1, "expected 'vertex <kind> cycle=<d,...>'")),
+    (f"{H}\n{D}\nvertex black cyc=1",
+     ('error', 5, 14, 'expected cycle=<d,...>')),
+    (f"{H}\n{D}\nvertex black cycle=1 x",
+     ('error', 5, 1, "expected 'vertex <kind> cycle=<d,...>'")),
+    (f"{H}\n{D}\nvertex crossing cycle=12,2,1",
+     ('chart', 4, 0, (('crossing', (12, 2, 1)),), (), (), ())),
+    (f"{H}\n{D}\nvertex Black cycle=1",
+     ('error', 5, 8, "unknown vertex kind 'Black'")),
+    (f"{H}\n{D}\nvertex black cycle=1_2",
+     ('error', 5, 14, 'expected cycle=<d,...>')),
+    (f"{H}\n{D}\nvertex free_end cycle=12\nvertex white cycle=1,2",
+     ('chart', 4, 0, (('free_end', (12,)), ('white', (1, 2))), (), (), ())),
+    ("chart degree=4 genus=1\nloop label=1 sign=+\nloop label=3 sign=-",
+     ('chart', 4, 1, (), (), ((1, 1, True), (3, -1, True)), ())),
+    (f"{H}\nloop label=1 sign=*",
+     ('error', 2, 14, 'expected sign=+ or sign=-')),
+    (f"{H}\nloop label=0 sign=+",
+     ('error', 2, 6, 'labels start at 1')),
+    (f"{H}\nloop sign=+ label=1",
+     ('error', 2, 6, 'expected label=<integer>')),
+    (f"{H}\nloop label=1",
+     ('error', 2, 1, "expected 'loop label=<i> sign=<+|->'")),
+    (f"{H}\npatternloop curve=2 sense=-\npatternloop curve=1 sense=+",
+     ('chart', 4, 0, (), (), (), ((2, -1), (1, 1)))),
+    (f"{H}\npatternloop curve=0 sense=+",
+     ('error', 2, 13, 'curve indices start at 1')),
+    (f"{H}\npatternloop curve=1 sense=+-",
+     ('error', 2, 21, 'expected sense=+ or sense=-')),
+    (f"{H}\nwobble 3",
+     ('error', 2, 1, "unknown directive 'wobble'")),
+    (f"{H}\nDART 1",
+     ('error', 2, 1, "unknown directive 'DART'")),
+    ("dart 1",
+     ('error', 1, 1, "expected 'chart degree=<N> genus=<g>'")),
+    ("",
+     ('error', 1, 1, 'missing chart header')),
+    ("\n  \n",
+     ('error', 1, 1, 'missing chart header')),
+    ("chart degree=2 genus=0 extra",
+     ('error', 1, 1, "expected 'chart degree=<N> genus=<g>'")),
+    ("chart  degree=2 genus=0",
+     ('error', 1, 1, "expected 'chart degree=<N> genus=<g>'")),
+    ("  chart degree=2 genus=0  \r\ndart 1\r\n",
+     ('chart', 2, 0, (), (), (), ())),
+    ("chart degree=+2 genus=0",
+     ('error', 1, 1, "expected 'chart degree=<N> genus=<g>'")),
+    ("chart degree=\uff12 genus=0",
+     ('chart', 2, 0, (), (), (), ())),
+    ("chart degree=2 genus=-1",
+     ('error', 1, 1, "expected 'chart degree=<N> genus=<g>'")),
+    ("chart degree=2",
+     ('error', 1, 1, "expected 'chart degree=<N> genus=<g>'")),
+    ("\n\nchart degree=3 genus=2\n\ndart 4\n\n",
+     ('chart', 3, 2, (), (), (), ())),
+]
+
+
+def _parsed(text):
+    try:
+        c = parse_chart(text)
+    except ParseError as exc:
+        return ("error", exc.line, exc.column, exc.message)
+    return (
+        "chart", c.degree, c.genus,
+        tuple((v.kind, v.cycle) for v in c.vertices),
+        tuple((e.darts, e.label, e.head) for e in c.edges),
+        tuple((x.label, x.sign, x.pinned) for x in c.loops),
+        tuple((p.curve, p.sense) for p in c.pattern_loops),
+    )
+
+
+@pytest.mark.parametrize(
+    "text, want", PARSE_TABLE, ids=[f"{k:02d}" for k in range(len(PARSE_TABLE))]
+)
+def test_the_parser_reads_odd_lines_as_pinned(text, want):
+    assert _parsed(text) == want
