@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import countOf
 
 from .errors import ParseError
 
@@ -102,9 +104,14 @@ class SurfaceMap:
     genus: int  # summed genus of the components whose count is possible
     bad: tuple  # keys of the components whose Euler count is impossible
     # id of each Edge and Vertex -> its rank, increasing along the chart's
-    # edge and vertex tuples, and the least rank above every rank in use
+    # edge and vertex tuples; the ranks in the order of those tuples; and
+    # the least rank above every rank in use
     rank: dict
+    vranks: tuple
+    eranks: tuple
     top: int
+    key: int  # the least component key above every key in use
+    last: int  # the largest dart, 0 when there is none
 
     @property
     def darts(self):
@@ -138,6 +145,18 @@ class BoundsReport:
     u_gamma_upper: int
 
 
+def _chart(degree, genus, vertices, edges, loops, pattern_loops):
+    """Chart(degree, genus, vertices, edges, loops, pattern_loops), made in
+    one step past the frozen dataclass __init__: the same value, which
+    still refuses assignment."""
+    out = object.__new__(Chart)
+    out.__dict__.update(
+        degree=degree, genus=genus, vertices=vertices, edges=edges,
+        loops=loops, pattern_loops=pattern_loops,
+    )
+    return out
+
+
 def _derived(chart):
     """The chart's map-level violations, its SurfaceMap and its dartless vertices.
 
@@ -161,16 +180,24 @@ class Patch:
     parent is the chart rewritten.  old_v and old_e hold the Vertex and
     Edge objects the rewrite removes, new_v and new_e those it makes, each
     with the swapped objects last; swap_v and swap_e hold the (old, new)
-    pairs put in place, and records the loop and pattern-loop records the
-    caller names.
+    pairs put in place, records the loop and pattern-loop records the
+    caller names, and made the darts of new_v and new_e.  ranks holds the
+    rank tuples of the output's vertices and edges (see SurfaceMap), or is
+    None when the rewrite removes and makes no Edge or Vertex.
     """
 
     __slots__ = (
-        "parent", "old_v", "old_e", "new_v", "new_e", "swap_v", "swap_e", "records"
+        "parent", "old_v", "old_e", "new_v", "new_e", "swap_v", "swap_e",
+        "records", "made", "ranks",
     )
 
     def __init__(self, parent, gone, new, swap):
-        self.parent = parent
+        self.parent, self.ranks = parent, None
+        if not (gone or swap or any(type(x) is Edge or type(x) is Vertex for x in new)):
+            self.old_v = self.old_e = self.new_v = self.new_e = self.made = ()
+            self.swap_v = self.swap_e = ()
+            self.records = new
+            return
         old_v, old_e, new_v, new_e, records = [], [], [], [], []
         for x in gone:
             if type(x) is Edge:
@@ -188,93 +215,97 @@ class Patch:
         for a, b in swap:
             if type(a) is Edge:
                 swap_e.append((a, b))
+                old_e.append(a)
+                new_e.append(b)
             elif type(a) is Vertex:
                 swap_v.append((a, b))
-        for pairs, old, made in ((swap_v, old_v, new_v), (swap_e, old_e, new_e)):
-            for a, b in pairs:
-                old.append(a)
-                made.append(b)
+                old_v.append(a)
+                new_v.append(b)
+        made = [d for e in new_e for d in e.darts]
+        for v in new_v:
+            made += v.cycle
         self.old_v, self.old_e, self.new_v, self.new_e = old_v, old_e, new_v, new_e
-        self.swap_v, self.swap_e, self.records = swap_v, swap_e, records
-
-    def made_darts(self):
-        """The darts of the Edge and Vertex objects the rewrite makes."""
-        out = [d for e in self.new_e for d in e.darts]
-        for v in self.new_v:
-            out += v.cycle
-        return out
+        self.swap_v, self.swap_e, self.records, self.made = swap_v, swap_e, records, made
 
 
-def rewrite(chart, gone=(), new=(), swap=(), **fields):
-    """chart with fields replaced, made by removing the Edge and Vertex
-    objects in gone, putting each (old, new) pair of swap in place, and
-    adding the Edge and Vertex objects in new.
+def rewrite(chart, gone=(), new=(), swap=(), genus=None, loops=None, pattern_loops=None):
+    """chart with its genus, loops and pattern loops replaced where given,
+    made by removing the Edge and Vertex objects in gone, putting each
+    (old, new) pair of swap in place, and adding the Edge and Vertex
+    objects in new.
 
     The vertex and edge tuples keep the order of what they keep, with
     swapped objects in their old places and added ones at the end; each
     removed object is found by its rank in chart's map.  new may also name
-    the loop and pattern-loop records the caller puts into fields, which
-    the patch check then checks.  The new chart keeps the patch, split once
-    as a Patch, and its map is chart's map plus this patch: only the faces
-    and components the patch reaches are walked again.
+    the loop and pattern-loop records the caller puts into loops and
+    pattern_loops, which the patch check then checks.  The new chart keeps
+    the patch, split once as a Patch, and its map is chart's map plus this
+    patch: only the faces and components the patch reaches are walked
+    again, and a patch that removes and makes no Edge or Vertex hands over
+    chart's map itself.
     """
     p = Patch(chart, gone, new, swap)
-    parts = []
-    for items, old, made, pairs in (
-        (chart.vertices, p.old_v, p.new_v, p.swap_v),
-        (chart.edges, p.old_e, p.new_e, p.swap_e),
-    ):
-        if old:
-            items = _cut(items, old, pairs, surface_map(chart).rank)
-        added = len(made) - len(pairs)
-        parts.append(items + tuple(made[:added]) if added else items)
-    out = Chart(
-        fields.pop("degree", chart.degree),
-        fields.pop("genus", chart.genus),
-        *parts,
-        fields.pop("loops", chart.loops),
-        fields.pop("pattern_loops", chart.pattern_loops),
-        **fields,
+    vertices, edges = chart.vertices, chart.edges
+    if p.old_v or p.old_e or p.new_v or p.new_e:
+        m = surface_map(chart)
+        top, parts = m.top, []
+        for items, ranks, old, made, pairs in (
+            (vertices, m.vranks, p.old_v, p.new_v, p.swap_v),
+            (edges, m.eranks, p.old_e, p.new_e, p.swap_e),
+        ):
+            if old:
+                gone = old[: len(old) - len(pairs)]
+                items, ranks = _cut(items, ranks, gone, pairs, m.rank)
+            added = len(made) - len(pairs)
+            if added:
+                items += tuple(made[:added])
+                ranks += tuple(range(top, top + added))
+                top += added
+            parts.append((items, ranks))
+        (vertices, vranks), (edges, eranks) = parts
+        p.ranks = (vranks, eranks)
+    out = _chart(
+        chart.degree,
+        chart.genus if genus is None else genus,
+        vertices,
+        edges,
+        chart.loops if loops is None else loops,
+        chart.pattern_loops if pattern_loops is None else pattern_loops,
     )
-    object.__setattr__(out, "_step", p)
+    out.__dict__["_step"] = p
     return out
 
 
-def _cut(items, old, swap, rank):
-    """items without the objects in old, except that the old object of each
-    (old, new) pair of swap is replaced by the new one; objects are found by
-    bisecting on their ranks, and those items does not hold are passed over."""
-    def key(x):
-        return rank[id(x)]
-
-    put = {id(a): (b,) for a, b in swap}
-    cuts = []
-    for x in old:
-        r = rank.get(id(x))
+def _cut(items, ranks, gone, swap, rank):
+    """items and their ranks without the objects in gone, and with the new
+    object of each (old, new) pair of swap in its old one's place, where it
+    keeps that rank; objects are found by bisecting on their ranks, and
+    those items does not hold are passed over."""
+    out, kept = list(items), list(ranks)
+    for a, b in swap:
+        r = rank.get(id(a))
         if r is not None:
-            cuts.append((bisect_left(items, r, key=key), put.get(id(x), ())))
-    cuts.sort(key=lambda c: c[0])
-    out, start = (), 0
-    for k, put in cuts:
-        out += items[start:k] + put
-        start = k + 1
-    return out + items[start:]
+            out[bisect_left(ranks, r)] = b
+    at = {bisect_left(ranks, r) for r in map(rank.get, map(id, gone)) if r is not None}
+    for k in sorted(at, reverse=True):
+        del out[k], kept[k]
+    return tuple(out), tuple(kept)
 
 
 def take_patch(before, after):
     """The Patch that made after from before: the patch check reads the
     darts it makes and the records it names.
 
-    () when after is before, None when after is no rewrite of before or
-    changes its degree.  It derives after's map, then drops after's link to
-    before, so that a run of moves does not keep every earlier chart alive.
+    () when after is before, None when after is no rewrite of before.  It
+    derives after's map, then drops after's link to before, so that a run
+    of moves does not keep every earlier chart alive.
     """
     if after is before:
         return ()
     p = after.__dict__.get("_step")
     _derived(after)
     after.__dict__.pop("_step", None)
-    if p is None or p.parent is not before or after.degree != before.degree:
+    if p is None or p.parent is not before:
         return None
     return p
 
@@ -306,8 +337,8 @@ def _face(d, alpha, sigma):
 
 def _euler(darts, vertex_at, face_at):
     """V - E + F of the component made of these darts."""
-    vertices = len({id(vertex_at[d]) for d in darts})
-    faces = len({id(face_at[d]) for d in darts})
+    vertices = len(set(map(id, map(vertex_at.__getitem__, darts))))
+    faces = len(set(map(id, map(face_at.__getitem__, darts))))
     return vertices - len(darts) // 2 + faces
 
 
@@ -327,183 +358,261 @@ def _ends(vertices):
     return {v.cycle[0] for v in vertices if v.kind == "free_end" and v.cycle}
 
 
-def _derive(chart):
+def _dart_violations(chart):
+    """The header and dart-structure violations, edge by edge and vertex by
+    vertex."""
     out = _header(chart)
-    edge_at, alpha = {}, {}
+    seen = set()
     for idx, e in enumerate(chart.edges):
         d1, d2 = e.darts
         if d1 == d2:
             out.append(f"edge {idx}: its two darts must differ")
-        if d1 in edge_at:
-            out.append(f"dart {d1} appears in more than one edge")
-        edge_at[d1] = e
-        if d2 in edge_at:
-            out.append(f"dart {d2} appears in more than one edge")
-        edge_at[d2] = e
-        alpha[d1] = d2
-        alpha[d2] = d1
+        for d in (d1, d2):
+            if d in seen:
+                out.append(f"dart {d} appears in more than one edge")
+            seen.add(d)
         if e.head != d1 and e.head != d2:
             out.append(f"edge {idx}: head {e.head} is not one of its darts")
-    vertex_at, sigma, bare = {}, {}, []
-    for vi, v in enumerate(chart.vertices):
+    on_edges, seen = seen, set()
+    for v in chart.vertices:
+        for d in v.cycle:
+            if d in seen:
+                out.append(f"dart {d} appears in more than one vertex cycle")
+            seen.add(d)
+    for d in sorted(on_edges ^ seen):
+        side = "edge" if d in on_edges else "vertex"
+        out.append(f"dart {d} appears only on the {side} side")
+    return out
+
+
+def _derive(chart):
+    """The chart's map-level violations, its SurfaceMap and its dartless
+    vertices, derived in full.  The dart tables are built first; a chart
+    whose tables do not add up is read again by _dart_violations, which
+    names what is wrong."""
+    vertices, edges = chart.vertices, chart.edges
+    edge_at, alpha = {}, {}
+    for e in edges:
+        d1, d2 = e.darts
+        alpha[d1] = d2
+        alpha[d2] = d1
+        edge_at[d1] = edge_at[d2] = e
+    vertex_at, sigma, bare, count = {}, {}, [], 0
+    for vi, v in enumerate(vertices):
         cycle = v.cycle
         if not cycle:
             bare.append(vi)
             continue
-        prev = cycle[-1]
-        for d in cycle:
-            if d in vertex_at:
-                out.append(f"dart {d} appears in more than one vertex cycle")
-            vertex_at[d] = v
-            sigma[prev] = d
-            prev = d
-    if edge_at.keys() != vertex_at.keys():
-        for d in sorted(edge_at.keys() ^ vertex_at.keys()):
-            side = "edge" if d in edge_at else "vertex"
-            out.append(f"dart {d} appears only on the {side} side")
-    if out:
-        return out, None, bare
+        vertex_at.update(dict.fromkeys(cycle, v))
+        sigma.update(zip(cycle[-1:] + cycle[:-1], cycle))
+        count += len(cycle)
+    if (
+        chart.degree < 2
+        or chart.genus < 0
+        or len(alpha) != 2 * len(edges)
+        or len(vertex_at) != count
+        or edge_at.keys() != vertex_at.keys()
+        or any(e.head != e.darts[0] and e.head != e.darts[1] for e in edges)
+    ):
+        return _dart_violations(chart), None, bare
 
-    face_at = {}
+    # faces, each walked from its least dart
+    face_at, faces = {}, []
     for d in sorted(alpha):
         if d not in face_at:
-            walk = _face(d, alpha, sigma)
-            for x in walk:
-                face_at[x] = walk
-    comp, chi, size = {}, {}, {}
+            walk, cur = [d], sigma[alpha[d]]
+            while cur != d:
+                walk.append(cur)
+                cur = sigma[alpha[cur]]
+            walk = tuple(walk)
+            face_at.update(dict.fromkeys(walk, walk))
+            faces.append(walk)
+    comp, size = {}, {}
     for d in alpha:
         if d in comp:
             continue
-        key = len(chi)
+        key = len(size)
         comp[d] = key
         group = [d]
         for x in group:
-            for y in (alpha[x], sigma[x]):
-                if y not in comp:
-                    comp[y] = key
-                    group.append(y)
-        chi[key] = _euler(group, vertex_at, face_at)
+            y = alpha[x]
+            if y not in comp:
+                comp[y] = key
+                group.append(y)
+            y = sigma[x]
+            if y not in comp:
+                comp[y] = key
+                group.append(y)
         size[key] = len(group)
+    # Euler characteristic per component: vertices - edges + faces
+    chi = dict.fromkeys(size, 0)
+    for v in vertices:
+        if v.cycle:
+            chi[comp[v.cycle[0]]] += 1
+    for e in edges:
+        chi[comp[e.darts[0]]] -= 1
+    for w in faces:
+        chi[comp[w[0]]] += 1
     genus, bad = _tally(chi, chi)
-    rank = {id(v): k for k, v in enumerate(chart.vertices)}
-    rank.update({id(e): k for k, e in enumerate(chart.edges)})
+    nv, ne = len(vertices), len(edges)
+    rank = dict(zip(map(id, vertices), range(nv)))
+    rank.update(zip(map(id, edges), range(ne)))
     sm = SurfaceMap(
         alpha, sigma, edge_at, vertex_at, face_at, comp, chi, size,
-        frozenset(_ends(chart.vertices)), genus, tuple(bad),
-        rank, max(len(chart.vertices), len(chart.edges)),
+        frozenset(_ends(vertices)), genus, tuple(bad),
+        rank, tuple(range(nv)), tuple(range(ne)), max(nv, ne),
+        len(size), max(alpha, default=0),
     )
-    return out, sm, bare
+    return [], sm, bare
 
 
-def _searches(seeds, alpha, sigma):
-    """Group the seed darts by connected component.
+def _linked(darts, face_at, vertex_at):
+    """The darts in groups that each lie in one component: darts on one
+    face, or on two faces that meet at a vertex, share a group."""
+    faces = {}
+    for d in darts:
+        w = face_at[d]
+        faces.setdefault(id(w), (w, []))[1].append(d)
+    groups = []  # (ids of the vertices on the group's faces, its darts)
+    for w, group in faces.values():
+        ids = set(map(id, map(vertex_at.__getitem__, w)))
+        kept = []
+        for other in groups:
+            if ids.isdisjoint(other[0]):
+                kept.append(other)
+            else:
+                ids |= other[0]
+                group += other[1]
+        kept.append((ids, group))
+        groups = kept
+    return [group for _, group in groups]
 
-    One search starts at each seed; the searches take a dart each in turn
-    and merge where they meet, and stop once at most one is still running
-    (Even and Shiloach), so the work is bounded by the smaller sides.
-    Returns the darts of each finished search, the running search as
-    (darts, unexpanded darts) or None, and the dart -> search table.
+
+def _searches(groups, alpha, sigma):
+    """Group the darts of groups, each of which lies in one component, by
+    connected component.
+
+    One breadth-first search starts from each group; the searches take a
+    dart each in turn and merge where they meet, and stop once at most one
+    is still running (Even and Shiloach), so the work is bounded by the
+    smaller sides.  Returns the darts of each finished search, the running
+    search as (darts, unexpanded darts) or None, and the dart -> search
+    table.
     """
     owner, root, seen, todo = {}, [], [], []
-    for d in seeds:
-        if d not in owner:
-            owner[d] = len(root)
-            root.append(len(root))
-            seen.append([d])
-            todo.append([d])
-    running, done = list(range(len(root))), []
-    while len(running) > 1:
-        still = []
-        for g in running:
-            if root[g] != g:
-                continue
-            d = todo[g].pop()
-            for x in (alpha[d], sigma[d]):
-                h = owner.get(x)
-                if h is None:
-                    owner[x] = g
-                    seen[g].append(x)
-                    todo[g].append(x)
-                    continue
+    for group in groups:
+        owner.update(dict.fromkeys(group, len(root)))
+        root.append(len(root))
+        seen.append(list(group))
+        todo.append(deque(group))
+    # searches take turns; running counts those neither merged nor finished
+    turns, done, running = deque(range(len(root))), [], len(root)
+    while running > 1:
+        g = turns.popleft()
+        if root[g] != g:
+            continue
+        mine, queue = seen[g], todo[g]
+        d = queue.popleft()
+        for x in (alpha[d], sigma[d]):
+            h = owner.get(x)
+            if h is None:
+                owner[x] = g
+                mine.append(x)
+                queue.append(x)
+            elif h != g:
                 while root[h] != h:
                     h = root[h]
                 if h != g:
                     # keep the longer lists under g, then fold h into it
-                    if len(seen[h]) > len(seen[g]):
-                        seen[g], seen[h] = seen[h], seen[g]
-                        todo[g], todo[h] = todo[h], todo[g]
-                    seen[g] += seen[h]
-                    todo[g] += todo[h]
+                    if len(seen[h]) > len(mine):
+                        seen[g], seen[h] = seen[h], mine
+                        todo[g], todo[h] = todo[h], queue
+                        mine, queue = seen[g], todo[g]
+                    mine += seen[h]
+                    queue += todo[h]
                     root[h] = g
-            if todo[g]:
-                still.append(g)
-            else:
-                done.append(seen[g])
-        running = [g for g in still if root[g] == g]
-    last = (seen[running[0]], todo[running[0]]) if running else None
+                    running -= 1
+        if queue:
+            turns.append(g)
+        else:
+            done.append(mine)
+            running -= 1
+    last = None
+    if running:
+        g = next(g for g in turns if root[g] == g)
+        last = (seen[g], todo[g])
     return done, last, owner
 
 
 def _carry(chart, p):
     """The map of chart, made from p.parent by rewrite with the Patch p.
 
-    The dart tables are copied and patched, and only the faces through a
-    patch dart are walked again.  Components are searched
+    A patch that removes and makes no Edge or Vertex keeps the parent's
+    map.  Otherwise the dart tables are copied and patched, and only the
+    faces through a patch dart are walked again.  Components are searched
     from the patch alone, and the Euler count of the one component left
     unexplored follows by difference.  A patch that does not fit its
     parent, or an output with a broken dart structure, is derived in full
     instead, which names the violations.
     """
     parent = p.parent
-    pout, pm, pbare = _derived(parent)
-    if pout or pbare or pm.bad or _header(chart):
+    got = _derived(parent)
+    pout, pm, pbare = got
+    # rewrite keeps the degree, so of the header only the genus can break
+    if pout or pbare or pm.bad or chart.genus < 0:
         return _derive(chart)
+    if p.ranks is None:
+        return got
     ge, gv, ne, nv = p.old_e, p.old_v, p.new_e, p.new_v
-    if not (ge or gv or ne or nv):
-        return [], pm, []
     if len(chart.edges) != len(parent.edges) - len(ge) + len(ne) or len(
         chart.vertices
     ) != len(parent.vertices) - len(gv) + len(nv):
         return _derive(chart)
 
+    # the dart tables; a made dart that is in use, or in use twice, shows
+    # as a table shorter than its count
     alpha, sigma = pm.alpha.copy(), pm.sigma.copy()
     edge_at, vertex_at = pm.edge_at.copy(), pm.vertex_at.copy()
-    rank, top = pm.rank.copy(), pm.top
-    touched = set()
+    touched = set(p.made)
+    at_vertices = len(vertex_at)
     for e in ge:
-        for d in e.darts:
-            if edge_at.pop(d, None) is not e:
-                return _derive(chart)
-            del alpha[d]
+        d1, d2 = e.darts
+        if edge_at.pop(d1, None) is not e or edge_at.pop(d2, None) is not e:
+            return _derive(chart)
+        del alpha[d1], alpha[d2]
         touched.update(e.darts)
     for v in gv:
         for d in v.cycle:
             if vertex_at.pop(d, None) is not v:
                 return _derive(chart)
             del sigma[d]
+        at_vertices -= len(v.cycle)
         touched.update(v.cycle)
     for e in ne:
         d1, d2 = e.darts
-        if d1 == d2 or d1 in edge_at or d2 in edge_at or e.head not in e.darts:
+        if e.head != d1 and e.head != d2:
             return _derive(chart)
         edge_at[d1] = edge_at[d2] = e
-        alpha[d1], alpha[d2] = d2, d1
-        touched.add(d1)
-        touched.add(d2)
+        alpha[d1] = d2
+        alpha[d2] = d1
     for v in nv:
         cycle = v.cycle
         if not cycle:
             return _derive(chart)
-        prev = cycle[-1]
-        for d in cycle:
-            if d in vertex_at:
-                return _derive(chart)
-            vertex_at[d] = v
-            sigma[prev] = d
-            prev = d
-        touched.update(cycle)
+        vertex_at.update(dict.fromkeys(cycle, v))
+        sigma.update(zip(cycle[-1:] + cycle[:-1], cycle))
+        at_vertices += len(cycle)
+    alive = touched.intersection(alpha)
+    if (
+        len(alpha) != len(pm.alpha) + 2 * (len(ne) - len(ge))
+        or len(vertex_at) != at_vertices
+        or alive != touched.intersection(vertex_at)
+    ):
+        return _derive(chart)
+    dead = touched - alive
     # ranks: added objects follow top in the order rewrite appends them,
     # and a swapped object takes its old one's
+    rank, top = pm.rank.copy(), pm.top
     for x in ge:
         del rank[id(x)]
     for x in gv:
@@ -514,61 +623,60 @@ def _carry(chart, p):
             top += 1
         for a, b in pairs:
             rank[id(b)] = pm.rank[id(a)]
-    if any((d in alpha) != (d in vertex_at) for d in touched):
-        return _derive(chart)
+    last = max(pm.last, max(p.made, default=0))
+    if last not in alpha:
+        last = max(alpha, default=0)
 
     # faces: a face walk changes only where it runs through a patch dart
-    # (a changed edge, or a changed vertex entered from its partner), so
-    # the parent's faces through patch darts go, and the faces through the
-    # surviving patch darts are walked
-    pface = pm.face_at
-    stale = {id(w): w for w in map(pface.get, touched) if w is not None}
+    # (a changed edge, or a changed vertex entered from its partner).  So
+    # the parent's faces through patch darts are stale, and every dart of
+    # theirs that is left lies on a face through a surviving patch dart:
+    # walking those faces replaces every stale entry but the removed darts'
+    pface, pcomp = pm.face_at, pm.comp
+    was = touched.intersection(pface)
+    stale = set(map(id, map(pface.__getitem__, was)))
     face_at = pface.copy()
-    for w in stale.values():
-        for d in w:
-            del face_at[d]
+    for d in dead:
+        del face_at[d]
+    live = sorted(alive)
     walks = 0
-    for d in touched:
-        if d in alpha and d not in face_at:
+    for d in live:
+        w = face_at.get(d)
+        if w is None or id(w) in stale:
             walk = _face(d, alpha, sigma)
-            for x in walk:
-                face_at[x] = walk
+            face_at.update(dict.fromkeys(walk, walk))
             walks += 1
 
     # components: the parent components the patch reaches are replaced by
     # the components of the patch's surviving darts
-    pcomp = pm.comp
-    keys = sorted({pcomp[d] for d in touched if d in pcomp})
+    keys = sorted(set(map(pcomp.__getitem__, was)))
     comp, chi, size = pcomp.copy(), pm.chi.copy(), pm.size.copy()
-    region_chi = sum(chi.pop(k) for k in keys)
-    region_size = sum(size.pop(k) for k in keys)
+    region_chi = sum(map(chi.pop, keys))
+    region_size = sum(map(size.pop, keys))
     region_chi += len(nv) - len(gv) - len(ne) + len(ge) + walks - len(stale)
     region_size += len(alpha) - len(pm.alpha)
-    for d in touched:
-        if d not in alpha:
-            del comp[d]
-    done, last, owner = _searches(
-        sorted(d for d in touched if d in alpha), alpha, sigma
-    )
-    fresh = max(pm.chi, default=-1) + 1
+    for d in dead:
+        del comp[d]
+    done, running, owner = _searches(_linked(live, face_at, vertex_at), alpha, sigma)
+    fresh = pm.key
     changed = []
-    if last is not None:
-        darts, todo = last
-        left = {k: pm.size[k] for k in keys}
-        for d in touched:
-            if d not in alpha and d in pcomp:
-                left[pcomp[d]] -= 1
-        for d in owner:
-            k = pcomp.get(d)
-            if k is not None:
-                left[k] -= 1
+    if running is not None:
+        darts, todo = running
+        # the darts of each parent component reached that were neither
+        # removed nor explored
+        left = {
+            k: pm.size[k]
+            - countOf(map(pcomp.__getitem__, dead), k)
+            - countOf(map(pcomp.get, owner), k)
+            for k in keys
+        }
         rest = [k for k in keys if left[k]]
         if rest:
             # the running search's component holds unexplored darts of the
             # parent components in rest: the largest keeps its key, and the
             # others' darts are reached from the unexpanded ones
-            keep = max(rest, key=lambda k: left[k])
-            stack = list(todo)
+            keep = max(rest, key=left.__getitem__)
+            stack = list(todo) if len(rest) > 1 else []
             while stack:
                 d = stack.pop()
                 for x in (alpha[d], sigma[d]):
@@ -576,16 +684,14 @@ def _carry(chart, p):
                         owner[x] = None
                         darts.append(x)
                         stack.append(x)
-            for d in darts:
-                comp[d] = keep
+            comp.update(dict.fromkeys(darts, keep))
             chi[keep] = region_chi - sum(_euler(g, vertex_at, face_at) for g in done)
             size[keep] = region_size - sum(map(len, done))
             changed.append(keep)
         else:
             done.append(darts)
     for group in done:
-        for d in group:
-            comp[d] = fresh
+        comp.update(dict.fromkeys(group, fresh))
         chi[fresh] = _euler(group, vertex_at, face_at)
         size[fresh] = len(group)
         changed.append(fresh)
@@ -598,18 +704,17 @@ def _carry(chart, p):
         ends = ends.difference(_ends(gv)).union(_ends(nv))
     sm = SurfaceMap(
         alpha, sigma, edge_at, vertex_at, face_at, comp, chi, size,
-        ends, pm.genus - lost + won, tuple(bad), rank, top,
+        ends, pm.genus - lost + won, tuple(bad), rank, *p.ranks, top, fresh, last,
     )
     return [], sm, []
 
 
 def _word(edge_at, v):
     """Counterclockwise (label, out_sign) word around one vertex, a tuple."""
-    seq = []
-    for d in v.cycle:
-        e = edge_at[d]
-        seq.append((e.label, 1 if e.head != d else -1))
-    return tuple(seq)
+    return tuple([
+        (e.label, 1 if e.head != d else -1)
+        for d, e in zip(v.cycle, map(edge_at.__getitem__, v.cycle))
+    ])
 
 
 # the boundary words of a chart's vertices come from a small set, so each
@@ -682,31 +787,46 @@ def _violations(chart, touched):
         return list(out)
     if touched is None:
         verts = list(enumerate(chart.vertices))
-        edges = list(enumerate(chart.edges))
-        loops = list(enumerate(chart.loops))
-        pats = list(enumerate(chart.pattern_loops))
+        edges = enumerate(chart.edges)
+        loops = enumerate(chart.loops)
+        pats = enumerate(chart.pattern_loops)
     else:
         # indices are looked up only for an item that fails
         if type(touched) is Patch:
-            darts, records = touched.made_darts(), touched.records
+            darts, records = touched.made, touched.records
         else:
             darts = [d for d in touched if type(d) is int]
             records = touched
-        vs = {id(v): (None, v) for v in map(sm.vertex_at.get, darts) if v}
-        es = {id(e): (None, e) for e in map(sm.edge_at.get, darts) if e}
-        verts = [*vs.values(), *((vi, chart.vertices[vi]) for vi in bare)]
-        edges = list(es.values())
-        loops = [(None, x) for x in records if type(x) is FloatingLoop]
-        pats = [(None, x) for x in records if type(x) is PatternLoop]
+        verts = [(vi, chart.vertices[vi]) for vi in bare]
+        edges = ()
+        if darts:
+            vs = {id(v): (None, v) for v in map(sm.vertex_at.get, darts) if v}
+            es = {id(e): (None, e) for e in map(sm.edge_at.get, darts) if e}
+            verts[:0] = vs.values()
+            edges = es.values()
+        loops = pats = ()
+        if records:
+            loops = [(None, x) for x in records if type(x) is FloatingLoop]
+            pats = [(None, x) for x in records if type(x) is PatternLoop]
+        if not (verts or edges or loops or pats):
+            return _count_violations(chart, sm)
+    return (
+        _item_violations(chart, verts, edges, loops, pats)
+        or _word_violations(chart, sm, verts)
+        or _count_violations(chart, sm)
+    )
 
+
+def _item_violations(chart, verts, edges, loops, pats):
+    """Kinds, degrees, labels, signs and curve indices of the given
+    (index or None, item) pairs."""
     hi = chart.degree - 1
     bad_v, bad_e, bad_l, bad_p = [], [], [], []
     for vi, v in verts:
-        if v.kind not in VERTEX_DEGREE:
+        want = VERTEX_DEGREE.get(v.kind)
+        if want is None:
             bad_v.append((vi, v, f": unknown kind {v.kind!r}"))
-            continue
-        want = VERTEX_DEGREE[v.kind]
-        if len(v.cycle) != want:
+        elif len(v.cycle) != want:
             bad_v.append((vi, v, f" ({v.kind}): degree {len(v.cycle)} != {want}"))
     for idx, e in edges:
         if not 1 <= e.label <= hi:
@@ -728,24 +848,29 @@ def _violations(chart, touched):
             + _named(chart.loops, "loop", bad_l)
             + _named(chart.pattern_loops, "pattern loop", bad_p)
         )
+    return []
 
-    bad_v = []
+
+def _word_violations(chart, sm, verts):
+    """The boundary words of the given white and crossing vertices."""
+    bad = []
     for vi, v in verts:
         if v.kind == "white" and _match_white(_word(sm.edge_at, v)) is None:
             text = ": white boundary word is not an adjacent-pair relator"
-            bad_v.append((vi, v, text))
+            bad.append((vi, v, text))
         elif v.kind == "crossing" and _match_crossing(_word(sm.edge_at, v)) is None:
             text = (
                 ": invalid crossing word, need far labels in"
                 " opposite-sign diagonal pairs"
             )
-            bad_v.append((vi, v, text))
-    if bad_v:
-        return _named(chart.vertices, "vertex", bad_v)
+            bad.append((vi, v, text))
+    return _named(chart.vertices, "vertex", bad) if bad else []
 
-    # orientability bookkeeping: each connected component of the map has an
-    # even Euler characteristic; the component genera must fit the carrier.
-    # A component is named by its least vertex index.
+
+def _count_violations(chart, sm):
+    """Orientability bookkeeping: each connected component of the map has
+    an even Euler characteristic, and the component genera must fit the
+    carrier.  A component is named by its least vertex index."""
     out = []
     if sm.bad:
         least = {}
@@ -936,11 +1061,16 @@ def format_chart(chart):
 _HEADER_RE = re.compile(r"^chart degree=(\d+) genus=(\d+)\s*$")
 _INT_RE = {key: re.compile(key + r"=(-?\d+)") for key in ("label", "head", "curve")}
 _SIGN_RE = {key: re.compile(key + r"=([+-])") for key in ("sign", "sense")}
-_CYCLE_RE = re.compile(r"cycle=(\d+(?:,\d+)*)")
 
 
 def parse_chart(text):
-    """Parse the chart file format; raises ParseError with line positions."""
+    """Parse the chart file format; raises ParseError with line positions.
+
+    A well-formed dart, edge or vertex line is read with plain string
+    tests; the helpers below read the other tokens, and raise on bad ones.
+    An integer token made of decimal digits reads as int() reads it, and
+    so does its kv_int or plain_int.
+    """
     degree = genus = None
     declared = set()
     in_edge = set()
@@ -972,64 +1102,81 @@ def parse_chart(text):
         except ValueError:
             err(lineno, raw, token, f"expected an integer {what}")
 
-    saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    rows = enumerate(text.splitlines(), start=1)
+    for lineno, raw in rows:
         line = raw.strip()
-        if not line:
-            continue
-        if not saw_header:
+        if line:
             m = _HEADER_RE.match(line)
             if not m:
                 raise ParseError(lineno, 1, "expected 'chart degree=<N> genus=<g>'")
             degree, genus = int(m.group(1)), int(m.group(2))
-            saw_header = True
+            break
+    else:
+        raise ParseError(1, 1, "missing chart header")
+    for lineno, raw in rows:
+        toks = raw.split()
+        if not toks:
             continue
-        toks = line.split()
         kind = toks[0]
         if kind == "dart":
             if len(toks) != 2:
                 err(lineno, raw, kind, "expected 'dart <id>'")
-            d = plain_int(lineno, raw, toks[1], "dart id")
+            tok = toks[1]
+            d = int(tok) if tok.isdecimal() else plain_int(lineno, raw, tok, "dart id")
             if d < 1:
-                err(lineno, raw, toks[1], "dart ids must be positive")
+                err(lineno, raw, tok, "dart ids must be positive")
             if d in declared:
-                err(lineno, raw, toks[1], f"dart {d} declared twice")
+                err(lineno, raw, tok, f"dart {d} declared twice")
             declared.add(d)
         elif kind == "edge":
             if len(toks) != 5:
                 err(lineno, raw, kind, "expected 'edge <d1> <d2> label=<i> head=<d>'")
-            d1 = plain_int(lineno, raw, toks[1], "dart id")
-            d2 = plain_int(lineno, raw, toks[2], "dart id")
-            for d, tok in ((d1, toks[1]), (d2, toks[2])):
-                if d not in declared:
-                    err(lineno, raw, tok, f"dart {d} was never declared")
-                if d in in_edge:
-                    err(lineno, raw, tok, f"dart {d} already used by an edge")
-            label = kv_int(lineno, raw, toks[3], "label")
+            _, t1, t2, t3, t4 = toks
+            d1 = int(t1) if t1.isdecimal() else plain_int(lineno, raw, t1, "dart id")
+            d2 = int(t2) if t2.isdecimal() else plain_int(lineno, raw, t2, "dart id")
+            if not (
+                d1 in declared and d2 in declared and d1 not in in_edge and d2 not in in_edge
+            ):
+                for d, tok in ((d1, t1), (d2, t2)):
+                    if d not in declared:
+                        err(lineno, raw, tok, f"dart {d} was never declared")
+                    if d in in_edge:
+                        err(lineno, raw, tok, f"dart {d} already used by an edge")
+            if t3.startswith("label=") and t3[6:].isdecimal():
+                label = int(t3[6:])
+            else:
+                label = kv_int(lineno, raw, t3, "label")
             if label < 1:
-                err(lineno, raw, toks[3], "labels start at 1")
-            head = kv_int(lineno, raw, toks[4], "head")
-            if head not in (d1, d2):
-                err(lineno, raw, toks[4], f"head {head} is not one of the darts")
-            in_edge.update((d1, d2))
-            edges.append(Edge(darts=(d1, d2), label=label, head=head))
+                err(lineno, raw, t3, "labels start at 1")
+            if t4.startswith("head=") and t4[5:].isdecimal():
+                head = int(t4[5:])
+            else:
+                head = kv_int(lineno, raw, t4, "head")
+            if head != d1 and head != d2:
+                err(lineno, raw, t4, f"head {head} is not one of the darts")
+            in_edge.add(d1)
+            in_edge.add(d2)
+            edges.append(Edge((d1, d2), label, head))
         elif kind == "vertex":
             if len(toks) != 3:
                 err(lineno, raw, kind, "expected 'vertex <kind> cycle=<d,...>'")
-            vkind = toks[1]
+            _, vkind, tok = toks
             if vkind not in VERTEX_DEGREE:
                 err(lineno, raw, vkind, f"unknown vertex kind {vkind!r}")
-            m = _CYCLE_RE.fullmatch(toks[2])
-            if not m:
-                err(lineno, raw, toks[2], "expected cycle=<d,...>")
-            cycle = tuple(int(x) for x in m.group(1).split(","))
-            for d in cycle:
-                if d not in declared:
-                    err(lineno, raw, toks[2], f"dart {d} was never declared")
-                if d in in_cycle:
-                    err(lineno, raw, toks[2], f"dart {d} already used by a vertex")
+            # cycle= and decimal darts joined by single commas
+            body = tok[6:] if tok.startswith("cycle=") else ""
+            parts = body.split(",")
+            if not body.replace(",", "").isdecimal() or "" in parts:
+                err(lineno, raw, tok, "expected cycle=<d,...>")
+            cycle = tuple(map(int, parts))
+            if not (declared.issuperset(cycle) and in_cycle.isdisjoint(cycle)):
+                for d in cycle:
+                    if d not in declared:
+                        err(lineno, raw, tok, f"dart {d} was never declared")
+                    if d in in_cycle:
+                        err(lineno, raw, tok, f"dart {d} already used by a vertex")
             in_cycle.update(cycle)
-            vertices.append(Vertex(kind=vkind, cycle=cycle))
+            vertices.append(Vertex(vkind, cycle))
         elif kind == "loop":
             if len(toks) != 3:
                 err(lineno, raw, kind, "expected 'loop label=<i> sign=<+|->'")
@@ -1050,13 +1197,6 @@ def parse_chart(text):
             patterns.append(PatternLoop(curve=curve, sense=sense))
         else:
             err(lineno, raw, kind, f"unknown directive {kind!r}")
-    if not saw_header:
-        raise ParseError(1, 1, "missing chart header")
-    return Chart(
-        degree=degree,
-        genus=genus,
-        vertices=tuple(vertices),
-        edges=tuple(edges),
-        loops=tuple(loops),
-        pattern_loops=tuple(patterns),
+    return _chart(
+        degree, genus, tuple(vertices), tuple(edges), tuple(loops), tuple(patterns)
     )

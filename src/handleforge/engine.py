@@ -101,6 +101,14 @@ class DecoratedSurface:
     handles: tuple[AttachedHandle, ...] = ()
 
 
+def _surface(chart: Chart, handles: tuple) -> DecoratedSurface:
+    """DecoratedSurface(chart, handles), made in one step past the frozen
+    dataclass __init__: the same value, which still refuses assignment."""
+    out = object.__new__(DecoratedSurface)
+    out.__dict__.update(chart=chart, handles=handles)
+    return out
+
+
 def empty_surface(degree: int, genus: int = 0) -> DecoratedSurface:
     return DecoratedSurface(Chart(degree=degree, genus=genus), ())
 
@@ -472,12 +480,17 @@ def _field_rules(cls):
     return tuple(rules)
 
 
-_RULES = {cls: _field_rules(cls) for cls in CHART_MOVES + SURFACE_MOVES}
+# the classes that have checked fields
+_RULES = {
+    cls: rules
+    for cls in CHART_MOVES + SURFACE_MOVES
+    if (rules := _field_rules(cls))
+}
 
 
 def _check_fields(mv, degree):
     """Refuse a move whose sign, label or choice field is out of range."""
-    for name, allowed, refusal in _RULES.get(type(mv), ()):
+    for name, allowed, refusal in _RULES[type(mv)]:
         v = getattr(mv, name)
         if allowed is not None:
             if v not in allowed:
@@ -561,10 +574,10 @@ def _with_handles(s: DecoratedSurface, *hs):
 
 def _fresh(ch: Chart, n: int, drop=()) -> tuple[int, ...]:
     """n darts above the chart's largest dart, leaving out the darts in drop."""
-    alpha = surface_map(ch).alpha
-    top = max(alpha, default=0)
+    m = surface_map(ch)
+    top = m.last
     if top in drop:
-        top = max((d for d in alpha if d not in drop), default=0)
+        top = max((d for d in m.alpha if d not in drop), default=0)
     return tuple(range(top + 1, top + 1 + n))
 
 
@@ -616,7 +629,7 @@ def _rewrite(
     carries s's map through this patch.
     """
     chart = rewrite(s.chart, gone, new, swap, **chart_fields)
-    return DecoratedSurface(chart, s.handles if handles is None else handles)
+    return _surface(chart, s.handles if handles is None else handles)
 
 
 def _restore(before: DecoratedSurface, after: DecoratedSurface, gone=(), new=()) -> _Patch:
@@ -1045,25 +1058,48 @@ def _mirror_pair(ch: Chart, dart):
     return v1, v2, e0, arcs
 
 
+def _white_edges(ch: Chart, whites):
+    """The least dart of each edge that joins one of the white vertices
+    whites to a white vertex, in least-dart order."""
+    m = surface_map(ch)
+    alpha, vmap = m.alpha, m.vertex_at
+    return sorted(
+        d
+        for v in whites
+        for d in v.cycle
+        if d < alpha[d] and vmap[alpha[d]].kind == "white"
+    )
+
+
 def _cim3_sites(ch: Chart):
     """The darts where CIM3Cancel applies: the least dart of each edge that
     joins a mirror-wired white pair, in least-dart order.  Only the edges
     that join two white vertices are tried."""
-    m = surface_map(ch)
-    alpha, vmap = m.alpha, m.vertex_at
-    ends = sorted(
-        d
-        for v in ch.vertices
-        if v.kind == "white"
-        for d in v.cycle
-        if d < alpha[d] and vmap[alpha[d]].kind == "white"
-    )
-    for d in ends:
+    for d in _white_edges(ch, [v for v in ch.vertices if v.kind == "white"]):
         try:
             _mirror_pair(ch, d)
         except ValueError:
             continue
         yield d
+
+
+def _mirror_pairs(ch: Chart, whites):
+    """(least site, its two whites) of each mirror-wired pair among the
+    white vertices whites, the least site last.  A pair is tried once: the
+    mirror check reads the same six arcs from any of its edges."""
+    m = surface_map(ch)
+    out, tried = [], set()
+    for d in _white_edges(ch, whites):
+        pair = frozenset((id(m.vertex_at[d]), id(m.vertex_at[m.alpha[d]])))
+        if pair in tried:
+            continue
+        tried.add(pair)
+        try:
+            v1, v2, _, _ = _mirror_pair(ch, d)
+        except ValueError:
+            continue
+        out.append((d, v1, v2))
+    return out[::-1]
 
 
 @_applies(CIM3Cancel)
@@ -1442,7 +1478,7 @@ def _do_patterntwist(s, mv):
     coil = _the_coil(s)
     m, n = coil.mn
     handles = _with_handles(s, replace(coil, mn=(m, n + 2 * mv.sign * m)))
-    return DecoratedSurface(s.chart, handles), PatternTwist(-mv.sign)
+    return _surface(s.chart, handles), PatternTwist(-mv.sign)
 
 
 # ---------------------------------------------------------------------------
@@ -1495,7 +1531,8 @@ def apply_move(s: DecoratedSurface, mv):
         raise TypeError(f"not a move: {mv!r}")
     if not getattr(s, "_checked", False):
         _check_surface(s)
-    _check_fields(mv, s.chart.degree)
+    if type(mv) in _RULES:
+        _check_fields(mv, s.chart.degree)
     held = (s.handles, surface_map(s.chart).ends)
     out, inv = fn(s, mv)
     _check_surface(out, take_patch(s.chart, out.chart), held)
@@ -1812,30 +1849,46 @@ def _collect_crossing(run: _Runner, cyc) -> int:
 
 def _cancel_whites(run: _Runner) -> None:
     """Remove every white vertex; StuckWhiteVertex names the least one that
-    no CIII site, mirror pair or swapped pair removes."""
+    no CIII site, mirror pair or swapped pair removes.
+
+    The whites are listed once, since no move here makes one, and each
+    move drops the whites it removes.  The mirror pairs are listed once
+    and taken least site first; cancelling one leaves the others in place,
+    so they are listed again only after a CIII elimination or a rewiring.
+    """
+    ch = run.state.chart
     # no move here makes a black vertex, and without one there is no CIII
     # site: a blackless chart skips the scan
-    blacks = any(v.kind == "black" for v in run.state.chart.vertices)
-    while True:
+    blacks = any(v.kind == "black" for v in ch.vertices)
+    whites = {id(v): v for v in ch.vertices if v.kind == "white"}
+    sites = None
+    while whites:
         ch = run.state.chart
-        whites = [v for v in ch.vertices if v.kind == "white"]
-        if not whites:
-            return
         fired = next(_ciii_sites(ch), None) if blacks else None
         if fired is not None:
+            del whites[id(surface_map(ch).vertex_at[fired])]
             run.do(CIIIEliminate(fired))
+            sites = None
             continue
-        hit = next(_cim3_sites(ch), None)
-        if hit is not None:
-            run.do(CIM3Cancel(hit))
-        elif not _pair_whites(run, whites):
-            stuck = min(v.cycle for v in whites)
+        if sites is None:
+            sites = _mirror_pairs(ch, whites.values())
+        if sites:
+            d, v1, v2 = sites.pop()
+            del whites[id(v1)], whites[id(v2)]
+            run.do(CIM3Cancel(d))
+            continue
+        pair = _pair_whites(run, list(whites.values()))
+        if pair is None:
+            stuck = min(v.cycle for v in whites.values())
             raise StuckWhiteVertex(f"no move removes the white vertex at darts {stuck}")
+        for v in pair:
+            del whites[id(v)]
+        sites = None
 
 
-def _pair_whites(run: _Runner, whites) -> bool:
-    """Rewire a swapped-type pair of white vertices into mirror position and
-    cancel it; False when no pair can be."""
+def _pair_whites(run: _Runner, whites):
+    """Rewire a swapped-type pair of the white vertices whites into mirror
+    position and cancel it; returns the pair, or None when no pair can be."""
     ch = run.state.chart
     types = {}
     for v in whites:
@@ -1858,8 +1911,8 @@ def _pair_whites(run: _Runner, whites) -> bool:
                 except ValueError:
                     continue
                 run.adopt(trial)
-                return True
-    return False
+                return v1, v2
+    return None
 
 
 def _clear_records(run: _Runner) -> int:
@@ -2075,9 +2128,14 @@ def _deco_form_ok(s, h, strong):
     )
 
 
-def _check_claim(state, trace, claim):
+# the claims that count the trace's attaching steps
+_COUNTED = ("handle-count<=", "added-handles=")
+
+
+def _check_claim(state, claim, attached):
+    """(holds, reason) for one claim on the final state; attached is the
+    number of attaching steps, counted when a claim of _COUNTED is made."""
     n = state.chart.degree
-    attached = sum(isinstance(mv, _ATTACHING) for mv in trace.steps)
     if claim == "empty":
         if _non_handle_vertices(state):
             return False, "claim empty: the chart still has components"
@@ -2097,8 +2155,8 @@ def _check_claim(state, trace, claim):
             if not _deco_form_ok(state, h, strong):
                 return False, f"claim {claim}: handle {h.id} is not in form"
         return True, None
-    at_most = claim.startswith("handle-count<=")
-    if at_most or claim.startswith("added-handles="):
+    if claim.startswith(_COUNTED):
+        at_most = claim.startswith("handle-count<=")
         try:
             k = int(claim.split("<=" if at_most else "=")[1])
         except ValueError:
@@ -2147,8 +2205,11 @@ def certify_trace(trace: EngineTrace) -> CertifyResult:
             return CertifyResult(False, k, f"{type(exc).__name__}: {exc}", None)
         except TypeError as exc:
             return CertifyResult(False, k, str(exc), None)
+    attached = None
+    if any(claim.startswith(_COUNTED) for claim in trace.claims):
+        attached = sum(isinstance(mv, _ATTACHING) for mv in trace.steps)
     for claim in trace.claims:
-        ok, why = _check_claim(state, trace, claim)
+        ok, why = _check_claim(state, claim, attached)
         if not ok:
             return CertifyResult(False, None, why, _handed_back(trace.initial, state))
     return CertifyResult(True, None, None, _handed_back(trace.initial, state))
