@@ -82,7 +82,7 @@ class Chart:
     pattern_loops: tuple[PatternLoop, ...] = ()
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SurfaceMap:
     """Derived view of a chart's rotation system, its faces and components.
 
@@ -473,6 +473,8 @@ def _linked(darts, face_at, vertex_at):
     for d in darts:
         w = face_at[d]
         faces.setdefault(id(w), (w, []))[1].append(d)
+    if len(faces) < 2:
+        return [group for _, group in faces.values()]
     groups = []  # (ids of the vertices on the group's faces, its darts)
     for w, group in faces.values():
         ids = set(map(id, map(vertex_at.__getitem__, w)))
@@ -499,6 +501,9 @@ def _searches(groups, alpha, sigma):
     search as (darts, unexpanded darts) or None, and the dart -> search
     table.
     """
+    if len(groups) < 2:
+        owner = dict.fromkeys(groups[0], 0) if groups else {}
+        return [], (list(groups[0]), deque(groups[0])) if groups else None, owner
     owner, root, seen, todo = {}, [], [], []
     for group in groups:
         owner.update(dict.fromkeys(group, len(root)))
@@ -599,14 +604,17 @@ def _carry(chart, p):
         cycle = v.cycle
         if not cycle:
             return _derive(chart)
-        vertex_at.update(dict.fromkeys(cycle, v))
-        sigma.update(zip(cycle[-1:] + cycle[:-1], cycle))
+        prev = cycle[-1]
+        for d in cycle:
+            vertex_at[d] = v
+            sigma[prev] = d
+            prev = d
         at_vertices += len(cycle)
-    alive = touched.intersection(alpha)
+    alive = alpha.keys() & touched
     if (
         len(alpha) != len(pm.alpha) + 2 * (len(ne) - len(ge))
         or len(vertex_at) != at_vertices
-        or alive != touched.intersection(vertex_at)
+        or alive != vertex_at.keys() & touched
     ):
         return _derive(chart)
     dead = touched - alive
@@ -623,7 +631,7 @@ def _carry(chart, p):
             top += 1
         for a, b in pairs:
             rank[id(b)] = pm.rank[id(a)]
-    last = max(pm.last, max(p.made, default=0))
+    last = max((pm.last, *p.made))
     if last not in alpha:
         last = max(alpha, default=0)
 
@@ -633,7 +641,7 @@ def _carry(chart, p):
     # theirs that is left lies on a face through a surviving patch dart:
     # walking those faces replaces every stale entry but the removed darts'
     pface, pcomp = pm.face_at, pm.comp
-    was = touched.intersection(pface)
+    was = pface.keys() & touched
     stale = set(map(id, map(pface.__getitem__, was)))
     face_at = pface.copy()
     for d in dead:
@@ -644,7 +652,8 @@ def _carry(chart, p):
         w = face_at.get(d)
         if w is None or id(w) in stale:
             walk = _face(d, alpha, sigma)
-            face_at.update(dict.fromkeys(walk, walk))
+            for x in walk:
+                face_at[x] = walk
             walks += 1
 
     # components: the parent components the patch reaches are replaced by
@@ -691,7 +700,8 @@ def _carry(chart, p):
         else:
             done.append(darts)
     for group in done:
-        comp.update(dict.fromkeys(group, fresh))
+        for d in group:
+            comp[d] = fresh
         chi[fresh] = _euler(group, vertex_at, face_at)
         size[fresh] = len(group)
         changed.append(fresh)
