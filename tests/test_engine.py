@@ -1450,9 +1450,13 @@ class TestCarriedMap:
             # the carried ranks order the vertex and edge tuples
             ch = s.chart
             assert len(m.rank) == len(ch.vertices) + len(ch.edges)
-            for items in (ch.vertices, ch.edges):
+            for items, kept in ((ch.vertices, m.vranks), (ch.edges, m.eranks)):
                 ranks = [m.rank[id(x)] for x in items]
                 assert ranks == sorted(set(ranks)) and all(r < m.top for r in ranks)
+                assert kept == tuple(ranks)
+            # the next component key and the largest dart kept in the map
+            assert all(k < m.key for k in m.chi)
+            assert m.last == max(m.alpha, default=0)
             seen["carried"] += touched is not None
 
         monkeypatch.setattr(engine, "_check_surface", check)
@@ -1511,6 +1515,80 @@ class TestCarriedMap:
         assert surface_map(added.chart) is m
         erased, _ = apply_move(added, CIM1Erase(len(added.chart.loops) - 1))
         assert surface_map(erased.chart) is m
+
+
+class TestRecordOnlyPatch:
+    """A rewrite that removes and makes no Edge or Vertex hands over its
+    input's map itself, and is checked on the records it names, the genus
+    bound and, when they changed, the handles."""
+
+    def test_the_output_shares_its_inputs_map(self):
+        s = surf(generate_blackless_chart(4, 20, random.Random(5)))
+        m = surface_map(s.chart)
+        e = min(s.chart.edges, key=lambda e: e.darts)
+        k = len(s.chart.loops)
+        # None stands for the inverse of the move before it
+        steps = [
+            CIM1Add(1, 1),
+            CIM2Split(e.darts[0], -1),
+            None,
+            AttachTrivialHandle(),
+            MoveHandleAcrossEdge(1, loop=k),
+            None,
+            CIM1Erase(k),
+            DetachTrivialHandle(1),
+        ]
+        inv = None
+        for mv in steps:
+            s, inv = apply_move(s, mv or inv)
+            assert surface_map(s.chart) is m, mv or inv
+        assert len(s.chart.loops) == k and s.chart.genus == 0 and not s.handles
+        pats = surf(mk(pattern_loops=(PatternLoop(1, 1), PatternLoop(2, -1))))
+        out, _ = apply_move(pats, PatternCancel(0))
+        assert surface_map(out.chart) is surface_map(pats.chart)
+
+    def test_a_genus_only_rewrite_below_the_component_genus_is_refused(self):
+        # two circles crossing once: a map of genus 1, declared genus 1,
+        # with a footless handle whose detach would declare genus 0
+        torus = mk(
+            genus=1,
+            vertices=(Vertex("crossing", (1, 2, 3, 4)),),
+            edges=(Edge((1, 3), 1, 3), Edge((2, 4), 3, 4)),
+        )
+        s = surf(torus, (AttachedHandle(1, BraidWord(4)),))
+        want = "total component genus 1 exceeds declared genus 0"
+        assert validate_chart(replace(torus, genus=0)) == [want]
+        with pytest.raises(SiteMismatch, match=f"^{want}$"):
+            apply_move(s, DetachTrivialHandle(1))
+        assert apply_move(s, AttachTrivialHandle())[0].chart.genus == 2
+
+    def test_a_restore_patch_with_an_unsigned_record_is_refused(self):
+        s = surf(mk(pattern_loops=(PatternLoop(1, 1), PatternLoop(2, -1))))
+        out, inv = apply_move(s, PatternCancel(0))
+        assert type(inv) is engine._Patch and not inv.gone and not inv.new
+        bad = replace(inv, loops=(FloatingLoop(1, 0),))
+        with pytest.raises(SiteMismatch, match=r"^loop 0: sign must be \+1 or -1$"):
+            apply_move(out, bad)
+        assert surfaces_equal(apply_move(out, inv)[0], s)
+
+    def test_values_made_in_one_step_equal_the_dataclass_built_ones(self):
+        s = surf(generate_blackless_chart(4, 20, random.Random(5)))
+        s, _ = apply_move(s, AttachTrivialHandle(cocore_label=1))
+        out, _ = apply_move(s, CIM1Add(2, -1))
+        ch = out.chart
+        built = Chart(ch.degree, ch.genus, ch.vertices, ch.edges, ch.loops, ch.pattern_loops)
+        again = DecoratedSurface(built, out.handles)
+        for one, other in ((ch, built), (out, again)):
+            assert type(one) is type(other)
+            assert one == other and other == one
+            assert hash(one) == hash(other) and repr(one) == repr(other)
+        for value, name in ((ch, "genus"), (out, "handles")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, name)
+        assert replace(ch, genus=2) == replace(built, genus=2)
+        assert replace(out, handles=()) == replace(again, handles=())
 
 
 class TestIncrementalPathRefusals:
@@ -1775,6 +1853,58 @@ class TestRunSideSites:
                 sys.settrace(None)
             assert count == chart_stats(chart).c > 0
             per.append(events[0] / count)
+        assert per[1] <= 1.1 * per[0], per
+
+
+    def test_the_driver_costs_each_removed_white_alike_on_a_padded_chart(
+        self, monkeypatch
+    ):
+        # line events of _cancel_whites outside apply_move, per white it
+        # removes, on the surface left once the crossings are collected,
+        # with four disjoint copies of the chart added
+        real_apply, inside = engine.apply_move, [0]
+
+        def apply(s, mv):
+            inside[0] += 1
+            try:
+                return real_apply(s, mv)
+            finally:
+                inside[0] -= 1
+
+        root = os.path.dirname(engine.__file__)
+        events = [0]
+
+        def local(frame, event, arg):
+            events[0] += event == "line"
+            return local
+
+        def calls(frame, event, arg):
+            if inside[0] or not frame.f_code.co_filename.startswith(root):
+                return None
+            return local
+
+        collected = []
+        monkeypatch.setattr(engine, "_cancel_whites", lambda run: collected.append(run.state))
+        monkeypatch.setattr(engine, "_clear_records", lambda run: 0)
+        base = TestMoveCost.BASE
+        for chart in (base, _with_copies(base, base)):
+            unbraid_without_branch(surf(chart))
+        monkeypatch.undo()
+        monkeypatch.setattr(engine, "apply_move", apply)
+        per = []
+        for state in collected:
+            whites = sum(v.kind == "white" for v in state.chart.vertices)
+            engine._cancel_whites(engine._Runner(state))
+            events[0] = 0
+            run = engine._Runner(state)
+            sys.settrace(calls)
+            try:
+                engine._cancel_whites(run)
+            finally:
+                sys.settrace(None)
+            assert whites > 0
+            assert not any(v.kind == "white" for v in run.state.chart.vertices)
+            per.append(events[0] / whites)
         assert per[1] <= 1.1 * per[0], per
 
 
