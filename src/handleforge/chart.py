@@ -574,6 +574,12 @@ def _carry(chart, p):
     ) != len(parent.vertices) - len(gv) + len(nv):
         return _derive(chart)
 
+    # a removed object is the parent's own when the parent's ranks hold
+    # its identity, and then its darts are in the parent's tables
+    rank, top = pm.rank.copy(), pm.top
+    for x in (*ge, *gv):
+        if rank.pop(id(x), None) is None:
+            return _derive(chart)
     # the dart tables; a made dart that is in use, or in use twice, shows
     # as a table shorter than its count
     alpha, sigma = pm.alpha.copy(), pm.sigma.copy()
@@ -582,17 +588,14 @@ def _carry(chart, p):
     at_vertices = len(vertex_at)
     for e in ge:
         d1, d2 = e.darts
-        if edge_at.pop(d1, None) is not e or edge_at.pop(d2, None) is not e:
-            return _derive(chart)
-        del alpha[d1], alpha[d2]
+        del edge_at[d1], edge_at[d2], alpha[d1], alpha[d2]
         touched.update(e.darts)
     for v in gv:
-        for d in v.cycle:
-            if vertex_at.pop(d, None) is not v:
-                return _derive(chart)
-            del sigma[d]
-        at_vertices -= len(v.cycle)
-        touched.update(v.cycle)
+        cycle = v.cycle
+        for d in cycle:
+            del vertex_at[d], sigma[d]
+        at_vertices -= len(cycle)
+        touched.update(cycle)
     for e in ne:
         d1, d2 = e.darts
         if e.head != d1 and e.head != d2:
@@ -620,11 +623,6 @@ def _carry(chart, p):
     dead = touched - alive
     # ranks: added objects follow top in the order rewrite appends them,
     # and a swapped object takes its old one's
-    rank, top = pm.rank.copy(), pm.top
-    for x in ge:
-        del rank[id(x)]
-    for x in gv:
-        del rank[id(x)]
     for made, pairs in ((nv, p.swap_v), (ne, p.swap_e)):
         for x in made[: len(made) - len(pairs)]:
             rank[id(x)] = top
@@ -643,9 +641,9 @@ def _carry(chart, p):
     pface, pcomp = pm.face_at, pm.comp
     was = pface.keys() & touched
     stale = set(map(id, map(pface.__getitem__, was)))
-    face_at = pface.copy()
+    face_at, comp = pface.copy(), pcomp.copy()
     for d in dead:
-        del face_at[d]
+        del face_at[d], comp[d]
     live = sorted(alive)
     walks = 0
     for d in live:
@@ -659,13 +657,11 @@ def _carry(chart, p):
     # components: the parent components the patch reaches are replaced by
     # the components of the patch's surviving darts
     keys = sorted(set(map(pcomp.__getitem__, was)))
-    comp, chi, size = pcomp.copy(), pm.chi.copy(), pm.size.copy()
+    chi, size = pm.chi.copy(), pm.size.copy()
     region_chi = sum(map(chi.pop, keys))
     region_size = sum(map(size.pop, keys))
     region_chi += len(nv) - len(gv) - len(ne) + len(ge) + walks - len(stale)
     region_size += len(alpha) - len(pm.alpha)
-    for d in dead:
-        del comp[d]
     done, running, owner = _searches(_linked(live, face_at, vertex_at), alpha, sigma)
     fresh = pm.key
     changed = []
