@@ -20,7 +20,6 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import countOf
 
 from .errors import ParseError
 
@@ -337,8 +336,8 @@ def _face(d, alpha, sigma):
 
 def _euler(darts, vertex_at, face_at):
     """V - E + F of the component made of these darts."""
-    vertices = len(set(map(id, map(vertex_at.__getitem__, darts))))
-    faces = len(set(map(id, map(face_at.__getitem__, darts))))
+    vertices = len({id(vertex_at[d]) for d in darts})
+    faces = len({id(face_at[d]) for d in darts})
     return vertices - len(darts) // 2 + faces
 
 
@@ -391,20 +390,25 @@ def _derive(chart):
     whose tables do not add up is read again by _dart_violations, which
     names what is wrong."""
     vertices, edges = chart.vertices, chart.edges
-    edge_at, alpha = {}, {}
+    edge_at, alpha, heads = {}, {}, True
     for e in edges:
         d1, d2 = e.darts
         alpha[d1] = d2
         alpha[d2] = d1
         edge_at[d1] = edge_at[d2] = e
+        if e.head != d1 and e.head != d2:
+            heads = False
     vertex_at, sigma, bare, count = {}, {}, [], 0
     for vi, v in enumerate(vertices):
         cycle = v.cycle
         if not cycle:
             bare.append(vi)
             continue
-        vertex_at.update(dict.fromkeys(cycle, v))
-        sigma.update(zip(cycle[-1:] + cycle[:-1], cycle))
+        prev = cycle[-1]
+        for d in cycle:
+            vertex_at[d] = v
+            sigma[prev] = d
+            prev = d
         count += len(cycle)
     if (
         chart.degree < 2
@@ -412,7 +416,7 @@ def _derive(chart):
         or len(alpha) != 2 * len(edges)
         or len(vertex_at) != count
         or edge_at.keys() != vertex_at.keys()
-        or any(e.head != e.darts[0] and e.head != e.darts[1] for e in edges)
+        or not heads
     ):
         return _dart_violations(chart), None, bare
 
@@ -425,7 +429,8 @@ def _derive(chart):
                 walk.append(cur)
                 cur = sigma[alpha[cur]]
             walk = tuple(walk)
-            face_at.update(dict.fromkeys(walk, walk))
+            for x in walk:
+                face_at[x] = walk
             faces.append(walk)
     comp, size = {}, {}
     for d in alpha:
@@ -455,8 +460,8 @@ def _derive(chart):
         chi[comp[w[0]]] += 1
     genus, bad = _tally(chi, chi)
     nv, ne = len(vertices), len(edges)
-    rank = dict(zip(map(id, vertices), range(nv)))
-    rank.update(zip(map(id, edges), range(ne)))
+    rank = {id(v): k for k, v in enumerate(vertices)}
+    rank.update({id(e): k for k, e in enumerate(edges)})
     sm = SurfaceMap(
         alpha, sigma, edge_at, vertex_at, face_at, comp, chi, size,
         frozenset(_ends(vertices)), genus, tuple(bad),
@@ -477,7 +482,7 @@ def _linked(darts, face_at, vertex_at):
         return [group for _, group in faces.values()]
     groups = []  # (ids of the vertices on the group's faces, its darts)
     for w, group in faces.values():
-        ids = set(map(id, map(vertex_at.__getitem__, w)))
+        ids = {id(vertex_at[x]) for x in w}
         kept = []
         for other in groups:
             if ids.isdisjoint(other[0]):
@@ -501,12 +506,15 @@ def _searches(groups, alpha, sigma):
     search as (darts, unexpanded darts) or None, and the dart -> search
     table.
     """
-    if len(groups) < 2:
-        owner = dict.fromkeys(groups[0], 0) if groups else {}
-        return [], (list(groups[0]), deque(groups[0])) if groups else None, owner
+    if not groups:
+        return [], None, {}
+    if len(groups) == 1:
+        (group,) = groups
+        return [], (list(group), deque(group)), dict.fromkeys(group, 0)
     owner, root, seen, todo = {}, [], [], []
     for group in groups:
-        owner.update(dict.fromkeys(group, len(root)))
+        for d in group:
+            owner[d] = len(root)
         root.append(len(root))
         seen.append(list(group))
         todo.append(deque(group))
@@ -640,7 +648,7 @@ def _carry(chart, p):
     # walking those faces replaces every stale entry but the removed darts'
     pface, pcomp = pm.face_at, pm.comp
     was = pface.keys() & touched
-    stale = set(map(id, map(pface.__getitem__, was)))
+    stale = {id(pface[d]) for d in was}
     face_at, comp = pface.copy(), pcomp.copy()
     for d in dead:
         del face_at[d], comp[d]
@@ -656,7 +664,7 @@ def _carry(chart, p):
 
     # components: the parent components the patch reaches are replaced by
     # the components of the patch's surviving darts
-    keys = sorted(set(map(pcomp.__getitem__, was)))
+    keys = sorted({pcomp[d] for d in was})
     chi, size = pm.chi.copy(), pm.size.copy()
     region_chi = sum(map(chi.pop, keys))
     region_size = sum(map(size.pop, keys))
@@ -669,12 +677,13 @@ def _carry(chart, p):
         darts, todo = running
         # the darts of each parent component reached that were neither
         # removed nor explored
-        left = {
-            k: pm.size[k]
-            - countOf(map(pcomp.__getitem__, dead), k)
-            - countOf(map(pcomp.get, owner), k)
-            for k in keys
-        }
+        left = {k: pm.size[k] for k in keys}
+        for d in dead:
+            left[pcomp[d]] -= 1
+        for d in owner:
+            k = pcomp.get(d)
+            if k is not None:
+                left[k] -= 1
         rest = [k for k in keys if left[k]]
         if rest:
             # the running search's component holds unexplored darts of the
@@ -689,7 +698,8 @@ def _carry(chart, p):
                         owner[x] = None
                         darts.append(x)
                         stack.append(x)
-            comp.update(dict.fromkeys(darts, keep))
+            for d in darts:
+                comp[d] = keep
             chi[keep] = region_chi - sum(_euler(g, vertex_at, face_at) for g in done)
             size[keep] = region_size - sum(map(len, done))
             changed.append(keep)
@@ -717,10 +727,11 @@ def _carry(chart, p):
 
 def _word(edge_at, v):
     """Counterclockwise (label, out_sign) word around one vertex, a tuple."""
-    return tuple([
-        (e.label, 1 if e.head != d else -1)
-        for d, e in zip(v.cycle, map(edge_at.__getitem__, v.cycle))
-    ])
+    seq = []
+    for d in v.cycle:
+        e = edge_at[d]
+        seq.append((e.label, 1 if e.head != d else -1))
+    return tuple(seq)
 
 
 # the boundary words of a chart's vertices come from a small set, so each
