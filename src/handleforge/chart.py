@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -357,48 +356,27 @@ def _ends(vertices):
     return {v.cycle[0] for v in vertices if v.kind == "free_end" and v.cycle}
 
 
-def _dart_violations(chart):
-    """The header and dart-structure violations, edge by edge and vertex by
-    vertex."""
+def _derive(chart):
+    """The chart's map-level violations, its SurfaceMap and its dartless
+    vertices, derived in full."""
+    vertices, edges = chart.vertices, chart.edges
     out = _header(chart)
-    seen = set()
-    for idx, e in enumerate(chart.edges):
+    edge_at, alpha = {}, {}
+    for idx, e in enumerate(edges):
         d1, d2 = e.darts
         if d1 == d2:
             out.append(f"edge {idx}: its two darts must differ")
-        for d in (d1, d2):
-            if d in seen:
-                out.append(f"dart {d} appears in more than one edge")
-            seen.add(d)
-        if e.head != d1 and e.head != d2:
-            out.append(f"edge {idx}: head {e.head} is not one of its darts")
-    on_edges, seen = seen, set()
-    for v in chart.vertices:
-        for d in v.cycle:
-            if d in seen:
-                out.append(f"dart {d} appears in more than one vertex cycle")
-            seen.add(d)
-    for d in sorted(on_edges ^ seen):
-        side = "edge" if d in on_edges else "vertex"
-        out.append(f"dart {d} appears only on the {side} side")
-    return out
-
-
-def _derive(chart):
-    """The chart's map-level violations, its SurfaceMap and its dartless
-    vertices, derived in full.  The dart tables are built first; a chart
-    whose tables do not add up is read again by _dart_violations, which
-    names what is wrong."""
-    vertices, edges = chart.vertices, chart.edges
-    edge_at, alpha, heads = {}, {}, True
-    for e in edges:
-        d1, d2 = e.darts
+        if d1 in edge_at:
+            out.append(f"dart {d1} appears in more than one edge")
+        edge_at[d1] = e
+        if d2 in edge_at:
+            out.append(f"dart {d2} appears in more than one edge")
+        edge_at[d2] = e
         alpha[d1] = d2
         alpha[d2] = d1
-        edge_at[d1] = edge_at[d2] = e
         if e.head != d1 and e.head != d2:
-            heads = False
-    vertex_at, sigma, bare, count = {}, {}, [], 0
+            out.append(f"edge {idx}: head {e.head} is not one of its darts")
+    vertex_at, sigma, bare = {}, {}, []
     for vi, v in enumerate(vertices):
         cycle = v.cycle
         if not cycle:
@@ -406,19 +384,17 @@ def _derive(chart):
             continue
         prev = cycle[-1]
         for d in cycle:
+            if d in vertex_at:
+                out.append(f"dart {d} appears in more than one vertex cycle")
             vertex_at[d] = v
             sigma[prev] = d
             prev = d
-        count += len(cycle)
-    if (
-        chart.degree < 2
-        or chart.genus < 0
-        or len(alpha) != 2 * len(edges)
-        or len(vertex_at) != count
-        or edge_at.keys() != vertex_at.keys()
-        or not heads
-    ):
-        return _dart_violations(chart), None, bare
+    if edge_at.keys() != vertex_at.keys():
+        for d in sorted(edge_at.keys() ^ vertex_at.keys()):
+            side = "edge" if d in edge_at else "vertex"
+            out.append(f"dart {d} appears only on the {side} side")
+    if out:
+        return out, None, bare
 
     # faces, each walked from its least dart
     face_at, faces = {}, []
@@ -471,89 +447,52 @@ def _derive(chart):
     return [], sm, bare
 
 
-def _linked(darts, face_at, vertex_at):
-    """The darts in groups that each lie in one component: darts on one
-    face, or on two faces that meet at a vertex, share a group."""
-    faces = {}
-    for d in darts:
-        w = face_at[d]
-        faces.setdefault(id(w), (w, []))[1].append(d)
-    if len(faces) < 2:
-        return [group for _, group in faces.values()]
-    groups = []  # (ids of the vertices on the group's faces, its darts)
-    for w, group in faces.values():
-        ids = {id(vertex_at[x]) for x in w}
-        kept = []
-        for other in groups:
-            if ids.isdisjoint(other[0]):
-                kept.append(other)
-            else:
-                ids |= other[0]
-                group += other[1]
-        kept.append((ids, group))
-        groups = kept
-    return [group for _, group in groups]
+def _searches(seeds, alpha, sigma):
+    """Group the seed darts by connected component.
 
-
-def _searches(groups, alpha, sigma):
-    """Group the darts of groups, each of which lies in one component, by
-    connected component.
-
-    One breadth-first search starts from each group; the searches take a
-    dart each in turn and merge where they meet, and stop once at most one
-    is still running (Even and Shiloach), so the work is bounded by the
-    smaller sides.  Returns the darts of each finished search, the running
-    search as (darts, unexpanded darts) or None, and the dart -> search
-    table.
+    One search starts at each seed; the searches take a dart each in turn
+    and merge where they meet, and stop once at most one is still running
+    (Even and Shiloach), so the work is bounded by the smaller sides.
+    Returns the darts of each finished search, the running search as
+    (darts, unexpanded darts) or None, and the dart -> search table.
     """
-    if not groups:
-        return [], None, {}
-    if len(groups) == 1:
-        (group,) = groups
-        return [], (list(group), deque(group)), dict.fromkeys(group, 0)
     owner, root, seen, todo = {}, [], [], []
-    for group in groups:
-        for d in group:
+    for d in seeds:
+        if d not in owner:
             owner[d] = len(root)
-        root.append(len(root))
-        seen.append(list(group))
-        todo.append(deque(group))
-    # searches take turns; running counts those neither merged nor finished
-    turns, done, running = deque(range(len(root))), [], len(root)
-    while running > 1:
-        g = turns.popleft()
-        if root[g] != g:
-            continue
-        mine, queue = seen[g], todo[g]
-        d = queue.popleft()
-        for x in (alpha[d], sigma[d]):
-            h = owner.get(x)
-            if h is None:
-                owner[x] = g
-                mine.append(x)
-                queue.append(x)
-            elif h != g:
+            root.append(len(root))
+            seen.append([d])
+            todo.append([d])
+    running, done = list(range(len(root))), []
+    while len(running) > 1:
+        still = []
+        for g in running:
+            if root[g] != g:
+                continue
+            d = todo[g].pop()
+            for x in (alpha[d], sigma[d]):
+                h = owner.get(x)
+                if h is None:
+                    owner[x] = g
+                    seen[g].append(x)
+                    todo[g].append(x)
+                    continue
                 while root[h] != h:
                     h = root[h]
                 if h != g:
                     # keep the longer lists under g, then fold h into it
-                    if len(seen[h]) > len(mine):
-                        seen[g], seen[h] = seen[h], mine
-                        todo[g], todo[h] = todo[h], queue
-                        mine, queue = seen[g], todo[g]
-                    mine += seen[h]
-                    queue += todo[h]
+                    if len(seen[h]) > len(seen[g]):
+                        seen[g], seen[h] = seen[h], seen[g]
+                        todo[g], todo[h] = todo[h], todo[g]
+                    seen[g] += seen[h]
+                    todo[g] += todo[h]
                     root[h] = g
-                    running -= 1
-        if queue:
-            turns.append(g)
-        else:
-            done.append(mine)
-            running -= 1
-    last = None
-    if running:
-        g = next(g for g in turns if root[g] == g)
-        last = (seen[g], todo[g])
+            if todo[g]:
+                still.append(g)
+            else:
+                done.append(seen[g])
+        running = [g for g in still if root[g] == g]
+    last = (seen[running[0]], todo[running[0]]) if running else None
     return done, last, owner
 
 
@@ -670,7 +609,7 @@ def _carry(chart, p):
     region_size = sum(map(size.pop, keys))
     region_chi += len(nv) - len(gv) - len(ne) + len(ge) + walks - len(stale)
     region_size += len(alpha) - len(pm.alpha)
-    done, running, owner = _searches(_linked(live, face_at, vertex_at), alpha, sigma)
+    done, running, owner = _searches(live, alpha, sigma)
     fresh = pm.key
     changed = []
     if running is not None:
@@ -1214,6 +1153,11 @@ def parse_chart(text):
             patterns.append(PatternLoop(curve=curve, sense=sense))
         else:
             err(lineno, raw, kind, f"unknown directive {kind!r}")
-    return _chart(
-        degree, genus, tuple(vertices), tuple(edges), tuple(loops), tuple(patterns)
+    return Chart(
+        degree=degree,
+        genus=genus,
+        vertices=tuple(vertices),
+        edges=tuple(edges),
+        loops=tuple(loops),
+        pattern_loops=tuple(patterns),
     )

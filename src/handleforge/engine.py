@@ -480,17 +480,12 @@ def _field_rules(cls):
     return tuple(rules)
 
 
-# the classes that have checked fields
-_RULES = {
-    cls: rules
-    for cls in CHART_MOVES + SURFACE_MOVES
-    if (rules := _field_rules(cls))
-}
+_RULES = {cls: _field_rules(cls) for cls in CHART_MOVES + SURFACE_MOVES}
 
 
 def _check_fields(mv, degree):
     """Refuse a move whose sign, label or choice field is out of range."""
-    for name, allowed, refusal in _RULES[type(mv)]:
+    for name, allowed, refusal in _RULES.get(type(mv), ()):
         v = getattr(mv, name)
         if allowed is not None:
             if v not in allowed:
@@ -1531,8 +1526,7 @@ def apply_move(s: DecoratedSurface, mv):
         raise TypeError(f"not a move: {mv!r}")
     if not getattr(s, "_checked", False):
         _check_surface(s)
-    if type(mv) in _RULES:
-        _check_fields(mv, s.chart.degree)
+    _check_fields(mv, s.chart.degree)
     held = (s.handles, surface_map(s.chart).ends)
     out, inv = fn(s, mv)
     _check_surface(out, take_patch(s.chart, out.chart), held)
@@ -1877,7 +1871,7 @@ def _cancel_whites(run: _Runner) -> None:
             del whites[id(v1)], whites[id(v2)]
             run.do(CIM3Cancel(d))
             continue
-        pair = _pair_whites(run, list(whites.values()))
+        pair = _pair_whites(run, whites.values())
         if pair is None:
             stuck = min(v.cycle for v in whites.values())
             raise StuckWhiteVertex(f"no move removes the white vertex at darts {stuck}")

@@ -1725,6 +1725,10 @@ class TestMoveCost:
     chart as on the surface itself."""
 
     BASE = generate_blackless_chart(4, 30, random.Random(3))
+    # line events of one record erase on the spanned base surface: 111 when
+    # a record-only patch came to share its input's map (the general patch
+    # path ran 144), plus a tenth
+    ERASE_CEILING = 122
 
     def _padded(self, s, handles):
         # ten times the records, ten times the handles (when handles) and
@@ -1770,6 +1774,7 @@ class TestMoveCost:
                 _line_events(apply_move, padded, mv),
             )
         assert all(b <= 1.1 * a for a, b in counts.values()), counts
+        assert counts["CIM1Erase"][0] <= self.ERASE_CEILING, counts
 
 
 class TestRunSideSites:
