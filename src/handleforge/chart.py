@@ -252,8 +252,8 @@ def rewrite(chart, gone=(), new=(), swap=(), genus=None, loops=None, pattern_loo
             (edges, m.eranks, p.old_e, p.new_e, p.swap_e),
         ):
             if old:
-                gone = old[: len(old) - len(pairs)]
-                items, ranks = _cut(items, ranks, gone, pairs, m.rank)
+                removed = old[: len(old) - len(pairs)]
+                items, ranks = _cut(items, ranks, removed, pairs, m.rank)
             added = len(made) - len(pairs)
             if added:
                 items += tuple(made[:added])

@@ -805,6 +805,19 @@ class TestCertification:
         if not ok:
             assert res.reason == f"claim {claim}: 1 handles were attached"
 
+    def test_the_attaching_steps_are_counted_only_for_a_count_claim(
+        self, monkeypatch
+    ):
+        s = surf(white_spider())
+        text = "move reverseaid dart=1\n"
+        res = certify_trace(parse_script(text + "claim added-handles=one\n", s))
+        assert res.reason == "claim added-handles=one: bad count"
+        # isinstance refuses a non-class, so counting the steps would raise
+        monkeypatch.setattr(engine, "_ATTACHING", None)
+        assert certify_trace(parse_script(text + "claim weak-forms\n", s)).ok
+        with pytest.raises(TypeError):
+            certify_trace(parse_script(text + "claim weak-forms\nclaim added-handles=1\n", s))
+
     def test_false_claim_fails(self):
         s = surf(white_spider())
         final, count, trace = unbraid_with_branch(s)
@@ -1821,28 +1834,6 @@ class TestRunSideSites:
     ):
         # line events of the crossing collection outside apply_move, per
         # crossing collected, with four disjoint copies of the chart added
-        real_apply, inside = engine.apply_move, [0]
-
-        def apply(s, mv):
-            inside[0] += 1
-            try:
-                return real_apply(s, mv)
-            finally:
-                inside[0] -= 1
-
-        root = os.path.dirname(engine.__file__)
-        events = [0]
-
-        def local(frame, event, arg):
-            events[0] += event == "line"
-            return local
-
-        def calls(frame, event, arg):
-            if inside[0] or not frame.f_code.co_filename.startswith(root):
-                return None
-            return local
-
-        monkeypatch.setattr(engine, "apply_move", apply)
         monkeypatch.setattr(engine, "_cancel_whites", lambda run: None)
         monkeypatch.setattr(engine, "_clear_records", lambda run: 0)
         base = TestMoveCost.BASE
@@ -1850,16 +1841,10 @@ class TestRunSideSites:
         for chart in (base, _with_copies(base, base)):
             s = surf(chart)
             unbraid_without_branch(s)
-            events[0] = 0
-            sys.settrace(calls)
-            try:
-                _, count, _ = unbraid_without_branch(s)
-            finally:
-                sys.settrace(None)
+            events, (_, count, _) = _driver_events(monkeypatch, unbraid_without_branch, s)
             assert count == chart_stats(chart).c > 0
-            per.append(events[0] / count)
+            per.append(events / count)
         assert per[1] <= 1.1 * per[0], per
-
 
     def test_the_driver_costs_each_removed_white_alike_on_a_padded_chart(
         self, monkeypatch
@@ -1867,27 +1852,6 @@ class TestRunSideSites:
         # line events of _cancel_whites outside apply_move, per white it
         # removes, on the surface left once the crossings are collected,
         # with four disjoint copies of the chart added
-        real_apply, inside = engine.apply_move, [0]
-
-        def apply(s, mv):
-            inside[0] += 1
-            try:
-                return real_apply(s, mv)
-            finally:
-                inside[0] -= 1
-
-        root = os.path.dirname(engine.__file__)
-        events = [0]
-
-        def local(frame, event, arg):
-            events[0] += event == "line"
-            return local
-
-        def calls(frame, event, arg):
-            if inside[0] or not frame.f_code.co_filename.startswith(root):
-                return None
-            return local
-
         collected = []
         monkeypatch.setattr(engine, "_cancel_whites", lambda run: collected.append(run.state))
         monkeypatch.setattr(engine, "_clear_records", lambda run: 0)
@@ -1895,22 +1859,50 @@ class TestRunSideSites:
         for chart in (base, _with_copies(base, base)):
             unbraid_without_branch(surf(chart))
         monkeypatch.undo()
-        monkeypatch.setattr(engine, "apply_move", apply)
         per = []
         for state in collected:
             whites = sum(v.kind == "white" for v in state.chart.vertices)
             engine._cancel_whites(engine._Runner(state))
-            events[0] = 0
             run = engine._Runner(state)
-            sys.settrace(calls)
-            try:
-                engine._cancel_whites(run)
-            finally:
-                sys.settrace(None)
+            events, _ = _driver_events(monkeypatch, engine._cancel_whites, run)
             assert whites > 0
             assert not any(v.kind == "white" for v in run.state.chart.vertices)
-            per.append(events[0] / whites)
+            per.append(events / whites)
         assert per[1] <= 1.1 * per[0], per
+
+
+def _driver_events(monkeypatch, fn, *args):
+    """(line events inside handleforge outside apply_move, result) of
+    fn(*args)."""
+    real_apply, inside = engine.apply_move, [0]
+
+    def apply(s, mv):
+        inside[0] += 1
+        try:
+            return real_apply(s, mv)
+        finally:
+            inside[0] -= 1
+
+    root = os.path.dirname(engine.__file__)
+    events = [0]
+
+    def local(frame, event, arg):
+        events[0] += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        if inside[0] or not frame.f_code.co_filename.startswith(root):
+            return None
+        return local
+
+    monkeypatch.setattr(engine, "apply_move", apply)
+    sys.settrace(calls)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(None)
+        monkeypatch.setattr(engine, "apply_move", real_apply)
+    return events[0], result
 
 
 def test_ciii_sites_are_unchanged_along_a_run():
