@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import kernels
+from .errors import read_int
 
 
 class DegreeMismatch(ValueError):
@@ -84,7 +85,7 @@ def parse_word(text: str, degree: int) -> BraidWord:
         m = _LETTER_RE.match(token)
         if m is None:
             raise ValueError(f"bad braid letter {token!r}")
-        index = int(m.group(2))
+        index = read_int(m.group(2))
         letters.append(index if m.group(1) == "s" else -index)
     return BraidWord(degree, tuple(letters))
 

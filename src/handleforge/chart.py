@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ParseError
+from .errors import ParseError, read_int, read_sign, sign_text
 
 VERTEX_DEGREE = {"black": 1, "free_end": 1, "crossing": 4, "white": 6}
 
@@ -991,10 +991,6 @@ def canonical_chart(chart, remap=None):
     )
 
 
-def _sign_text(sign):
-    return "+" if sign > 0 else "-"
-
-
 def format_chart(chart):
     """Serialize in canonical form: header, darts, edges, vertices, records."""
     c = canonical_chart(chart)
@@ -1008,25 +1004,18 @@ def format_chart(chart):
     for v in c.vertices:
         lines.append(f"vertex {v.kind} cycle={','.join(str(d) for d in v.cycle)}")
     for loop in c.loops:
-        lines.append(f"loop label={loop.label} sign={_sign_text(loop.sign)}")
+        lines.append(f"loop label={loop.label} sign={sign_text(loop.sign)}")
     for pl in c.pattern_loops:
-        lines.append(f"patternloop curve={pl.curve} sense={_sign_text(pl.sense)}")
+        lines.append(f"patternloop curve={pl.curve} sense={sign_text(pl.sense)}")
     return "\n".join(lines) + "\n"
 
 
-_HEADER_RE = re.compile(r"^chart degree=(\d+) genus=(\d+)\s*$")
-_INT_RE = {key: re.compile(key + r"=(-?\d+)") for key in ("label", "head", "curve")}
-_SIGN_RE = {key: re.compile(key + r"=([+-])") for key in ("sign", "sense")}
+_HEADER_RE = re.compile(r"chart degree=(\S*) genus=(\S*)")
 
 
 def parse_chart(text):
-    """Parse the chart file format; raises ParseError with line positions.
-
-    A well-formed dart, edge or vertex line is read with plain string
-    tests; the helpers below read the other tokens, and raise on bad ones.
-    An integer token made of decimal digits reads as int() reads it, and
-    so does its kv_int or plain_int.
-    """
+    """Parse the chart file format, its integer and sign tokens read by
+    read_int and read_sign; raises ParseError with line positions."""
     degree = genus = None
     declared = set()
     in_edge = set()
@@ -1040,32 +1029,30 @@ def parse_chart(text):
         col = raw.find(token) + 1 if token and token in raw else 1
         raise ParseError(lineno, col, message)
 
-    def kv_int(lineno, raw, token, key):
-        m = _INT_RE[key].fullmatch(token)
-        if not m:
-            err(lineno, raw, token, f"expected {key}=<integer>")
-        return int(m.group(1))
-
-    def kv_sign(lineno, raw, token, key):
-        m = _SIGN_RE[key].fullmatch(token)
-        if not m:
-            err(lineno, raw, token, f"expected {key}=+ or {key}=-")
-        return 1 if m.group(1) == "+" else -1
-
-    def plain_int(lineno, raw, token, what):
+    def number(lineno, raw, tok, key=None):
+        # a dart id, or with a key the integer of a key=<integer> token
+        text = tok if key is None else tok[len(key) + 1:] if tok.startswith(key + "=") else ""
         try:
-            return int(token)
+            return read_int(text)
         except ValueError:
-            err(lineno, raw, token, f"expected an integer {what}")
+            what = f"{key}=<integer>" if key else "an integer dart id"
+            err(lineno, raw, tok, f"expected {what}")
+
+    def sign(lineno, raw, tok, key):
+        try:
+            return read_sign(tok[len(key) + 1:] if tok.startswith(key + "=") else "")
+        except ValueError:
+            err(lineno, raw, tok, f"expected {key}=+ or {key}=-")
 
     rows = enumerate(text.splitlines(), start=1)
     for lineno, raw in rows:
         line = raw.strip()
         if line:
-            m = _HEADER_RE.match(line)
-            if not m:
-                raise ParseError(lineno, 1, "expected 'chart degree=<N> genus=<g>'")
-            degree, genus = int(m.group(1)), int(m.group(2))
+            m = _HEADER_RE.fullmatch(line)
+            try:
+                degree, genus = map(read_int, m.groups() if m else ("", ""))
+            except ValueError:
+                raise ParseError(lineno, 1, "expected 'chart degree=<N> genus=<g>'") from None
             break
     else:
         raise ParseError(1, 1, "missing chart header")
@@ -1078,7 +1065,7 @@ def parse_chart(text):
             if len(toks) != 2:
                 err(lineno, raw, kind, "expected 'dart <id>'")
             tok = toks[1]
-            d = int(tok) if tok.isdecimal() else plain_int(lineno, raw, tok, "dart id")
+            d = number(lineno, raw, tok)
             if d < 1:
                 err(lineno, raw, tok, "dart ids must be positive")
             if d in declared:
@@ -1088,30 +1075,25 @@ def parse_chart(text):
             if len(toks) != 5:
                 err(lineno, raw, kind, "expected 'edge <d1> <d2> label=<i> head=<d>'")
             _, t1, t2, t3, t4 = toks
-            d1 = int(t1) if t1.isdecimal() else plain_int(lineno, raw, t1, "dart id")
-            d2 = int(t2) if t2.isdecimal() else plain_int(lineno, raw, t2, "dart id")
+            d1, d2 = number(lineno, raw, t1), number(lineno, raw, t2)
             if not (
-                d1 in declared and d2 in declared and d1 not in in_edge and d2 not in in_edge
+                d1 != d2 and d1 in declared and d2 in declared
+                and d1 not in in_edge and d2 not in in_edge
             ):
+                # a dart named twice in the line is one already used
                 for d, tok in ((d1, t1), (d2, t2)):
                     if d not in declared:
                         err(lineno, raw, tok, f"dart {d} was never declared")
                     if d in in_edge:
                         err(lineno, raw, tok, f"dart {d} already used by an edge")
-            if t3.startswith("label=") and t3[6:].isdecimal():
-                label = int(t3[6:])
-            else:
-                label = kv_int(lineno, raw, t3, "label")
+                    in_edge.add(d)
+            label = number(lineno, raw, t3, "label")
             if label < 1:
                 err(lineno, raw, t3, "labels start at 1")
-            if t4.startswith("head=") and t4[5:].isdecimal():
-                head = int(t4[5:])
-            else:
-                head = kv_int(lineno, raw, t4, "head")
+            head = number(lineno, raw, t4, "head")
             if head != d1 and head != d2:
                 err(lineno, raw, t4, f"head {head} is not one of the darts")
-            in_edge.add(d1)
-            in_edge.add(d2)
+            in_edge.update((d1, d2))
             edges.append(Edge((d1, d2), label, head))
         elif kind == "vertex":
             if len(toks) != 3:
@@ -1119,37 +1101,38 @@ def parse_chart(text):
             _, vkind, tok = toks
             if vkind not in VERTEX_DEGREE:
                 err(lineno, raw, vkind, f"unknown vertex kind {vkind!r}")
-            # cycle= and decimal darts joined by single commas
             body = tok[6:] if tok.startswith("cycle=") else ""
-            parts = body.split(",")
-            if not body.replace(",", "").isdecimal() or "" in parts:
+            try:
+                cycle = tuple(map(read_int, body.split(",")))
+            except ValueError:
                 err(lineno, raw, tok, "expected cycle=<d,...>")
-            cycle = tuple(map(int, parts))
-            if not (declared.issuperset(cycle) and in_cycle.isdisjoint(cycle)):
+            new = set(cycle)
+            if not (len(new) == len(cycle) and declared >= new and in_cycle.isdisjoint(new)):
                 for d in cycle:
                     if d not in declared:
                         err(lineno, raw, tok, f"dart {d} was never declared")
                     if d in in_cycle:
                         err(lineno, raw, tok, f"dart {d} already used by a vertex")
-            in_cycle.update(cycle)
+                    in_cycle.add(d)
+            in_cycle |= new
             vertices.append(Vertex(vkind, cycle))
         elif kind == "loop":
             if len(toks) != 3:
                 err(lineno, raw, kind, "expected 'loop label=<i> sign=<+|->'")
-            label = kv_int(lineno, raw, toks[1], "label")
+            label = number(lineno, raw, toks[1], "label")
             if label < 1:
                 err(lineno, raw, toks[1], "labels start at 1")
-            sign = kv_sign(lineno, raw, toks[2], "sign")
+            loop_sign = sign(lineno, raw, toks[2], "sign")
             # on a positive-genus surface a bare loop may be essential, so
             # parsed records come back pinned there
-            loops.append(FloatingLoop(label=label, sign=sign, pinned=genus > 0))
+            loops.append(FloatingLoop(label=label, sign=loop_sign, pinned=genus > 0))
         elif kind == "patternloop":
             if len(toks) != 3:
                 err(lineno, raw, kind, "expected 'patternloop curve=<k> sense=<+|->'")
-            curve = kv_int(lineno, raw, toks[1], "curve")
+            curve = number(lineno, raw, toks[1], "curve")
             if curve < 1:
                 err(lineno, raw, toks[1], "curve indices start at 1")
-            sense = kv_sign(lineno, raw, toks[2], "sense")
+            sense = sign(lineno, raw, toks[2], "sense")
             patterns.append(PatternLoop(curve=curve, sense=sense))
         else:
             err(lineno, raw, kind, f"unknown directive {kind!r}")

@@ -31,7 +31,7 @@ from .engine import (
     unbraid_with_branch,
     unbraid_without_branch,
 )
-from .errors import ParseError
+from .errors import ParseError, read_int
 from .handles import (
     BudgetExceeded,
     HandleTrace,
@@ -342,11 +342,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "oracle", parents=[common],
         help="bounded reachability enumeration over handle moves")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=6,
+    p.add_argument("--budget", type=read_int, default=6,
                    help="move budget (default: 6)")
-    p.add_argument("--bound", type=int, default=9,
+    p.add_argument("--bound", type=read_int, default=9,
                    help="coefficient bound (default: 9)")
-    p.add_argument("--max-states", type=int, default=200000,
+    p.add_argument("--max-states", type=read_int, default=200000,
                    help="state cap before giving up (default: 200000)")
     p.set_defaults(fn=_cmd_oracle)
     return parser

@@ -36,7 +36,7 @@ from .chart import (
     validate_chart,
     white_type,
 )
-from .errors import ParseError
+from .errors import ParseError, read_int, read_sign, sign_text
 
 
 class SiteMismatch(ValueError):
@@ -975,16 +975,16 @@ def _do_ciii(s, mv):
     return _collapse(s, (wv,), ports, mute=(e1,))
 
 
-def _ciii_sites(ch: Chart):
-    """The darts where CIIIEliminate applies, in vertex and cycle order: the
-    non-middle ends of white vertices whose edges end at lone black ones."""
+def _ciii_sites(ch: Chart, whites):
+    """The darts where CIIIEliminate applies at the white vertices whites,
+    in their order and cycle order: the non-middle ends whose edges end at
+    lone black vertices."""
     m = surface_map(ch)
-    for v in ch.vertices:
-        if v.kind == "white":
-            mids = middle_positions(ch, v)
-            for p, d in enumerate(v.cycle):
-                if p not in mids and _lone_black(m, _other(m.edge_at[d], d)):
-                    yield d
+    for v in whites:
+        mids = middle_positions(ch, v)
+        for p, d in enumerate(v.cycle):
+            if p not in mids and _lone_black(m, _other(m.edge_at[d], d)):
+                yield d
 
 
 def _white_relator(x, y):
@@ -1623,7 +1623,7 @@ def enumerate_chart_moves(s: DecoratedSurface):
     for d in darts:
         if vmap[d].kind == "crossing" and _lone_black(m, _other(emap[d], d)):
             out.append(CIIRetract(d))
-    out += map(CIIIEliminate, _ciii_sites(ch))
+    out += map(CIIIEliminate, _ciii_sites(ch, [v for v in ch.vertices if v.kind == "white"]))
 
     for x in range(1, n):
         for y in (x - 1, x + 1):
@@ -1847,23 +1847,26 @@ def _cancel_whites(run: _Runner) -> None:
 
     The whites are listed once, since no move here makes one, and each
     move drops the whites it removes.  The mirror pairs are listed once
-    and taken least site first; cancelling one leaves the others in place,
-    so they are listed again only after a CIII elimination or a rewiring.
+    and taken least site first.  A pair's six edges join its two whites,
+    so cancelling it changes no other vertex: the pairs are listed again,
+    and the whites scanned for a CIII site, only after a CIII elimination
+    or a rewiring.
     """
     ch = run.state.chart
     # no move here makes a black vertex, and without one there is no CIII
     # site: a blackless chart skips the scan
     blacks = any(v.kind == "black" for v in ch.vertices)
     whites = {id(v): v for v in ch.vertices if v.kind == "white"}
-    sites = None
+    sites, scan = None, blacks
     while whites:
         ch = run.state.chart
-        fired = next(_ciii_sites(ch), None) if blacks else None
+        fired = next(_ciii_sites(ch, whites.values()), None) if scan else None
         if fired is not None:
             del whites[id(surface_map(ch).vertex_at[fired])]
             run.do(CIIIEliminate(fired))
             sites = None
             continue
+        scan = False
         if sites is None:
             sites = _mirror_pairs(ch, whites.values())
         if sites:
@@ -1877,7 +1880,7 @@ def _cancel_whites(run: _Runner) -> None:
             raise StuckWhiteVertex(f"no move removes the white vertex at darts {stuck}")
         for v in pair:
             del whites[id(v)]
-        sites = None
+        sites, scan = None, blacks
 
 
 def _pair_whites(run: _Runner, whites):
@@ -1985,10 +1988,14 @@ def _unbraid(s: DecoratedSurface, mode: str):
         key=min,
         reverse=True,
     )
+    # the whites, for the CIII scan: only a CIIIEliminate removes one
+    whites = {id(v): v for v in s.chart.vertices if v.kind == "white"}
     while True:
         # a blackless chart has no CIII site: skip the scan
-        site = min(_ciii_sites(run.state.chart), default=None) if st.b else None
+        ch = run.state.chart
+        site = min(_ciii_sites(ch, whites.values()), default=None) if st.b else None
         if site is not None:
+            del whites[id(surface_map(ch).vertex_at[site])]
             run.do(CIIIEliminate(site))
         elif crossings:
             count += _collect_crossing(run, crossings.pop())
@@ -2152,7 +2159,7 @@ def _check_claim(state, claim, attached):
     if claim.startswith(_COUNTED):
         at_most = claim.startswith("handle-count<=")
         try:
-            k = int(claim.split("<=" if at_most else "=")[1])
+            k = read_int(claim.split("<=" if at_most else "=")[1])
         except ValueError:
             return False, f"claim {claim}: bad count"
         if (attached > k) if at_most else (attached != k):
@@ -2176,7 +2183,7 @@ def _check_claim(state, claim, attached):
     if claim.startswith("handle-mn="):
         spec = claim.split("=", 1)[1]
         try:
-            m, nn = (int(x) for x in spec.split(","))
+            m, nn = (read_int(x, signed=True) for x in spec.split(","))
         except ValueError:
             return False, f"claim {claim}: bad pair"
         if any(h.mn == (m, nn) for h in state.handles):
@@ -2212,22 +2219,10 @@ def certify_trace(trace: EngineTrace) -> CertifyResult:
 # ---------------------------------------------------------------------------
 # script format
 
-def _dec(kind, text):
-    if kind == "sign":
-        if text not in ("+", "-"):
-            raise ValueError(f"expected + or -, got {text!r}")
-        return 1 if text == "+" else -1
-    if kind == "ints":
-        return tuple(int(x) for x in text.split(","))
-    return int(text) if kind == "int" else text
-
-
-def _enc(kind, value):
-    if kind == "sign":
-        return "+" if value > 0 else "-"
-    if kind == "ints":
-        return ",".join(str(x) for x in value)
-    return str(value)
+# how a field value of each kind is read from and written to its token
+_DEC = {"sign": read_sign, "int": read_int, "str": str,
+        "ints": lambda text: tuple(map(read_int, text.split(",")))}
+_ENC = {"sign": sign_text, "int": str, "str": str, "ints": lambda v: ",".join(map(str, v))}
 
 
 # The text form of a move is its name and key=value tokens, one per field
@@ -2295,7 +2290,7 @@ def _encode_move(mv):
         value = getattr(mv, field_name)
         if value is None or value == default:
             continue
-        toks.append(f"{key}={_enc(kind, value)}")
+        toks.append(f"{key}={_ENC[kind](value)}")
     return toks
 
 
@@ -2318,7 +2313,7 @@ def _decode_move(name, kv, degree):
     values = {}
     for key, field_name, kind, default in rows:
         if key in kv:
-            values[field_name] = _dec(kind, kv[key])
+            values[field_name] = _DEC[kind](kv[key])
         elif default is MISSING:
             raise ValueError(f"missing key {key}")
     return cls(**values)

@@ -17,7 +17,7 @@ from typing import Iterable, Union
 
 from . import kernels
 from .braid import BraidWord, format_word, parse_word
-from .errors import BudgetExceeded, ParseError
+from .errors import BudgetExceeded, ParseError, read_int, read_sign, sign_text
 
 
 class IndexOutOfRange(ValueError):
@@ -661,23 +661,21 @@ def enumerate_reachable(
 # ---------------------------------------------------------------------------
 # text formats
 
-_HEADER_RE = re.compile(r"^handles g=(\d+) degree=(\d+) pattern=(.+)$")
+_HEADER_RE = re.compile(r"handles g=(\S*) degree=(\S*) pattern=(.+)")
 _LABEL_TOKEN_RE = re.compile(r"^g([1-9][0-9]*)(\^-1)?$")
 
 
-def _parse_label(token: str, generator_count: int, lineno: int) -> HandleLabel:
+def _parse_label(token: str, generator_count: int) -> HandleLabel:
     if token == "1":
         return HandleLabel(())
     word = []
     for piece in token.split("."):
         m = _LABEL_TOKEN_RE.match(piece)
         if m is None:
-            raise ParseError(lineno, 1, f"bad label token {piece!r}")
-        g = int(m.group(1))
+            raise ValueError(f"bad label token {piece!r}")
+        g = read_int(m.group(1))
         if g > generator_count:
-            raise ParseError(
-                lineno, 1, f"label generator g{g} exceeds system count {generator_count}"
-            )
+            raise ValueError(f"label generator g{g} exceeds system count {generator_count}")
         word.append((g, -1 if m.group(2) else 1))
     return HandleLabel.reduce(word)
 
@@ -690,20 +688,16 @@ def _format_label(label: HandleLabel) -> str:
 
 def parse_handles(text: str) -> HandleSystem:
     lines = text.splitlines()
-    header_idx = None
-    for idx, line in enumerate(lines):
-        if line.strip():
-            header_idx = idx
-            break
+    header_idx = next((idx for idx, line in enumerate(lines) if line.strip()), None)
     if header_idx is None:
         raise ParseError(1, 1, "empty handle file")
-    m = _HEADER_RE.match(lines[header_idx].strip())
-    if m is None:
+    m = _HEADER_RE.fullmatch(lines[header_idx].strip())
+    try:
+        generator_count, degree = map(read_int, (m[1], m[2]) if m else ("", ""))
+    except ValueError:
         raise ParseError(
             header_idx + 1, 1, "expected header 'handles g=<int> degree=<int> pattern=<word>'"
-        )
-    generator_count = int(m.group(1))
-    degree = int(m.group(2))
+        ) from None
     try:
         pattern = parse_word(m.group(3), degree)
     except ValueError as exc:
@@ -716,11 +710,11 @@ def parse_handles(text: str) -> HandleSystem:
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(idx + 1, 1, "expected 'label m n'")
-        label = _parse_label(parts[0], generator_count, idx + 1)
         try:
-            mm, nn = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(idx + 1, 1, f"bad integer in {line!r}") from None
+            label = _parse_label(parts[0], generator_count)
+            mm, nn = read_int(parts[1], signed=True), read_int(parts[2], signed=True)
+        except ValueError as exc:
+            raise ParseError(idx + 1, 1, f"bad handle {line!r}: {exc}") from None
         handles.append(DecoratedHandle(label, mm, nn))
     return HandleSystem(generator_count, tuple(handles), pattern)
 
@@ -750,9 +744,8 @@ _TRACE_LINES = {
 _VERBS = {
     line.split()[0]: (cls, tuple(line.split()[1:])) for cls, line in _TRACE_LINES.items()
 }
-_SIGN = {"+": 1, "-": -1}
 # how a field word reads its operand; any other field is an integer
-_READ = {"{sign}": _SIGN.__getitem__, "{direction}": str, "{variant}": str}
+_READ = {"{sign}": read_sign, "{direction}": str, "{variant}": str}
 
 
 @lru_cache(maxsize=4096)
@@ -765,7 +758,7 @@ def _parse_move(line: str) -> HandleMove:
         w != p for w, p in zip(words, operands) if w[0] != "{"
     ):
         raise ValueError("unrecognized move syntax")
-    return cls(*(_READ.get(w, int)(p) for w, p in zip(words, operands) if w[0] == "{"))
+    return cls(*(_READ.get(w, read_int)(p) for w, p in zip(words, operands) if w[0] == "{"))
 
 
 def format_trace(t: HandleTrace) -> str:
@@ -777,7 +770,7 @@ def format_trace(t: HandleTrace) -> str:
             raise TypeError(f"not a handle move: {mv!r}")
         values = vars(mv)
         if "sign" in values:
-            values = {**values, "sign": "+" if mv.sign > 0 else "-"}
+            values = {**values, "sign": sign_text(mv.sign)}
         lines.append(line.format_map(values) + "\n")
     return format_handles(t.initial) + "".join(lines)
 
@@ -803,7 +796,7 @@ def parse_trace(text: str) -> tuple[HandleSystem | None, tuple[HandleMove, ...]]
             continue
         try:
             moves.append(_parse_move(line))
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise ParseError(idx + 1, 1, f"bad move {line!r}: {exc}") from None
     start = "\n".join(lines[:cut])
     return (parse_handles(start) if start.strip() else None), tuple(moves)

@@ -1795,7 +1795,7 @@ class TestRunSideSites:
     scans for CIII sites only where black vertices can make one."""
 
     def test_a_blackless_unbraid_scans_no_ciii_site(self, monkeypatch):
-        def refuse(ch):
+        def refuse(ch, whites):
             raise AssertionError("a blackless chart was scanned for CIII sites")
 
         charts = [parse_chart((BENCH_CHARTS / "unbraid_v52.chart").read_text())]
@@ -1815,8 +1815,8 @@ class TestRunSideSites:
         real_sites, real_cancel = engine._ciii_sites, engine._cancel_whites
         cancelling = []
 
-        def sites(ch):
-            return real_sites(ch) if cancelling else iter(())
+        def sites(ch, whites):
+            return real_sites(ch, whites) if cancelling else iter(())
 
         def cancel(run):
             cancelling.append(len(run.steps))
@@ -1846,18 +1846,17 @@ class TestRunSideSites:
             per.append(events / count)
         assert per[1] <= 1.1 * per[0], per
 
-    def test_the_driver_costs_each_removed_white_alike_on_a_padded_chart(
-        self, monkeypatch
-    ):
-        # line events of _cancel_whites outside apply_move, per white it
-        # removes, on the surface left once the crossings are collected,
-        # with four disjoint copies of the chart added
+    def _events_per_white(self, monkeypatch, extra=lambda ch: ch):
+        """Line events of _cancel_whites outside apply_move, per white it
+        removes, on the surface a branch-mode run leaves once the crossings
+        are collected: on extra(base), and with four disjoint copies of the
+        base chart added."""
         collected = []
         monkeypatch.setattr(engine, "_cancel_whites", lambda run: collected.append(run.state))
         monkeypatch.setattr(engine, "_clear_records", lambda run: 0)
         base = TestMoveCost.BASE
         for chart in (base, _with_copies(base, base)):
-            unbraid_without_branch(surf(chart))
+            unbraid_with_branch(surf(extra(chart)))
         monkeypatch.undo()
         per = []
         for state in collected:
@@ -1868,6 +1867,28 @@ class TestRunSideSites:
             assert whites > 0
             assert not any(v.kind == "white" for v in run.state.chart.vertices)
             per.append(events / whites)
+        return per
+
+    def test_the_driver_costs_each_removed_white_alike_on_a_padded_chart(
+        self, monkeypatch
+    ):
+        per = self._events_per_white(monkeypatch)
+        assert per[1] <= 1.1 * per[0], per
+
+    def test_the_driver_costs_each_removed_white_alike_beside_black_vertices(
+        self, monkeypatch
+    ):
+        # a free edge with two black ends makes the driver look for CIII
+        # sites, which it does only after a move that can make one: 153.5
+        # and 151.9 events per white (20 and 100 whites), where a scan of
+        # every vertex on each pass cost 478.6 and 1,877.3
+        def with_black_edge(ch):
+            top = max(surface_map(ch).alpha) + 1
+            blacks = (Vertex("black", (top,)), Vertex("black", (top + 1,)))
+            edge = Edge((top, top + 1), 1, top + 1)
+            return replace(ch, vertices=ch.vertices + blacks, edges=ch.edges + (edge,))
+
+        per = self._events_per_white(monkeypatch, with_black_edge)
         assert per[1] <= 1.1 * per[0], per
 
 
@@ -1913,15 +1934,19 @@ def test_ciii_sites_are_unchanged_along_a_run():
     root = resources.files("handleforge") / "data"
     chart = parse_chart((root / "twist_spun_trefoil.chart").read_text())
     s = surf(chart)
+
+    def ciii_sites(ch):
+        return list(engine._ciii_sites(ch, [v for v in ch.vertices if v.kind == "white"]))
+
     _, _, trace = unbraid_with_branch(s)
-    sites = [list(engine._ciii_sites(s.chart))]
+    sites = [ciii_sites(s.chart)]
     for mv in trace.steps:
         s, _ = apply_move(s, mv)
-        sites.append(list(engine._ciii_sites(s.chart)))
+        sites.append(ciii_sites(s.chart))
     rng, s = random.Random(9), surf(chart)
     for _ in range(60):
         s, _ = apply_move(s, rng.choice(list(_offered_before(s, enumerate_chart_moves(s)))))
-        sites.append(list(engine._ciii_sites(s.chart)))
+        sites.append(ciii_sites(s.chart))
     assert (len(sites), sum(map(bool, sites)), sum(map(len, sites))) == (83, 62, 85)
     digest = hashlib.sha256(repr(sites).encode()).hexdigest()
     assert digest == "55abb12216975da5ba162430c21c2c9ef6fb874567b30f5945f298897a24f388"
@@ -1988,7 +2013,7 @@ def test_a_white_vertex_no_move_removes_is_a_typed_error(monkeypatch, tmp_path, 
     run = engine._Runner(surf(white_spider()))
     engine._cancel_whites(run)
     assert [type(m) for m in run.steps] == [CIIIEliminate]
-    monkeypatch.setattr(engine, "_ciii_sites", lambda ch: iter(()))
+    monkeypatch.setattr(engine, "_ciii_sites", lambda ch, whites: iter(()))
     for rotation in range(6):
         run = engine._Runner(surf(white_spider(rotation)))
         with pytest.raises(StuckWhiteVertex, match=r"white vertex at darts \(1, 2, 3, 4, 5, 6\)$"):

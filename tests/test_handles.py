@@ -639,12 +639,13 @@ class TestTextFormats:
     def test_a_bad_trace_line_is_numbered_from_the_top_of_the_file(self):
         start = "handles g=0 degree=2 pattern=e\n1 1 0\n"
         for text, message in (
-            (start + "invert 1\ntwist 1 2\n", "line 4, column 1: bad move 'twist 1 2': '2'"),
+            (start + "invert 1\ntwist 1 2\n",
+             "line 4, column 1: bad move 'twist 1 2': expected + or -, got '2'"),
             # leading and inner blank lines are counted too
             ("\n\n" + start + "\ninvert 1\ntwist 1 2\n",
-             "line 7, column 1: bad move 'twist 1 2': '2'"),
+             "line 7, column 1: bad move 'twist 1 2': expected + or -, got '2'"),
             ("\n\nhandles g=0 degree=2 pattern=e\n1 x 0\ninvert 1\n",
-             "line 4, column 1: bad integer in '1 x 0'"),
+             "line 4, column 1: bad handle '1 x 0': expected an integer, got 'x'"),
             ("\nhandles g=0 degree=2 pattern=q\ninvert 1\n",
              "line 2, column 1: bad pattern braid: bad braid letter 'q'"),
         ):
