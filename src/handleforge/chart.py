@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ParseError, read_int, read_sign, sign_text
+from .errors import ParseError, TokenError, read_int, read_ints, read_lines, read_sign, sign_text
 
 VERTEX_DEGREE = {"black": 1, "free_end": 1, "crossing": 4, "white": 6}
 
@@ -1013,6 +1013,19 @@ def format_chart(chart):
 _HEADER_RE = re.compile(r"chart degree=(\S*) genus=(\S*)")
 
 
+def _value(toks, i, key="", read=read_int, what=None):
+    """read() of the value of toks[i], a `key<value>` token or with no key a
+    dart id; a value it refuses is a TokenError asking for `what`."""
+    tok = toks[i]
+    if key:
+        tok = tok[len(key):] if tok.startswith(key) else ""
+    try:
+        return read(tok)
+    except ValueError:
+        what = what or (f"{key}<integer>" if key else "an integer dart id")
+        raise TokenError(i, f"expected {what}") from None
+
+
 def parse_chart(text):
     """Parse the chart file format, its integer and sign tokens read by
     read_int and read_sign; raises ParseError with line positions."""
@@ -1024,118 +1037,90 @@ def parse_chart(text):
     edges = []
     loops = []
     patterns = []
-
-    def err(lineno, raw, token, message):
-        col = raw.find(token) + 1 if token and token in raw else 1
-        raise ParseError(lineno, col, message)
-
-    def number(lineno, raw, tok, key=None):
-        # a dart id, or with a key the integer of a key=<integer> token
-        text = tok if key is None else tok[len(key) + 1:] if tok.startswith(key + "=") else ""
+    rows = read_lines(text)
+    for lineno, raw, _ in rows:
+        m = _HEADER_RE.fullmatch(raw.strip())
         try:
-            return read_int(text)
+            degree, genus = map(read_int, m.groups() if m else ("", ""))
         except ValueError:
-            what = f"{key}=<integer>" if key else "an integer dart id"
-            err(lineno, raw, tok, f"expected {what}")
-
-    def sign(lineno, raw, tok, key):
-        try:
-            return read_sign(tok[len(key) + 1:] if tok.startswith(key + "=") else "")
-        except ValueError:
-            err(lineno, raw, tok, f"expected {key}=+ or {key}=-")
-
-    rows = enumerate(text.splitlines(), start=1)
-    for lineno, raw in rows:
-        line = raw.strip()
-        if line:
-            m = _HEADER_RE.fullmatch(line)
-            try:
-                degree, genus = map(read_int, m.groups() if m else ("", ""))
-            except ValueError:
-                raise ParseError(lineno, 1, "expected 'chart degree=<N> genus=<g>'") from None
-            break
+            raise ParseError(lineno, 1, "expected 'chart degree=<N> genus=<g>'") from None
+        break
     else:
         raise ParseError(1, 1, "missing chart header")
-    for lineno, raw in rows:
-        toks = raw.split()
-        if not toks:
-            continue
-        kind = toks[0]
-        if kind == "dart":
-            if len(toks) != 2:
-                err(lineno, raw, kind, "expected 'dart <id>'")
-            tok = toks[1]
-            d = number(lineno, raw, tok)
-            if d < 1:
-                err(lineno, raw, tok, "dart ids must be positive")
-            if d in declared:
-                err(lineno, raw, tok, f"dart {d} declared twice")
-            declared.add(d)
-        elif kind == "edge":
-            if len(toks) != 5:
-                err(lineno, raw, kind, "expected 'edge <d1> <d2> label=<i> head=<d>'")
-            _, t1, t2, t3, t4 = toks
-            d1, d2 = number(lineno, raw, t1), number(lineno, raw, t2)
-            if not (
-                d1 != d2 and d1 in declared and d2 in declared
-                and d1 not in in_edge and d2 not in in_edge
-            ):
-                # a dart named twice in the line is one already used
-                for d, tok in ((d1, t1), (d2, t2)):
-                    if d not in declared:
-                        err(lineno, raw, tok, f"dart {d} was never declared")
-                    if d in in_edge:
-                        err(lineno, raw, tok, f"dart {d} already used by an edge")
-                    in_edge.add(d)
-            label = number(lineno, raw, t3, "label")
-            if label < 1:
-                err(lineno, raw, t3, "labels start at 1")
-            head = number(lineno, raw, t4, "head")
-            if head != d1 and head != d2:
-                err(lineno, raw, t4, f"head {head} is not one of the darts")
-            in_edge.update((d1, d2))
-            edges.append(Edge((d1, d2), label, head))
-        elif kind == "vertex":
-            if len(toks) != 3:
-                err(lineno, raw, kind, "expected 'vertex <kind> cycle=<d,...>'")
-            _, vkind, tok = toks
-            if vkind not in VERTEX_DEGREE:
-                err(lineno, raw, vkind, f"unknown vertex kind {vkind!r}")
-            body = tok[6:] if tok.startswith("cycle=") else ""
-            try:
-                cycle = tuple(map(read_int, body.split(",")))
-            except ValueError:
-                err(lineno, raw, tok, "expected cycle=<d,...>")
-            new = set(cycle)
-            if not (len(new) == len(cycle) and declared >= new and in_cycle.isdisjoint(new)):
-                for d in cycle:
-                    if d not in declared:
-                        err(lineno, raw, tok, f"dart {d} was never declared")
-                    if d in in_cycle:
-                        err(lineno, raw, tok, f"dart {d} already used by a vertex")
-                    in_cycle.add(d)
-            in_cycle |= new
-            vertices.append(Vertex(vkind, cycle))
-        elif kind == "loop":
-            if len(toks) != 3:
-                err(lineno, raw, kind, "expected 'loop label=<i> sign=<+|->'")
-            label = number(lineno, raw, toks[1], "label")
-            if label < 1:
-                err(lineno, raw, toks[1], "labels start at 1")
-            loop_sign = sign(lineno, raw, toks[2], "sign")
-            # on a positive-genus surface a bare loop may be essential, so
-            # parsed records come back pinned there
-            loops.append(FloatingLoop(label=label, sign=loop_sign, pinned=genus > 0))
-        elif kind == "patternloop":
-            if len(toks) != 3:
-                err(lineno, raw, kind, "expected 'patternloop curve=<k> sense=<+|->'")
-            curve = number(lineno, raw, toks[1], "curve")
-            if curve < 1:
-                err(lineno, raw, toks[1], "curve indices start at 1")
-            sense = sign(lineno, raw, toks[2], "sense")
-            patterns.append(PatternLoop(curve=curve, sense=sense))
-        else:
-            err(lineno, raw, kind, f"unknown directive {kind!r}")
+    for lineno, raw, toks in rows:
+        try:
+            kind = toks[0]
+            if kind == "dart":
+                if len(toks) != 2:
+                    raise TokenError(0, "expected 'dart <id>'")
+                d = _value(toks, 1)
+                if d < 1:
+                    raise TokenError(1, "dart ids must be positive")
+                if d in declared:
+                    raise TokenError(1, f"dart {d} declared twice")
+                declared.add(d)
+            elif kind == "edge":
+                if len(toks) != 5:
+                    raise TokenError(0, "expected 'edge <d1> <d2> label=<i> head=<d>'")
+                d1, d2 = _value(toks, 1), _value(toks, 2)
+                if not (
+                    d1 != d2 and d1 in declared and d2 in declared
+                    and d1 not in in_edge and d2 not in in_edge
+                ):
+                    # a dart named twice in the line is one already used
+                    for i, d in ((1, d1), (2, d2)):
+                        if d not in declared:
+                            raise TokenError(i, f"dart {d} was never declared")
+                        if d in in_edge:
+                            raise TokenError(i, f"dart {d} already used by an edge")
+                        in_edge.add(d)
+                label = _value(toks, 3, "label=")
+                if label < 1:
+                    raise TokenError(3, "labels start at 1")
+                head = _value(toks, 4, "head=")
+                if head != d1 and head != d2:
+                    raise TokenError(4, f"head {head} is not one of the darts")
+                in_edge.update((d1, d2))
+                edges.append(Edge((d1, d2), label, head))
+            elif kind == "vertex":
+                if len(toks) != 3:
+                    raise TokenError(0, "expected 'vertex <kind> cycle=<d,...>'")
+                vkind = toks[1]
+                if vkind not in VERTEX_DEGREE:
+                    raise TokenError(1, f"unknown vertex kind {vkind!r}")
+                cycle = _value(toks, 2, "cycle=", read_ints, "cycle=<d,...>")
+                new = set(cycle)
+                if not (len(new) == len(cycle) and declared >= new and in_cycle.isdisjoint(new)):
+                    for d in cycle:
+                        if d not in declared:
+                            raise TokenError(2, f"dart {d} was never declared")
+                        if d in in_cycle:
+                            raise TokenError(2, f"dart {d} already used by a vertex")
+                        in_cycle.add(d)
+                in_cycle |= new
+                vertices.append(Vertex(vkind, cycle))
+            elif kind == "loop":
+                if len(toks) != 3:
+                    raise TokenError(0, "expected 'loop label=<i> sign=<+|->'")
+                label = _value(toks, 1, "label=")
+                if label < 1:
+                    raise TokenError(1, "labels start at 1")
+                loop_sign = _value(toks, 2, "sign=", read_sign, "sign=+ or sign=-")
+                # on a positive-genus surface a bare loop may be essential, so
+                # parsed records come back pinned there
+                loops.append(FloatingLoop(label=label, sign=loop_sign, pinned=genus > 0))
+            elif kind == "patternloop":
+                if len(toks) != 3:
+                    raise TokenError(0, "expected 'patternloop curve=<k> sense=<+|->'")
+                curve = _value(toks, 1, "curve=")
+                if curve < 1:
+                    raise TokenError(1, "curve indices start at 1")
+                sense = _value(toks, 2, "sense=", read_sign, "sense=+ or sense=-")
+                patterns.append(PatternLoop(curve=curve, sense=sense))
+            else:
+                raise TokenError(0, f"unknown directive {kind!r}")
+        except TokenError as exc:
+            raise exc.at(lineno, raw) from None
     return Chart(
         degree=degree,
         genus=genus,

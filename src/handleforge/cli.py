@@ -31,7 +31,7 @@ from .engine import (
     unbraid_with_branch,
     unbraid_without_branch,
 )
-from .errors import ParseError, read_int
+from .errors import ParseError, read_int, read_lines
 from .handles import (
     BudgetExceeded,
     HandleTrace,
@@ -77,9 +77,7 @@ class Report:
 def parse_report(text: str) -> list[tuple[str, str]]:
     """Parse kv output back into its pairs; inverse of Report.emit("kv")."""
     pairs = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line, _ in read_lines(text):
         key, sep, value = line.partition("=")
         if not sep:
             raise ParseError(lineno, 1, "expected key=value")
@@ -99,11 +97,7 @@ def parse_input(path: str):
     checked against the vertex/label axioms; violations raise InvalidChart.
     """
     text = _read(path)
-    head = ""
-    for line in text.splitlines():
-        if line.strip():
-            head = line.split()[0]
-            break
+    head = next((toks[0] for _, _, toks in read_lines(text)), "")
     if head == "chart":
         chart = parse_chart(text)
         violations = validate_chart(chart)

@@ -36,7 +36,7 @@ from .chart import (
     validate_chart,
     white_type,
 )
-from .errors import ParseError, read_int, read_sign, sign_text
+from .errors import TokenError, read_int, read_ints, read_lines, read_sign, read_token, sign_text
 
 
 class SiteMismatch(ValueError):
@@ -2129,67 +2129,77 @@ def _deco_form_ok(s, h, strong):
     )
 
 
+# the claims that state no value, and the prefix of each claim that does,
+# with the form of its value
+_PLAIN_CLAIMS = ("empty", "unknotted", "weak-forms", "strong-forms")
+_VALUED_CLAIMS = {"handle-count<=": "<integer>", "added-handles=": "<integer>",
+                  "handle-deco=": "<word>,<word>", "handle-mn=": "<m>,<n>"}
 # the claims that count the trace's attaching steps
 _COUNTED = ("handle-count<=", "added-handles=")
+
+
+@lru_cache(maxsize=1024)
+def _read_claim(claim, degree):
+    """(kind, value) of a claim's text, its kind one of _PLAIN_CLAIMS or a
+    prefix in _VALUED_CLAIMS; a claim that cannot be read raises the
+    TokenError of its token in a `claim` line, without repeating it."""
+    if claim in _PLAIN_CLAIMS:
+        return claim, None
+    kind = next((k for k in _VALUED_CLAIMS if claim.startswith(k)), None)
+    if kind is None:
+        raise TokenError(1, "unknown claim kind")
+    spec = claim[len(kind):]
+    try:
+        if kind == "handle-deco=":
+            a, b = (parse_word(w.replace(".", " "), degree) for w in spec.split(","))
+        elif kind == "handle-mn=":
+            a, b = (read_int(x, signed=True) for x in spec.split(","))
+        else:
+            return kind, read_int(spec)
+        return kind, (a, b)
+    except ValueError:
+        raise TokenError(1, f"expected {kind}{_VALUED_CLAIMS[kind]}") from None
 
 
 def _check_claim(state, claim, attached):
     """(holds, reason) for one claim on the final state; attached is the
     number of attaching steps, counted when a claim of _COUNTED is made."""
-    n = state.chart.degree
-    if claim == "empty":
+    try:
+        kind, value = _read_claim(claim, state.chart.degree)
+    except ValueError as exc:
+        return False, f"claim {claim}: {exc}"
+    if kind == "empty":
         if _non_handle_vertices(state):
             return False, "claim empty: the chart still has components"
         if state.chart.loops or state.chart.pattern_loops:
             return False, "claim empty: records remain"
         return True, None
-    if claim == "unknotted":
+    if kind == "unknotted":
         bad = [v for v in _non_handle_vertices(state) if v.kind != "black"]
         if bad:
             return False, "claim unknotted: non-black structure remains"
         if state.chart.loops or state.chart.pattern_loops:
             return False, "claim unknotted: records remain"
         return True, None
-    if claim in ("weak-forms", "strong-forms"):
-        strong = claim == "strong-forms"
+    if kind in ("weak-forms", "strong-forms"):
+        strong = kind == "strong-forms"
         for h in state.handles:
             if not _deco_form_ok(state, h, strong):
                 return False, f"claim {claim}: handle {h.id} is not in form"
         return True, None
-    if claim.startswith(_COUNTED):
-        at_most = claim.startswith("handle-count<=")
-        try:
-            k = read_int(claim.split("<=" if at_most else "=")[1])
-        except ValueError:
-            return False, f"claim {claim}: bad count"
-        if (attached > k) if at_most else (attached != k):
+    if kind in _COUNTED:
+        if (attached > value) if kind == "handle-count<=" else (attached != value):
             return False, f"claim {claim}: {attached} handles were attached"
         return True, None
-    if claim.startswith("handle-deco="):
-        spec = claim.split("=", 1)[1]
-        parts = spec.split(",")
-        if len(parts) != 2:
-            return False, f"claim {claim}: expected two words"
-        try:
-            a_word = parse_word(parts[0].replace(".", " "), n)
-            b_word = parse_word(parts[1].replace(".", " "), n)
-        except ValueError:
-            return False, f"claim {claim}: bad words"
+    if kind == "handle-deco=":
         for h in state.handles:
             a = derived_cocore(state, h.id)
-            if a is not None and a == a_word and h.coreloop == b_word:
+            if a is not None and (a, h.coreloop) == value:
                 return True, None
         return False, f"claim {claim}: no handle carries that decoration"
-    if claim.startswith("handle-mn="):
-        spec = claim.split("=", 1)[1]
-        try:
-            m, nn = (read_int(x, signed=True) for x in spec.split(","))
-        except ValueError:
-            return False, f"claim {claim}: bad pair"
-        if any(h.mn == (m, nn) for h in state.handles):
-            return True, None
-        return False, f"claim {claim}: no coiled handle matches"
-    return False, f"unrecognized claim {claim!r}"
+    if any(h.mn == value for h in state.handles):
+        return True, None
+    return False, f"claim {claim}: no coiled handle matches"
 
 
 def certify_trace(trace: EngineTrace) -> CertifyResult:
@@ -2220,8 +2230,7 @@ def certify_trace(trace: EngineTrace) -> CertifyResult:
 # script format
 
 # how a field value of each kind is read from and written to its token
-_DEC = {"sign": read_sign, "int": read_int, "str": str,
-        "ints": lambda text: tuple(map(read_int, text.split(",")))}
+_DEC = {"sign": read_sign, "int": read_int, "str": str, "ints": read_ints}
 _ENC = {"sign": sign_text, "int": str, "str": str, "ints": lambda v: ",".join(map(str, v))}
 
 
@@ -2294,31 +2303,6 @@ def _encode_move(mv):
     return toks
 
 
-def _decode_move(name, kv, degree):
-    cls, rows = _BY_NAME[name]
-    keys = {"cocore", "coreloop"} if rows is None else {row[0] for row in rows}
-    extra = set(kv) - keys
-    if extra:
-        raise ValueError(f"unknown keys {sorted(extra)}")
-    if rows is None:
-        label, sign, coreloop = None, 1, None
-        if "cocore" in kv:
-            w = parse_word(kv["cocore"], degree)
-            if len(w.letters) != 1:
-                raise ValueError("cocore must be a single letter")
-            label, sign = abs(w.letters[0]), 1 if w.letters[0] > 0 else -1
-        if "coreloop" in kv:
-            coreloop = parse_word(kv["coreloop"].replace(".", " "), degree)
-        return AttachTrivialHandle(label, sign, coreloop)
-    values = {}
-    for key, field_name, kind, default in rows:
-        if key in kv:
-            values[field_name] = _DEC[kind](kv[key])
-        elif default is MISSING:
-            raise ValueError(f"missing key {key}")
-    return cls(**values)
-
-
 def format_script(trace: EngineTrace) -> str:
     """Serialize a trace's moves and claims, one per line."""
     lines = []
@@ -2330,36 +2314,27 @@ def format_script(trace: EngineTrace) -> str:
 
 
 def parse_script(text: str, initial: DecoratedSurface) -> EngineTrace:
-    """Parse the move/claim line format into a trace over `initial`."""
+    """Parse the move/claim line format, claims read too, into a trace over `initial`."""
     degree = initial.chart.degree
     steps, claims = [], []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head = line.split(None, 1)
-        if head[0] == "claim":
-            if len(head) < 2 or not head[1].strip():
-                raise ParseError(ln, 1, "empty claim")
-            claims.append(head[1].strip())
-            continue
-        if head[0] != "move":
-            raise ParseError(ln, 1, f"expected move or claim, got {head[0]!r}")
-        if claims:
-            raise ParseError(ln, 1, "move after a claim: claims follow the moves")
+    for lineno, raw, toks in read_lines(text):
+        verb = toks[0]
         try:
-            steps.append(_move_line(line, degree))
-        except _LineError as exc:
-            raise ParseError(ln, exc.col, str(exc)) from None
+            if verb == "move" and not claims:
+                steps.append(_move_line(raw, degree))
+            elif verb == "claim":
+                if len(toks) == 1:
+                    raise TokenError(0, "empty claim")
+                claim = raw.split(None, 1)[1].strip()
+                _read_claim(claim, degree)
+                claims.append(claim)
+            elif verb == "move":
+                raise TokenError(0, "move after a claim: claims follow the moves")
+            elif not verb.startswith("#"):
+                raise TokenError(0, f"expected move or claim, got {verb!r}")
+        except TokenError as exc:
+            raise exc.at(lineno, raw) from None
     return EngineTrace(initial, tuple(steps), tuple(claims))
-
-
-class _LineError(ValueError):
-    """A bad move line, with the column to report."""
-
-    def __init__(self, col, message):
-        super().__init__(message)
-        self.col = col
 
 
 @lru_cache(maxsize=4096)
@@ -2372,19 +2347,40 @@ def _move_line(line, degree):
     """
     toks = line.split()
     if len(toks) < 2:
-        raise _LineError(len(line) + 1, "missing move name")
-    name = toks[1]
-    if name not in _BY_NAME:
-        raise _LineError(line.find(name) + 1, f"unknown move {name!r}")
-    kv = {}
-    for tok in toks[2:]:
-        if "=" not in tok:
-            raise _LineError(line.find(tok) + 1, f"expected key=value, got {tok!r}")
-        k, _, v = tok.partition("=")
+        raise TokenError(0, "missing move name")
+    cls, rows = _BY_NAME.get(toks[1], (None, None))
+    if cls is None:
+        raise TokenError(1, f"unknown move {toks[1]!r}")
+    keys = ("cocore", "coreloop") if rows is None else [row[0] for row in rows]
+    kv = {}  # key -> (the index of its token, its value)
+    for i in range(2, len(toks)):
+        k, eq, v = toks[i].partition("=")
+        if not eq:
+            raise TokenError(i, f"expected key=value, got {toks[i]!r}")
         if k in kv:
-            raise _LineError(line.find(tok) + 1, f"duplicate key {k!r}")
-        kv[k] = v
-    try:
-        return _decode_move(name, kv, degree)
-    except ValueError as exc:
-        raise _LineError(1, str(exc)) from None
+            raise TokenError(i, f"duplicate key {k!r}")
+        if k not in keys:
+            raise TokenError(i, f"unknown key {k!r}")
+        kv[k] = i, v
+    if rows is None:
+        label, sign, coreloop = None, 1, None
+        if "cocore" in kv:
+            letters = read_token(lambda text: parse_word(text, degree), *kv["cocore"]).letters
+            if len(letters) != 1:
+                raise TokenError(kv["cocore"][0], "cocore must be a single letter")
+            label, sign = abs(letters[0]), 1 if letters[0] > 0 else -1
+        if "coreloop" in kv:
+            coreloop = read_token(
+                lambda text: parse_word(text.replace(".", " "), degree), *kv["coreloop"])
+        return AttachTrivialHandle(label, sign, coreloop)
+    values = {}
+    for key, field_name, kind, default in rows:
+        if key in kv:
+            i, v = kv[key]
+            try:
+                values[field_name] = _DEC[kind](v)
+            except ValueError as exc:
+                raise TokenError(i, str(exc)) from None
+        elif default is MISSING:
+            raise TokenError(1, f"missing key {key}")
+    return cls(**values)

@@ -1,5 +1,6 @@
 """Failure types shared across the package, positioned parse errors and
-exhausted search budgets, and the reader of every integer and sign token."""
+exhausted search budgets, and the readers of every text line and of every
+integer and sign token."""
 
 from __future__ import annotations
 
@@ -10,6 +11,36 @@ class ParseError(ValueError):
         self.line = line
         self.column = column
         self.message = message
+
+
+class TokenError(ValueError):
+    """A bad token of a text line, by its index in the line's split(); each
+    format's reader raises it as the ParseError `at` the token's column."""
+
+    def __init__(self, index: int, message: str) -> None:
+        super().__init__(message)
+        self.index = index
+
+    def at(self, line: int, raw: str) -> ParseError:
+        """The ParseError at line `line`, text `raw`, where the token starts."""
+        rest = raw.split(None, self.index)[-1]  # the text from the token on
+        return ParseError(line, len(raw) - len(rest) + 1, str(self))
+
+
+def read_lines(text: str):
+    """(line number, line, line.split()) of each line of text that is not blank."""
+    for line, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.split()
+        if toks:
+            yield line, raw, toks
+
+
+def read_token(read, index: int, text: str, prefix: str = ""):
+    """read(text) of token `index`, its ValueError raised as a TokenError."""
+    try:
+        return read(text)
+    except ValueError as exc:
+        raise TokenError(index, prefix + str(exc)) from None
 
 
 class BudgetExceeded(RuntimeError):
@@ -29,6 +60,11 @@ def read_int(tok: str, signed: bool = False) -> int:
     if signed and tok[:1] == "-" and body.isascii() and body.isdecimal() and body.strip("0"):
         return -read_int(body)
     raise ValueError(f"expected an integer, got {tok!r}")
+
+
+def read_ints(text: str) -> tuple[int, ...]:
+    """The integers of a comma-separated list, each read by read_int."""
+    return tuple(map(read_int, text.split(",")))
 
 
 def read_sign(tok: str) -> int:

@@ -12,12 +12,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Union
 
 from . import kernels
 from .braid import BraidWord, format_word, parse_word
-from .errors import BudgetExceeded, ParseError, read_int, read_sign, sign_text
+from .errors import (
+    BudgetExceeded, ParseError, TokenError, read_int, read_lines, read_sign, read_token, sign_text,
+)
 
 
 class IndexOutOfRange(ValueError):
@@ -687,35 +689,37 @@ def _format_label(label: HandleLabel) -> str:
 
 
 def parse_handles(text: str) -> HandleSystem:
-    lines = text.splitlines()
-    header_idx = next((idx for idx, line in enumerate(lines) if line.strip()), None)
-    if header_idx is None:
+    return _read_system(list(read_lines(text)))
+
+
+def _read_system(rows) -> HandleSystem:
+    """The handle system of read_lines rows: a header, then `label m n` lines."""
+    if not rows:
         raise ParseError(1, 1, "empty handle file")
-    m = _HEADER_RE.fullmatch(lines[header_idx].strip())
+    lineno, raw, _ = rows[0]
+    m = _HEADER_RE.fullmatch(raw.strip())
     try:
         generator_count, degree = map(read_int, (m[1], m[2]) if m else ("", ""))
     except ValueError:
         raise ParseError(
-            header_idx + 1, 1, "expected header 'handles g=<int> degree=<int> pattern=<word>'"
+            lineno, 1, "expected header 'handles g=<int> degree=<int> pattern=<word>'"
         ) from None
     try:
         pattern = parse_word(m.group(3), degree)
     except ValueError as exc:
-        raise ParseError(header_idx + 1, 1, f"bad pattern braid: {exc}") from exc
+        raise ParseError(lineno, 1, f"bad pattern braid: {exc}") from exc
+    signed = partial(read_int, signed=True)
+    readers = (partial(_parse_label, generator_count=generator_count), signed, signed)
     handles = []
-    for idx in range(header_idx + 1, len(lines)):
-        line = lines[idx].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(idx + 1, 1, "expected 'label m n'")
+    for lineno, raw, toks in rows[1:]:
         try:
-            label = _parse_label(parts[0], generator_count)
-            mm, nn = read_int(parts[1], signed=True), read_int(parts[2], signed=True)
-        except ValueError as exc:
-            raise ParseError(idx + 1, 1, f"bad handle {line!r}: {exc}") from None
-        handles.append(DecoratedHandle(label, mm, nn))
+            if len(toks) != 3:
+                raise TokenError(0, "expected 'label m n'")
+            handles.append(DecoratedHandle(*(
+                read_token(read, i, toks[i], "bad handle: ") for i, read in enumerate(readers)
+            )))
+        except TokenError as exc:
+            raise exc.at(lineno, raw) from None
     return HandleSystem(generator_count, tuple(handles), pattern)
 
 
@@ -750,15 +754,22 @@ _READ = {"{sign}": read_sign, "{direction}": str, "{variant}": str}
 
 @lru_cache(maxsize=4096)
 def _parse_move(line: str) -> HandleMove:
-    """The move a trace line names, decoded once per line: moves are immutable."""
+    """The move a trace line names, decoded once per line (moves are immutable)."""
     parts = line.split()
     cls, words = _VERBS.get(parts[0], (None, ()))
-    operands = parts[1:]
-    if cls is None or len(operands) != len(words) or any(
-        w != p for w, p in zip(words, operands) if w[0] != "{"
-    ):
-        raise ValueError("unrecognized move syntax")
-    return cls(*(_READ.get(w, read_int)(p) for w, p in zip(words, operands) if w[0] == "{"))
+    if cls is None or len(parts) != len(words) + 1:
+        raise TokenError(0, "bad move: unrecognized move syntax")
+    values = []
+    for i, word in enumerate(words, 1):
+        if word[0] == "{":
+            values.append(read_token(_READ.get(word, read_int), i, parts[i], "bad move: "))
+        elif word != parts[i]:
+            raise TokenError(i, "bad move: unrecognized move syntax")
+    try:
+        return cls(*values)
+    except ValueError as exc:  # the rule of the class's one checked field
+        i = next(i for i, word in enumerate(words, 1) if word[1:-1] in _FIELD_RULES)
+        raise TokenError(i, f"bad move: {exc}") from None
 
 
 def format_trace(t: HandleTrace) -> str:
@@ -778,25 +789,16 @@ def format_trace(t: HandleTrace) -> str:
 def parse_trace(text: str) -> tuple[HandleSystem | None, tuple[HandleMove, ...]]:
     """Read a trace file: an optional start system, then one move per line.
 
-    The moves begin at the first line whose first word is a verb.  Every
-    ParseError names its line in the file, blank lines counted.  A text of
+    The moves begin at the first line whose first word is a verb.  A text of
     move lines only gives None as its start.
     """
-    lines = text.splitlines()
-    cut = len(lines)
-    for idx, line in enumerate(lines):
-        parts = line.split()
-        if parts and parts[0] in _VERBS:
-            cut = idx
-            break
+    rows = list(read_lines(text))
+    cut = next((k for k, (_, _, toks) in enumerate(rows) if toks[0] in _VERBS), len(rows))
+    start = _read_system(rows[:cut]) if cut else None
     moves: list[HandleMove] = []
-    for idx in range(cut, len(lines)):
-        line = lines[idx].strip()
-        if not line:
-            continue
+    for lineno, raw, _ in rows[cut:]:
         try:
-            moves.append(_parse_move(line))
-        except ValueError as exc:
-            raise ParseError(idx + 1, 1, f"bad move {line!r}: {exc}") from None
-    start = "\n".join(lines[:cut])
-    return (parse_handles(start) if start.strip() else None), tuple(moves)
+            moves.append(_parse_move(raw))
+        except TokenError as exc:
+            raise exc.at(lineno, raw) from None
+    return start, tuple(moves)

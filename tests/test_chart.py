@@ -555,8 +555,8 @@ class TestFileFormat:
 # (header, dart id, label, head, cycle dart, curve) is ASCII digits, leading
 # zeros allowed: "+3", "-2", "1_0" and non-ASCII digits are refused with the
 # message of the token's field.  A dart named twice in one edge or vertex
-# line is refused like one used by an earlier line.  The column is the first
-# place the bad token appears.
+# line is refused like one used by an earlier line.  The column is where the
+# token at fault starts; a header error is at column 1.
 H = "chart degree=4 genus=0"
 D = "dart 1\ndart 2\ndart 12"
 PARSE_TABLE = [
@@ -625,7 +625,7 @@ PARSE_TABLE = [
     (f"{H}\n{D}\nedge 1 x label=1 head=1",
      ('error', 5, 8, 'expected an integer dart id')),
     (f"{H}\n{D}\nedge 1 1 label=1 head=1",
-     ('error', 5, 6, 'dart 1 already used by an edge')),
+     ('error', 5, 8, 'dart 1 already used by an edge')),
     (f"{H}\n{D}\nedge 1 2 label=1 head=2\nedge 2 12 label=1 head=2",
      ('error', 6, 6, 'dart 2 already used by an edge')),
     (f"{H}\n{D}\nedge 1 2 label=1",

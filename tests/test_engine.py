@@ -810,8 +810,9 @@ class TestCertification:
     ):
         s = surf(white_spider())
         text = "move reverseaid dart=1\n"
-        res = certify_trace(parse_script(text + "claim added-handles=one\n", s))
-        assert res.reason == "claim added-handles=one: bad count"
+        res = certify_trace(parse_script(text, s).replace_claims(("added-handles=one",)))
+        assert (res.ok, res.step, res.reason) == (
+            False, None, "claim added-handles=one: expected added-handles=<integer>")
         # isinstance refuses a non-class, so counting the steps would raise
         monkeypatch.setattr(engine, "_ATTACHING", None)
         assert certify_trace(parse_script(text + "claim weak-forms\n", s)).ok

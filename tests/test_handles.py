@@ -640,12 +640,12 @@ class TestTextFormats:
         start = "handles g=0 degree=2 pattern=e\n1 1 0\n"
         for text, message in (
             (start + "invert 1\ntwist 1 2\n",
-             "line 4, column 1: bad move 'twist 1 2': expected + or -, got '2'"),
+             "line 4, column 9: bad move: expected + or -, got '2'"),
             # leading and inner blank lines are counted too
             ("\n\n" + start + "\ninvert 1\ntwist 1 2\n",
-             "line 7, column 1: bad move 'twist 1 2': expected + or -, got '2'"),
+             "line 7, column 9: bad move: expected + or -, got '2'"),
             ("\n\nhandles g=0 degree=2 pattern=e\n1 x 0\ninvert 1\n",
-             "line 4, column 1: bad handle '1 x 0': expected an integer, got 'x'"),
+             "line 4, column 3: bad handle: expected an integer, got 'x'"),
             ("\nhandles g=0 degree=2 pattern=q\ninvert 1\n",
              "line 2, column 1: bad pattern braid: bad braid letter 'q'"),
         ):

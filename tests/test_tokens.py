@@ -13,7 +13,7 @@ import pytest
 
 from handleforge import cli
 from handleforge.chart import Chart, parse_chart
-from handleforge.engine import DecoratedSurface, parse_script
+from handleforge.engine import DecoratedSurface, certify_trace, parse_script
 from handleforge.errors import ParseError, read_int, read_sign, sign_text
 from handleforge.handles import parse_handles, parse_trace
 
@@ -139,22 +139,161 @@ class TestLongIntegers:
 
     def test_in_a_handle_system(self, tmp_path, capsys):
         err = self._run(tmp_path, capsys, self.SYSTEM + f"1 {LONG} 0\n")
-        assert err.startswith("error: line 3, column 1: bad handle")
-        assert err.endswith(": an integer of 5000 digits is too long\n")
+        assert err == "error: line 3, column 3: bad handle: an integer of 5000 digits is too long\n"
 
     def test_in_a_handle_trace(self, tmp_path, capsys):
         err = self._run(tmp_path, capsys, self.SYSTEM, f"invert 1\ntwist {LONG} +\n")
-        assert err.startswith("error: line 2, column 1: bad move")
-        assert err.endswith(": an integer of 5000 digits is too long\n")
+        assert err == "error: line 2, column 7: bad move: an integer of 5000 digits is too long\n"
 
     def test_in_a_script(self, tmp_path, capsys):
         err = self._run(tmp_path, capsys, self.CHART, f"move cim1erase loop={LONG}\n")
-        assert err == "error: line 1, column 1: an integer of 5000 digits is too long\n"
+        assert err == "error: line 1, column 16: an integer of 5000 digits is too long\n"
+
+
+# One position rule for the four formats: a ParseError is at the line and
+# column where the token at fault starts.  Each row is (format, the line
+# added after the format's start, column, message).
+START = {
+    "chart": "chart degree=4 genus=0\ndart 1\ndart 2\n",
+    "handles": "handles g=1 degree=2 pattern=e\n",
+    "trace": "handles g=1 degree=2 pattern=e\n1 0 0\ninvert 1\n",
+    "script": "move cim1erase loop=0\n",
+}
+POSITIONS = {
+    "a repeated token": [
+        ("chart", "edge 1 1 label=1 head=1", 8, "dart 1 already used by an edge"),
+        ("handles", "g1 0 g1", 6, "bad handle: expected an integer, got 'g1'"),
+        ("trace", "transfer7 1 1 1", 15, "bad move: expected + or -, got '1'"),
+        ("script", "move move", 6, "unknown move 'move'"),
+    ],
+    "an indented line": [
+        ("chart", "   wobble 3", 4, "unknown directive 'wobble'"),
+        ("handles", "  1 x 0", 5, "bad handle: expected an integer, got 'x'"),
+        ("trace", "  twist 1 x", 11, "bad move: expected + or -, got 'x'"),
+        ("script", "    move nosuch", 10, "unknown move 'nosuch'"),
+        ("script", "  claim handle-mn=1", 9, "expected handle-mn=<m>,<n>"),
+    ],
+    "a duplicate key": [
+        ("chart", "loop label=1 label=2", 14, "expected sign=+ or sign=-"),
+        ("script", "move cim1add label=1 sign=+ label=1 label=1", 29, "duplicate key 'label'"),
+    ],
+    "a bad value": [
+        ("chart", "edge 1 2 label=x head=2", 10, "expected label=<integer>"),
+        ("handles", "1 0 q", 5, "bad handle: expected an integer, got 'q'"),
+        ("trace", "rotate 1 up", 10, "bad move: rotation direction must be 'cw' or 'ccw'"),
+        ("trace", "slide 1 under 2 A", 9, "bad move: unrecognized move syntax"),
+        ("script", "move cim1erase loop=x", 16, "expected an integer, got 'x'"),
+        ("script", "move attach cocore=s1.s2", 13, "bad braid letter 's1.s2'"),
+        ("script", "move cim1erase loop=1 x=2", 23, "unknown key 'x'"),
+        ("script", "claim handle-count<=+3", 7, "expected handle-count<=<integer>"),
+        ("script", "claim handle-deco=s1", 7, "expected handle-deco=<word>,<word>"),
+    ],
+    "a 5,000-digit token": [
+        ("chart", f"dart {LONG}", 6, "expected an integer dart id"),
+        ("handles", f"1 {LONG} 0", 3, "bad handle: an integer of 5000 digits is too long"),
+        ("trace", f"twist {LONG} +", 7, "bad move: an integer of 5000 digits is too long"),
+        ("script", f"move cim1erase loop={LONG}", 16, "an integer of 5000 digits is too long"),
+        ("script", f"claim added-handles={LONG}", 7, "expected added-handles=<integer>"),
+    ],
+    "a bad sign": [
+        ("chart", "loop label=1 sign=*", 14, "expected sign=+ or sign=-"),
+        ("handles", "1 +3 0", 3, "bad handle: expected an integer, got '+3'"),
+        ("trace", "twist 1 *", 9, "bad move: expected + or -, got '*'"),
+        ("script", "move cim1add label=1 sign=*", 22, "expected + or -, got '*'"),
+    ],
+    "an unknown verb or directive": [
+        ("chart", "wobble 3", 1, "unknown directive 'wobble'"),
+        ("handles", "wobble 0 0", 1, "bad handle: bad label token 'wobble'"),
+        ("trace", "wobble 3", 1, "bad move: unrecognized move syntax"),
+        ("script", "wobble 3", 1, "expected move or claim, got 'wobble'"),
+        ("script", "move nosuch", 6, "unknown move 'nosuch'"),
+        ("script", "claim nosuch", 7, "unknown claim kind"),
+    ],
+    "a wrong token count": [
+        ("chart", "edge 1 2 label=1", 1, "expected 'edge <d1> <d2> label=<i> head=<d>'"),
+        ("handles", "1 0", 1, "expected 'label m n'"),
+        ("trace", "invert", 1, "bad move: unrecognized move syntax"),
+        ("script", "move", 1, "missing move name"),
+        ("script", "move cim1erase", 6, "missing key loop"),
+        ("script", "claim", 1, "empty claim"),
+    ],
+}
+_SURFACE = DecoratedSurface(chart=Chart(degree=4, genus=0), handles=())
+PARSE = {
+    "chart": parse_chart,
+    "handles": parse_handles,
+    "trace": parse_trace,
+    "script": lambda text: parse_script(text, _SURFACE),
+}
+
+
+@pytest.mark.parametrize(
+    "fmt, line, column, message",
+    [row for rows in POSITIONS.values() for row in rows],
+    ids=[f"{kind}-{row[0]}-{k}" for kind, rows in POSITIONS.items() for k, row in enumerate(rows)],
+)
+def test_a_parse_error_points_at_its_token(fmt, line, column, message):
+    with pytest.raises(ParseError) as info:
+        PARSE[fmt](START[fmt] + line + "\n")
+    want = (START[fmt].count("\n") + 1, column, message)
+    assert (info.value.line, info.value.column, info.value.message) == want
+
+
+def test_an_unreadable_claim_exits_2_before_any_move_is_replayed(tmp_path, capsys, monkeypatch):
+    from importlib import resources
+
+    from handleforge import engine
+
+    data = resources.files("handleforge") / "data"
+    script = (data / "twist_spun_trefoil.script").read_text()
+    script = script.replace("claim added-handles=1", "claim handle-count<=+3")
+    lineno = script.splitlines().index("claim handle-count<=+3") + 1
+    (tmp_path / "s").write_text(script)
+    (tmp_path / "c").write_text((data / "twist_spun_trefoil.chart").read_text())
+
+    def replay(*args):
+        raise AssertionError("a move was replayed")
+
+    monkeypatch.setattr(engine, "apply_move", replay)
+    assert cli.main(["replay", str(tmp_path / "c"), str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line {lineno}, column 7: expected handle-count<=<integer>\n"
+    )
+
+
+def test_a_trace_built_in_code_with_an_unreadable_claim_fails_without_raising():
+    from random import Random
+
+    from handleforge.engine import generate_blackless_chart, unbraid_without_branch
+
+    chart = generate_blackless_chart(4, 6, Random(0))
+    _, count, trace = unbraid_without_branch(DecoratedSurface(chart, ()), mode="weak")
+    # no handle was spent, so the claim one below the count reads -1
+    assert count == 0 and certify_trace(trace).ok
+    for claim, reason in (
+        ("handle-count<=-1", "expected handle-count<=<integer>"),
+        ("handle-mn=1,2,3", "expected handle-mn=<m>,<n>"),
+        ("nosuch", "unknown claim kind"),
+    ):
+        result = certify_trace(trace.replace_claims((claim,)))
+        assert (result.ok, result.step, result.reason) == (False, None, f"claim {claim}: {reason}")
+    # the claims are kept as written
+    assert trace.replace_claims(("handle-count<=-1",)).claims == ("handle-count<=-1",)
 
 
 # the parsing modules, which read every integer and sign through
-# errors.read_int and errors.read_sign
+# errors.read_int and errors.read_sign, and place every parse error through
+# errors.TokenError.at
 PARSERS = ("braid.py", "chart.py", "handles.py", "engine.py", "cli.py")
+POSITION_NAMES = {"line", "lineno", "col", "column"}
+
+
+def _stores_a_position(cls):
+    return any(
+        isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and node.attr in POSITION_NAMES
+        for node in ast.walk(cls)
+    )
 
 
 @pytest.mark.parametrize("name", PARSERS)
@@ -168,4 +307,11 @@ def test_no_parser_reads_digits_on_its_own(name):
             found.append((node.lineno, node.attr))
         elif isinstance(node, ast.Constant) and "\\d" in str(node.value):
             found.append((node.lineno, "\\d"))
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("find", "rfind"):
+            found.append((node.lineno, node.func.attr))
+        elif isinstance(node, ast.ClassDef) and (
+            {getattr(b, "id", None) for b in node.bases} & {"ParseError", "TokenError"}
+            or _stores_a_position(node)
+        ):
+            found.append((node.lineno, f"class {node.name}"))
     assert not found, found
