@@ -72,7 +72,7 @@ class BraidWord:
         return not self.letters
 
 
-_LETTER_RE = re.compile(r"^([sS])([1-9][0-9]*)$")
+_LETTER_RE = re.compile(r"^([sS])(.+)$")
 
 
 def parse_word(text: str, degree: int) -> BraidWord:
@@ -83,9 +83,12 @@ def parse_word(text: str, degree: int) -> BraidWord:
     letters = []
     for token in stripped.split():
         m = _LETTER_RE.match(token)
-        if m is None:
+        try:
+            index = read_int(m.group(2)) if m else 0
+        except ValueError:
+            index = 0
+        if not index:
             raise ValueError(f"bad braid letter {token!r}")
-        index = read_int(m.group(2))
         letters.append(index if m.group(1) == "s" else -index)
     return BraidWord(degree, tuple(letters))
 

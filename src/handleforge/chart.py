@@ -176,24 +176,19 @@ class Patch:
     """The patch of one rewrite, split by kind once.
 
     parent is the chart rewritten.  old_v and old_e hold the Vertex and
-    Edge objects the rewrite removes, new_v and new_e those it makes, each
-    with the swapped objects last; swap_v and swap_e hold the (old, new)
-    pairs put in place, records the loop and pattern-loop records the
-    caller names, and made the darts of new_v and new_e.  ranks holds the
-    rank tuples of the output's vertices and edges (see SurfaceMap), or is
-    None when the rewrite removes and makes no Edge or Vertex.
+    Edge objects the rewrite removes, new_v and new_e those it makes,
+    records the loop and pattern-loop records the caller names, and made
+    the darts of new_v and new_e.  ranks holds the rank tuples of the
+    output's vertices and edges (see SurfaceMap), or is None when the
+    rewrite removes and makes no Edge or Vertex.
     """
 
-    __slots__ = (
-        "parent", "old_v", "old_e", "new_v", "new_e", "swap_v", "swap_e",
-        "records", "made", "ranks",
-    )
+    __slots__ = ("parent", "old_v", "old_e", "new_v", "new_e", "records", "made", "ranks")
 
-    def __init__(self, parent, gone, new, swap):
+    def __init__(self, parent, gone, new):
         self.parent, self.ranks = parent, None
-        if not (gone or swap or any(type(x) is Edge or type(x) is Vertex for x in new)):
+        if not (gone or any(type(x) is Edge or type(x) is Vertex for x in new)):
             self.old_v = self.old_e = self.new_v = self.new_e = self.made = ()
-            self.swap_v = self.swap_e = ()
             self.records = new
             return
         old_v, old_e, new_v, new_e, records = [], [], [], [], []
@@ -209,56 +204,43 @@ class Patch:
                 new_v.append(x)
             else:
                 records.append(x)
-        swap_v, swap_e = [], []
-        for a, b in swap:
-            if type(a) is Edge:
-                swap_e.append((a, b))
-                old_e.append(a)
-                new_e.append(b)
-            elif type(a) is Vertex:
-                swap_v.append((a, b))
-                old_v.append(a)
-                new_v.append(b)
         made = [d for e in new_e for d in e.darts]
         for v in new_v:
             made += v.cycle
         self.old_v, self.old_e, self.new_v, self.new_e = old_v, old_e, new_v, new_e
-        self.swap_v, self.swap_e, self.records, self.made = swap_v, swap_e, records, made
+        self.records, self.made = records, made
 
 
-def rewrite(chart, gone=(), new=(), swap=(), genus=None, loops=None, pattern_loops=None):
+def rewrite(chart, gone=(), new=(), genus=None, loops=None, pattern_loops=None):
     """chart with its genus, loops and pattern loops replaced where given,
-    made by removing the Edge and Vertex objects in gone, putting each
-    (old, new) pair of swap in place, and adding the Edge and Vertex
-    objects in new.
+    made by removing the Edge and Vertex objects in gone and adding the
+    Edge and Vertex objects in new.
 
     The vertex and edge tuples keep the order of what they keep, with
-    swapped objects in their old places and added ones at the end; each
-    removed object is found by its rank in chart's map.  new may also name
-    the loop and pattern-loop records the caller puts into loops and
-    pattern_loops, which the patch check then checks.  The new chart keeps
-    the patch, split once as a Patch, and its map is chart's map plus this
-    patch: only the faces and components the patch reaches are walked
-    again, and a patch that removes and makes no Edge or Vertex hands over
-    chart's map itself.
+    added objects at the end, so an edge or vertex rewritten on the same
+    darts moves to the end; each removed object is found by its rank in
+    chart's map.  new may also name the loop and pattern-loop records the
+    caller puts into loops and pattern_loops, which the patch check then
+    checks.  The new chart keeps the patch, split once as a Patch, and its
+    map is chart's map plus this patch: only the faces and components the
+    patch reaches are walked again, and a patch that removes and makes no
+    Edge or Vertex hands over chart's map itself.
     """
-    p = Patch(chart, gone, new, swap)
+    p = Patch(chart, gone, new)
     vertices, edges = chart.vertices, chart.edges
     if p.old_v or p.old_e or p.new_v or p.new_e:
         m = surface_map(chart)
         top, parts = m.top, []
-        for items, ranks, old, made, pairs in (
-            (vertices, m.vranks, p.old_v, p.new_v, p.swap_v),
-            (edges, m.eranks, p.old_e, p.new_e, p.swap_e),
+        for items, ranks, old, made in (
+            (vertices, m.vranks, p.old_v, p.new_v),
+            (edges, m.eranks, p.old_e, p.new_e),
         ):
             if old:
-                removed = old[: len(old) - len(pairs)]
-                items, ranks = _cut(items, ranks, removed, pairs, m.rank)
-            added = len(made) - len(pairs)
-            if added:
-                items += tuple(made[:added])
-                ranks += tuple(range(top, top + added))
-                top += added
+                items, ranks = _cut(items, ranks, old, m.rank)
+            if made:
+                items += tuple(made)
+                ranks += tuple(range(top, top + len(made)))
+                top += len(made)
             parts.append((items, ranks))
         (vertices, vranks), (edges, eranks) = parts
         p.ranks = (vranks, eranks)
@@ -274,16 +256,11 @@ def rewrite(chart, gone=(), new=(), swap=(), genus=None, loops=None, pattern_loo
     return out
 
 
-def _cut(items, ranks, gone, swap, rank):
-    """items and their ranks without the objects in gone, and with the new
-    object of each (old, new) pair of swap in its old one's place, where it
-    keeps that rank; objects are found by bisecting on their ranks, and
-    those items does not hold are passed over."""
+def _cut(items, ranks, gone, rank):
+    """items and their ranks without the objects in gone; objects are found
+    by bisecting on their ranks, and those items does not hold are passed
+    over."""
     out, kept = list(items), list(ranks)
-    for a, b in swap:
-        r = rank.get(id(a))
-        if r is not None:
-            out[bisect_left(ranks, r)] = b
     at = {bisect_left(ranks, r) for r in map(rank.get, map(id, gone)) if r is not None}
     for k in sorted(at, reverse=True):
         del out[k], kept[k]
@@ -568,14 +545,10 @@ def _carry(chart, p):
     ):
         return _derive(chart)
     dead = touched - alive
-    # ranks: added objects follow top in the order rewrite appends them,
-    # and a swapped object takes its old one's
-    for made, pairs in ((nv, p.swap_v), (ne, p.swap_e)):
-        for x in made[: len(made) - len(pairs)]:
-            rank[id(x)] = top
-            top += 1
-        for a, b in pairs:
-            rank[id(b)] = pm.rank[id(a)]
+    # ranks: added objects follow top in the order rewrite appends them
+    for x in (*nv, *ne):
+        rank[id(x)] = top
+        top += 1
     last = max((pm.last, *p.made))
     if last not in alpha:
         last = max(alpha, default=0)

@@ -664,7 +664,7 @@ def enumerate_reachable(
 # text formats
 
 _HEADER_RE = re.compile(r"handles g=(\S*) degree=(\S*) pattern=(.+)")
-_LABEL_TOKEN_RE = re.compile(r"^g([1-9][0-9]*)(\^-1)?$")
+_LABEL_TOKEN_RE = re.compile(r"^g(.+?)(\^-1)?$")
 
 
 def _parse_label(token: str, generator_count: int) -> HandleLabel:
@@ -673,9 +673,12 @@ def _parse_label(token: str, generator_count: int) -> HandleLabel:
     word = []
     for piece in token.split("."):
         m = _LABEL_TOKEN_RE.match(piece)
-        if m is None:
+        try:
+            g = read_int(m.group(1)) if m else 0
+        except ValueError:
+            g = 0
+        if not g:
             raise ValueError(f"bad label token {piece!r}")
-        g = read_int(m.group(1))
         if g > generator_count:
             raise ValueError(f"label generator g{g} exceeds system count {generator_count}")
         word.append((g, -1 if m.group(2) else 1))

@@ -8,6 +8,7 @@ stats-delta table and exact (canonical) reversibility.
 
 import dataclasses
 import hashlib
+import operator
 import os
 import random
 import re
@@ -64,6 +65,7 @@ from handleforge.engine import (
     LabelConstraintViolated,
     MissingGeneratorHandles,
     MoveHandleAcrossEdge,
+    NonTrivialHandle,
     NotRepeatedPattern,
     OrientationReversalAid,
     PatternCancel,
@@ -504,7 +506,7 @@ class TestHandleAbsorption:
         for lab in (1, 2, 3):
             s, _ = apply_move(s, AttachTrivialHandle(cocore_label=lab))
         s2, inv = apply_move(s, FreeEdgeRelabel(1, 3))
-        assert s2.chart.edges[0].label == 3
+        assert surface_map(s2.chart).edge_at[1].label == 3
         s3, _ = apply_move(s2, inv)
         assert surfaces_equal(s3, s)
 
@@ -1579,8 +1581,8 @@ class TestRecordOnlyPatch:
     def test_a_restore_patch_with_an_unsigned_record_is_refused(self):
         s = surf(mk(pattern_loops=(PatternLoop(1, 1), PatternLoop(2, -1))))
         out, inv = apply_move(s, PatternCancel(0))
-        assert type(inv) is engine._Patch and not inv.gone and not inv.new
-        bad = replace(inv, loops=(FloatingLoop(1, 0),))
+        assert type(inv) is engine._Restore and inv.before is s and inv.after is out
+        bad = replace(inv, before=surf(replace(s.chart, loops=(FloatingLoop(1, 0),))))
         with pytest.raises(SiteMismatch, match=r"^loop 0: sign must be \+1 or -1$"):
             apply_move(out, bad)
         assert surfaces_equal(apply_move(out, inv)[0], s)
@@ -1660,7 +1662,7 @@ class TestIncrementalPathRefusals:
         bad = Vertex(v.kind, (v.cycle[1], v.cycle[0]) + v.cycle[2:])
 
         def applier(s, mv):
-            return engine._rewrite(s, swap=((v, bad),)), mv
+            return engine._rewrite(s, (v,), (bad,)), mv
 
         want, _ = self._refused_like_a_fresh_copy(monkeypatch, s, mv, applier)
         assert len(want) == 1 and "invalid crossing word" in want[0]
@@ -1963,10 +1965,32 @@ def test_the_inverse_of_a_restore_patch_undoes_it():
     assert surfaces_equal(again, out)
 
 
+def test_a_restore_gives_back_the_input_itself_and_checks_nothing(monkeypatch):
+    s = surf(generate_blackless_chart(4, 30, random.Random(3)))
+    mv = next(m for m in enumerate_chart_moves(s) if isinstance(m, CIR2Straighten))
+    out, inv = apply_move(s, mv)
+    # a surface equal to out that holds every object of out's, made by a
+    # move and its inverse, is still not the surface the move made
+    added, erase = apply_move(out, CIM1Add(1, 1))
+    twin, _ = apply_move(added, erase)
+    assert twin == out and twin.chart is not out.chart and twin.handles is out.handles
+    for name in ("vertices", "edges", "loops", "pattern_loops"):
+        assert all(map(operator.is_, getattr(twin.chart, name), getattr(out.chart, name)))
+    checks = []
+    check = engine._check_surface
+    monkeypatch.setattr(engine, "_check_surface", lambda *a: checks.append(a) or check(*a))
+    back, inv2 = apply_move(out, inv)
+    assert back is s
+    assert apply_move(back, inv2)[0] is out
+    assert checks == []
+    with pytest.raises(SiteMismatch, match="^restore patch does not match the surface$"):
+        apply_move(twin, inv)
+
+
 def test_a_restore_patch_refuses_every_other_surface():
-    # the patch names the edges its move made by identity: the move's
+    # a restore applies only to the surface its move made: the move's
     # input, an equal copy of its output made of new objects and the
-    # outputs of other moves hold none of them
+    # outputs of other moves are not that surface
     s = surf(generate_blackless_chart(4, 30, random.Random(3)))
     first, second = [m for m in enumerate_chart_moves(s) if isinstance(m, CIR2Straighten)][:2]
     out, inv = apply_move(s, first)
@@ -1990,14 +2014,14 @@ def test_a_restore_patch_refuses_every_other_surface():
 
 
 def test_a_restore_patch_that_made_nothing_checks_what_the_move_left():
-    # CIM3Cancel makes no Edge or Vertex, so its restore patch names none:
-    # it must still find the loop records, pattern loops and handles its
-    # move left, or it would graft the white pair and the first chart's
+    # CIM3Cancel makes no Edge or Vertex, and its inverse is a restore: the
+    # surface the move started from.  It applies only to the surface the
+    # move made, or it would graft the white pair and the first chart's
     # records onto any surface (loops 2 -> 8, vertices 6 -> 8 here)
     s = surf(generate_blackless_chart(4, 30, random.Random(3)))
     mv = next(m for m in enumerate_chart_moves(s) if isinstance(m, CIM3Cancel))
     out, inv = apply_move(s, mv)
-    assert inv.gone == ()
+    assert type(inv) is engine._Restore
     other = surf(generate_blackless_chart(4, 5, random.Random(0)))
     more = apply_move(out, AttachTrivialHandle())[0]
     fewer = surf(replace(out.chart, loops=out.chart.loops[:-1]))
@@ -2045,7 +2069,7 @@ def _off_default_moves():
 
 
 def test_every_move_class_applies_and_round_trips_through_text():
-    assert set(engine._APPLY) == {*engine.CHART_MOVES, *engine.SURFACE_MOVES, engine._Patch}
+    assert set(engine._APPLY) == {*engine.CHART_MOVES, *engine.SURFACE_MOVES, engine._Restore}
     s = surf(mk(degree=9))
     trace = EngineTrace(s, _off_default_moves(), ())
     assert parse_script(format_script(trace), s).steps == trace.steps
@@ -2153,6 +2177,144 @@ def test_the_site_fields_of_the_handle_refusals_apply():
     s = _field_check_surface()
     for site in ({"loop": 0}, {"emit_label": 2}):
         apply_move(s, MoveHandleAcrossEdge(1, **site))
+
+
+def _two_crossed_pairs(degree=4):
+    """Two bigons of crossings of labels 1 and 3: crossings at darts 1-4 and
+    5-8 cancel, as do those at 9-12 and 13-16."""
+    s = surf(mk(degree=degree, loops=tuple(FloatingLoop(lab, 1) for lab in (1, 3, 1, 3))))
+    for _ in range(2):
+        s, _ = apply_move(s, CIR2Bootstrap(0, 1))
+    return s
+
+
+def _twisted_white_pair():
+    """Two white vertices joined by six edges on a torus; the edges at darts
+    4 and 6 swap their ends at the second white, so the pair is not mirror
+    wired."""
+    ends = (12, 11, 10, 7, 8, 9)
+    edges = [
+        Edge((k, b), lab, b if sign > 0 else k)
+        for k, (b, (lab, sign)) in enumerate(zip(ends, WHITE_BASE), start=1)
+    ]
+    whites = (Vertex("white", (1, 2, 3, 4, 5, 6)), Vertex("white", tuple(range(7, 13))))
+    return surf(mk(genus=1, vertices=whites, edges=edges))
+
+
+def _coiled(*senses):
+    """Degree 2, one coiled handle and pattern copies of the given senses."""
+    pats = tuple(PatternLoop(k, sense) for k, sense in enumerate(senses, start=1))
+    return surf(mk(degree=2, pattern_loops=pats), (AttachedHandle(1, BraidWord(2), None, mn=(1, 0)),))
+
+
+def _attached(s, *attach):
+    """s after the given AttachTrivialHandle moves; the handles get ids 1, 2, ..."""
+    for mv in attach:
+        s, _ = apply_move(s, mv)
+    return s
+
+
+_A = AttachTrivialHandle
+
+# the refusals of the compound appliers, each with a surface that reaches
+# it: (id, surface, move, error type, message)
+REFUSALS = [
+    ("straighten-one-crossing", _two_crossed_pairs, CIR2Straighten(1, 2),
+     SiteMismatch, "need two distinct crossings"),
+    ("straighten-same-sign", _two_crossed_pairs, CIR2Straighten(1, 9),
+     SiteMismatch, "the two crossings do not cancel"),
+    ("straighten-apart", _two_crossed_pairs, CIR2Straighten(1, 13),
+     SiteMismatch, "the crossings are not adjacent along both strands"),
+    ("retract-no-end", _two_crossed_pairs, CIIRetract(1),
+     SiteMismatch, "no lone black end across the crossing"),
+    ("cancel-not-white", _two_crossed_pairs, CIM3Cancel(1),
+     SiteMismatch, "the edge does not join two white vertices"),
+    ("cancel-twisted", _twisted_white_pair, CIM3Cancel(1),
+     SiteMismatch, "the two white vertices are not mirror wired"),
+    ("transfer-footless", lambda: _attached(_two_crossed_pairs(), _A()), CrossingTransfer(1, 1),
+     SiteMismatch, "the handle has no feet to pull through"),
+    ("transfer-unbridged", lambda: _attached(_two_crossed_pairs(), _A(cocore_label=1)),
+     CrossingTransfer(1, 1), SiteMismatch, "the handle is not bridged at this crossing"),
+    ("slide-itself", lambda: _attached(empty_surface(4), _A(cocore_label=1)),
+     HandleSlideDecorated(1, 1, "A"), SiteMismatch, "a handle cannot slide across itself"),
+    ("slide-coiled", lambda: _attached(_coiled(), _A()), HandleSlideDecorated(1, 2, "A"),
+     NonTrivialHandle, "coiled handles cannot slide"),
+    ("slide-footless", lambda: _attached(empty_surface(4), _A(), _A()),
+     HandleSlideDecorated(1, 2, "A"), NonTrivialHandle, "both handles must carry clean spans"),
+    ("slide-labels", lambda: _attached(empty_surface(4), _A(cocore_label=1), _A(cocore_label=3)),
+     HandleSlideDecorated(1, 2, "A"), LabelConstraintViolated, "span labels 1 and 3 differ"),
+    ("slide-A-opposite",
+     lambda: _attached(empty_surface(4), _A(cocore_label=1), _A(cocore_label=1, cocore_sign=-1)),
+     HandleSlideDecorated(1, 2, "A"), SiteMismatch, "the spans must run the same way"),
+    ("slide-B-alike", lambda: _attached(empty_surface(4), _A(cocore_label=1), _A(cocore_label=1)),
+     HandleSlideDecorated(1, 2, "B"), SiteMismatch, "the spans must run opposite ways"),
+    ("absorb-loop-word",
+     lambda: _attached(surf(free_edge_chart(degree=5)),
+                       _A(cocore_label=1, coreloop=BraidWord.from_signed(5, (3,)))),
+     AbsorbLoopIntoFreeEdge(1, 1),
+     NonTrivialHandle, "the loop word must be empty to absorb the span"),
+    ("absorb-itself", lambda: _attached(surf(free_edge_chart()), _A(cocore_label=1)),
+     AbsorbLoopIntoFreeEdge(1, 3), SiteMismatch, "cannot absorb the span into itself"),
+    ("absorb-label", lambda: _attached(surf(free_edge_chart()), _A(cocore_label=2)),
+     AbsorbLoopIntoFreeEdge(1, 1), LabelConstraintViolated, "span label 2 vs target label 1"),
+    ("absorb-no-end", lambda: _attached(empty_surface(4), _A(cocore_label=2), _A(cocore_label=2)),
+     AbsorbLoopIntoFreeEdge(1, 3),
+     SiteMismatch, "the target strand has no free end to slide over"),
+    ("pattern-cancel-missing", lambda: _coiled(1, -1), PatternCancel(2),
+     SiteMismatch, "no pattern copy 2"),
+    ("pattern-cancel-outermost", lambda: _coiled(1, -1), PatternCancel(1),
+     SiteMismatch, "no neighbouring copy outward"),
+    ("pattern-cancel-alike", lambda: _coiled(1, 1), PatternCancel(0),
+     SiteMismatch, "neighbouring senses do not cancel"),
+    ("pattern-capture-missing", lambda: _coiled(1, -1), PatternCapture(2),
+     SiteMismatch, "no pattern copy 2"),
+    ("pattern-capture-outer", lambda: _coiled(1, -1), PatternCapture(1),
+     SiteMismatch, "only the innermost copy can be captured"),
+    ("relabel-span", lambda: _attached(empty_surface(4), _A(cocore_label=1)),
+     FreeEdgeRelabel(1, 2), SiteMismatch, "both ends must be lone black vertices"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, mv, error, message", [row[1:] for row in REFUSALS], ids=[row[0] for row in REFUSALS]
+)
+def test_an_applier_refusal_is_typed_and_fails_its_certification_step(build, mv, error, message):
+    s = build()
+    with pytest.raises(error) as info:
+        apply_move(s, mv)
+    assert type(info.value) is error and str(info.value) == message
+    # two moves that undo each other come first, so the refusal is step 2
+    got = certify_trace(EngineTrace(s, (CIM1Add(1, 1), CIM1Erase(len(s.chart.loops)), mv)))
+    assert (got.ok, got.step, got.reason) == (False, 2, f"{error.__name__}: {message}")
+
+
+def _bridged_left_of_a_loop_letter():
+    # the loop letter s4 does not commute with the crossing's s3, so the
+    # side of the transfer shows in the handle's loop word
+    loop = BraidWord.from_signed(5, (4,))
+    s = _attached(_two_crossed_pairs(degree=5), _A(cocore_label=1, coreloop=loop))
+    return apply_move(s, Bridge(1, 1))[0]
+
+
+# the accepting branches no other test runs: (id, surface, move, a check of
+# the output that only this branch passes)
+ACCEPTED = [
+    ("transfer-left", _bridged_left_of_a_loop_letter, CrossingTransfer(1, 1, side="left"),
+     lambda out: out.handles[0].coreloop.letters == (-3, 4)),
+    ("slide-B",
+     lambda: _attached(empty_surface(4), _A(cocore_label=1), _A(cocore_label=1, cocore_sign=-1)),
+     HandleSlideDecorated(1, 2, "B"), lambda out: out.handles[1].feet is None),
+]
+
+
+@pytest.mark.parametrize(
+    "build, mv, made", [row[1:] for row in ACCEPTED], ids=[row[0] for row in ACCEPTED]
+)
+def test_an_accepting_branch_is_undone_by_its_inverse(build, mv, made):
+    s = build()
+    out, inv = apply_move(s, mv)
+    assert made(out)
+    assert apply_move(out, inv)[0] is s
 
 
 def _across_surface():

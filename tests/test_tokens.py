@@ -32,6 +32,21 @@ ODD_TOKENS = {
     "3": 3,
 }
 
+# a whole label generator or braid letter token -> the index read from it, or
+# the message of the ParseError that refuses it
+LETTER_TOKENS = {
+    "g01": 1,
+    "g0": "bad handle: bad label token 'g0'",
+    "gx": "bad handle: bad label token 'gx'",
+    "g-1": "bad handle: bad label token 'g-1'",
+    "g１": "bad handle: bad label token 'g１'",
+    "s01": 1,
+    "s0": "bad pattern braid: bad braid letter 's0'",
+    "S00": "bad pattern braid: bad braid letter 'S00'",
+    "sx": "bad pattern braid: bad braid letter 'sx'",
+    "s+1": "bad pattern braid: bad braid letter 's+1'",
+}
+
 
 def _chart_label(tok):
     c = parse_chart(f"chart degree=4 genus=0\ndart 1\ndart 2\nedge 1 2 label={tok} head=2\n")
@@ -61,7 +76,27 @@ def _script_loop(tok):
     return parse_script(f"move cim1erase loop={tok}\n", surface).steps[0].loop
 
 
-READERS = [_chart_label, _chart_dart, _handle_m, _handle_n, _trace_index, _script_loop]
+def _label_token(tok):
+    system = parse_handles(f"handles g=7 degree=2 pattern=e\n{tok} 0 0\n")
+    return system.handles[0].label.word[0][0]
+
+
+def _letter_token(tok):
+    return parse_handles(f"handles g=0 degree=8 pattern={tok}\n").pattern_braid.letters[0]
+
+
+def _label_index(tok):
+    return _label_token("g" + tok)
+
+
+def _letter_index(tok):
+    return _letter_token("s" + tok)
+
+
+READERS = [
+    _chart_label, _chart_dart, _handle_m, _handle_n, _trace_index, _script_loop,
+    _label_index, _letter_index,
+]
 
 
 @pytest.mark.parametrize("reader", READERS, ids=lambda f: f.__name__.strip("_"))
@@ -73,6 +108,18 @@ def test_an_odd_token_gets_one_verdict_in_every_format(reader, tok):
             reader(tok)
     else:
         assert reader(tok) == want
+
+
+@pytest.mark.parametrize("tok", list(LETTER_TOKENS))
+def test_a_label_generator_or_braid_letter_reads_its_index_as_an_integer(tok):
+    read = _label_token if tok.startswith("g") else _letter_token
+    want = LETTER_TOKENS[tok]
+    if isinstance(want, int):
+        assert read(tok) == want
+    else:
+        with pytest.raises(ParseError) as exc:
+            read(tok)
+        assert exc.value.message == want
 
 
 @pytest.mark.parametrize("option", ["--budget", "--bound", "--max-states"])
@@ -305,8 +352,10 @@ def test_no_parser_reads_digits_on_its_own(name):
             found.append((node.lineno, "int("))
         elif isinstance(node, ast.Attribute) and node.attr in ("isdecimal", "isdigit"):
             found.append((node.lineno, node.attr))
-        elif isinstance(node, ast.Constant) and "\\d" in str(node.value):
-            found.append((node.lineno, "\\d"))
+        elif isinstance(node, ast.Constant) and (
+            digits := [c for c in ("\\d", "[0-9", "[1-9") if c in str(node.value)]
+        ):
+            found.append((node.lineno, digits[0]))
         elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("find", "rfind"):
             found.append((node.lineno, node.func.attr))
         elif isinstance(node, ast.ClassDef) and (
