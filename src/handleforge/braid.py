@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import kernels
-from .errors import read_int
+from .errors import IntegerTooLong, read_int
 
 
 class DegreeMismatch(ValueError):
@@ -85,6 +85,8 @@ def parse_word(text: str, degree: int) -> BraidWord:
         m = _LETTER_RE.match(token)
         try:
             index = read_int(m.group(2)) if m else 0
+        except IntegerTooLong:
+            raise
         except ValueError:
             index = 0
         if not index:

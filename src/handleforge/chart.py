@@ -82,7 +82,7 @@ class Chart:
 
 @dataclass(eq=False, slots=True)
 class SurfaceMap:
-    """Derived view of a chart's rotation system, its faces and components.
+    """A chart's rotation system with its faces, face count and components.
 
     Every table is keyed by dart, by component key or by the identity of an
     Edge or Vertex, never by a position in the chart's tuples, so a move's
@@ -96,11 +96,9 @@ class SurfaceMap:
     vertex_at: dict  # dart -> its Vertex
     face_at: dict  # dart -> the walk of its face, from the face's least dart
     comp: dict  # dart -> key of its connected component
-    chi: dict  # component key -> Euler characteristic
     size: dict  # component key -> number of darts
+    nfaces: int  # the number of faces
     ends: frozenset  # the darts of the free_end vertices
-    genus: int  # summed genus of the components whose count is possible
-    bad: tuple  # keys of the components whose Euler count is impossible
     # id of each Edge and Vertex -> its rank, increasing along the chart's
     # edge and vertex tuples; the ranks in the order of those tuples; and
     # the least rank above every rank in use
@@ -156,7 +154,7 @@ def _chart(degree, genus, vertices, edges, loops, pattern_loops):
 
 
 def _derived(chart):
-    """The chart's map-level violations, its SurfaceMap and its dartless vertices.
+    """The chart's map-level violations and its SurfaceMap, a pair.
 
     Derived on first use and kept on the frozen value; the map is None while
     the dart structure is broken.  A chart made by rewrite carries the map
@@ -310,32 +308,13 @@ def _face(d, alpha, sigma):
     return tuple(walk[k:] + walk[:k])
 
 
-def _euler(darts, vertex_at, face_at):
-    """V - E + F of the component made of these darts."""
-    vertices = len({id(vertex_at[d]) for d in darts})
-    faces = len({id(face_at[d]) for d in darts})
-    return vertices - len(darts) // 2 + faces
-
-
-def _tally(chi, keys):
-    """Summed genus of the keyed components, and those with impossible counts."""
-    genus, bad = 0, []
-    for k in keys:
-        x = chi[k]
-        if x % 2 or x > 2:
-            bad.append(k)
-        else:
-            genus += (2 - x) // 2
-    return genus, bad
-
-
 def _ends(vertices):
-    return {v.cycle[0] for v in vertices if v.kind == "free_end" and v.cycle}
+    return {v.cycle[0] for v in vertices if v.kind == "free_end"}
 
 
 def _derive(chart):
-    """The chart's map-level violations, its SurfaceMap and its dartless
-    vertices, derived in full."""
+    """The chart's map-level violations and its SurfaceMap, derived in full;
+    a vertex without darts breaks the dart structure."""
     vertices, edges = chart.vertices, chart.edges
     out = _header(chart)
     edge_at, alpha = {}, {}
@@ -353,11 +332,11 @@ def _derive(chart):
         alpha[d2] = d1
         if e.head != d1 and e.head != d2:
             out.append(f"edge {idx}: head {e.head} is not one of its darts")
-    vertex_at, sigma, bare = {}, {}, []
+    vertex_at, sigma = {}, {}
     for vi, v in enumerate(vertices):
         cycle = v.cycle
         if not cycle:
-            bare.append(vi)
+            out.append(f"vertex {vi} has no darts")
             continue
         prev = cycle[-1]
         for d in cycle:
@@ -371,10 +350,10 @@ def _derive(chart):
             side = "edge" if d in edge_at else "vertex"
             out.append(f"dart {d} appears only on the {side} side")
     if out:
-        return out, None, bare
+        return out, None
 
     # faces, each walked from its least dart
-    face_at, faces = {}, []
+    face_at, nfaces = {}, 0
     for d in sorted(alpha):
         if d not in face_at:
             walk, cur = [d], sigma[alpha[d]]
@@ -384,7 +363,7 @@ def _derive(chart):
             walk = tuple(walk)
             for x in walk:
                 face_at[x] = walk
-            faces.append(walk)
+            nfaces += 1
     comp, size = {}, {}
     for d in alpha:
         if d in comp:
@@ -402,26 +381,15 @@ def _derive(chart):
                 comp[y] = key
                 group.append(y)
         size[key] = len(group)
-    # Euler characteristic per component: vertices - edges + faces
-    chi = dict.fromkeys(size, 0)
-    for v in vertices:
-        if v.cycle:
-            chi[comp[v.cycle[0]]] += 1
-    for e in edges:
-        chi[comp[e.darts[0]]] -= 1
-    for w in faces:
-        chi[comp[w[0]]] += 1
-    genus, bad = _tally(chi, chi)
     nv, ne = len(vertices), len(edges)
     rank = {id(v): k for k, v in enumerate(vertices)}
     rank.update({id(e): k for k, e in enumerate(edges)})
     sm = SurfaceMap(
-        alpha, sigma, edge_at, vertex_at, face_at, comp, chi, size,
-        frozenset(_ends(vertices)), genus, tuple(bad),
-        rank, tuple(range(nv)), tuple(range(ne)), max(nv, ne),
-        len(size), max(alpha, default=0),
+        alpha, sigma, edge_at, vertex_at, face_at, comp, size, nfaces,
+        frozenset(_ends(vertices)), rank, tuple(range(nv)), tuple(range(ne)),
+        max(nv, ne), len(size), max(alpha, default=0),
     )
-    return [], sm, bare
+    return [], sm
 
 
 def _searches(seeds, alpha, sigma):
@@ -474,21 +442,21 @@ def _searches(seeds, alpha, sigma):
 
 
 def _carry(chart, p):
-    """The map of chart, made from p.parent by rewrite with the Patch p.
+    """(violations, map) of chart, made by rewrite with the Patch p.
 
     A patch that removes and makes no Edge or Vertex keeps the parent's
     map.  Otherwise the dart tables are copied and patched, and only the
     faces through a patch dart are walked again.  Components are searched
-    from the patch alone, and the Euler count of the one component left
-    unexplored follows by difference.  A patch that does not fit its
-    parent, or an output with a broken dart structure, is derived in full
-    instead, which names the violations.
+    from the patch alone, and the size of the one component left unexplored
+    follows by difference.  A patch that does not fit its parent, or an
+    output with a broken dart structure, is derived in full instead, which
+    names the violations.
     """
     parent = p.parent
     got = _derived(parent)
-    pout, pm, pbare = got
+    pout, pm = got
     # rewrite keeps the degree, so of the header only the genus can break
-    if pout or pbare or pm.bad or chart.genus < 0:
+    if pout or chart.genus < 0:
         return _derive(chart)
     if p.ranks is None:
         return got
@@ -577,14 +545,10 @@ def _carry(chart, p):
     # components: the parent components the patch reaches are replaced by
     # the components of the patch's surviving darts
     keys = sorted({pcomp[d] for d in was})
-    chi, size = pm.chi.copy(), pm.size.copy()
-    region_chi = sum(map(chi.pop, keys))
-    region_size = sum(map(size.pop, keys))
-    region_chi += len(nv) - len(gv) - len(ne) + len(ge) + walks - len(stale)
-    region_size += len(alpha) - len(pm.alpha)
+    size = pm.size.copy()
+    region_size = sum(map(size.pop, keys)) + len(alpha) - len(pm.alpha)
     done, running, owner = _searches(live, alpha, sigma)
     fresh = pm.key
-    changed = []
     if running is not None:
         darts, todo = running
         # the darts of each parent component reached that were neither
@@ -612,29 +576,23 @@ def _carry(chart, p):
                         stack.append(x)
             for d in darts:
                 comp[d] = keep
-            chi[keep] = region_chi - sum(_euler(g, vertex_at, face_at) for g in done)
             size[keep] = region_size - sum(map(len, done))
-            changed.append(keep)
         else:
             done.append(darts)
     for group in done:
         for d in group:
             comp[d] = fresh
-        chi[fresh] = _euler(group, vertex_at, face_at)
         size[fresh] = len(group)
-        changed.append(fresh)
         fresh += 1
-    lost, _ = _tally(pm.chi, keys)
-    won, bad = _tally(chi, changed)
 
     ends = pm.ends
     if any(v.kind == "free_end" for v in (*gv, *nv)):
         ends = ends.difference(_ends(gv)).union(_ends(nv))
     sm = SurfaceMap(
-        alpha, sigma, edge_at, vertex_at, face_at, comp, chi, size,
-        ends, pm.genus - lost + won, tuple(bad), rank, *p.ranks, top, fresh, last,
+        alpha, sigma, edge_at, vertex_at, face_at, comp, size,
+        pm.nfaces + walks - len(stale), ends, rank, *p.ranks, top, fresh, last,
     )
-    return [], sm, []
+    return [], sm
 
 
 def _word(edge_at, v):
@@ -687,19 +645,18 @@ def _match_crossing(seq):
 def validate_chart(chart, touched=None):
     """Check the chart axioms; returns a list of violations, empty when valid.
 
-    The map-level axioms (degree, genus, dart structure) and the Euler and
-    genus count are read off the chart's map, which keeps them per
-    component; a move's output updates them for the components its patch
-    reaches (see rewrite).  The full check runs the per-vertex and per-edge
+    The map-level axioms (degree, genus, dart structure) are read off the
+    chart's map, which a move's output carries through its patch (see
+    rewrite), and the genus bound off Euler's formula (see
+    _count_violations).  The full check runs the per-vertex and per-edge
     axioms everywhere and checks every loop and pattern-loop record; its
     verdict is kept on the frozen chart.  Given touched, a collection of
     darts and records or a move's Patch (which names the darts of the
     objects it makes, and its records), it runs them only at the vertices
-    and edges holding
-    one of those darts (and at vertices without darts, which no dart can
-    name) and checks only those records.  The patch check suffices after a
-    move over a valid chart: a vertex whose Vertex and Edge objects the
-    move kept has the same word as before, and a kept record is unchanged.
+    and edges holding one of those darts and checks only those records.
+    The patch check suffices after a move over a valid chart: a vertex
+    whose Vertex and Edge objects the move kept has the same word as
+    before, and a kept record is unchanged.
     """
     if touched is None:
         got = chart.__dict__.get("_verdict")
@@ -711,7 +668,7 @@ def validate_chart(chart, touched=None):
 
 
 def _violations(chart, touched):
-    out, sm, bare = _derived(chart)
+    out, sm = _derived(chart)
     if out:
         return list(out)
     if touched is None:
@@ -726,13 +683,11 @@ def _violations(chart, touched):
         else:
             darts = [d for d in touched if type(d) is int]
             records = touched
-        verts = [(vi, chart.vertices[vi]) for vi in bare]
-        edges = ()
+        verts = edges = ()
         if darts:
             vs = {id(v): (None, v) for v in map(sm.vertex_at.get, darts) if v}
             es = {id(e): (None, e) for e in map(sm.edge_at.get, darts) if e}
-            verts[:0] = vs.values()
-            edges = es.values()
+            verts, edges = vs.values(), es.values()
         loops = pats = ()
         if records:
             loops = [(None, x) for x in records if type(x) is FloatingLoop]
@@ -797,22 +752,13 @@ def _word_violations(chart, sm, verts):
 
 
 def _count_violations(chart, sm):
-    """Orientability bookkeeping: each connected component of the map has
-    an even Euler characteristic, and the component genera must fit the
-    carrier.  A component is named by its least vertex index."""
-    out = []
-    if sm.bad:
-        least = {}
-        for vi, v in enumerate(chart.vertices):
-            least.setdefault(sm.comp[v.cycle[0]], vi)
-        for vi, k in sorted((least[k], k) for k in sm.bad):
-            out.append(f"component at vertex {vi}: impossible Euler count {sm.chi[k]}")
-    if sm.genus > chart.genus:
-        out.append(
-            f"total component genus {sm.genus} exceeds declared genus"
-            f" {chart.genus}"
-        )
-    return out
+    """The summed genus of the map's components must fit the carrier: each
+    is a closed oriented surface with V - E + F = 2 - 2g, so the sum is the
+    number of components less half of the chart's V - E + F."""
+    genus = len(sm.size) - (len(chart.vertices) - len(chart.edges) + sm.nfaces) // 2
+    if genus > chart.genus:
+        return [f"total component genus {genus} exceeds declared genus {chart.genus}"]
+    return []
 
 
 def _named(items, what, bad):
@@ -836,7 +782,7 @@ def _require_valid(chart):
 
 def surface_map(chart):
     """The chart's SurfaceMap (alpha, sigma, face walks, components)."""
-    out, sm, _ = _derived(chart)
+    out, sm = _derived(chart)
     if out:
         raise InvalidChart(out)
     return sm
@@ -913,8 +859,6 @@ def unbraiding_bounds(chart):
 
 
 def _rotated(cycle):
-    if not cycle:
-        return cycle
     k = cycle.index(min(cycle))
     return cycle[k:] + cycle[:k]
 
@@ -924,7 +868,7 @@ def canonical_dart_map(chart):
     surface_map(chart)  # raises on a broken dart structure
     verts = sorted(
         (Vertex(v.kind, _rotated(v.cycle)) for v in chart.vertices),
-        key=lambda v: (v.cycle[0] if v.cycle else float("inf"), v.kind),
+        key=lambda v: (v.cycle[0], v.kind),
     )
     remap = {}
     for v in verts:
@@ -945,7 +889,7 @@ def canonical_chart(chart, remap=None):
     verts = [Vertex(v.kind, _rotated(v.cycle)) for v in chart.vertices]
     new_verts = sorted(
         (Vertex(v.kind, _rotated(tuple(remap[d] for d in v.cycle))) for v in verts),
-        key=lambda v: (v.cycle[0] if v.cycle else float("inf"), v.kind),
+        key=lambda v: (v.cycle[0], v.kind),
     )
     new_edges = []
     for e in chart.edges:

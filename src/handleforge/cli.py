@@ -31,7 +31,7 @@ from .engine import (
     unbraid_with_branch,
     unbraid_without_branch,
 )
-from .errors import ParseError, read_int, read_lines
+from .errors import ParseError, TokenError, read_int, read_lines
 from .handles import (
     BudgetExceeded,
     HandleTrace,
@@ -97,7 +97,8 @@ def parse_input(path: str):
     checked against the vertex/label axioms; violations raise InvalidChart.
     """
     text = _read(path)
-    head = next((toks[0] for _, _, toks in read_lines(text)), "")
+    row = next(read_lines(text), None)
+    head = row[2][0] if row else ""
     if head == "chart":
         chart = parse_chart(text)
         violations = validate_chart(chart)
@@ -106,7 +107,8 @@ def parse_input(path: str):
         return "chart", chart
     if head == "handles":
         return "handles", parse_handles(text)
-    raise ParseError(1, 1, f"unrecognized file kind {head!r}")
+    err = TokenError(0, f"unrecognized file kind {head!r}")
+    raise err.at(*row[:2]) if row else ParseError(1, 1, str(err))
 
 
 def _load(path: str, kind: str):

@@ -1667,7 +1667,8 @@ class _InsertSites:
 
 
 def generate_blackless_chart(degree: int, steps: int, rng) -> Chart:
-    """Grow a valid blackless genus-0 chart by random inverse-direction moves."""
+    """Grow a valid blackless genus-0 chart by random inverse-direction
+    moves.  Each move drawn is legal by construction, so a refusal raises."""
     s = empty_surface(degree)
     for _ in range(steps):
         ch = s.chart
@@ -1700,32 +1701,29 @@ def generate_blackless_chart(degree: int, steps: int, rng) -> Chart:
         if degree >= 3:
             opts += ["bootwhite", "bootwhite", "bootwhite"]
         kind = rng.choice(opts)
-        try:
-            if kind == "addloop":
-                lab = rng.randrange(1, degree)
-                sign = 1 if rng.random() < 0.7 else -1
-                s, _ = apply_move(s, CIM1Add(lab, sign))
-            elif kind == "split":
-                e = rng.choice(sorted(ch.edges, key=lambda e: min(e.darts)))
-                s, _ = apply_move(s, CIM2Split(min(e.darts), rng.choice((1, -1))))
-            elif kind == "insert":
-                a, b = rng.choice(_InsertSites(m, degree))
-                s, _ = apply_move(s, CIR2Insert(a, b))
-            elif kind == "bootcir":
-                i, j = rng.choice(pairs)
-                s, _ = apply_move(s, CIR2Bootstrap(i, j))
-            else:
-                x = rng.randrange(1, degree)
-                ys = [y for y in (x - 1, x + 1) if 1 <= y <= degree - 1]
-                y = rng.choice(ys)
-                base = len(ch.loops)
-                for lab in (y, x, y, x, y):
-                    s, _ = apply_move(s, CIM1Add(lab, 1))
-                s, _ = apply_move(
-                    s, CIM3Bootstrap(x, y, tuple(range(base, base + 5)))
-                )
-        except ValueError:
-            continue
+        if kind == "addloop":
+            lab = rng.randrange(1, degree)
+            sign = 1 if rng.random() < 0.7 else -1
+            s, _ = apply_move(s, CIM1Add(lab, sign))
+        elif kind == "split":
+            e = rng.choice(sorted(ch.edges, key=lambda e: min(e.darts)))
+            s, _ = apply_move(s, CIM2Split(min(e.darts), rng.choice((1, -1))))
+        elif kind == "insert":
+            a, b = rng.choice(_InsertSites(m, degree))
+            s, _ = apply_move(s, CIR2Insert(a, b))
+        elif kind == "bootcir":
+            i, j = rng.choice(pairs)
+            s, _ = apply_move(s, CIR2Bootstrap(i, j))
+        else:
+            x = rng.randrange(1, degree)
+            ys = [y for y in (x - 1, x + 1) if 1 <= y <= degree - 1]
+            y = rng.choice(ys)
+            base = len(ch.loops)
+            for lab in (y, x, y, x, y):
+                s, _ = apply_move(s, CIM1Add(lab, 1))
+            s, _ = apply_move(
+                s, CIM3Bootstrap(x, y, tuple(range(base, base + 5)))
+            )
     return s.chart
 
 

@@ -43,6 +43,11 @@ def read_token(read, index: int, text: str, prefix: str = ""):
         raise TokenError(index, prefix + str(exc)) from None
 
 
+class IntegerTooLong(ValueError):
+    """An integer token past int()'s digit limit; the label and braid
+    letter readers pass it on where they refuse other bad indices."""
+
+
 class BudgetExceeded(RuntimeError):
     """A search reached its state budget before it could answer."""
 
@@ -55,7 +60,7 @@ def read_int(tok: str, signed: bool = False) -> int:
         try:
             return int(tok)
         except ValueError:  # past int()'s digit limit
-            raise ValueError(f"an integer of {len(tok)} digits is too long") from None
+            raise IntegerTooLong(f"an integer of {len(tok)} digits is too long") from None
     body = tok[1:]
     if signed and tok[:1] == "-" and body.isascii() and body.isdecimal() and body.strip("0"):
         return -read_int(body)

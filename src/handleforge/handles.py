@@ -18,7 +18,8 @@ from typing import Iterable, Union
 from . import kernels
 from .braid import BraidWord, format_word, parse_word
 from .errors import (
-    BudgetExceeded, ParseError, TokenError, read_int, read_lines, read_sign, read_token, sign_text,
+    BudgetExceeded, IntegerTooLong, ParseError, TokenError, read_int, read_lines, read_sign,
+    read_token, sign_text,
 )
 
 
@@ -675,6 +676,8 @@ def _parse_label(token: str, generator_count: int) -> HandleLabel:
         m = _LABEL_TOKEN_RE.match(piece)
         try:
             g = read_int(m.group(1)) if m else 0
+        except IntegerTooLong:
+            raise
         except ValueError:
             g = 0
         if not g:

@@ -251,6 +251,102 @@ class TestSurfaceMap:
         assert validate_chart(torus) == []
 
 
+def genus_two_chart(genus=0):
+    """Closed curves of labels 1 and 3 that cross four times, the 3-curve
+    taking the crossings in the order 0, 1, 3, 2: one component of genus 2."""
+    return mk(
+        4,
+        genus,
+        vertices=[("crossing", tuple(range(4 * k + 1, 4 * k + 5))) for k in range(4)],
+        edges=[(1, 7, 1, 7), (5, 11, 1, 11), (9, 15, 1, 15), (13, 3, 1, 3),
+               (2, 8, 3, 8), (6, 16, 3, 16), (14, 12, 3, 12), (10, 4, 3, 4)],
+    )
+
+
+def two_tori(genus=0):
+    """Two copies of the torus crossing chart, one component each."""
+    return mk(
+        4,
+        genus,
+        vertices=[("crossing", (1, 2, 3, 4)), ("crossing", (5, 6, 7, 8))],
+        edges=[(1, 3, 1, 3), (2, 4, 3, 4), (5, 7, 1, 7), (6, 8, 3, 8)],
+    )
+
+
+def reference_genus(chart):
+    """The summed genus of the chart's components, each read off
+    V - E + F = 2 - 2g, by a walk of the chart's own alpha and sigma."""
+    alpha, sigma = {}, {}
+    for e in chart.edges:
+        a, b = e.darts
+        alpha[a], alpha[b] = b, a
+    for v in chart.vertices:
+        for k, d in enumerate(v.cycle):
+            sigma[d] = v.cycle[(k + 1) % len(v.cycle)]
+    root = {}
+    for d in alpha:
+        if d not in root:
+            root[d], todo = d, [d]
+            while todo:
+                x = todo.pop()
+                for y in (alpha[x], sigma[x]):
+                    if y not in root:
+                        root[y] = d
+                        todo.append(y)
+    chi = dict.fromkeys(root.values(), 0)
+    for v in chart.vertices:
+        chi[root[v.cycle[0]]] += 1
+    for e in chart.edges:
+        chi[root[e.darts[0]]] -= 1
+    walked = set()
+    for d in alpha:
+        if d not in walked:
+            chi[root[d]] += 1
+            while d not in walked:
+                walked.add(d)
+                d = sigma[alpha[d]]
+    assert all(x <= 2 and x % 2 == 0 for x in chi.values()), chi
+    return sum((2 - x) // 2 for x in chi.values())
+
+
+class TestGenusByEuler:
+    """The genus bound read off four counts agrees with a reference that
+    sums (2 - chi) / 2 over the components of its own walk."""
+
+    @pytest.mark.parametrize("build, components, genus", [
+        (torus_crossing_chart, 1, 1),
+        (two_tori, 2, 2),
+        (genus_two_chart, 1, 2),
+    ], ids=["torus", "two-tori", "genus-two"])
+    def test_the_genus_bound_matches_the_reference(self, build, components, genus):
+        chart = build(0)
+        assert reference_genus(chart) == genus
+        assert len(surface_map(chart).size) == components
+        assert validate_chart(chart) == [
+            f"total component genus {genus} exceeds declared genus 0"
+        ]
+        assert validate_chart(build(genus)) == []
+
+    def test_planar_charts_have_genus_zero(self):
+        for chart in (free_edge_chart(), white_spider(), crossing_spider(), mk(4, 0)):
+            assert reference_genus(chart) == 0
+            assert validate_chart(chart) == []
+
+
+class TestDartlessVertex:
+    """A vertex without darts breaks the dart structure: no map is made."""
+
+    def test_it_is_a_dart_structure_violation(self):
+        base = free_edge_chart()
+        c = replace(base, vertices=base.vertices + (Vertex("white", ()),))
+        assert validate_chart(c) == ["vertex 2 has no darts"]
+        with pytest.raises(InvalidChart) as exc:
+            surface_map(c)
+        assert exc.value.violations == ["vertex 2 has no darts"]
+        with pytest.raises(InvalidChart):
+            format_chart(c)
+
+
 class TestStats:
     def test_empty(self):
         s = chart_stats(mk(4, 0))

@@ -65,6 +65,7 @@ from handleforge.engine import (
     LabelConstraintViolated,
     MissingGeneratorHandles,
     MoveHandleAcrossEdge,
+    NonCommutingDecoration,
     NonTrivialHandle,
     NotRepeatedPattern,
     OrientationReversalAid,
@@ -88,6 +89,8 @@ from handleforge.engine import (
     unbraid_with_branch,
     unbraid_without_branch,
 )
+from handleforge.errors import ParseError
+from test_chart import reference_genus
 
 WHITE_BASE = [(1, 1), (2, 1), (1, 1), (2, -1), (1, -1), (2, -1)]
 
@@ -854,7 +857,6 @@ class TestScripts:
         assert certify_trace(again).ok
 
     def test_parse_reports_bad_lines(self):
-        from handleforge.errors import ParseError
         with pytest.raises(ParseError) as info:
             parse_script("move cim1add label=1 sign=+\nmove bogus x=1\n",
                          empty_surface(4))
@@ -1433,18 +1435,16 @@ def _fresh_copy(chart):
 
 
 def _map_key(m):
-    """A map as plain data: dart tables, faces as a set of walks, components
-    as a partition of darts with their Euler counts and sizes, and the
-    counts read off it."""
+    """A map as plain data: dart tables, faces as a set of walks and their
+    count, and components as a partition of darts with their sizes."""
     parts = {}
     for d, k in m.comp.items():
         parts.setdefault(k, set()).add(d)
-    assert set(parts) == set(m.chi) == set(m.size)
-    comps = {frozenset(p): (m.chi[k], m.size[k]) for k, p in parts.items()}
+    assert set(parts) == set(m.size)
+    comps = {frozenset(p): m.size[k] for k, p in parts.items()}
     return (
         m.alpha, m.sigma, m.edge_at, m.vertex_at, m.face_at,
-        set(m.face_at.values()), comps, m.ends, m.genus,
-        {frozenset(parts[k]) for k in m.bad},
+        set(m.face_at.values()), m.nfaces, comps, m.ends,
     )
 
 
@@ -1459,9 +1459,9 @@ class TestCarriedMap:
 
         def check(s, touched=None, held=None):
             original(s, touched, held)
-            out, m, bare = chart_mod._derived(s.chart)
-            fout, fm, fbare = chart_mod._derive(_fresh_copy(s.chart))
-            assert (out, bare) == (fout, fbare)
+            out, m = chart_mod._derived(s.chart)
+            fout, fm = chart_mod._derive(_fresh_copy(s.chart))
+            assert out == fout
             assert _map_key(m) == _map_key(fm)
             # the carried ranks order the vertex and edge tuples
             ch = s.chart
@@ -1471,7 +1471,7 @@ class TestCarriedMap:
                 assert ranks == sorted(set(ranks)) and all(r < m.top for r in ranks)
                 assert kept == tuple(ranks)
             # the next component key and the largest dart kept in the map
-            assert all(k < m.key for k in m.chi)
+            assert all(k < m.key for k in m.size)
             assert m.last == max(m.alpha, default=0)
             seen["carried"] += touched is not None
 
@@ -1667,6 +1667,16 @@ class TestIncrementalPathRefusals:
         want, _ = self._refused_like_a_fresh_copy(monkeypatch, s, mv, applier)
         assert len(want) == 1 and "invalid crossing word" in want[0]
 
+    def test_a_dartless_vertex(self, monkeypatch):
+        s = surf(generate_blackless_chart(4, 20, random.Random(5)))
+        mv = next(m for m in enumerate_chart_moves(s) if isinstance(m, CIM2Reconnect))
+
+        def applier(s, mv):
+            return engine._rewrite(s, (), (Vertex("white", ()),)), mv
+
+        want, out = self._refused_like_a_fresh_copy(monkeypatch, s, mv, applier)
+        assert want == [f"vertex {len(out.vertices) - 1} has no darts"]
+
     def test_a_non_planar_insert_refused_by_the_euler_count(self, monkeypatch):
         calls = []
         full = chart_mod._derive
@@ -1687,15 +1697,25 @@ class TestIncrementalPathRefusals:
                         honest(s, mv)
                     except ValueError:
                         continue
-                    # the applier accepts the site; only the map's Euler
-                    # count, carried through the patch, refuses the output
+                    # the applier accepts the site; only the genus bound,
+                    # read off the counts carried through the patch,
+                    # refuses the output, with the reference's genus
                     want, out = self._refused_like_a_fresh_copy(
                         monkeypatch, s, mv, honest
                     )
                     assert not any(c is out for c in calls)
-                    assert any("Euler" in v or "genus" in v for v in want)
+                    genus = reference_genus(out)
+                    assert genus > 0
+                    assert want == [f"total component genus {genus} exceeds declared genus 0"]
                     refused += 1
         assert refused >= 5, refused
+
+
+def test_a_dartless_vertex_fails_certification_before_any_step():
+    base = free_edge_chart()
+    ch = replace(base, vertices=base.vertices + (Vertex("white", ()),))
+    got = certify_trace(EngineTrace(surf(ch), (CIM1Add(1, 1),)))
+    assert (got.ok, got.step, got.reason) == (False, None, "vertex 2 has no darts")
 
 
 def _line_events(fn, *args):
@@ -2214,10 +2234,16 @@ def _attached(s, *attach):
     return s
 
 
-_A = AttachTrivialHandle
+def _records(*loops, genus=0):
+    """An empty degree-4 chart holding the given loop records."""
+    return surf(mk(genus=genus, loops=loops))
 
-# the refusals of the compound appliers, each with a surface that reaches
-# it: (id, surface, move, error type, message)
+
+_A = AttachTrivialHandle
+_L = FloatingLoop
+
+# the applier refusals, each with a surface that reaches it: (id, surface,
+# move, error type, message)
 REFUSALS = [
     ("straighten-one-crossing", _two_crossed_pairs, CIR2Straighten(1, 2),
      SiteMismatch, "need two distinct crossings"),
@@ -2272,6 +2298,63 @@ REFUSALS = [
      SiteMismatch, "only the innermost copy can be captured"),
     ("relabel-span", lambda: _attached(empty_surface(4), _A(cocore_label=1)),
      FreeEdgeRelabel(1, 2), SiteMismatch, "both ends must be lone black vertices"),
+    ("cir2loops-same", lambda: _records(_L(1, 1), _L(3, 1)), CIR2Bootstrap(0, 0),
+     SiteMismatch, "need two distinct records"),
+    ("cir2loops-near", lambda: _records(_L(1, 1), _L(2, 1)), CIR2Bootstrap(0, 1),
+     LabelConstraintViolated, "labels 1 and 2 do not far-commute"),
+    ("cir2loops-pinned", lambda: _records(_L(1, 1, pinned=True), _L(3, 1), genus=1),
+     CIR2Bootstrap(0, 1), SiteMismatch, "pinned records cannot be rewired"),
+    ("sweep-own-edge", lambda: surf(two_free_edges()), CIISweep(1, 2),
+     SiteMismatch, "cannot sweep across the strand's own edge"),
+    ("sweep-near", lambda: surf(two_free_edges(1, 2)), CIISweep(1, 3),
+     LabelConstraintViolated, "labels 1 and 2 do not far-commute"),
+    ("cim3loops-repeated", lambda: _records(*[_L(2, 1)] * 5), CIM3Bootstrap(1, 2, (0, 0, 1, 2, 3)),
+     SiteMismatch, "need five distinct records"),
+    ("cim3loops-labels", lambda: _records(*[_L(1, 1)] * 5), CIM3Bootstrap(1, 2, (0, 1, 2, 3, 4)),
+     LabelConstraintViolated, "record labels must read (2, 1, 2, 1, 2), got (1, 1, 1, 1, 1)"),
+    ("cim3loops-negative",
+     lambda: _records(_L(2, 1), _L(1, 1), _L(2, -1), _L(1, 1), _L(2, 1)),
+     CIM3Bootstrap(1, 2, (0, 1, 2, 3, 4)), SiteMismatch, "records must be plain positive loops"),
+    ("attach-degree", lambda: empty_surface(4), _A(coreloop=BraidWord(3)),
+     SiteMismatch, "coreloop degree 3 vs chart degree 4"),
+    ("attach-footless-word", lambda: empty_surface(4), _A(coreloop=BraidWord.from_signed(4, (1,))),
+     NonTrivialHandle, "a footless attachment must carry no loop word"),
+    ("attach-two-letters", lambda: empty_surface(4),
+     _A(1, coreloop=BraidWord.from_signed(4, (3, 3))),
+     NonTrivialHandle, "a standard handle carries at most one loop letter"),
+    ("detach-footless-word",
+     lambda: _attached(_field_check_surface(), MoveHandleAcrossEdge(1, loop=0)),
+     DetachTrivialHandle(1), NonTrivialHandle, "the handle still carries loop letters"),
+    ("detach-two-letters",
+     lambda: _attached(_records(_L(3, 1), _L(3, 1)), _A(1), MoveHandleAcrossEdge(1, loop=0),
+                       MoveHandleAcrossEdge(1, loop=0)),
+     DetachTrivialHandle(1), NonTrivialHandle, "the handle still carries loop letters"),
+    ("detach-near-letter",
+     lambda: _attached(_records(_L(2, 1)), _A(1), MoveHandleAcrossEdge(1, loop=0)),
+     DetachTrivialHandle(1), NonCommutingDecoration, "loop letter too close to the span label"),
+    ("detach-coiled", _coiled, DetachTrivialHandle(1),
+     NonTrivialHandle, "a coiled handle cannot detach"),
+    ("across-no-site", _field_check_surface, MoveHandleAcrossEdge(1),
+     SiteMismatch, "exactly one of dart/end/loop/emit_label is required"),
+    ("across-spanned-dart", lambda: _attached(surf(free_edge_chart()), _A(1)),
+     MoveHandleAcrossEdge(1, dart=1), SiteMismatch, "a spanned handle cannot slide around a strand"),
+    ("across-end-missing", _field_check_surface, MoveHandleAcrossEdge(1, end=99),
+     SiteMismatch, "the push site must be a lone black end"),
+    ("across-pinned", lambda: _attached(_records(_L(2, 1, pinned=True), genus=1), _A()),
+     MoveHandleAcrossEdge(1, loop=0), SiteMismatch, "pinned records cannot be captured"),
+    ("bridge-footless", lambda: _attached(surf(free_edge_chart()), _A()), Bridge(1, 1),
+     NonTrivialHandle, "only a spanned handle can bridge"),
+    ("bridge-own-span", lambda: _attached(empty_surface(4), _A(1)), Bridge(1, 1),
+     SiteMismatch, "cannot bridge the handle onto its own span"),
+    ("bridge-label", lambda: _attached(surf(free_edge_chart(label=3)), _A(1)), Bridge(1, 1),
+     LabelConstraintViolated, "span label 1 vs strand label 3"),
+    ("slideend-crossing", _two_crossed_pairs, SlideEndAlongEdge(1, 2),
+     SiteMismatch, "only a lone end can slide"),
+    ("twist-no-coil", lambda: empty_surface(4), PatternTwist(1),
+     NotRepeatedPattern, "expected exactly one coiled handle"),
+    ("split-no-dart", _two_crossed_pairs, CIM2Split(99, 1), SiteMismatch, "no dart 99"),
+    ("add-no-slot", lambda: empty_surface(4), CIM1Add(1, 1, index=1),
+     SiteMismatch, "no record slot 1"),
 ]
 
 
@@ -2286,6 +2369,54 @@ def test_an_applier_refusal_is_typed_and_fails_its_certification_step(build, mv,
     # two moves that undo each other come first, so the refusal is step 2
     got = certify_trace(EngineTrace(s, (CIM1Add(1, 1), CIM1Erase(len(s.chart.loops)), mv)))
     assert (got.ok, got.step, got.reason) == (False, 2, f"{error.__name__}: {message}")
+
+
+def _verdict(s, steps=(), claims=()):
+    got = certify_trace(EngineTrace(s, tuple(steps), tuple(claims)))
+    return got.ok, got.step, got.reason
+
+
+def _two_coils():
+    coil = AttachedHandle(1, BraidWord(2), None, mn=(1, 0))
+    return surf(mk(degree=2), (coil, replace(coil, id=2)))
+
+
+# the refusals outside the appliers that no other test reaches, each a call
+# and what it gives: (id, call, a verdict or (error type, message))
+OTHER_REFUSALS = [
+    ("claim-empty-records", lambda: _verdict(_records(_L(1, 1)), claims=("empty",)),
+     (False, None, "claim empty: records remain")),
+    ("claim-weak-forms", lambda: _verdict(_coiled(), claims=("weak-forms",)),
+     (False, None, "claim weak-forms: handle 1 is not in form")),
+    ("claim-handle-mn", lambda: _verdict(_coiled(), claims=("handle-mn=1,1",)),
+     (False, None, "claim handle-mn=1,1: no coiled handle matches")),
+    ("certify-not-a-move", lambda: _verdict(empty_surface(4), ("cim1add",)),
+     (False, 0, "not a move: 'cim1add'")),
+    ("script-restore",
+     lambda: format_script(EngineTrace(empty_surface(4), (engine._Restore(None, None),))),
+     (ValueError, "_Restore has no text form")),
+    ("script-no-value", lambda: parse_script("move cim1add label\n", empty_surface(4)),
+     (ParseError, "line 1, column 14: expected key=value, got 'label'")),
+    ("script-empty-cocore", lambda: parse_script("move attach cocore=e\n", empty_surface(4)),
+     (ParseError, "line 1, column 13: cocore must be a single letter")),
+    ("unbraid-mode", lambda: unbraid_without_branch(empty_surface(4), "bogus"),
+     (ValueError, "unknown mode 'bogus'")),
+    ("pattern-two-coils", lambda: unbraid_repeated_pattern(_two_coils()),
+     (NotRepeatedPattern, "expected exactly one coiled handle")),
+]
+
+
+@pytest.mark.parametrize(
+    "call, want", [row[1:] for row in OTHER_REFUSALS], ids=[row[0] for row in OTHER_REFUSALS]
+)
+def test_a_claim_script_or_driver_refusal(call, want):
+    if isinstance(want[0], type):
+        error, message = want
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message
+    else:
+        assert call() == want
 
 
 def _bridged_left_of_a_loop_letter():

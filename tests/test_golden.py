@@ -2,7 +2,12 @@
 
 Each digest is a sha256 over every byte a run produces, so a change to any
 report line, exit code, error text, emitted trace or normal-form step shows
-here.  Run this file as a script to print the current digests.
+here.  Run this file as a script to print the current digests; with
+`--transcript DIR` it also writes the text they hash into DIR, as
+cli.txt and normalizer.txt, so that two checkouts can be diffed before a
+digest is edited:
+
+    PYTHONPATH=src python tests/test_golden.py --transcript out
 """
 
 import contextlib
@@ -114,9 +119,10 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def cli_transcript(directory):
+def cli_transcript(directory, record=None):
     """(digest, exit codes seen) of every command run in directory, in both
-    formats; a run's emitted trace file is part of its record."""
+    formats; a run's emitted trace file is part of its record.  Each run is
+    also appended to the list record, when given, as readable text."""
     with contextlib.chdir(directory):
         for name, text in {**FILES, **_blackless_charts()}.items():
             with open(name, "w", encoding="utf-8") as fh:
@@ -137,6 +143,11 @@ def cli_transcript(directory):
                     except OSError:
                         pass
                 h.update(repr((argv, code, out, err, emitted)).encode())
+                if record is not None:
+                    record.append(
+                        f"$ {' '.join(argv)}\nexit {code}\n--- stdout\n{out}--- stderr\n"
+                        f"{err}--- emitted\n{'' if emitted is None else emitted}\n"
+                    )
     return h.hexdigest(), codes
 
 
@@ -156,23 +167,31 @@ def _seeded_system(seed, trivial):
     return HandleSystem(g, tuple(handles))
 
 
-def normalizer_traces():
+def normalizer_traces(record=None):
+    """The digest of the seeded normalizer runs; each hashed text is also
+    appended to the list record, when given, ending in a newline."""
     h = hashlib.sha256()
+
+    def put(text):
+        h.update(text.encode())
+        if record is not None:
+            record.append(text if text.endswith("\n") else text + "\n")
+
     for seed in range(20):
         s = _seeded_system(seed, trivial=True)
         for fn in (normalize_hirose, classify_standard):
             tag = fn(s)
-            h.update(repr((tag.kind, tag.k)).encode())
-            h.update(format_trace(tag.trace).encode())
+            put(repr((tag.kind, tag.k)))
+            put(format_trace(tag.trace))
         for system in (s, _seeded_system(seed, trivial=False)):
             for fn in (normalize_general, normalize_with_stabilizer):
                 final, trace = fn(system)
-                h.update(format_trace(trace).encode())
-                h.update(format_handles(final).encode())
+                put(format_trace(trace))
+                put(format_handles(final))
     return h.hexdigest()
 
 
-CLI_DIGEST = "51c4f26df54c1f229cd57fcf6bff1142c9f77996978e7cc455e9d7e6c6984e63"
+CLI_DIGEST = "0ed3db88d00ab442a82eab987d84dc611d54491692be10f001137199931e842b"
 NORMALIZER_DIGEST = "b068e3c140c88efbcafff8240b563ebe09d30adc4c9ad103f72183eb294fbbc3"
 
 
@@ -204,8 +223,20 @@ def test_every_normalizer_trace_file_round_trips():
 
 
 if __name__ == "__main__":
+    import argparse
     import tempfile
+    from pathlib import Path
 
+    parser = argparse.ArgumentParser(description="Print the golden digests.")
+    parser.add_argument("--transcript", metavar="DIR",
+                        help="also write the text the digests hash into DIR")
+    args = parser.parse_args()
+    runs, traces = ([], []) if args.transcript else (None, None)
     with tempfile.TemporaryDirectory() as d:
-        print("CLI_DIGEST", *cli_transcript(d))
-    print("NORMALIZER_DIGEST", normalizer_traces())
+        print("CLI_DIGEST", *cli_transcript(d, runs))
+    print("NORMALIZER_DIGEST", normalizer_traces(traces))
+    if args.transcript:
+        out = Path(args.transcript)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "cli.txt").write_text("".join(runs), encoding="utf-8")
+        (out / "normalizer.txt").write_text("".join(traces), encoding="utf-8")

@@ -143,6 +143,28 @@ class TestLabels:
         assert w.abelianized(3) == (2, -1, 0)
 
 
+# the refusals of the label and system constructors: (id, build, message)
+CONSTRUCTOR_REFUSALS = [
+    ("generator-zero", lambda: HandleLabel(((0, 1),)),
+     "generator index must be positive, got 0"),
+    ("sign-two", lambda: HandleLabel(((1, 2),)), "sign must be +1 or -1, got 2"),
+    ("unreduced", lambda: HandleLabel(((2, 1), (2, -1))), "label word is not freely reduced"),
+    ("negative-count", lambda: HandleSystem(-1), "generator count must be non-negative"),
+    ("generator-past-count", lambda: HandleSystem(1, (DecoratedHandle(gen(2), 1, 0),)),
+     "label uses generator 2 but the system has only 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message", [row[1:] for row in CONSTRUCTOR_REFUSALS],
+    ids=[row[0] for row in CONSTRUCTOR_REFUSALS],
+)
+def test_a_label_or_system_constructor_refuses_a_bad_value(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 class TestMoves:
     def test_invert(self):
         s = sys_of((2, 3), labels=[gen(1)], g=1)

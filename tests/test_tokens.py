@@ -196,6 +196,17 @@ class TestLongIntegers:
         err = self._run(tmp_path, capsys, self.CHART, f"move cim1erase loop={LONG}\n")
         assert err == "error: line 1, column 16: an integer of 5000 digits is too long\n"
 
+    def test_in_a_label_generator(self, tmp_path, capsys):
+        err = self._run(tmp_path, capsys, self.SYSTEM + f"g{LONG} 1 0\n")
+        assert err == "error: line 3, column 1: bad handle: an integer of 5000 digits is too long\n"
+
+    def test_in_a_braid_letter(self, tmp_path, capsys):
+        system = self.SYSTEM.replace("pattern=e", f"pattern=s{LONG}")
+        err = self._run(tmp_path, capsys, system)
+        assert err == (
+            "error: line 1, column 1: bad pattern braid: an integer of 5000 digits is too long\n"
+        )
+
 
 # One position rule for the four formats: a ParseError is at the line and
 # column where the token at fault starts.  Each row is (format, the line
