@@ -20,7 +20,8 @@ class DegreeMismatch(ValueError):
 
 
 def _check(degree: int, letters: tuple[int, ...]) -> None:
-    """The refusals of every BraidWord: a degree below 2, a letter out of range."""
+    """The refusals of every BraidWord: a degree below 2, a letter that is
+    not an integer of +-1 .. +-(degree-1) by value."""
     if degree < 2:
         raise ValueError(f"degree must be at least 2, got {degree}")
     kernels.check_letters(letters, degree)
@@ -98,7 +99,8 @@ def parse_word(text: str, degree: int) -> BraidWord:
 def format_word(word: BraidWord) -> str:
     if not word.letters:
         return "e"
-    return " ".join(f"s{v}" if v > 0 else f"S{-v}" for v in word.letters)
+    # int(): a letter accepted by value (True, 1.0) is written as its integer
+    return " ".join(f"s{v}" if v > 0 else f"S{-v}" for v in map(int, word.letters))
 
 
 def free_reduce(word: BraidWord) -> BraidWord:
@@ -135,7 +137,10 @@ def reduce_far_commutation(word: BraidWord) -> BraidWord:
 
 
 def is_identity(word: BraidWord) -> bool:
-    """Exact triviality test: exponent sum, permutation, then handle reduction."""
+    """Exact triviality test: letters, parity, exponent sum, permutation, then
+    handle reduction (kernels.dehornoy_trivial)."""
+    # called through the module attribute, so that a replaced
+    # kernels.dehornoy_trivial (a timing wrapper) is the one that runs
     return kernels.dehornoy_trivial(word.letters, word.degree)
 
 

@@ -20,7 +20,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ParseError, TokenError, read_int, read_ints, read_lines, read_sign, sign_text
+from .errors import (
+    IntegerTooLong, ParseError, TokenError, read_header_ints, read_int, read_ints, read_lines,
+    read_sign, sign_text,
+)
 
 VERTEX_DEGREE = {"black": 1, "free_end": 1, "crossing": 4, "white": 6}
 
@@ -932,12 +935,15 @@ _HEADER_RE = re.compile(r"chart degree=(\S*) genus=(\S*)")
 
 def _value(toks, i, key="", read=read_int, what=None):
     """read() of the value of toks[i], a `key<value>` token or with no key a
-    dart id; a value it refuses is a TokenError asking for `what`."""
+    dart id; a value it refuses is a TokenError asking for `what`, or saying
+    that an integer is too long."""
     tok = toks[i]
     if key:
         tok = tok[len(key):] if tok.startswith(key) else ""
     try:
         return read(tok)
+    except IntegerTooLong as exc:
+        raise TokenError(i, str(exc)) from None
     except ValueError:
         what = what or (f"{key}<integer>" if key else "an integer dart id")
         raise TokenError(i, f"expected {what}") from None
@@ -956,11 +962,9 @@ def parse_chart(text):
     patterns = []
     rows = read_lines(text)
     for lineno, raw, _ in rows:
-        m = _HEADER_RE.fullmatch(raw.strip())
-        try:
-            degree, genus = map(read_int, m.groups() if m else ("", ""))
-        except ValueError:
-            raise ParseError(lineno, 1, "expected 'chart degree=<N> genus=<g>'") from None
+        degree, genus = read_header_ints(
+            _HEADER_RE.fullmatch(raw.strip()), lineno, raw, "expected 'chart degree=<N> genus=<g>'"
+        )
         break
     else:
         raise ParseError(1, 1, "missing chart header")

@@ -36,7 +36,9 @@ from .chart import (
     validate_chart,
     white_type,
 )
-from .errors import TokenError, read_int, read_ints, read_lines, read_sign, read_token, sign_text
+from .errors import (
+    IntegerTooLong, TokenError, read_int, read_ints, read_lines, read_sign, read_token, sign_text,
+)
 
 
 class SiteMismatch(ValueError):
@@ -2112,6 +2114,8 @@ def _read_claim(claim, degree):
         else:
             return kind, read_int(spec)
         return kind, (a, b)
+    except IntegerTooLong as exc:
+        raise TokenError(1, str(exc)) from None
     except ValueError:
         raise TokenError(1, f"expected {kind}{_VALUED_CLAIMS[kind]}") from None
 

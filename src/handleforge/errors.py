@@ -44,8 +44,8 @@ def read_token(read, index: int, text: str, prefix: str = ""):
 
 
 class IntegerTooLong(ValueError):
-    """An integer token past int()'s digit limit; the label and braid
-    letter readers pass it on where they refuse other bad indices."""
+    """An integer token past int()'s digit limit; every reader passes it on
+    where it refuses other bad tokens with a message of its own."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -65,6 +65,22 @@ def read_int(tok: str, signed: bool = False) -> int:
     if signed and tok[:1] == "-" and body.isascii() and body.isdecimal() and body.strip("0"):
         return -read_int(body)
     raise ValueError(f"expected an integer, got {tok!r}")
+
+
+def read_header_ints(m, line: int, raw: str, expected: str) -> list[int]:
+    """read_int of groups 1 and 2 of m, the match of a file's header line
+    `line`, text `raw`, in which they spell the values of tokens 1 and 2.
+    A too-long integer is the ParseError at its token; any other refusal,
+    or no match (m is None), is ParseError(line, 1, expected)."""
+    values = []
+    for i in (1, 2):
+        try:
+            values.append(read_int(m[i] if m else ""))
+        except IntegerTooLong as exc:
+            raise TokenError(i, str(exc)).at(line, raw) from None
+        except ValueError:
+            raise ParseError(line, 1, expected) from None
+    return values
 
 
 def read_ints(text: str) -> tuple[int, ...]:

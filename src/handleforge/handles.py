@@ -18,8 +18,8 @@ from typing import Iterable, Union
 from . import kernels
 from .braid import BraidWord, format_word, parse_word
 from .errors import (
-    BudgetExceeded, IntegerTooLong, ParseError, TokenError, read_int, read_lines, read_sign,
-    read_token, sign_text,
+    BudgetExceeded, IntegerTooLong, ParseError, TokenError, read_header_ints, read_int, read_lines,
+    read_sign, read_token, sign_text,
 )
 
 
@@ -704,29 +704,34 @@ def _read_system(rows) -> HandleSystem:
         raise ParseError(1, 1, "empty handle file")
     lineno, raw, _ = rows[0]
     m = _HEADER_RE.fullmatch(raw.strip())
-    try:
-        generator_count, degree = map(read_int, (m[1], m[2]) if m else ("", ""))
-    except ValueError:
-        raise ParseError(
-            lineno, 1, "expected header 'handles g=<int> degree=<int> pattern=<word>'"
-        ) from None
+    generator_count, degree = read_header_ints(
+        m, lineno, raw, "expected header 'handles g=<int> degree=<int> pattern=<word>'"
+    )
     try:
         pattern = parse_word(m.group(3), degree)
     except ValueError as exc:
         raise ParseError(lineno, 1, f"bad pattern braid: {exc}") from exc
-    signed = partial(read_int, signed=True)
-    readers = (partial(_parse_label, generator_count=generator_count), signed, signed)
     handles = []
-    for lineno, raw, toks in rows[1:]:
+    for lineno, raw, _ in rows[1:]:
         try:
-            if len(toks) != 3:
-                raise TokenError(0, "expected 'label m n'")
-            handles.append(DecoratedHandle(*(
-                read_token(read, i, toks[i], "bad handle: ") for i, read in enumerate(readers)
-            )))
+            handles.append(_parse_handle(raw, generator_count))
         except TokenError as exc:
             raise exc.at(lineno, raw) from None
     return HandleSystem(generator_count, tuple(handles), pattern)
+
+
+@lru_cache(maxsize=4096)
+def _parse_handle(line: str, generator_count: int) -> DecoratedHandle:
+    """The handle a `label m n` line names under generator_count generators,
+    decoded once per line and count (handles are frozen)."""
+    toks = line.split()
+    if len(toks) != 3:
+        raise TokenError(0, "expected 'label m n'")
+    signed = partial(read_int, signed=True)
+    readers = (partial(_parse_label, generator_count=generator_count), signed, signed)
+    return DecoratedHandle(*(
+        read_token(read, i, toks[i], "bad handle: ") for i, read in enumerate(readers)
+    ))
 
 
 def format_handles(s: HandleSystem) -> str:

@@ -2,7 +2,10 @@
 
 Words travel as tuples of signed integers (+i for the i-th positive
 generator letter, -i for its inverse), and handle states as sorted tuples
-of (m, n) pairs.  The two rewriting searches (the identity closure and the
+of (m, n) pairs.  Up to degree TABLE_DEGREE, each degree has two tables,
+built on first use: the set of its legal letters, which checks a word's
+letters in one lookup, and a step table over S_N, which gives a word's
+strand permutation without a list per word.  The two rewriting searches (the identity closure and the
 single-word search) share one breadth-first layer loop over numpy arrays of
 packed words, in which the closure expands one word per symmetry orbit;
 handle reduction and the handle-state search are plain Python.
@@ -11,9 +14,10 @@ handle reduction and the handle-state search are plain Python.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import cache
-from itertools import product
+from itertools import permutations, product
+from operator import eq
 from typing import Sequence
 
 from .errors import BudgetExceeded
@@ -26,19 +30,80 @@ BACKEND = "pure"
 
 
 # ---------------------------------------------------------------------------
-# word packing
+# letter checks and per-degree tables
 
-def check_letters(values: Sequence[int], degree: int) -> None:
-    """Refuse with ValueError a letter outside +-1 .. +-(degree-1)."""
-    # min/max/in run in C: far cheaper than a per-letter loop
-    if values and (0 in values or max(values) >= degree or -min(values) >= degree):
-        raise _letter_error(values, degree)
+# The per-degree tables cover S_N, of N! elements: 720 rows at degree 6,
+# 5,040 at 7 and 3.6 million at 10.  Above this degree the kernels check
+# letters by min/max and compute strand permutations as lists instead, so
+# that no degree allocates a table that grows with N!.
+TABLE_DEGREE = 6
+
+
+@cache
+def _degree_tables(degree: int) -> tuple[frozenset, tuple[dict, ...]]:
+    """The legal letters of a degree <= TABLE_DEGREE and its step table.
+
+    The permutations of S_N are numbered, the identity as 0, and step[p][v]
+    is the number of permutation p followed by letter v: p's strand images
+    (as strand_permutation lists them) with entries |v| and |v|+1 swapped.
+    Rows are dicts keyed by the signed letter, so any letter equal to a
+    legal one (True, 1.0) indexes them.  Built once per degree, on first use.
+    """
+    perms = list(permutations(range(degree)))  # the identity first
+    number = {p: k for k, p in enumerate(perms)}
+    step = []
+    for p in perms:
+        row = {}
+        for i in range(1, degree):
+            q = list(p)
+            q[i - 1], q[i] = q[i], q[i - 1]
+            row[i] = row[-i] = number[tuple(q)]
+        step.append(row)
+    return frozenset(v for i in range(1, degree) for v in (i, -i)), tuple(step)
+
+
+def check_letters(values: Sequence[int], degree: int) -> tuple[dict, ...] | None:
+    """Refuse with ValueError a letter that is not an integer of +-1 ..
+    +-(degree-1) by value (True and 1.0 are 1).
+
+    Returns the degree's step table (_degree_tables), or None above
+    TABLE_DEGREE, where the letters are checked by min/max instead.
+    """
+    if degree <= TABLE_DEGREE:
+        legal, step = _degree_tables(degree)
+        try:
+            if legal.issuperset(values):
+                return step
+        except TypeError:  # an unhashable letter
+            pass
+    else:
+        try:
+            # map/min/max/in run in C: far cheaper than a per-letter loop
+            if all(map(eq, map(int, values), values)) and (
+                not values or (0 not in values and max(values) < degree and -min(values) < degree)
+            ):
+                return None
+        except (TypeError, ValueError, OverflowError):  # int() refused a letter
+            pass
+    raise _letter_error(values, degree)
 
 
 def _letter_error(values: Sequence[int], degree: int) -> ValueError:
-    bad = next(v for v in values if not 0 < abs(v) < degree)
-    return ValueError(f"letter index {abs(bad)} out of range for degree {degree}")
+    """The ValueError naming the first letter check_letters refuses."""
+    for v in values:
+        try:
+            i = int(v)
+        except (TypeError, ValueError, OverflowError):
+            i = None
+        if i is None or i != v:
+            return ValueError(f"letter {v!r} is not an integer")
+        if not 0 < abs(i) < degree:
+            return ValueError(f"letter index {abs(i)} out of range for degree {degree}")
+    return ValueError(f"the letters {tuple(values)!r} are not all of +-1 .. +-{degree - 1}")
 
+
+# ---------------------------------------------------------------------------
+# word packing
 
 def pack_word(values: Sequence[int], degree: int) -> int:
     """Pack a signed-letter word into one integer, leftmost letter first.
@@ -52,7 +117,7 @@ def pack_word(values: Sequence[int], degree: int) -> int:
     check_letters(values, degree)
     base = 2 * degree - 1
     acc = 0
-    for v in values:
+    for v in map(int, values):
         code = 2 * abs(v) - (1 if v > 0 else 0)
         acc = acc * base + code
     # length prefix keeps distinct-length words distinct (codes never use 0)
@@ -103,10 +168,10 @@ def strand_permutation(values: Sequence[int], degree: int) -> list[int]:
 
     Strands are 1-based and entry 0 is 0.  Letters act left to right, so the
     image of strand x is what the leftmost letter sends x to, pushed through
-    the rest of the word.  The letters must be in range (check_letters).
+    the rest of the word.  The letters must pass check_letters.
     """
     perm = list(range(degree + 1))
-    for i in map(abs, values):
+    for i in map(abs, map(int, values)):
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
     return perm
 
@@ -114,13 +179,15 @@ def strand_permutation(values: Sequence[int], degree: int) -> list[int]:
 def dehornoy_trivial(values: Sequence[int], degree: int) -> bool:
     """Decide triviality: two invariants first, then handle reduction.
 
-    The exponent sum B_N -> Z and the strand permutation B_N -> S_N are
+    The letters are checked first (check_letters raises ValueError).  The
+    exponent sum B_N -> Z and the strand permutation B_N -> S_N are
     homomorphisms, so a word is not the identity when its exponent sum is
-    not 0 (as for every word of odd length) or when its permutation is not
-    the identity.  At degree 2, B_2 is infinite cyclic and the exponent sum
-    decides the word on its own.  One sort of the letters gives both the
-    exponent sum and the range check: raises ValueError for a letter outside
-    +-1 .. +-(degree-1).
+    not 0 (as for every word of odd length, refused by parity) or when its
+    permutation is not the identity.  One sort of the letters gives the
+    exponent sum; the permutation is a walk of the degree's step table from
+    the identity, no list per word (above TABLE_DEGREE, strand_permutation
+    builds the list).  At degree 2, B_2 is infinite cyclic and the exponent
+    sum decides the word on its own.
 
     The words that pass both go on to handle reduction.  A handle is a
     segment e v e^-1 where e is a letter and every letter of v has strictly
@@ -129,19 +196,21 @@ def dehornoy_trivial(values: Sequence[int], degree: int) -> bool:
     by the braid relation) terminates, and the result is empty exactly for
     words representing the identity.
     """
-    ordered = sorted(values)
-    negative = bisect_left(ordered, 0)
-    if ordered and (
-        ordered[0] <= -degree
-        or ordered[-1] >= degree
-        or bisect_right(ordered, 0, negative) > negative  # a letter 0
-    ):
-        raise _letter_error(values, degree)
-    # the exponent sum is len(values) - 2 * negative
-    if 2 * negative != len(ordered):
+    step = check_letters(values, degree)
+    if len(values) & 1:
         return False
-    if strand_permutation(values, degree) != list(range(degree + 1)):
+    # with no letter 0, the exponent sum is len(values) - 2 * (negative letters)
+    if 2 * bisect_left(sorted(values), 0) != len(values):
         return False
+    if step is None:
+        if strand_permutation(values, degree) != list(range(degree + 1)):
+            return False
+    else:
+        p = 0
+        for v in values:
+            p = step[p][v]
+        if p:
+            return False
     w = free_cancel(values)
     while w:
         hit = _find_handle(w)

@@ -243,7 +243,8 @@ class TestInvariantFilters:
     def test_filters_keep_the_verdict_of_handle_reduction(self):
         rng = random.Random(1301)
         reached = Counter()
-        for degree in range(2, 7):
+        # degrees 7 and 8 lie above kernels.TABLE_DEGREE
+        for degree in range(2, 9):
             for _ in range(300):
                 length = rng.randrange(10, 41)
                 for vals in (self.random_word(rng, degree, length),
@@ -313,6 +314,76 @@ class TestInvariantFilters:
         for letter in (100, -100, 0):
             with pytest.raises(ValueError, match=f"letter index {abs(letter)} "):
                 BraidWord.from_signed(100, (1, letter))
+
+
+def walk_step_table(values, degree):
+    """The number dehornoy_trivial's step table gives the word's permutation."""
+    step = kernels._degree_tables(degree)[1]
+    p = 0
+    for v in values:
+        p = step[p][v]
+    return p
+
+
+class TestDegreeTables:
+    @pytest.mark.parametrize("degree", range(2, kernels.TABLE_DEGREE + 1))
+    def test_step_table_agrees_with_strand_permutation(self, degree):
+        # every word of at most 6 letters: one number per strand
+        # permutation, and the identity's number is 0
+        letters = [v for i in range(1, degree) for v in (i, -i)]
+        permutation_of_number = {}
+        for n in range(7):
+            for vals in product(letters, repeat=n):
+                perm = tuple(kernels.strand_permutation(vals, degree))
+                number = walk_step_table(vals, degree)
+                assert permutation_of_number.setdefault(number, perm) == perm, vals
+        assert len(set(permutation_of_number.values())) == len(permutation_of_number)
+        assert permutation_of_number[0] == tuple(range(degree + 1))
+
+    def test_no_table_above_the_cap(self):
+        kernels._degree_tables.cache_clear()
+        for degree in (kernels.TABLE_DEGREE + 1, 10**6):
+            word = BraidWord.from_signed(degree, (1, -1))
+            assert is_identity(word) and not is_identity(word * BraidWord(degree, (1,)))
+            assert kernels.pack_word(word.letters, degree) > 0
+        assert kernels.word_reaches_identity((1, -1), kernels.TABLE_DEGREE + 1, 4, 100)
+        assert kernels._degree_tables.cache_info().currsize == 0
+
+    def test_is_identity_reaches_the_kernel_through_the_module(self, monkeypatch):
+        # a wrapper put in place of kernels.dehornoy_trivial, as the
+        # benchmark's tracer does, sees every call of braid.is_identity
+        calls = []
+        monkeypatch.setattr(kernels, "dehornoy_trivial", lambda vals, degree: calls.append(vals))
+        is_identity(BraidWord(3, (1, -1)))
+        assert calls == [(1, -1)]
+
+    @pytest.mark.parametrize("degree", [4, kernels.TABLE_DEGREE + 1, 10**6])
+    @pytest.mark.parametrize("letter", [1.5, "1", None, float("nan"), float("inf"), [1]])
+    def test_letters_that_are_not_integers_are_refused(self, degree, letter):
+        message = f"letter {letter!r} is not an integer"
+        for check in (
+            lambda: BraidWord(degree, (1, letter)),
+            lambda: BraidWord.from_signed(degree, (letter, -1)),
+            lambda: kernels.dehornoy_trivial((letter,), degree),
+            lambda: kernels.dehornoy_trivial((letter, -1), degree),
+            lambda: kernels.pack_word((letter,), degree),
+            lambda: kernels.word_reaches_identity((letter, -1), degree, 4, 100),
+        ):
+            with pytest.raises(ValueError) as info:
+                check()
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("degree", [4, kernels.TABLE_DEGREE + 1])
+    def test_letters_equal_to_integers_are_read_by_value(self, degree):
+        for one in (True, 1.0):
+            word = BraidWord.from_signed(degree, (one, -1.0, 2))
+            assert word == BraidWord(degree, (1, -1, 2))
+            assert not is_identity(word) and is_identity(BraidWord(degree, (one, -1)))
+            assert kernels.pack_word(word.letters, degree) == kernels.pack_word((1, -1, 2), degree)
+            assert permutation_of(word) == permutation_of(BraidWord(degree, (2,)))
+            assert format_word(word) == "s1 S1 s2"
+        with pytest.raises(ValueError, match=f"letter index {degree} out of range"):
+            BraidWord(degree, (float(degree),))
 
 
 class TestConjugate:

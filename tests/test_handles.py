@@ -621,6 +621,15 @@ class TestTextFormats:
             with pytest.raises(ValueError):
                 parse_handles(text)
 
+    def test_a_handle_line_is_read_under_its_system_count(self):
+        # handle lines are decoded once per text and generator count: the
+        # line legal under g=2 is still refused under g=1
+        line = "g2 1 0\n"
+        s = parse_handles("handles g=2 degree=2 pattern=e\n" + line)
+        assert s.handles == (DecoratedHandle(gen(2), 1, 0),)
+        with pytest.raises(ValueError, match="line 2, column 1: .* exceeds system count 1"):
+            parse_handles("handles g=1 degree=2 pattern=e\n" + line)
+
     def test_trace_round_trip(self):
         moves = (
             Invert(1),

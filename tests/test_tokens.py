@@ -182,7 +182,17 @@ class TestLongIntegers:
 
     def test_in_a_chart(self, tmp_path, capsys):
         err = self._run(tmp_path, capsys, self.CHART.replace("dart 2\n", f"dart 2\ndart {LONG}\n"))
-        assert err.startswith("error: line 4, column 6: expected an integer dart id")
+        assert err == "error: line 4, column 6: an integer of 5000 digits is too long\n"
+
+    @pytest.mark.parametrize("data, column", [
+        (CHART.replace("degree=2", f"degree={LONG}"), 7),
+        (CHART.replace("genus=0", f"genus={LONG}"), 16),
+        (SYSTEM.replace("g=0", f"g={LONG}"), 9),
+        (SYSTEM.replace("degree=2", f"degree={LONG}"), 13),
+    ])
+    def test_in_a_file_header(self, tmp_path, capsys, data, column):
+        err = self._run(tmp_path, capsys, data)
+        assert err == f"error: line 1, column {column}: an integer of 5000 digits is too long\n"
 
     def test_in_a_handle_system(self, tmp_path, capsys):
         err = self._run(tmp_path, capsys, self.SYSTEM + f"1 {LONG} 0\n")
@@ -247,11 +257,11 @@ POSITIONS = {
         ("script", "claim handle-deco=s1", 7, "expected handle-deco=<word>,<word>"),
     ],
     "a 5,000-digit token": [
-        ("chart", f"dart {LONG}", 6, "expected an integer dart id"),
+        ("chart", f"dart {LONG}", 6, "an integer of 5000 digits is too long"),
         ("handles", f"1 {LONG} 0", 3, "bad handle: an integer of 5000 digits is too long"),
         ("trace", f"twist {LONG} +", 7, "bad move: an integer of 5000 digits is too long"),
         ("script", f"move cim1erase loop={LONG}", 16, "an integer of 5000 digits is too long"),
-        ("script", f"claim added-handles={LONG}", 7, "expected added-handles=<integer>"),
+        ("script", f"claim added-handles={LONG}", 7, "an integer of 5000 digits is too long"),
     ],
     "a bad sign": [
         ("chart", "loop label=1 sign=*", 14, "expected sign=+ or sign=-"),
