@@ -464,13 +464,10 @@ def _carry(chart, p):
     if p.ranks is None:
         return got
     ge, gv, ne, nv = p.old_e, p.old_v, p.new_e, p.new_v
-    if len(chart.edges) != len(parent.edges) - len(ge) + len(ne) or len(
-        chart.vertices
-    ) != len(parent.vertices) - len(gv) + len(nv):
-        return _derive(chart)
 
     # a removed object is the parent's own when the parent's ranks hold
-    # its identity, and then its darts are in the parent's tables
+    # its identity, and then its darts are in the parent's tables; one
+    # named twice is not found the second time
     rank, top = pm.rank.copy(), pm.top
     for x in (*ge, *gv):
         if rank.pop(id(x), None) is None:

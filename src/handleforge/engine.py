@@ -631,11 +631,13 @@ def _collapse(s: DecoratedSurface, kill, ports, mute=(), handles=None, signed=Fa
     """Drop the given vertices and every incident edge, resewing strands;
     returns the output surface and the restore that gives s back.
 
-    ports pairs up darts of the killed vertices; a strand entering the
-    removed region leaves through the paired dart.  Edges in mute carry
-    geometry but do not vote on the seam's label or direction.  Chains that
-    close up into circles become loop records, in min-dart order: positive,
-    or when signed, positive exactly if the chain arrives at its min dart.
+    ports pairs up every dart of the killed vertices; a strand entering the
+    removed region leaves through the paired dart.  A seam's label and
+    direction are those of its first edge not in mute: the killed vertices
+    are whites and crossings of a checked chart, whose words pair each port
+    with an end of its label and the other direction.  Chains that close up
+    into circles become loop records, in min-dart order: positive, or when
+    signed, positive exactly if the chain arrives at its min dart.
     """
     ch = s.chart
     edge_at = surface_map(ch).edge_at
@@ -651,13 +653,8 @@ def _collapse(s: DecoratedSurface, kill, ports, mute=(), handles=None, signed=Fa
     done = set()
 
     def seam(links):
-        labels = {e.label for e, _, _ in links if id(e) not in mute_ids}
-        if len(labels) != 1:
-            raise SiteMismatch("strand labels disagree across the rewritten region")
-        votes = {e.head == t for e, _, t in links if id(e) not in mute_ids}
-        if len(votes) != 1:
-            raise SiteMismatch("strand directions disagree across the rewritten region")
-        return labels.pop(), votes.pop()
+        e, _, t = next(x for x in links if id(x[0]) not in mute_ids)
+        return e.label, e.head == t
 
     def walk(start, closed):
         links, cur = [], start
@@ -668,9 +665,7 @@ def _collapse(s: DecoratedSurface, kill, ports, mute=(), handles=None, signed=Fa
             links.append((e, cur, far))
             if not closed and far in external:
                 return links
-            nxt = ports.get(far)
-            if nxt is None:
-                raise SiteMismatch("a strand stops inside the rewritten region")
+            nxt = ports[far]
             if closed and nxt == start:
                 return links
             cur = nxt
@@ -783,24 +778,19 @@ def _reconnect_check(s, a, b):
     return ea, eb, ha
 
 
-def _reconnect_legal(s, a, b):
-    try:
-        _reconnect_check(s, a, b)
-        return True
-    except ValueError:
-        return False
-
-
 def _reconnect_surface(s, a, b):
     ea, eb, ha = _reconnect_check(s, a, b)
     pa, pb = _other(ea, a), _other(eb, b)
     lab = ea.label
     new = (Edge((a, b), lab, a if ha else b), Edge((pa, pb), lab, pb if ha else pa))
     out = _rewrite(s, (ea, eb), new)
-    inv = CIM2Reconnect(a, pa)
-    if not _reconnect_legal(out, a, pa):
-        inv = _Restore(s, out)
-    return out, inv
+    # a band that lowers the genus can leave the new edges on no common
+    # face, where the reconnect back is refused
+    try:
+        _reconnect_check(out, a, pa)
+    except ValueError:
+        return out, _Restore(s, out)
+    return out, CIM2Reconnect(a, pa)
 
 
 @_applies(CIM2Reconnect)
@@ -2019,7 +2009,9 @@ def _drain_handles(run: _Runner):
 
 
 def unbraid_repeated_pattern(s: DecoratedSurface):
-    """Normalize a coiled handle carrying parallel pattern copies."""
+    """Normalize a coiled handle carrying parallel pattern copies: cancel
+    and capture the copies, then twist the coil's (m, n) to n mod 2|m| in
+    [0, 2|m|), or leave n as it is when m = 0."""
     ch = s.chart
     if ch.vertices or ch.edges or ch.loops:
         raise NotRepeatedPattern("the chart carries map structure")
@@ -2041,11 +2033,13 @@ def unbraid_repeated_pattern(s: DecoratedSurface):
         pats = run.state.chart.pattern_loops
         idx = min(range(len(pats)), key=lambda k: pats[k].curve)
         run.do(PatternCapture(idx))
-    while True:
-        m, n = next(h.mn for h in run.state.handles if h.mn is not None)
-        if 0 <= n <= 1:
-            break
-        run.do(PatternTwist(-1 if n > 1 else 1))
+    # a twist moves n by 2m
+    m, n = next(h.mn for h in run.state.handles if h.mn is not None)
+    if m:
+        q, n = divmod(n, 2 * abs(m))
+        sign = -1 if (q > 0) == (m > 0) else 1
+        for _ in range(abs(q)):
+            run.do(PatternTwist(sign))
     claims = ("empty", f"handle-mn={m},{n}")
     return run.result(), EngineTrace(s, tuple(run.steps), claims)
 

@@ -37,6 +37,7 @@ BACKEND = "pure"
 # letters by min/max and compute strand permutations as lists instead, so
 # that no degree allocates a table that grows with N!.
 TABLE_DEGREE = 6
+_INT = frozenset((int,))
 
 
 @cache
@@ -78,8 +79,9 @@ def check_letters(values: Sequence[int], degree: int) -> tuple[dict, ...] | None
             pass
     else:
         try:
-            # map/min/max/in run in C: far cheaper than a per-letter loop
-            if all(map(eq, map(int, values), values)) and (
+            # map/min/max/in run in C: far cheaper than a per-letter loop;
+            # letters are read by value only when one is not an int
+            if (_INT.issuperset(map(type, values)) or all(map(eq, map(int, values), values))) and (
                 not values or (0 not in values and max(values) < degree and -min(values) < degree)
             ):
                 return None

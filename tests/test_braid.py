@@ -70,6 +70,14 @@ class TestConstruction:
         assert hash(w("s1 s2")) == hash(w("s1 s2"))
         assert w("s1 s2") != w("s2 s1")
 
+    def test_length_and_product(self):
+        # the benchmark's word search sets its length cap from len(word)
+        assert len(BraidWord(4, (1, -3, 2))) == 3 and len(BraidWord(4)) == 0
+        assert BraidWord(4, (1,)) * BraidWord(4, (-2,)) == BraidWord(4, (1, -2))
+        with pytest.raises(DegreeMismatch) as info:
+            BraidWord(3, (1,)) * BraidWord(4, (1,))
+        assert str(info.value) == "cannot multiply words of degree 3 and 4"
+
 
 class TestSerialization:
     def test_parse_basic(self):
@@ -372,6 +380,15 @@ class TestDegreeTables:
             with pytest.raises(ValueError) as info:
                 check()
             assert str(info.value) == message
+
+    def test_a_letter_the_letter_set_cannot_hold_is_refused(self):
+        # a 0-d array equals 1 but is unhashable: no single letter is at
+        # fault, so the refusal names the word
+        import numpy as np
+
+        with pytest.raises(ValueError) as info:
+            BraidWord.from_signed(4, (np.array(1),))
+        assert str(info.value) == "the letters (array(1),) are not all of +-1 .. +-3"
 
     @pytest.mark.parametrize("degree", [4, kernels.TABLE_DEGREE + 1])
     def test_letters_equal_to_integers_are_read_by_value(self, degree):

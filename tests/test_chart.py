@@ -22,6 +22,7 @@ from handleforge.chart import (
     is_unknotted_chart,
     middle_positions,
     parse_chart,
+    rewrite,
     surface_map,
     unbraiding_bounds,
     validate_chart,
@@ -207,6 +208,25 @@ class TestValidation:
         c = mk(3, 0, pattern_loops=[PatternLoop(curve=1, sense=0)])
         assert validate_chart(c) != []
 
+    @pytest.mark.parametrize("chart, want", [
+        (mk(1, 0), ["degree 1 must be at least 2"]),
+        (mk(2, -1), ["genus -1 must be nonnegative"]),
+        (mk(2, 0, vertices=[("black", (1,))], edges=[(1, 1, 1, 1)]),
+         ["edge 0: its two darts must differ", "dart 1 appears in more than one edge"]),
+        (mk(2, 0, vertices=[("black", (1,)), ("black", (2,)), ("black", (3,))],
+            edges=[(1, 2, 1, 2), (3, 2, 1, 2)]),
+         ["dart 2 appears in more than one edge"]),
+        (mk(2, 0, vertices=[("black", (1,)), ("black", (1,)), ("black", (2,))],
+            edges=[(1, 2, 1, 2)]),
+         ["dart 1 appears in more than one vertex cycle"]),
+    ], ids=["degree-1", "genus-minus-1", "one-dart-edge", "second-dart-twice",
+            "dart-in-two-vertices"])
+    def test_a_hand_built_header_or_dart_structure_fault_is_named(self, chart, want):
+        assert validate_chart(chart) == want
+        with pytest.raises(InvalidChart) as exc:
+            surface_map(chart)
+        assert exc.value.violations == want
+
 
 class TestSurfaceMap:
     def test_free_edge_map(self):
@@ -347,6 +367,30 @@ class TestDartlessVertex:
             format_chart(c)
 
 
+class TestPatchThatDoesNotFit:
+    """A rewrite whose patch does not fit its parent gets no carried map:
+    its map is derived in full, which names what is wrong."""
+
+    @pytest.mark.parametrize("make, want", [
+        (lambda c: rewrite(c, genus=-1), ["genus -1 must be nonnegative"]),
+        # an edge equal to the parent's, but not the parent's own object
+        (lambda c: rewrite(c, (Edge((1, 2), 1, 2),)), []),
+        (lambda c: rewrite(c, (c.edges[0], c.edges[0])),
+         ["dart 1 appears only on the vertex side", "dart 2 appears only on the vertex side"]),
+        (lambda c: rewrite(c, (c.edges[0],), (Edge((1, 2), 1, 9),)),
+         ["edge 0: head 9 is not one of its darts"]),
+    ], ids=["negative-genus", "foreign-object", "object-named-twice", "head-off-its-edge"])
+    def test_the_output_map_is_derived_in_full(self, monkeypatch, make, want):
+        parent = free_edge_chart()
+        surface_map(parent)
+        derived = []
+        full = chart_mod._derive
+        monkeypatch.setattr(chart_mod, "_derive", lambda ch: derived.append(ch) or full(ch))
+        out = make(parent)
+        assert validate_chart(out) == want
+        assert derived == [out]
+
+
 class TestStats:
     def test_empty(self):
         s = chart_stats(mk(4, 0))
@@ -467,6 +511,24 @@ class TestClassifiers:
         c = crossing_spider(eps=1, delta=-1)
         pair, sign = crossing_type(c, c.vertices[0])
         assert pair == (1, 3) and sign == -1
+
+    def test_a_vertex_of_another_kind_or_a_bad_word_is_refused(self):
+        cross = crossing_spider()
+        c, black = cross.vertices[0], cross.vertices[1]
+        near = crossing_spider(pair=(1, 2), degree=3)
+        flat = white_spider(pair=(1, 1), degree=3)
+        for call, message in [
+            (lambda: white_type(cross, c), "vertex (1, 2, 3, 4) is crossing, not white"),
+            (lambda: middle_positions(cross, c), "vertex (1, 2, 3, 4) is crossing, not white"),
+            (lambda: crossing_type(cross, black), "vertex (5,) is black, not crossing"),
+            (lambda: crossing_type(near, near.vertices[0]),
+             "vertex (1, 2, 3, 4) has no valid crossing word"),
+            (lambda: white_type(flat, flat.vertices[0]),
+             "vertex (1, 2, 3, 4, 5, 6) has no valid white word"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
 
 
 class TestUnknotted:
@@ -816,6 +878,8 @@ PARSE_TABLE = [
      ('error', 1, 1, "expected 'chart degree=<N> genus=<g>'")),
     ("\n\nchart degree=3 genus=2\n\ndart 4\n\n",
      ('chart', 3, 2, (), (), (), ())),
+    (f"{H}\npatternloop curve=1",
+     ('error', 2, 1, "expected 'patternloop curve=<k> sense=<+|->'")),
 ]
 
 

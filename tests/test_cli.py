@@ -19,6 +19,7 @@ import handleforge
 from handleforge import cli
 from handleforge.chart import parse_chart, validate_chart
 from handleforge.cli import main, parse_report
+from handleforge.errors import ParseError
 
 FIXTURE_DIR = resources.files("handleforge") / "data"
 CHART = str(FIXTURE_DIR / "twist_spun_trefoil.chart")
@@ -82,6 +83,27 @@ class TestStats:
         assert main(["stats", CHART]) == 0
         out = capsys.readouterr().out
         assert "6" in out and "degree" in out
+
+    def test_each_nonzero_algebraic_crossing_count_has_a_line(self, tmp_path, capsys):
+        # one crossing of labels 1 and 3, its four ends capped by black vertices
+        p = tmp_path / "crossing.chart"
+        p.write_text(
+            "chart degree=4 genus=0\n"
+            + "".join(f"dart {d}\n" for d in range(1, 9))
+            + "edge 1 5 label=1 head=5\nedge 2 6 label=3 head=6\n"
+            "edge 3 7 label=1 head=3\nedge 4 8 label=3 head=4\n"
+            "vertex crossing cycle=1,2,3,4\n"
+            + "".join(f"vertex black cycle={d}\n" for d in range(5, 9))
+        )
+        assert main(["stats", str(p), "--format", "kv"]) == 0
+        pairs = parse_report(capsys.readouterr().out)
+        assert pairs[-3:] == [("c_alg_total", "1"), ("c_alg_1_3", "1"), ("ok", "true")]
+
+
+def test_a_report_line_without_a_value_is_refused():
+    with pytest.raises(ParseError) as info:
+        parse_report("command=stats\nnoequals\n")
+    assert str(info.value) == "line 2, column 1: expected key=value"
 
 
 class TestBounds:

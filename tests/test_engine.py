@@ -197,6 +197,24 @@ class TestReconnect:
         with pytest.raises(SiteMismatch):
             apply_move(surf(ch), CIM2Reconnect(2, 3))
 
+    def test_a_reconnect_that_lowers_the_genus_is_undone_by_a_restore(self):
+        # two tori, one component each: the band between them joins them
+        # into one torus, where the new edges cobound no face, so the named
+        # inverse CIM2Reconnect(1, 3) is refused and a restore undoes it
+        ch = mk(genus=2, vertices=(
+            Vertex("crossing", (1, 2, 3, 4)), Vertex("crossing", (5, 6, 7, 8)),
+        ), edges=(Edge((1, 3), 1, 3), Edge((2, 4), 3, 4),
+                  Edge((5, 7), 1, 7), Edge((6, 8), 3, 8)))
+        s = surf(ch)
+        out, inv = apply_move(s, CIM2Reconnect(1, 7))
+        assert reference_genus(out.chart) == 1
+        assert len(surface_map(out.chart).size) == 1
+        with pytest.raises(SiteMismatch) as exc:
+            apply_move(out, CIM2Reconnect(1, 3))
+        assert str(exc.value) == "the two darts do not cobound a face"
+        assert type(inv) is engine._Restore
+        assert apply_move(out, inv)[0] is s
+
 
 class TestCrossingPair:
     def test_insert_on_far_edges_and_straighten_back(self):
@@ -751,6 +769,18 @@ class TestUnbraidBranch:
         assert final.chart.loops == ()
         assert certify_trace(trace).ok
 
+    def test_a_loop_letter_with_no_free_end_of_its_label_stays(self):
+        # four lone black ends of label 1, and a footless handle carrying s2
+        s = surf(mk(degree=3, vertices=(
+            Vertex("black", (1,)), Vertex("black", (2,)),
+            Vertex("black", (3,)), Vertex("black", (4,)),
+        ), edges=(Edge((1, 2), 1, 2), Edge((3, 4), 1, 4))))
+        s = _attached(s, AttachTrivialHandle(), CIM1Add(2, 1), MoveHandleAcrossEdge(1, loop=0))
+        final, count, trace = unbraid_with_branch(s)
+        assert (count, trace.steps) == (0, ())
+        assert final.handles[0].coreloop.letters == (2,)
+        assert certify_trace(trace).ok
+
 
 class TestRepeatedPattern:
     def handle(self):
@@ -784,6 +814,16 @@ class TestRepeatedPattern:
         final, trace = unbraid_repeated_pattern(s)
         assert final.handles[0].mn == (1, 0)
         assert any(isinstance(mv, PatternTwist) for mv in trace.steps)
+        assert certify_trace(trace).ok
+
+    @pytest.mark.parametrize("m, n", [(m, n) for m in range(-12, 13) for n in range(-12, 13)])
+    def test_every_coil_ends_in_its_documented_representative(self, m, n):
+        s = surf(mk(degree=2), (AttachedHandle(1, BraidWord(2), None, mn=(m, n)),))
+        final, trace = unbraid_repeated_pattern(s)
+        want = (m, n % (2 * abs(m)) if m else n)
+        assert final.handles[0].mn == want
+        assert len(trace.steps) == (abs(n - want[1]) // (2 * abs(m)) if m else 0)
+        assert trace.claims == ("empty", f"handle-mn={want[0]},{want[1]}")
         assert certify_trace(trace).ok
 
 
@@ -1248,6 +1288,16 @@ class TestGenerator:
             again = generate_blackless_chart(degree, steps, random.Random(seed))
             assert again == chart, (degree, steps, seed)
         assert seen["draws"] > 500 and seen["sites"] > 10**6, seen
+
+    def test_site_counts_that_disagree_with_the_map_are_a_fault(self, monkeypatch):
+        # an insert test that refuses every site across two components,
+        # which the counts include, leaves the scan short of the site drawn
+        planar = engine._planar_insert
+        monkeypatch.setattr(engine, "_planar_insert", lambda m, a, pa, b: (
+            m.comp.get(a) == m.comp.get(b) and planar(m, a, pa, b)))
+        with pytest.raises(AssertionError) as exc:
+            generate_blackless_chart(4, 40, random.Random(0))
+        assert str(exc.value) == "the site counts disagree with the map"
 
 
 def _listed_insert_sites(m):
@@ -2387,6 +2437,9 @@ OTHER_REFUSALS = [
     ("claim-empty-records", lambda: _verdict(_records(_L(1, 1)), claims=("empty",)),
      (False, None, "claim empty: records remain")),
     ("claim-weak-forms", lambda: _verdict(_coiled(), claims=("weak-forms",)),
+     (False, None, "claim weak-forms: handle 1 is not in form")),
+    ("claim-weak-forms-threaded",
+     lambda: _verdict(_bridged_left_of_a_loop_letter(), claims=("weak-forms",)),
      (False, None, "claim weak-forms: handle 1 is not in form")),
     ("claim-handle-mn", lambda: _verdict(_coiled(), claims=("handle-mn=1,1",)),
      (False, None, "claim handle-mn=1,1: no coiled handle matches")),

@@ -2,7 +2,7 @@ import math
 from typing import get_args
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from handleforge import handles
 from handleforge.braid import BraidWord, parse_word
@@ -260,17 +260,24 @@ class TestMoves:
             build()
         assert str(info.value) == message
 
+    def test_a_value_that_is_no_handle_move_is_refused(self):
+        for call in (lambda: apply_handle_move(sys_of((1, 0)), "twist"),
+                     lambda: inverse_moves("twist")):
+            with pytest.raises(TypeError) as info:
+                call()
+            assert str(info.value) == "not a handle move: 'twist'"
+
     def test_only_the_moves_with_a_checked_field_run_a_check(self):
         checked = {cls for cls in get_args(HandleMove) if hasattr(cls, "__post_init__")}
         assert checked == {Twist, Rotate, Slide, Transfer7, Transfer9}
 
-    @given(labeled_systems(), st.data())
+    @given(labeled_systems().flatmap(
+        lambda s: st.tuples(st.just(s), st.sampled_from(legal_moves(s)))))
+    @example((sys_of((2, 3), (5, 0)), Transfer7(1, 2, -1)))
+    @example((sys_of((0, 3), (5, 0)), Transfer9(1, 2, 1)))
     @settings(deadline=None, max_examples=200)
-    def test_every_move_reverses_exactly(self, s, data):
-        moves = legal_moves(s)
-        if not moves:
-            return
-        mv = data.draw(st.sampled_from(moves))
+    def test_every_move_reverses_exactly(self, case):
+        s, mv = case
         r = apply_handle_move(s, mv)
         for back in inverse_moves(mv):
             r = apply_handle_move(r, back)
@@ -462,6 +469,11 @@ class TestNormalizeHirose:
         tag = normalize_hirose(sys_of((0, 0)))
         assert tag == NormalFormTag("zero", 0)
 
+    def test_empty_system(self):
+        tag = normalize_hirose(HandleSystem(0, ()))
+        assert tag == NormalFormTag("zero", 0)
+        assert tag.trace.steps == ()
+
     def test_single_handle_cross_check(self):
         s = sys_of((2, 1))
         tag = normalize_hirose(s)
@@ -620,6 +632,12 @@ class TestTextFormats:
         ):
             with pytest.raises(ValueError):
                 parse_handles(text)
+
+    def test_a_text_with_no_lines_is_an_empty_handle_file(self):
+        for text in ("", "\n  \n"):
+            with pytest.raises(ParseError) as info:
+                parse_handles(text)
+            assert str(info.value) == "line 1, column 1: empty handle file"
 
     def test_a_handle_line_is_read_under_its_system_count(self):
         # handle lines are decoded once per text and generator count: the
