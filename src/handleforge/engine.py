@@ -16,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import lru_cache
+from operator import attrgetter
 from itertools import accumulate
 
 from .braid import BraidWord, conjugate, format_word, free_reduce, parse_word
@@ -103,12 +104,118 @@ class DecoratedSurface:
     handles: tuple[AttachedHandle, ...] = ()
 
 
-def _surface(chart: Chart, handles: tuple) -> DecoratedSurface:
+def _surface(chart: Chart, handles) -> DecoratedSurface:
     """DecoratedSurface(chart, handles), made in one step past the frozen
-    dataclass __init__: the same value, which still refuses assignment."""
+    dataclass __init__: the same value, which still refuses assignment.
+    handles is a tuple, or a _HandleIndex that the surface keeps as its
+    index."""
     out = object.__new__(DecoratedSurface)
-    out.__dict__.update(chart=chart, handles=handles)
+    if type(handles) is _HandleIndex:
+        out.__dict__.update(chart=chart, handles=handles.handles, _index=handles)
+    else:
+        out.__dict__.update(chart=chart, handles=handles)
     return out
+
+
+_ID = attrgetter("id")
+
+
+def _positions(handles):
+    """id -> the position of the first handle with that id."""
+    return dict(zip(map(_ID, reversed(handles)), range(len(handles) - 1, -1, -1)))
+
+
+class _HandleIndex:
+    """A surface's handles, indexed.
+
+    handles is the tuple itself; pos maps each id to the position of its
+    first handle, foot each foot to the id of a handle standing on it, and
+    top is the largest id, 0 when there is none.  nfeet counts the feet of
+    all handles, which is more than foot holds when two feet coincide.
+
+    Like the chart's map, the index is carried through each move: put, add
+    and drop make the output's index from the input's, copying only the
+    tables they change.  The index made keeps parent, the index it was made
+    from, until the patch check reads it, changed, the positions of the
+    handles put, and stirred, the darts that became or stopped being feet.
+    """
+
+    __slots__ = ("handles", "pos", "foot", "nfeet", "top", "parent", "changed", "stirred")
+
+    def __init__(self, handles, pos, foot, nfeet, top, parent=None, changed=(), stirred=()):
+        self.handles, self.pos, self.foot, self.nfeet, self.top = handles, pos, foot, nfeet, top
+        self.parent, self.changed, self.stirred = parent, changed, stirred
+
+    @classmethod
+    def of(cls, handles):
+        """The index of a handle tuple, built in full."""
+        pos = _positions(handles)
+        feet = [(f, h.id) for h in handles if h.feet is not None for f in h.feet]
+        return cls(handles, pos, dict(feet), len(feet), max(pos, default=0))
+
+    def _moved(self, foot, nfeet, olds, news):
+        """foot and nfeet with the feet of the handles olds taken off and
+        those of news put on (foot copied first), and the darts stirred."""
+        stirred = []
+        for h in olds:
+            if h.feet is not None:
+                if foot is self.foot:
+                    foot = foot.copy()
+                for f in h.feet:
+                    del foot[f]
+                nfeet -= len(h.feet)
+                stirred += h.feet
+        for h in news:
+            if h.feet is not None:
+                if foot is self.foot:
+                    foot = foot.copy()
+                for f in h.feet:
+                    foot[f] = h.id
+                nfeet += len(h.feet)
+                stirred += h.feet
+        return foot, nfeet, stirred
+
+    def put(self, *hs):
+        """The index with each of hs in place of the handle with its id."""
+        out, olds, changed = list(self.handles), [], []
+        for h in hs:
+            k = self.pos[h.id]
+            olds.append(out[k])
+            out[k] = h
+            changed.append(k)
+        moved = [(o, h) for o, h in zip(olds, hs) if o.feet != h.feet]
+        foot, nfeet, stirred = self._moved(
+            self.foot, self.nfeet, [o for o, _ in moved], [h for _, h in moved]
+        )
+        return _HandleIndex(tuple(out), self.pos, foot, nfeet, self.top, self,
+                            sorted(changed), stirred)
+
+    def add(self, h):
+        """The index with h appended."""
+        k = len(self.handles)
+        pos = self.pos.copy()
+        pos.setdefault(h.id, k)
+        foot, nfeet, stirred = self._moved(self.foot, self.nfeet, (), (h,))
+        top = max(self.top, h.id) if k else h.id
+        return _HandleIndex(self.handles + (h,), pos, foot, nfeet, top, self, (k,), stirred)
+
+    def drop(self, hid):
+        """The index without the handle hid."""
+        k = self.pos[hid]
+        h = self.handles[k]
+        handles = self.handles[:k] + self.handles[k + 1:]
+        pos = _positions(handles)
+        foot, nfeet, stirred = self._moved(self.foot, self.nfeet, (h,), ())
+        top = max(pos, default=0) if hid == self.top else self.top
+        return _HandleIndex(handles, pos, foot, nfeet, top, self, (), stirred)
+
+
+def _index(s: DecoratedSurface) -> _HandleIndex:
+    """The handle index of s, built in full on first use."""
+    got = s.__dict__.get("_index")
+    if got is None:
+        got = s.__dict__["_index"] = _HandleIndex.of(s.handles)
+    return got
 
 
 def empty_surface(degree: int, genus: int = 0) -> DecoratedSurface:
@@ -116,10 +223,10 @@ def empty_surface(degree: int, genus: int = 0) -> DecoratedSurface:
 
 
 def _handle(s: DecoratedSurface, hid: int) -> AttachedHandle:
-    for h in s.handles:
-        if h.id == hid:
-            return h
-    raise SiteMismatch(f"no handle {hid}")
+    k = _index(s).pos.get(hid)
+    if k is None:
+        raise SiteMismatch(f"no handle {hid}")
+    return s.handles[k]
 
 
 def _uncoiled(s: DecoratedSurface, hid: int, verb: str) -> AttachedHandle:
@@ -557,12 +664,6 @@ def _without_loops(ch: Chart, *idxs):
     return out + ch.loops[start:]
 
 
-def _with_handles(s: DecoratedSurface, *hs):
-    """s's handles, each of hs in place of the handle with its id."""
-    by_id = {h.id: h for h in hs}
-    return tuple(by_id.get(x.id, x) for x in s.handles)
-
-
 def _fresh(ch: Chart, n: int, drop=()) -> tuple[int, ...]:
     """n darts above the chart's largest dart, leaving out the darts in drop."""
     m = surface_map(ch)
@@ -615,10 +716,13 @@ def _rewrite(s: DecoratedSurface, gone=(), new=(), handles=None, **chart_fields)
 
     new names the Edge and Vertex objects the move adds and the loop and
     pattern-loop records it puts into chart_fields; the output chart
-    carries s's map through this patch.
+    carries s's map through this patch.  handles is s's handle index
+    changed by the move (see _HandleIndex), or a handle tuple, whose index
+    is built in full when first used; without it, the output keeps s's
+    handles and their index.
     """
     chart = rewrite(s.chart, gone, new, **chart_fields)
-    return _surface(chart, s.handles if handles is None else handles)
+    return _surface(chart, (s.__dict__.get("_index") or s.handles) if handles is None else handles)
 
 
 def _undoable(s: DecoratedSurface, gone=(), new=(), handles=None, **chart_fields):
@@ -768,11 +872,8 @@ def _reconnect_check(s, a, b):
     # the band may run through a handle joining exactly these two feet,
     # which are free ends
     ends = surface_map(s.chart).ends
-    if not (
-        a in ends
-        and b in ends
-        and any(h.feet is not None and set(h.feet) == {a, b} for h in s.handles)
-    ):
+    at = _index(s).foot.get
+    if not (a in ends and b in ends and at(a) is not None and at(a) == at(b)):
         if not _faces_touch(s, a, _other(ea, a), b, _other(eb, b)):
             raise SiteMismatch("the two darts do not cobound a face")
     return ea, eb, ha
@@ -1062,7 +1163,8 @@ def _do_attach(s, mv):
     cl = mv.coreloop if mv.coreloop is not None else BraidWord(n)
     if cl.degree != n:
         raise SiteMismatch(f"coreloop degree {cl.degree} vs chart degree {n}")
-    hid = max((h.id for h in s.handles), default=0) + 1
+    idx = _index(s)
+    hid = idx.top + 1
     if mv.cocore_label is None:
         if mv.cocore_sign != 1:
             raise SiteMismatch("a footless attachment takes no cocore sign")
@@ -1085,7 +1187,7 @@ def _do_attach(s, mv):
             Edge((f1, f2), mv.cocore_label, head),
         )
         h = AttachedHandle(hid, cl, (f1, f2), None)
-    out = _rewrite(s, (), new, s.handles + (h,), genus=ch.genus + 1)
+    out = _rewrite(s, (), new, idx.add(h), genus=ch.genus + 1)
     return out, DetachTrivialHandle(hid)
 
 
@@ -1093,7 +1195,7 @@ def _do_attach(s, mv):
 def _do_detach(s, mv):
     ch = s.chart
     h = _uncoiled(s, mv.handle, "detach")
-    handles2 = tuple(x for x in s.handles if x.id != h.id)
+    handles2 = _index(s).drop(h.id)
     if h.feet is None:
         if h.coreloop.letters:
             raise NonTrivialHandle("the handle still carries loop letters")
@@ -1169,7 +1271,7 @@ def _do_across(s, mv):
         cl = conjugate(b, g)
     else:
         cl = free_reduce(g * b) if mv.side == "left" else free_reduce(b * g)
-    handles = _with_handles(s, replace(h, coreloop=cl))
+    handles = _index(s).put(replace(h, coreloop=cl))
     return _rewrite(s, new=made, handles=handles, loops=loops), inv
 
 
@@ -1216,7 +1318,7 @@ def _do_transfer(s, mv):
         if mv.side == "right"
         else free_reduce(g * h.coreloop)
     )
-    handles = _with_handles(s, replace(h, coreloop=cl))
+    handles = _index(s).put(replace(h, coreloop=cl))
     return _collapse(s, (v,), _across(v), handles=handles)
 
 
@@ -1249,7 +1351,7 @@ def _do_rotate(s, mv):
         feet2 = (f1, f2)
     else:
         new, feet2 = (), None
-    handles = _with_handles(s, AttachedHandle(h.id, new_b, feet2, None))
+    handles = _index(s).put(AttachedHandle(h.id, new_b, feet2, None))
     other = "ccw" if mv.direction == "cw" else "cw"
     return (
         _rewrite(s, gone, new, handles),
@@ -1321,7 +1423,7 @@ def _do_slide(s, mv):
             raise SiteMismatch("the spans must run opposite ways")
         bk = free_reduce(hl.coreloop.inverse() * hk.coreloop)
     gone = (el, *_foot_vertices(s, hl))
-    handles = _with_handles(s, replace(hk, coreloop=bk), replace(hl, feet=None))
+    handles = _index(s).put(replace(hk, coreloop=bk), replace(hl, feet=None))
     return _undoable(s, gone, (), handles)
 
 
@@ -1337,11 +1439,11 @@ def _do_aid(s, mv):
         fv = m.vertex_at[_other(e, d)]
         if fv is not wv and len(fv.cycle) != 1:
             raise SiteMismatch("every strand must end freely to reverse")
-    hid = max((h.id for h in s.handles), default=0) + 1
-    aid = AttachedHandle(hid, BraidWord(ch.degree), None, None)
+    idx = _index(s)
+    aid = AttachedHandle(idx.top + 1, BraidWord(ch.degree), None, None)
     gone = tuple(flip.values())
     new = tuple(Edge(e.darts, e.label, _other(e, e.head)) for e in gone)
-    return _undoable(s, gone, new, s.handles + (aid,), genus=ch.genus + 1)
+    return _undoable(s, gone, new, idx.add(aid), genus=ch.genus + 1)
 
 
 @_applies(SlideEndAlongEdge)
@@ -1372,7 +1474,7 @@ def _do_absorbhandle(s, mv):
     if not any(_lone_black(surface_map(s.chart), d) for d in et.darts):
         raise SiteMismatch("the target strand has no free end to slide over")
     gone = (e, *_foot_vertices(s, h))
-    handles = _with_handles(s, replace(h, feet=None))
+    handles = _index(s).put(replace(h, feet=None))
     return _undoable(s, gone, (), handles)
 
 
@@ -1409,7 +1511,7 @@ def _do_patterncapture(s, mv):
     if rec.curve != min(p.curve for p in pats):
         raise SiteMismatch("only the innermost copy can be captured")
     m, n = coil.mn
-    handles = _with_handles(s, replace(coil, mn=(m, n + rec.sense)))
+    handles = _index(s).put(replace(coil, mn=(m, n + rec.sense)))
     pats2 = tuple(p for k, p in enumerate(pats) if k != mv.index)
     return _undoable(s, handles=handles, pattern_loops=pats2)
 
@@ -1418,7 +1520,7 @@ def _do_patterncapture(s, mv):
 def _do_patterntwist(s, mv):
     coil = _the_coil(s)
     m, n = coil.mn
-    handles = _with_handles(s, replace(coil, mn=(m, n + 2 * mv.sign * m)))
+    handles = _index(s).put(replace(coil, mn=(m, n + 2 * mv.sign * m)))
     return _surface(s.chart, handles), PatternTwist(-mv.sign)
 
 
@@ -1429,28 +1531,41 @@ def _do_patterntwist(s, mv):
 def _check_surface(s: DecoratedSurface, touched=None, held=None):
     """Raise SiteMismatch unless the surface is valid; see validate_chart.
 
-    Given the move's patch (see take_patch), and held, the handle tuple
-    and free-end set of the valid input the move rewrote, the chart is
-    checked on its patch, and the handles only when either of the two is
-    not the input's.
+    Given the move's patch (see take_patch), and held, the handle index and
+    free-end set of the valid input the move rewrote, the chart is checked
+    on its patch, and of the handles only those the move put, and only at
+    the darts where it changed a foot or a free end.  Otherwise every
+    handle is checked, at every foot and free end.
     """
     problems = validate_chart(s.chart, touched)
     if problems:
         raise SiteMismatch("; ".join(problems))
     ends = surface_map(s.chart).ends
-    if touched is None or held[0] is not s.handles or held[1] is not ends:
-        feet, seen = [], set()
-        for h in s.handles:
-            if h.id in seen:
-                raise SiteMismatch(f"duplicate handle id {h.id}")
-            seen.add(h.id)
-            if h.coreloop.degree != s.chart.degree:
-                raise SiteMismatch(f"handle {h.id}: loop word degree mismatch")
-            if h.feet is not None:
-                feet.extend(h.feet)
-        if len(feet) != len(ends) or ends != set(feet):
-            raise SiteMismatch("free ends and handle feet out of step")
+    idx = _index(s)
+    if touched is None or (idx is not held[0] and idx.parent is not held[0]):
+        _check_handles(s, idx, ends, range(len(s.handles)), idx.foot.keys() | ends)
+    elif idx is not held[0] or ends is not held[1]:
+        darts = () if ends is held[1] else ends ^ held[1]
+        if idx is held[0]:
+            _check_handles(s, idx, ends, (), darts)
+        else:
+            _check_handles(s, idx, ends, idx.changed, {*idx.stirred, *darts})
     object.__setattr__(s, "_checked", True)
+
+
+def _check_handles(s, idx, ends, spots, darts):
+    """Refuse the handles at the positions spots, in order, and the darts
+    where a foot and a free end disagree."""
+    idx.parent = None
+    pos, foot, degree = idx.pos, idx.foot, s.chart.degree
+    for k in spots:
+        h = s.handles[k]
+        if pos[h.id] != k:
+            raise SiteMismatch(f"duplicate handle id {h.id}")
+        if h.coreloop.degree != degree:
+            raise SiteMismatch(f"handle {h.id}: loop word degree mismatch")
+    if len(foot) != idx.nfeet or any((d in foot) != (d in ends) for d in darts):
+        raise SiteMismatch("free ends and handle feet out of step")
 
 
 def apply_move(s: DecoratedSurface, mv):
@@ -1475,7 +1590,7 @@ def apply_move(s: DecoratedSurface, mv):
     if not getattr(s, "_checked", False):
         _check_surface(s)
     _check_fields(mv, s.chart.degree)
-    held = (s.handles, surface_map(s.chart).ends)
+    held = (s.__dict__["_index"], surface_map(s.chart).ends)
     out, inv = fn(s, mv)
     if not getattr(out, "_checked", False):
         _check_surface(out, take_patch(s.chart, out.chart), held)
