@@ -20,8 +20,6 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
-from operator import is_not
 
 from .errors import (
     IntegerTooLong, ParseError, TokenError, read_header_ints, read_int, read_ints, read_lines,
@@ -86,107 +84,6 @@ class Chart:
     pattern_loops: tuple[PatternLoop, ...] = ()
 
 
-# a chunk of a DartTable with no dart in it
-_EMPTY = [None] * 64
-
-
-def _present(v):
-    return v is not None
-
-
-class DartTable:
-    """A table keyed by dart, in chunks of 64 darts, copied by path.
-
-    chunks maps d >> 6 to a list of 64 slots; slot d & 63 holds d's value,
-    or None when d is not in the table, and no chunk is all None.  size is
-    the number of darts.  A table is never written once made: the map of a
-    move's output copies the chunk map and the chunks its patch writes (see
-    _copied), and shares every other chunk with its input's map, so every
-    earlier map stays valid (path copying: Driscoll, Sarnak, Sleator and
-    Tarjan, "Making data structures persistent", 1989).  Hot paths read
-    chunks[d >> 6][d & 63] inline; the methods are for the rest.
-    """
-
-    __slots__ = ("chunks", "size")
-
-    def __init__(self, chunks, size):
-        self.chunks, self.size = chunks, size
-
-    @classmethod
-    def of(cls, table, keys=None):
-        """The DartTable of a dict from dart to value; keys, when given, is
-        the set of d >> 6 over its darts."""
-        if keys is None:
-            keys = {d >> 6 for d in table}
-        get = table.get
-        return cls({k: list(map(get, range(k << 6, (k << 6) + 64))) for k in keys}, len(table))
-
-    def get(self, d, default=None):
-        try:
-            v = self.chunks[d >> 6][d & 63]
-        except (KeyError, TypeError):
-            return default
-        return default if v is None else v
-
-    def __getitem__(self, d):
-        try:
-            v = self.chunks[d >> 6][d & 63]
-        except TypeError:
-            raise KeyError(d) from None
-        if v is None:
-            raise KeyError(d)
-        return v
-
-    def __contains__(self, d):
-        return self.get(d) is not None
-
-    def __len__(self):
-        return self.size
-
-    def __iter__(self):
-        """The darts, increasing."""
-        chunks = self.chunks
-        for k in sorted(chunks):
-            yield from compress(range(k << 6, (k << 6) + 64), map(is_not, chunks[k], _EMPTY))
-
-    def __reversed__(self):
-        """The darts, decreasing."""
-        chunks = self.chunks
-        for k in sorted(chunks, reverse=True):
-            c = map(is_not, chunks[k], _EMPTY)
-            yield from reversed(list(compress(range(k << 6, (k << 6) + 64), c)))
-
-    def items(self):
-        """(dart, value) pairs, darts increasing."""
-        chunks = self.chunks
-        for k in sorted(chunks):
-            c = chunks[k]
-            yield from zip(compress(range(k << 6, (k << 6) + 64), map(is_not, c, _EMPTY)),
-                           filter(_present, c))
-
-    def values(self):
-        """The values, in dart order."""
-        chunks = self.chunks
-        for k in sorted(chunks):
-            yield from filter(_present, chunks[k])
-
-    def __eq__(self, other):
-        return type(other) is DartTable and self.chunks == other.chunks
-
-    __hash__ = None
-
-
-def _top(chunks):
-    """The largest dart of a chunk map, 0 when it has none."""
-    if not chunks:
-        return 0
-    k = max(chunks)
-    c, i = chunks[k], 63
-    while c[i] is None:
-        i -= 1
-    return (k << 6) + i
-
-
 @dataclass(eq=False, slots=True)
 class SurfaceMap:
     """A chart's rotation system with its faces, face count and components.
@@ -194,16 +91,15 @@ class SurfaceMap:
     Every table is keyed by dart, by component key or by the identity of an
     Edge or Vertex, never by a position in the chart's tuples, so a move's
     output carries its input's map through the move's patch (see rewrite).
-    Maps are shared between charts and must not be modified.  The six dart
-    tables hold the same darts.
+    Maps are shared between charts and must not be modified.
     """
 
-    alpha: DartTable  # dart -> the other dart of its edge
-    sigma: DartTable  # dart -> the next dart counterclockwise at its vertex
-    edge_at: DartTable  # dart -> its Edge
-    vertex_at: DartTable  # dart -> its Vertex
-    face_at: DartTable  # dart -> the walk of its face, from the face's least dart
-    comp: DartTable  # dart -> key of its connected component
+    alpha: dict  # dart -> the other dart of its edge
+    sigma: dict  # dart -> the next dart counterclockwise at its vertex
+    edge_at: dict  # dart -> its Edge
+    vertex_at: dict  # dart -> its Vertex
+    face_at: dict  # dart -> the walk of its face, from the face's least dart
+    comp: dict  # dart -> key of its connected component
     size: dict  # component key -> number of darts
     nfaces: int  # the number of faces
     ends: frozenset  # the darts of the free_end vertices
@@ -219,7 +115,7 @@ class SurfaceMap:
 
     @property
     def darts(self):
-        return tuple(self.alpha)
+        return tuple(sorted(self.alpha))
 
     @property
     def faces(self):
@@ -407,15 +303,11 @@ def _header(chart):
 
 
 def _face(d, alpha, sigma):
-    """The walk of the face through d, from its least dart; alpha and sigma
-    are chunk maps (see DartTable)."""
-    walk, cur = [d], d
-    while True:
-        cur = alpha[cur >> 6][cur & 63]
-        cur = sigma[cur >> 6][cur & 63]
-        if cur == d:
-            break
+    """The walk of the face through d, from its least dart."""
+    walk, cur = [d], sigma[alpha[d]]
+    while cur != d:
         walk.append(cur)
+        cur = sigma[alpha[cur]]
     k = walk.index(min(walk))
     return tuple(walk[k:] + walk[:k])
 
@@ -496,22 +388,17 @@ def _derive(chart):
     nv, ne = len(vertices), len(edges)
     rank = {id(v): k for k, v in enumerate(vertices)}
     rank.update({id(e): k for k, e in enumerate(edges)})
-    keys = {d >> 6 for d in alpha}
-    alpha, sigma, edge_at, vertex_at, face_at, comp = (
-        DartTable.of(x, keys) for x in (alpha, sigma, edge_at, vertex_at, face_at, comp)
-    )
     sm = SurfaceMap(
-        alpha, sigma, edge_at, vertex_at, face_at, comp, size,
-        nfaces, frozenset(_ends(vertices)), rank, tuple(range(nv)), tuple(range(ne)),
-        max(nv, ne), len(size), _top(alpha.chunks),
+        alpha, sigma, edge_at, vertex_at, face_at, comp, size, nfaces,
+        frozenset(_ends(vertices)), rank, tuple(range(nv)), tuple(range(ne)),
+        max(nv, ne), len(size), max(alpha, default=0),
     )
     return [], sm
 
 
 def _searches(seeds, alpha, sigma):
     """Group the seed darts by connected component; seeds is a list of
-    disjoint lists of darts, each in one component, and alpha and sigma
-    are chunk maps (see DartTable).
+    disjoint lists of darts, each in one component.
 
     One breadth-first search starts at each list of seeds; the searches
     take a dart each in turn and merge where they meet, and stop once at
@@ -533,8 +420,7 @@ def _searches(seeds, alpha, sigma):
             if root[g] != g:
                 continue
             d = todo[g].popleft()
-            k, i = d >> 6, d & 63
-            for x in (alpha[k][i], sigma[k][i]):
+            for x in (alpha[d], sigma[d]):
                 h = owner.get(x)
                 if h is None:
                     owner[x] = g
@@ -564,13 +450,12 @@ def _carry(chart, p):
     """(violations, map) of chart, made by rewrite with the Patch p.
 
     A patch that removes and makes no Edge or Vertex keeps the parent's
-    map.  Otherwise each dart table copies its chunk map and the chunks
-    the patch writes (see DartTable), and only the faces through a patch
-    dart are walked again.  Components are searched from the patch alone,
-    and the size of the one component left unexplored follows by
-    difference.  A patch that does not fit its parent, or an output with a
-    broken dart structure, is derived in full instead, which names the
-    violations.
+    map.  Otherwise the dart tables are copied and patched, and only the
+    faces through a patch dart are walked again.  Components are searched
+    from the patch alone, and the size of the one component left unexplored
+    follows by difference.  A patch that does not fit its parent, or an
+    output with a broken dart structure, is derived in full instead, which
+    names the violations.
     """
     parent = p.parent
     got = _derived(parent)
@@ -589,119 +474,99 @@ def _carry(chart, p):
     for x in (*ge, *gv):
         if rank.pop(id(x), None) is None:
             return _derive(chart)
-    gone = [d for e in ge for d in e.darts]
-    for v in gv:
-        gone += v.cycle
-    touched = {*gone, *p.made}
-    # the dart tables, each a copy of its parent's chunk map that owns a
-    # copy of each chunk the patch writes; the four tables hold the same
-    # chunks, and a made dart that is in use, or made twice, finds its slot
-    # taken
-    pa, ps, pe, pv = pm.alpha.chunks, pm.sigma.chunks, pm.edge_at.chunks, pm.vertex_at.chunks
-    alpha, sigma, edge_at, vertex_at = pa.copy(), ps.copy(), pe.copy(), pv.copy()
-    for k in {d >> 6 for d in touched}:
-        if k in pa:
-            alpha[k], sigma[k] = pa[k].copy(), ps[k].copy()
-            edge_at[k], vertex_at[k] = pe[k].copy(), pv[k].copy()
-        else:
-            alpha[k], sigma[k], edge_at[k], vertex_at[k] = (
-                [None] * 64, [None] * 64, [None] * 64, [None] * 64
-            )
+    # the dart tables; a made dart that is in use, or in use twice, shows
+    # as a table shorter than its count
+    alpha, sigma = pm.alpha.copy(), pm.sigma.copy()
+    edge_at, vertex_at = pm.edge_at.copy(), pm.vertex_at.copy()
+    touched = set(p.made)
+    at_vertices = len(vertex_at)
     for e in ge:
-        for d in e.darts:
-            alpha[d >> 6][d & 63] = edge_at[d >> 6][d & 63] = None
+        d1, d2 = e.darts
+        del edge_at[d1], edge_at[d2], alpha[d1], alpha[d2]
+        touched.update(e.darts)
     for v in gv:
-        for d in v.cycle:
-            sigma[d >> 6][d & 63] = vertex_at[d >> 6][d & 63] = None
+        cycle = v.cycle
+        for d in cycle:
+            del vertex_at[d], sigma[d]
+        at_vertices -= len(cycle)
+        touched.update(cycle)
     for e in ne:
         d1, d2 = e.darts
         if e.head != d1 and e.head != d2:
             return _derive(chart)
-        for d, x in ((d1, d2), (d2, d1)):
-            c = alpha[d >> 6]
-            if c[d & 63] is not None:
-                return _derive(chart)
-            c[d & 63] = x
-            edge_at[d >> 6][d & 63] = e
+        edge_at[d1] = edge_at[d2] = e
+        alpha[d1] = d2
+        alpha[d2] = d1
     for v in nv:
         cycle = v.cycle
         if not cycle:
             return _derive(chart)
-        for d, x in zip(cycle, cycle[1:] + cycle[:1]):
-            c = vertex_at[d >> 6]
-            if c[d & 63] is not None:
-                return _derive(chart)
-            c[d & 63] = v
-            sigma[d >> 6][d & 63] = x
-    alive, dead = [], []
-    for d in touched:
-        on_edge = alpha[d >> 6][d & 63] is not None
-        if on_edge != (vertex_at[d >> 6][d & 63] is not None):
-            return _derive(chart)
-        (alive if on_edge else dead).append(d)
-    size = pm.alpha.size + 2 * (len(ne) - len(ge))
+        prev = cycle[-1]
+        for d in cycle:
+            vertex_at[d] = v
+            sigma[prev] = d
+            prev = d
+        at_vertices += len(cycle)
+    alive = alpha.keys() & touched
+    if (
+        len(alpha) != len(pm.alpha) + 2 * (len(ne) - len(ge))
+        or len(vertex_at) != at_vertices
+        or alive != vertex_at.keys() & touched
+    ):
+        return _derive(chart)
+    dead = touched - alive
     # ranks: added objects follow top in the order rewrite appends them
     for x in (*nv, *ne):
         rank[id(x)] = top
         top += 1
+    last = max((pm.last, *p.made))
+    if last not in alpha:
+        last = max(alpha, default=0)
 
     # faces: a face walk changes only where it runs through a patch dart
     # (a changed edge, or a changed vertex entered from its partner).  So
-    # the parent's faces through patch darts, the removed darts' faces, are
-    # stale, and every dart of theirs that is left lies on a face through a
-    # surviving patch dart: walking those faces replaces every stale entry
-    # but the removed darts'.  face_at and comp copy a chunk before its
-    # first write, and own names the chunks copied
-    pface, pcomp = pm.face_at.chunks, pm.comp.chunks
-    stale = {id(pface[d >> 6][d & 63]) for d in gone}
-    face_at, comp, fown, cown = pface.copy(), pcomp.copy(), set(), set()
+    # the parent's faces through patch darts are stale, and every dart of
+    # theirs that is left lies on a face through a surviving patch dart:
+    # walking those faces replaces every stale entry but the removed darts'
+    pface, pcomp = pm.face_at, pm.comp
+    was = pface.keys() & touched
+    stale = {id(pface[d]) for d in was}
+    face_at, comp = pface.copy(), pcomp.copy()
     for d in dead:
-        k = d >> 6
-        if k not in fown:
-            fown.add(k)
-            cown.add(k)
-            face_at[k], comp[k] = face_at[k].copy(), comp[k].copy()
-        face_at[k][d & 63] = comp[k][d & 63] = None
+        del face_at[d], comp[d]
     live = sorted(alive)
     walks = 0
     for d in live:
-        w = face_at.get(d >> 6)
-        w = w and w[d & 63]
+        w = face_at.get(d)
         if w is None or id(w) in stale:
             walk = _face(d, alpha, sigma)
             for x in walk:
-                k = x >> 6
-                if k not in fown:
-                    fown.add(k)
-                    w = face_at.get(k)
-                    face_at[k] = [None] * 64 if w is None else w.copy()
-                face_at[k][x & 63] = walk
+                face_at[x] = walk
             walks += 1
 
     # components: the parent components the patch reaches are replaced by
     # the components of the patch's surviving darts
-    was = sorted({pcomp[d >> 6][d & 63] for d in gone})
-    sizes = pm.size.copy()
-    region_size = sum(map(sizes.pop, was)) + size - pm.alpha.size
+    keys = sorted({pcomp[d] for d in was})
+    size = pm.size.copy()
+    region_size = sum(map(size.pop, keys)) + len(alpha) - len(pm.alpha)
     # the live darts of one face lie in one component
     faces = {}
     for d in live:
-        faces.setdefault(id(face_at[d >> 6][d & 63]), []).append(d)
+        faces.setdefault(id(face_at[d]), []).append(d)
     done, running, owner = _searches(list(faces.values()), alpha, sigma)
-    fresh, keyed = pm.key, []
+    fresh = pm.key
     if running is not None:
         darts, todo = running
         # the darts of each parent component reached that were neither
         # removed nor explored
-        left = {k: pm.size[k] for k in was}
+        left = {k: pm.size[k] for k in keys}
         for d in dead:
-            left[pcomp[d >> 6][d & 63]] -= 1
+            left[pcomp[d]] -= 1
         for d in owner:
-            k = pcomp.get(d >> 6)
-            k = k and k[d & 63]
+            k = pcomp.get(d)
             if k is not None:
                 left[k] -= 1
-        rest = [k for k in was if left[k]]
+        rest = [k for k in keys if left[k]]
         if rest:
             # the running search's component holds unexplored darts of the
             # parent components in rest: the largest keeps its key, and the
@@ -710,45 +575,27 @@ def _carry(chart, p):
             stack = list(todo) if len(rest) > 1 else []
             while stack:
                 d = stack.pop()
-                for x in (alpha[d >> 6][d & 63], sigma[d >> 6][d & 63]):
-                    if x not in owner and pcomp[x >> 6][x & 63] != keep:
+                for x in (alpha[d], sigma[d]):
+                    if x not in owner and pcomp[x] != keep:
                         owner[x] = None
                         darts.append(x)
                         stack.append(x)
-            keyed.append((darts, keep))
-            sizes[keep] = region_size - sum(map(len, done))
+            for d in darts:
+                comp[d] = keep
+            size[keep] = region_size - sum(map(len, done))
         else:
             done.append(darts)
     for group in done:
-        keyed.append((group, fresh))
-        sizes[fresh] = len(group)
-        fresh += 1
-    for group, key in keyed:
         for d in group:
-            k = d >> 6
-            if k not in cown:
-                cown.add(k)
-                c = comp.get(k)
-                comp[k] = [None] * 64 if c is None else c.copy()
-            comp[k][d & 63] = key
-
-    # a chunk left without darts goes from every table
-    tables = (alpha, sigma, edge_at, vertex_at, face_at, comp)
-    for k in {d >> 6 for d in dead}:
-        if alpha[k] == _EMPTY:
-            for chunks in tables:
-                del chunks[k]
-    last = max((pm.last, *p.made))
-    c = alpha.get(last >> 6)
-    if c is None or c[last & 63] is None:
-        last = _top(alpha)
+            comp[d] = fresh
+        size[fresh] = len(group)
+        fresh += 1
 
     ends = pm.ends
     if any(v.kind == "free_end" for v in (*gv, *nv)):
         ends = ends.difference(_ends(gv)).union(_ends(nv))
     sm = SurfaceMap(
-        DartTable(alpha, size), DartTable(sigma, size), DartTable(edge_at, size),
-        DartTable(vertex_at, size), DartTable(face_at, size), DartTable(comp, size), sizes,
+        alpha, sigma, edge_at, vertex_at, face_at, comp, size,
         pm.nfaces + walks - len(stale), ends, rank, *p.ranks, top, fresh, last,
     )
     return [], sm
@@ -756,9 +603,9 @@ def _carry(chart, p):
 
 def _word(edge_at, v):
     """Counterclockwise (label, out_sign) word around one vertex, a tuple."""
-    seq, chunks = [], edge_at.chunks
+    seq = []
     for d in v.cycle:
-        e = chunks[d >> 6][d & 63]
+        e = edge_at[d]
         seq.append((e.label, 1 if e.head != d else -1))
     return tuple(seq)
 

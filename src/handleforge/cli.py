@@ -37,7 +37,7 @@ from .handles import (
     HandleTrace,
     IllegalStep,
     classify_standard,
-    enumerate_reachable,
+    count_reachable,
     format_handles,
     format_trace,
     normalize_general,
@@ -258,13 +258,11 @@ def _cmd_unbraid(args):
 
 def _cmd_oracle(args):
     system = _load(args.file, "handles")
-    states = enumerate_reachable(
-        system, args.budget, args.bound, max_states=args.max_states
-    )
+    states = count_reachable(system, args.budget, args.bound, max_states=args.max_states)
     rep = Report("oracle")
     rep.add("budget", args.budget)
     rep.add("bound", args.bound)
-    rep.add("states", len(states))
+    rep.add("states", states)
     return rep, True
 
 

@@ -669,20 +669,18 @@ def _fresh(ch: Chart, n: int, drop=()) -> tuple[int, ...]:
     m = surface_map(ch)
     top = m.last
     if top in drop:
-        top = next((d for d in reversed(m.alpha) if d not in drop), 0)
+        top = max((d for d in m.alpha if d not in drop), default=0)
     return tuple(range(top + 1, top + 1 + n))
 
 
 def _faces_touch(s: DecoratedSurface, a, pa, b, pb):
     """Necessary condition for a band between the two edges to embed."""
     m = surface_map(s.chart)
-    comp = m.comp.chunks
-    if comp[a >> 6][a & 63] != comp[b >> 6][b & 63]:
+    if m.comp.get(a) != m.comp.get(b):
         return True
-    face = m.face_at.chunks
-    fa, fpa = face[a >> 6][a & 63], face[pa >> 6][pa & 63]
-    fb, fpb = face[b >> 6][b & 63], face[pb >> 6][pb & 63]
-    return fb is fa or fb is fpa or fpb is fa or fpb is fpa
+    face_at = m.face_at
+    fa, fpa = face_at[a], face_at[pa]
+    return any(face_at[d] is fa or face_at[d] is fpa for d in (b, pb))
 
 
 def _planar_reconnect(m, a, pa, b, pb):
@@ -697,23 +695,19 @@ def _planar_reconnect(m, a, pa, b, pb):
     when b and pa both lie on it; of those placements, b on face(a) with pa
     on face(pb) is the one where the edges cobound a face.
     """
-    comp = m.comp.chunks
-    if comp[a >> 6][a & 63] != comp[b >> 6][b & 63]:
+    if m.comp.get(a) != m.comp.get(b):
         return True
-    face = m.face_at.chunks
-    fa, fb = face[a >> 6][a & 63], face[b >> 6][b & 63]
-    fpa, fpb = face[pa >> 6][pa & 63], face[pb >> 6][pb & 63]
+    face_at = m.face_at
+    fa, fb, fpa, fpb = face_at[a], face_at[b], face_at[pa], face_at[pb]
     return fpb is fa or fpa is fb or (fb is fa and fpa is fpb)
 
 
 def _planar_insert(m, a, pa, b):
     # the pushed finger detours through the face behind a, which must be
     # the face in front of b; separate components can always be arranged
-    comp = m.comp.chunks
-    if comp[a >> 6][a & 63] != comp[b >> 6][b & 63]:
+    if m.comp.get(a) != m.comp.get(b):
         return True
-    face = m.face_at.chunks
-    return face[pa >> 6][pa & 63] is face[b >> 6][b & 63]
+    return m.face_at[pa] is m.face_at[b]
 
 
 def _rewrite(s: DecoratedSurface, gone=(), new=(), handles=None, **chart_fields):
@@ -1621,8 +1615,7 @@ def enumerate_chart_moves(s: DecoratedSurface):
     n = ch.degree
     out = []
     m = surface_map(ch)
-    # the pair loops below read plain dicts
-    emap, vmap = dict(m.edge_at.items()), dict(m.vertex_at.items())
+    emap, vmap = m.edge_at, m.vertex_at
 
     for lab in range(1, n):
         for sign in (1, -1):
@@ -1744,23 +1737,20 @@ class _InsertSites:
     def __init__(self, m, degree):
         self.m = m
         self.darts = darts = m.darts
-        emap, comp, face_at, alpha = (
-            m.edge_at.chunks, m.comp.chunks, m.face_at.chunks, m.alpha.chunks
-        )
+        emap, comp, face_at, alpha = m.edge_at, m.comp, m.face_at, m.alpha
         labels = range(1, degree)
         far = {x: [y for y in labels if abs(x - y) >= 2] for x in labels}
         above = {}
         get = above.get
         counts = []
         for a in reversed(darts):
-            c, i = a >> 6, a & 63
-            lab, k, pa = emap[c][i].label, comp[c][i], alpha[c][i]
-            f = id(face_at[pa >> 6][pa & 63])
+            lab, k = emap[a].label, comp[a]
+            f = id(face_at[alpha[a]])
             n = 0
             for x in far[lab]:
                 n += get(x, 0) - get((k, x), 0) + get((f, x), 0)
             counts.append(n)
-            for key in (lab, (k, lab), (id(face_at[c][i]), lab)):
+            for key in (lab, (k, lab), (id(face_at[a]), lab)):
                 above[key] = get(key, 0) + 1
         counts.reverse()
         self.ends = list(accumulate(counts))
@@ -1774,10 +1764,9 @@ class _InsertSites:
         m, darts = self.m, self.darts
         i = bisect_right(self.ends, k)
         a, j = darts[i], k - (self.ends[i - 1] if i else 0)
-        emap = m.edge_at.chunks
-        la, pa = emap[a >> 6][a & 63].label, m.alpha[a]
+        la, pa = m.edge_at[a].label, m.alpha[a]
         for b in darts[i + 1 :]:
-            if abs(emap[b >> 6][b & 63].label - la) >= 2 and _planar_insert(m, a, pa, b):
+            if abs(m.edge_at[b].label - la) >= 2 and _planar_insert(m, a, pa, b):
                 if not j:
                     return a, b
                 j -= 1
@@ -1791,7 +1780,7 @@ def generate_blackless_chart(degree: int, steps: int, rng) -> Chart:
     for _ in range(steps):
         ch = s.chart
         m = surface_map(ch)
-        emap, darts = dict(m.edge_at.items()), m.darts
+        emap, darts = m.edge_at, m.darts
         # whether an insert site exists: none without two labels two apart,
         # else the first in pair order is sought; the sites are counted
         # only when an insert is drawn

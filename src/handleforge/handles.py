@@ -661,6 +661,18 @@ def enumerate_reachable(
     return seen
 
 
+def count_reachable(
+    s: HandleSystem, move_budget: int, coeff_bound: int, *, max_states: int = 200_000
+) -> int:
+    """len(enumerate_reachable(s, move_budget, coeff_bound)), without making
+    a system per state when the kernel's ball can be counted: all-trivial
+    systems count the (m, n) states of the ball."""
+    if all(hd.label.is_trivial for hd in s.handles):
+        start = [(hd.m, hd.n) for hd in s.handles]
+        return len(kernels.handle_ball(start, move_budget, coeff_bound, max_states))
+    return len(enumerate_reachable(s, move_budget, coeff_bound, max_states=max_states))
+
+
 # ---------------------------------------------------------------------------
 # text formats
 

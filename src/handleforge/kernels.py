@@ -81,13 +81,21 @@ def check_letters(values: Sequence[int], degree: int) -> tuple[dict, ...] | None
         try:
             # map/min/max/in run in C: far cheaper than a per-letter loop;
             # letters are read by value only when one is not an int
-            if (_INT.issuperset(map(type, values)) or all(map(eq, map(int, values), values))) and (
+            if (_INT.issuperset(map(type, values)) or _equal_ints(values)) and (
                 not values or (0 not in values and max(values) < degree and -min(values) < degree)
             ):
                 return None
-        except (TypeError, ValueError, OverflowError):  # int() refused a letter
+        except (TypeError, ValueError, OverflowError):  # int() or hash() refused a letter
             pass
     raise _letter_error(values, degree)
+
+
+def _equal_ints(values: Sequence) -> bool:
+    """True when each letter equals the int it reads as; TypeError when one
+    cannot be hashed, as the legal-letter set refuses it up to TABLE_DEGREE
+    (a word is hashed by its letters)."""
+    hash(tuple(values))
+    return all(map(eq, map(int, values), values))
 
 
 def _letter_error(values: Sequence[int], degree: int) -> ValueError:

@@ -323,6 +323,15 @@ class TestInvariantFilters:
             with pytest.raises(ValueError, match=f"letter index {abs(letter)} "):
                 BraidWord.from_signed(100, (1, letter))
 
+    def test_an_unhashable_letter_is_refused_alike_below_and_above_the_cap(self):
+        np = pytest.importorskip("numpy")
+        for degree in (4, kernels.TABLE_DEGREE + 2):
+            with pytest.raises(ValueError) as exc:
+                BraidWord.from_signed(degree, (np.array(1), -1))
+            assert str(exc.value) == (
+                f"the letters (array(1), -1) are not all of +-1 .. +-{degree - 1}"
+            )
+
 
 def walk_step_table(values, degree):
     """The number dehornoy_trivial's step table gives the word's permutation."""

@@ -1303,7 +1303,7 @@ class TestGenerator:
 def _listed_insert_sites(m):
     """Every CIR2Insert site (a, b) with a < b of the map m, listed in dart
     pair order: the list the generator drew from before it counted them."""
-    emap, darts = dict(m.edge_at.items()), m.darts
+    emap, darts = m.edge_at, m.darts
     return [
         (a, b)
         for ai, a in enumerate(darts)

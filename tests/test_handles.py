@@ -28,6 +28,7 @@ from handleforge.handles import (
     Twist,
     apply_handle_move,
     classify_standard,
+    count_reachable,
     enumerate_reachable,
     format_handles,
     format_trace,
@@ -550,6 +551,17 @@ class TestEnumerateReachable:
             f"{search} exceeded its budget of 50 states: "
             "at least 51 states reached by layer 2"
         )
+
+    @given(trivial_systems(max_handles=2, bound=2))
+    @settings(deadline=None, max_examples=30)
+    def test_the_count_is_the_number_of_systems(self, s):
+        assert count_reachable(s, 3, 5) == len(enumerate_reachable(s, 3, 5))
+
+    def test_a_labelled_system_counts_its_systems(self):
+        s = sys_of((1, 0), (0, 1), labels=[gen(1), TRIV], g=1)
+        assert count_reachable(s, 2, 6) == len(enumerate_reachable(s, 2, 6)) > 1
+        with pytest.raises(BudgetExceeded, match="^handle search exceeded"):
+            count_reachable(sys_of((1, 0), (0, 1)), 6, 9, max_states=50)
 
     @given(trivial_systems(max_handles=2, bound=2))
     @settings(deadline=None, max_examples=30)
