@@ -1150,6 +1150,15 @@ class TestPatchChecks:
             more = s.handles + (h,)
             return lambda s, mv: engine._rewrite(s, handles=more, genus=ch.genus + 1)
 
+        # the same refusals through the handle index that moves carry
+        h = s.handles[0]
+        span, feet = engine._span(s, h)[0], engine._foot_vertices(s, h)
+
+        def indexed(change, genus=0):
+            return lambda s, mv: engine._rewrite(
+                s, handles=change(engine._index(s)), genus=ch.genus + genus
+            )
+
         cases = (
             (records(FloatingLoop(0, 1)), f"loop {k}: label 0 out of range 1..3"),
             (records(FloatingLoop(n, 1)), f"loop {k}: label 4 out of range 1..3"),
@@ -1165,6 +1174,19 @@ class TestPatchChecks:
             ),
             (
                 handles(AttachedHandle(hid + 1, BraidWord(n), strand.darts)),
+                "free ends and handle feet out of step",
+            ),
+            (
+                indexed(lambda x: x.add(AttachedHandle(hid, BraidWord(n))), genus=1),
+                f"duplicate handle id {hid}",
+            ),
+            (
+                indexed(lambda x: x.put(replace(h, feet=strand.darts))),
+                "free ends and handle feet out of step",
+            ),
+            # a foot with no free end: the span goes, the handle keeps its feet
+            (
+                lambda s, mv: engine._rewrite(s, (span, *feet), ()),
                 "free ends and handle feet out of step",
             ),
         )
@@ -1574,6 +1596,25 @@ class TestCarriedMap:
         surface_map(final.chart)
         assert calls == [chart, final.chart]
 
+    def test_every_kept_state_keeps_its_map(self):
+        # maps are shared between states and never written once made: the
+        # map of each state of a run, and of trial moves from one state,
+        # still equals a full derivation after every later move
+        s = surf(parse_chart((BENCH_CHARTS / "unbraid_v52.chart").read_text()))
+        _, _, trace = unbraid_without_branch(s, "weak")
+        kept = [s]
+        for k, mv in enumerate(trace.steps):
+            kept.append(apply_move(kept[-1], mv)[0])
+            if k == len(trace.steps) // 3:
+                # trial applies from one state before the run goes on
+                base = kept[-1]
+                kept += [apply_move(base, trial)[0] for trial in enumerate_chart_moves(base)[::7]]
+                kept.append(base)
+        assert len(kept) > len(trace.steps) + 20
+        for state in kept:
+            m = surface_map(state.chart)
+            assert _map_key(m) == _map_key(chart_mod._derive(_fresh_copy(state.chart))[1])
+
     def test_moves_that_keep_the_graph_share_the_map(self):
         s = surf(generate_blackless_chart(4, 20, random.Random(5)))
         m = surface_map(s.chart)
@@ -1808,7 +1849,7 @@ def _with_copies(ch, base, copies=4):
 class TestMoveCost:
     """A move costs its patch: the same move at the same darts runs as many
     lines on a surface padded with records, footless handles and a disjoint
-    chart as on the surface itself."""
+    chart as on the surface itself, handle moves included."""
 
     BASE = generate_blackless_chart(4, 30, random.Random(3))
     # line events of one record erase on the spanned base surface: 111 when
@@ -1848,9 +1889,9 @@ class TestMoveCost:
             (spanned, CIM1Erase(len(ch.loops) - 1), True),
             (spanned, reconnect, True),
             (spanned, cancel, True),
-            (spanned, AttachTrivialHandle(cocore_label=1), False),
-            (spanned, Bridge(hid, d_i), False),
-            (bridged, CrossingTransfer(d_i, hid), False),
+            (spanned, AttachTrivialHandle(cocore_label=1), True),
+            (spanned, Bridge(hid, d_i), True),
+            (bridged, CrossingTransfer(d_i, hid), True),
         )
         counts = {}
         for s, mv, handles in cases:
