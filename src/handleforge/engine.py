@@ -153,40 +153,37 @@ class _HandleIndex:
         feet = [(f, h.id) for h in handles if h.feet is not None for f in h.feet]
         return cls(handles, pos, dict(feet), len(feet), max(pos, default=0))
 
-    def _moved(self, foot, nfeet, olds, news):
-        """foot and nfeet with the feet of the handles olds taken off and
-        those of news put on (foot copied first), and the darts stirred."""
-        stirred = []
+    def _moved(self, olds, news):
+        """The foot table and feet count with the feet of the handles olds
+        taken off and those of news put on, and the darts stirred; the
+        table is copied only when feet change."""
+        olds = [h for h in olds if h.feet is not None]
+        news = [h for h in news if h.feet is not None]
+        if not (olds or news):
+            return self.foot, self.nfeet, ()
+        foot, nfeet, stirred = self.foot.copy(), self.nfeet, []
         for h in olds:
-            if h.feet is not None:
-                if foot is self.foot:
-                    foot = foot.copy()
-                for f in h.feet:
-                    del foot[f]
-                nfeet -= len(h.feet)
-                stirred += h.feet
+            for f in h.feet:
+                del foot[f]
+            nfeet -= len(h.feet)
+            stirred += h.feet
         for h in news:
-            if h.feet is not None:
-                if foot is self.foot:
-                    foot = foot.copy()
-                for f in h.feet:
-                    foot[f] = h.id
-                nfeet += len(h.feet)
-                stirred += h.feet
+            foot.update(dict.fromkeys(h.feet, h.id))
+            nfeet += len(h.feet)
+            stirred += h.feet
         return foot, nfeet, stirred
 
     def put(self, *hs):
         """The index with each of hs in place of the handle with its id."""
-        out, olds, changed = list(self.handles), [], []
+        out, olds, news, changed = list(self.handles), [], [], []
         for h in hs:
             k = self.pos[h.id]
-            olds.append(out[k])
+            if out[k].feet != h.feet:
+                olds.append(out[k])
+                news.append(h)
             out[k] = h
             changed.append(k)
-        moved = [(o, h) for o, h in zip(olds, hs) if o.feet != h.feet]
-        foot, nfeet, stirred = self._moved(
-            self.foot, self.nfeet, [o for o, _ in moved], [h for _, h in moved]
-        )
+        foot, nfeet, stirred = self._moved(olds, news)
         return _HandleIndex(tuple(out), self.pos, foot, nfeet, self.top, self,
                             sorted(changed), stirred)
 
@@ -195,17 +192,16 @@ class _HandleIndex:
         k = len(self.handles)
         pos = self.pos.copy()
         pos.setdefault(h.id, k)
-        foot, nfeet, stirred = self._moved(self.foot, self.nfeet, (), (h,))
+        foot, nfeet, stirred = self._moved((), (h,))
         top = max(self.top, h.id) if k else h.id
         return _HandleIndex(self.handles + (h,), pos, foot, nfeet, top, self, (k,), stirred)
 
     def drop(self, hid):
         """The index without the handle hid."""
         k = self.pos[hid]
-        h = self.handles[k]
         handles = self.handles[:k] + self.handles[k + 1:]
         pos = _positions(handles)
-        foot, nfeet, stirred = self._moved(self.foot, self.nfeet, (h,), ())
+        foot, nfeet, stirred = self._moved((self.handles[k],), ())
         top = max(pos, default=0) if hid == self.top else self.top
         return _HandleIndex(handles, pos, foot, nfeet, top, self, (), stirred)
 
