@@ -1599,7 +1599,7 @@ class TestCarriedMap:
     def test_every_kept_state_keeps_its_map(self):
         # maps are shared between states and never written once made: the
         # map of each state of a run, and of trial moves from one state,
-        # still equals a full derivation after every later move
+        # still equals a full derivation once the run is over
         s = surf(parse_chart((BENCH_CHARTS / "unbraid_v52.chart").read_text()))
         _, _, trace = unbraid_without_branch(s, "weak")
         kept = [s]
