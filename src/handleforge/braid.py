@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import kernels
+from .kernels import _TABLES
 from .errors import IntegerTooLong, read_int
 
 
@@ -20,14 +21,12 @@ class DegreeMismatch(ValueError):
 
 
 def _check(degree: int, letters: tuple[int, ...]) -> None:
-    """The refusals of every BraidWord: a degree below 2, a letter that is
-    not an integer of +-1 .. +-(degree-1) by value."""
-    if degree < 2:
+    """The refusals of every BraidWord: a degree that is not an integer or
+    is below 2, a letter that is not an integer of +-1 .. +-(degree-1) by
+    value."""
+    if kernels.degree_index(degree) < 2:
         raise ValueError(f"degree must be at least 2, got {degree}")
     kernels.check_letters(letters, degree)
-
-
-_new, _set = object.__new__, object.__setattr__
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,13 +42,23 @@ class BraidWord:
         """Build a word from signed integers: +i for si, -i for Si.
 
         The value is built here, as the frozen __init__ would build it,
-        without that call and its __post_init__ call.
+        without that call and its __post_init__ call.  For an int degree
+        whose tables are built (kernels._TABLES), one lookup in its
+        legal-letter set checks the letters; anything else goes through
+        the full check.
         """
         letters = tuple(values)
-        _check(degree, letters)
+        # the kernels keep tables for int degrees below 2 too; no word has one
+        tables = _TABLES.get(degree) if type(degree) is int and degree > 1 else None
+        try:
+            checked = tables is not None and tables[0].issuperset(letters)
+        except TypeError:  # an unhashable letter
+            checked = False
+        if not checked:
+            _check(degree, letters)
         word = _new(cls)
-        _set(word, "degree", degree)
-        _set(word, "letters", letters)
+        _set_degree(word, degree)
+        _set_letters(word, letters)
         return word
 
     def signed(self) -> tuple[int, ...]:
@@ -72,6 +81,12 @@ class BraidWord:
     def is_empty(self) -> bool:
         return not self.letters
 
+
+# the slot descriptors set a frozen word's fields past its __setattr__,
+# cheaper than object.__setattr__ by name
+_new = object.__new__
+_set_degree = BraidWord.__dict__["degree"].__set__
+_set_letters = BraidWord.__dict__["letters"].__set__
 
 _LETTER_RE = re.compile(r"^([sS])(.+)$")
 
@@ -137,8 +152,9 @@ def reduce_far_commutation(word: BraidWord) -> BraidWord:
 
 
 def is_identity(word: BraidWord) -> bool:
-    """Exact triviality test: letters, parity, exponent sum, permutation, then
-    handle reduction (kernels.dehornoy_trivial)."""
+    """Exact triviality test (kernels.dehornoy_trivial): up to degree
+    kernels.TABLE_DEGREE, a walk of the step table that also checks the
+    letters, then the exponent sum, then handle reduction."""
     # called through the module attribute, so that a replaced
     # kernels.dehornoy_trivial (a timing wrapper) is the one that runs
     return kernels.dehornoy_trivial(word.letters, word.degree)

@@ -1355,19 +1355,24 @@ def _do_rotate(s, mv):
     )
 
 
-def _carrier(s: DecoratedSurface, label):
-    """The first uncoiled handle with an empty loop word spanned by a clean
-    edge of this label, or None."""
+def _carriers(s: DecoratedSurface):
+    """(label, handle) for each uncoiled handle with an empty loop word
+    spanned by a clean edge, in handle order."""
     for h in s.handles:
-        if h.mn is None and h.coreloop.is_empty:
+        if h.feet is not None and h.mn is None and h.coreloop.is_empty:  # footless: no span
             span = _span(s, h)
-            if span is not None and span[0].label == label:
-                return h
-    return None
+            if span is not None:
+                yield span[0].label, h
+
+
+def _carrier(s: DecoratedSurface, label):
+    """The first of _carriers of this label, or None."""
+    return next((h for lab, h in _carriers(s) if lab == label), None)
 
 
 def _require_generators(s):
-    missing = [lab for lab in range(1, s.chart.degree) if _carrier(s, lab) is None]
+    carried = {lab for lab, _ in _carriers(s)}
+    missing = [lab for lab in range(1, s.chart.degree) if lab not in carried]
     if missing:
         raise MissingGeneratorHandles(
             f"need clean undecorated handles for labels {missing}"

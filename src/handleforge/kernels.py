@@ -3,12 +3,14 @@
 Words travel as tuples of signed integers (+i for the i-th positive
 generator letter, -i for its inverse), and handle states as sorted tuples
 of (m, n) pairs.  Up to degree TABLE_DEGREE, each degree has two tables,
-built on first use: the set of its legal letters, which checks a word's
-letters in one lookup, and a step table over S_N, which gives a word's
-strand permutation without a list per word.  The two rewriting searches (the identity closure and the
-single-word search) share one breadth-first layer loop over numpy arrays of
-packed words, in which the closure expands one word per symmetry orbit;
-handle reduction and the handle-state search are plain Python.
+built on first use and kept in _TABLES: the set of its legal letters,
+which checks a word's letters in one lookup, and a step table over S_N,
+which gives a word's strand permutation without a list per word and whose
+rows accept exactly the legal letters, so that walking it checks them too.
+The two rewriting searches (the identity closure and the single-word
+search) share one breadth-first layer loop over numpy arrays of packed
+words, in which the closure expands one word per symmetry orbit; handle
+reduction and the handle-state search are plain Python.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from array import array
 from bisect import bisect_left
 from functools import cache
 from itertools import permutations, product
-from operator import eq
+from operator import eq, index
 from typing import Sequence
 
 from .errors import BudgetExceeded
@@ -38,40 +40,62 @@ BACKEND = "pure"
 # that no degree allocates a table that grows with N!.
 TABLE_DEGREE = 6
 _INT = frozenset((int,))
+# degree -> (legal letters, step table), for the degrees up to TABLE_DEGREE
+# asked for so far; the hot paths read it with one dict.get
+_TABLES: dict[int, tuple[frozenset, tuple[dict, ...]]] = {}
 
 
-@cache
 def _degree_tables(degree: int) -> tuple[frozenset, tuple[dict, ...]]:
-    """The legal letters of a degree <= TABLE_DEGREE and its step table.
+    """The legal letters of an int degree <= TABLE_DEGREE and its step table.
 
     The permutations of S_N are numbered, the identity as 0, and step[p][v]
     is the number of permutation p followed by letter v: p's strand images
     (as strand_permutation lists them) with entries |v| and |v|+1 swapped.
-    Rows are dicts keyed by the signed letter, so any letter equal to a
-    legal one (True, 1.0) indexes them.  Built once per degree, on first use.
+    Rows are dicts keyed by exactly the legal signed letters, so a letter
+    indexes them when the legal-letter set holds it: any letter equal to a
+    legal one (True, 1.0) does, and any other raises KeyError, or TypeError
+    when it cannot be hashed.  Built once per degree, on first use, and kept
+    in _TABLES.
     """
-    perms = list(permutations(range(degree)))  # the identity first
-    number = {p: k for k, p in enumerate(perms)}
-    step = []
-    for p in perms:
-        row = {}
-        for i in range(1, degree):
-            q = list(p)
-            q[i - 1], q[i] = q[i], q[i - 1]
-            row[i] = row[-i] = number[tuple(q)]
-        step.append(row)
-    return frozenset(v for i in range(1, degree) for v in (i, -i)), tuple(step)
+    tables = _TABLES.get(degree)
+    if tables is None:
+        perms = list(permutations(range(degree)))  # the identity first
+        number = {p: k for k, p in enumerate(perms)}
+        step = []
+        for p in perms:
+            row = {}
+            for i in range(1, degree):
+                q = list(p)
+                q[i - 1], q[i] = q[i], q[i - 1]
+                row[i] = row[-i] = number[tuple(q)]
+            step.append(row)
+        legal = frozenset(v for i in range(1, degree) for v in (i, -i))
+        tables = _TABLES[degree] = legal, tuple(step)
+    return tables
+
+
+def degree_index(degree: int) -> int:
+    """The degree as an int (operator.index, so numpy integers pass);
+    ValueError naming a degree that is not an integer, such as 4.0 or '4'."""
+    try:
+        return index(degree)
+    except TypeError:
+        raise ValueError(f"degree {degree!r} is not an integer") from None
 
 
 def check_letters(values: Sequence[int], degree: int) -> tuple[dict, ...] | None:
-    """Refuse with ValueError a letter that is not an integer of +-1 ..
-    +-(degree-1) by value (True and 1.0 are 1).
+    """Refuse with ValueError a degree that is not an integer, and a letter
+    that is not an integer of +-1 .. +-(degree-1) by value (True and 1.0
+    are 1).
 
     Returns the degree's step table (_degree_tables), or None above
-    TABLE_DEGREE, where the letters are checked by min/max instead.
+    TABLE_DEGREE, where the letters are checked by min/max instead.  This is
+    the full check; dehornoy_trivial and BraidWord.from_signed come here
+    only when their table lookups do not settle a word.
     """
-    if degree <= TABLE_DEGREE:
-        legal, step = _degree_tables(degree)
+    n = degree_index(degree)
+    if n <= TABLE_DEGREE:
+        legal, step = _degree_tables(n)
         try:
             if legal.issuperset(values):
                 return step
@@ -82,7 +106,7 @@ def check_letters(values: Sequence[int], degree: int) -> tuple[dict, ...] | None
             # map/min/max/in run in C: far cheaper than a per-letter loop;
             # letters are read by value only when one is not an int
             if (_INT.issuperset(map(type, values)) or _equal_ints(values)) and (
-                not values or (0 not in values and max(values) < degree and -min(values) < degree)
+                not values or (0 not in values and max(values) < n and -min(values) < n)
             ):
                 return None
         except (TypeError, ValueError, OverflowError):  # int() or hash() refused a letter
@@ -189,15 +213,18 @@ def strand_permutation(values: Sequence[int], degree: int) -> list[int]:
 def dehornoy_trivial(values: Sequence[int], degree: int) -> bool:
     """Decide triviality: two invariants first, then handle reduction.
 
-    The letters are checked first (check_letters raises ValueError).  The
-    exponent sum B_N -> Z and the strand permutation B_N -> S_N are
-    homomorphisms, so a word is not the identity when its exponent sum is
-    not 0 (as for every word of odd length, refused by parity) or when its
-    permutation is not the identity.  One sort of the letters gives the
-    exponent sum; the permutation is a walk of the degree's step table from
-    the identity, no list per word (above TABLE_DEGREE, strand_permutation
-    builds the list).  At degree 2, B_2 is infinite cyclic and the exponent
-    sum decides the word on its own.
+    The strand permutation B_N -> S_N and the exponent sum B_N -> Z are
+    homomorphisms, so a word is not the identity when either is not.  Up
+    to TABLE_DEGREE the permutation comes first: a walk of the degree's
+    step table from the identity, no list per word.  Its row lookups are
+    the letter check (a letter the rows do not hold raises check_letters'
+    ValueError), and since each letter is a transposition, every word of
+    odd length ends away from the identity.  Then one sort of the letters
+    gives the exponent sum.  A degree that is not an int, or whose tables
+    are not built yet, goes through check_letters first.  Above
+    TABLE_DEGREE, parity and the exponent sum come before the permutation,
+    which strand_permutation builds as a list.  At degree 2, B_2 is
+    infinite cyclic and the exponent sum decides the word on its own.
 
     The words that pass both go on to handle reduction.  A handle is a
     segment e v e^-1 where e is a letter and every letter of v has strictly
@@ -206,20 +233,24 @@ def dehornoy_trivial(values: Sequence[int], degree: int) -> bool:
     by the braid relation) terminates, and the result is empty exactly for
     words representing the identity.
     """
-    step = check_letters(values, degree)
-    if len(values) & 1:
-        return False
-    # with no letter 0, the exponent sum is len(values) - 2 * (negative letters)
-    if 2 * bisect_left(sorted(values), 0) != len(values):
-        return False
+    tables = _TABLES.get(degree) if type(degree) is int else None
+    step = tables[1] if tables else check_letters(values, degree)
     if step is None:
+        if len(values) & 1:
+            return False
+        # with no letter 0, the exponent sum is len(values) - 2 * (negative letters)
+        if 2 * bisect_left(sorted(values), 0) != len(values):
+            return False
         if strand_permutation(values, degree) != list(range(degree + 1)):
             return False
     else:
         p = 0
-        for v in values:
-            p = step[p][v]
-        if p:
+        try:
+            for v in values:
+                p = step[p][v]
+        except (KeyError, TypeError):  # a letter the legal-letter set refuses
+            raise _letter_error(values, degree) from None
+        if p or 2 * bisect_left(sorted(values), 0) != len(values):
             return False
     w = free_cancel(values)
     while w:

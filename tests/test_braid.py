@@ -358,13 +358,13 @@ class TestDegreeTables:
         assert permutation_of_number[0] == tuple(range(degree + 1))
 
     def test_no_table_above_the_cap(self):
-        kernels._degree_tables.cache_clear()
+        before = set(kernels._TABLES)
         for degree in (kernels.TABLE_DEGREE + 1, 10**6):
             word = BraidWord.from_signed(degree, (1, -1))
             assert is_identity(word) and not is_identity(word * BraidWord(degree, (1,)))
             assert kernels.pack_word(word.letters, degree) > 0
         assert kernels.word_reaches_identity((1, -1), kernels.TABLE_DEGREE + 1, 4, 100)
-        assert kernels._degree_tables.cache_info().currsize == 0
+        assert set(kernels._TABLES) == before
 
     def test_is_identity_reaches_the_kernel_through_the_module(self, monkeypatch):
         # a wrapper put in place of kernels.dehornoy_trivial, as the
@@ -410,6 +410,121 @@ class TestDegreeTables:
             assert format_word(word) == "s1 S1 s2"
         with pytest.raises(ValueError, match=f"letter index {degree} out of range"):
             BraidWord(degree, (float(degree),))
+
+
+def legal_letter(v, degree):
+    """Whether a letter is an integer of +-1 .. +-(degree-1) by value that
+    the letter sets can hold, worked out without the kernels."""
+    try:
+        hash(v)
+        return int(v) == v and 0 < abs(int(v)) < degree
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def refusal_of(call):
+    """The ValueError message of call(), or None when it returns."""
+    try:
+        call()
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+class TestRefusalParity:
+    DEGREES = (2, 4, 6, 7, 10**6)
+
+    @staticmethod
+    def letters(degree):
+        np = pytest.importorskip("numpy")
+        return (True, 1.0, np.int64(2), np.array(1), 1.5, "1", None, [1], 0, 10**30,
+                degree, -degree)
+
+    @staticmethod
+    def unchecked_word(degree, vals):
+        # a word that skipped construction, so is_identity sees the letters raw
+        word = object.__new__(BraidWord)
+        object.__setattr__(word, "degree", degree)
+        object.__setattr__(word, "letters", vals)
+        return word
+
+    @pytest.mark.parametrize("degree", DEGREES)
+    def test_every_entry_point_accepts_and_refuses_alike(self, degree):
+        for d in range(2, kernels.TABLE_DEGREE + 1):
+            kernels._degree_tables(d)  # so the table walks decide, not the build
+        for x in self.letters(degree):
+            # the last two are of odd length with a nonzero exponent sum
+            # besides x: a letter that is refused must be refused, not decided
+            for vals in ((x,), (x, -1), (1, x), (x, 1, -1), (1, x, 1), (-1, -1, x)):
+                ok = all(legal_letter(v, degree) for v in vals)
+                want = None if ok else str(kernels._letter_error(vals, degree))
+                got = [
+                    refusal_of(lambda: BraidWord.from_signed(degree, vals)),
+                    refusal_of(lambda: BraidWord(degree, vals)),
+                    refusal_of(lambda: is_identity(self.unchecked_word(degree, vals))),
+                    refusal_of(lambda: kernels.dehornoy_trivial(vals, degree)),
+                ]
+                assert got == [want] * 4, (degree, vals)
+                if not ok:
+                    continue
+                ints = tuple(map(int, vals))
+                trivial = (
+                    kernels.strand_permutation(ints, degree) == list(range(degree + 1))
+                    and sum(ints) == 0
+                    and (degree > 7 or kernels.word_reaches_identity(ints, degree, 8, 10**5))
+                )
+                word = BraidWord.from_signed(degree, vals)
+                assert word == BraidWord(degree, vals) and word.letters == vals
+                assert is_identity(word) is kernels.dehornoy_trivial(vals, degree) is trivial
+
+    def test_each_kind_of_refusal_is_reached(self):
+        np = pytest.importorskip("numpy")
+        assert refusal_of(lambda: BraidWord.from_signed(4, (1, [1], 1))) == "letter [1] is not an integer"
+        assert refusal_of(lambda: kernels.dehornoy_trivial((1, np.array(1), 1), 4)) == (
+            "the letters (1, array(1), 1) are not all of +-1 .. +-3"
+        )
+        assert refusal_of(lambda: kernels.dehornoy_trivial((1, 1, 4), 4)) == (
+            "letter index 4 out of range for degree 4"
+        )
+
+
+class TestDegreeRefusals:
+    @pytest.mark.parametrize("degree", [4.0, 2.5, 7.0, "4", None, [4]])
+    def test_a_degree_that_is_not_an_integer_is_refused(self, degree):
+        message = f"degree {degree!r} is not an integer"
+        for check in (
+            lambda: BraidWord.from_signed(degree, (1, -1)),
+            lambda: BraidWord.from_signed(degree, ()),
+            lambda: BraidWord(degree, ()),
+            lambda: kernels.dehornoy_trivial((1, -1), degree),
+            lambda: kernels.check_letters((), degree),
+            lambda: kernels.pack_word((1,), degree),
+            lambda: kernels.word_reaches_identity((1, -1), degree, 4, 100),
+        ):
+            assert refusal_of(check) == message
+
+    def test_integer_degrees_of_other_types_are_read_by_value(self):
+        np = pytest.importorskip("numpy")
+        for degree in (np.int64(4), np.int64(kernels.TABLE_DEGREE + 2)):
+            word = BraidWord.from_signed(degree, (1, 2, -1, -2))
+            assert word == BraidWord(degree, (1, 2, -1, -2))
+            assert not is_identity(word)
+            assert is_identity(BraidWord(degree, (1, 2, -2, -1)))
+            assert kernels.dehornoy_trivial((3, -3), degree)
+            assert refusal_of(lambda: BraidWord(degree, (degree,))) == (
+                f"letter index {degree} out of range for degree {degree}"
+            )
+
+    def test_degrees_below_two_are_refused_by_words_only(self):
+        for degree in (True, False, 1, 0, -3):
+            message = f"degree must be at least 2, got {degree}"
+            assert refusal_of(lambda: BraidWord.from_signed(degree, ())) == message
+            assert refusal_of(lambda: BraidWord(degree, ())) == message
+            # the kernel itself decides the empty word at any integer degree
+            assert kernels.dehornoy_trivial((), degree) is True
+            assert refusal_of(lambda: kernels.dehornoy_trivial((1,), degree)) == (
+                f"letter index 1 out of range for degree {degree}"
+            )
 
 
 class TestConjugate:

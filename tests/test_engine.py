@@ -531,6 +531,39 @@ class TestHandleAbsorption:
         s3, _ = apply_move(s2, inv)
         assert surfaces_equal(s3, s)
 
+    def test_generator_check_spans_each_handle_at_most_once(self, monkeypatch):
+        # degree 5, 20 footless handles ahead of the generator handles: the
+        # check reads every handle's span at most once, not once per label
+        spans = []
+        real_span = engine._span
+        monkeypatch.setattr(engine, "_span", lambda s, h: spans.append(h.id) or real_span(s, h))
+
+        def padded(chart, labels):
+            s = surf(chart)
+            for _ in range(20):
+                s, _ = apply_move(s, AttachTrivialHandle())
+            for lab in labels:
+                s, _ = apply_move(s, AttachTrivialHandle(cocore_label=lab))
+            return s
+
+        def count(s, mv):
+            spans.clear()
+            try:
+                apply_move(s, mv)
+            finally:
+                assert len(spans) <= len(s.handles), (mv, len(spans))
+
+        s = padded(Chart(5, 0), (1, 2, 3))
+        hid = s.handles[20].id
+        with pytest.raises(MissingGeneratorHandles, match=r"labels \[4\]"):
+            count(s, ConvertViaGeneratorSet(hid, 4))
+        s, _ = apply_move(s, AttachTrivialHandle(cocore_label=4))
+        count(s, ConvertViaGeneratorSet(hid, 4))
+        edge = free_edge_chart(label=1, degree=5)
+        with pytest.raises(MissingGeneratorHandles, match=r"labels \[2, 3, 4\]"):
+            count(padded(edge, (1,)), FreeEdgeRelabel(1, 4))
+        count(padded(edge, (1, 2, 3, 4)), FreeEdgeRelabel(1, 4))
+
     def test_slide_end_is_a_validated_no_op(self):
         s = surf(free_edge_chart(label=1))
         s2, _ = apply_move(s, SlideEndAlongEdge(1, 2))
