@@ -23,7 +23,19 @@ class DegreeMismatch(ValueError):
 def _check(degree: int, letters: tuple[int, ...]) -> None:
     """The refusals of every BraidWord: a degree that is not an integer or
     is below 2, a letter that is not an integer of +-1 .. +-(degree-1) by
-    value."""
+    value.
+
+    For an int degree whose tables are built (kernels._TABLES), one lookup
+    in its legal-letter set accepts the letters; anything else goes through
+    the full check.
+    """
+    # the kernels keep tables for int degrees below 2 too; no word has one
+    tables = _TABLES.get(degree) if type(degree) is int and degree > 1 else None
+    try:
+        if tables is not None and tables[0].issuperset(letters):
+            return
+    except TypeError:  # an unhashable letter: the full check names it
+        pass
     if kernels.degree_index(degree) < 2:
         raise ValueError(f"degree must be at least 2, got {degree}")
     kernels.check_letters(letters, degree)
@@ -42,20 +54,10 @@ class BraidWord:
         """Build a word from signed integers: +i for si, -i for Si.
 
         The value is built here, as the frozen __init__ would build it,
-        without that call and its __post_init__ call.  For an int degree
-        whose tables are built (kernels._TABLES), one lookup in its
-        legal-letter set checks the letters; anything else goes through
-        the full check.
+        without that call and its __post_init__ call.
         """
         letters = tuple(values)
-        # the kernels keep tables for int degrees below 2 too; no word has one
-        tables = _TABLES.get(degree) if type(degree) is int and degree > 1 else None
-        try:
-            checked = tables is not None and tables[0].issuperset(letters)
-        except TypeError:  # an unhashable letter
-            checked = False
-        if not checked:
-            _check(degree, letters)
+        _check(degree, letters)
         word = _new(cls)
         _set_degree(word, degree)
         _set_letters(word, letters)

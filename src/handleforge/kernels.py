@@ -90,8 +90,8 @@ def check_letters(values: Sequence[int], degree: int) -> tuple[dict, ...] | None
 
     Returns the degree's step table (_degree_tables), or None above
     TABLE_DEGREE, where the letters are checked by min/max instead.  This is
-    the full check; dehornoy_trivial and BraidWord.from_signed come here
-    only when their table lookups do not settle a word.
+    the full check; dehornoy_trivial and every BraidWord come here only
+    when their table lookups do not settle a word.
     """
     n = degree_index(degree)
     if n <= TABLE_DEGREE:
