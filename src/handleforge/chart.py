@@ -852,8 +852,11 @@ def is_unknotted_chart(chart):
 
 def unbraiding_bounds(chart):
     """Upper and lower unknotting estimates read off the stats."""
-    s = chart_stats(chart)
-    n = chart.degree
+    return bounds_of(chart_stats(chart), chart.degree)
+
+
+def bounds_of(s, n):
+    """unbraiding_bounds of a chart of degree n whose chart_stats are s."""
     u_w = s.w + 2 * s.c + n - 1
     lower = max(0, s.c_alg_total) if s.b == 0 else None
     return BoundsReport(

@@ -21,10 +21,12 @@ from itertools import accumulate
 
 from .braid import BraidWord, conjugate, format_word, free_reduce, parse_word
 from .chart import (
+    _WHITE_BASE,
     Chart,
     Edge,
     FloatingLoop,
     Vertex,
+    bounds_of,
     canonical_chart,
     canonical_dart_map,
     chart_stats,
@@ -40,6 +42,7 @@ from .chart import (
 from .errors import (
     IntegerTooLong, TokenError, read_int, read_ints, read_lines, read_sign, read_token, sign_text,
 )
+from .handles import repeat, twisted, twists_into
 
 
 class SiteMismatch(ValueError):
@@ -68,6 +71,10 @@ class NonCommutingDecoration(ValueError):
 
 class HasBlackVertices(ValueError):
     """The blackless unbraiding strategies refuse charts with black ends."""
+
+
+class HasPatternLoops(ValueError):
+    """The chart unbraiders refuse pattern copies, which they cannot undo."""
 
 
 class NotRepeatedPattern(ValueError):
@@ -1035,10 +1042,6 @@ def _ciii_sites(ch: Chart, whites):
                 yield d
 
 
-def _white_relator(x, y):
-    return ((x, 1), (y, 1), (x, 1), (y, -1), (x, -1), (y, -1))
-
-
 @_applies(CIM3Bootstrap)
 def _do_cim3bootstrap(s, mv):
     ch = s.chart
@@ -1049,7 +1052,7 @@ def _do_cim3bootstrap(s, mv):
     if len(idxs) != 5 or len(set(idxs)) != 5:
         raise SiteMismatch("need five distinct records")
     recs = [_loop_at(ch, k) for k in idxs]
-    base = _white_relator(mv.x, mv.y)
+    base = [((mv.x, mv.y)[i], sign) for i, sign in _WHITE_BASE]
     pattern = tuple(lab for lab, _ in base[1:])
     for r, lab in zip(recs, pattern):
         if r.label != lab:
@@ -1519,9 +1522,10 @@ def _do_patterncapture(s, mv):
 
 @_applies(PatternTwist)
 def _do_patterntwist(s, mv):
+    """Twist the coil once: its n moves as handles.twisted says, by 2m."""
     coil = _the_coil(s)
     m, n = coil.mn
-    handles = _index(s).put(replace(coil, mn=(m, n + 2 * mv.sign * m)))
+    handles = _index(s).put(replace(coil, mn=(m, twisted(m, n, mv.sign))))
     return _surface(s.chart, handles), PatternTwist(-mv.sign)
 
 
@@ -2035,13 +2039,16 @@ def _unbraid(s: DecoratedSurface, mode: str):
     """Unbraid s in mode weak, strong or branch: eliminate CIII sites (only
     on a chart with black vertices) and collect crossings onto handles,
     then cancel white vertices and clear records; strong mode cancels the
-    loop decorations, branch mode drains the handles over free ends."""
+    loop decorations, branch mode drains the handles over free ends.  No
+    move here undoes a pattern copy, so a chart with one is refused."""
     st = chart_stats(s.chart)
+    if s.chart.pattern_loops:
+        raise HasPatternLoops("pattern copies present: they need unbraid_repeated_pattern")
     if st.b == 0 and mode == "branch":
         mode = "weak"
     elif st.b and mode != "branch":
         raise HasBlackVertices(f"{st.b} black vertices present")
-    bound = st.w + 2 * st.c + s.chart.degree - 1
+    bound = bounds_of(st, s.chart.degree).u_w_upper
     run = _Runner(s)
     count = 0
     # the crossings, least dart last: collecting one removes it and no
@@ -2127,7 +2134,8 @@ def _drain_handles(run: _Runner):
 def unbraid_repeated_pattern(s: DecoratedSurface):
     """Normalize a coiled handle carrying parallel pattern copies: cancel
     and capture the copies, then twist the coil's (m, n) to n mod 2|m| in
-    [0, 2|m|), or leave n as it is when m = 0."""
+    [0, 2|m|), or leave n as it is when m = 0.  The twist count is
+    handles.twists_into's, and handles.repeat emits the PatternTwist run."""
     ch = s.chart
     if ch.vertices or ch.edges or ch.loops:
         raise NotRepeatedPattern("the chart carries map structure")
@@ -2149,13 +2157,9 @@ def unbraid_repeated_pattern(s: DecoratedSurface):
         pats = run.state.chart.pattern_loops
         idx = min(range(len(pats)), key=lambda k: pats[k].curve)
         run.do(PatternCapture(idx))
-    # a twist moves n by 2m
-    m, n = next(h.mn for h in run.state.handles if h.mn is not None)
-    if m:
-        q, n = divmod(n, 2 * abs(m))
-        sign = -1 if (q > 0) == (m > 0) else 1
-        for _ in range(abs(q)):
-            run.do(PatternTwist(sign))
+    m, n = _the_coil(run.state).mn
+    repeat(run, PatternTwist, twists_into(m, n, 0))
+    m, n = _the_coil(run.state).mn
     claims = ("empty", f"handle-mn={m},{n}")
     return run.result(), EngineTrace(s, tuple(run.steps), claims)
 

@@ -4,7 +4,9 @@ A system is an ordered list of handles, each carrying a free-group label and
 two integer decorations (m, n).  Six move families rewrite systems in place
 of geometric isotopy; every move is exactly reversible.  The normalizers
 reduce systems to canonical shapes and emit replayable traces as proof
-objects.
+objects.  The twist and its count are stated once (`twisted`,
+`twists_into`), and `repeat` emits every run of equal unit moves, for the
+normal forms and for the engine's coil.
 """
 
 from __future__ import annotations
@@ -196,6 +198,26 @@ class Transfer9:
 HandleMove = Union[Invert, Twist, Rotate, Slide, Transfer7, Transfer9]
 
 
+def twisted(m: int, n: int, sign: int) -> int:
+    """The core-loop power of a handle (m, n) after one twist of this sign."""
+    return n + 2 * sign * m
+
+
+def twists_into(m: int, n: int, low: int) -> int:
+    """The signed number of twists that take the core-loop power n of a
+    handle with cocore power m into [low, low + 2|m|); 0 when m = 0."""
+    q = (n - low) // (2 * abs(m)) if m else 0
+    return -q if m > 0 else q
+
+
+def repeat(run, move, count: int) -> None:
+    """One run of unit moves: run.do(move(sign)) |count| times, sign the
+    sign of count.  run is a handle _TraceBuilder or an engine _Runner."""
+    mv = move(1 if count > 0 else -1)
+    for _ in range(abs(count)):
+        run.do(mv)
+
+
 def apply_handle_move(s: HandleSystem, mv: HandleMove) -> HandleSystem:
     """One rewriting step; raises instead of guessing on any violated rule."""
     handles = list(s.handles)
@@ -215,7 +237,7 @@ def apply_handle_move(s: HandleSystem, mv: HandleMove) -> HandleSystem:
         handles[mv.k - 1] = DecoratedHandle(hd.label.inverse(), -hd.m, -hd.n)
     elif isinstance(mv, Twist):
         hd = at(mv.k)
-        handles[mv.k - 1] = DecoratedHandle(hd.label, hd.m, hd.n + mv.sign * 2 * hd.m)
+        handles[mv.k - 1] = DecoratedHandle(hd.label, hd.m, twisted(hd.m, hd.n, mv.sign))
     elif isinstance(mv, Rotate):
         hd = at(mv.k)
         if not hd.label.is_trivial:
@@ -434,28 +456,16 @@ def stabilized(s: HandleSystem, k: int) -> HandleSystem:
     return HandleSystem(s.generator_count, s.handles + (trivial,) * k, s.pattern_braid)
 
 
-def _transfer_into_last(tb: _TraceBuilder, j: int, c: int) -> None:
-    # c transfers of handle j's m into the appended handle, signed as c
-    sign = 1 if c > 0 else -1
-    for _ in range(abs(c)):
-        tb.do(Transfer7(j, len(tb.state.handles), sign))
-
-
 def _clear_onto_last(tb: _TraceBuilder, d: int) -> None:
     """With d = m of the appended handle dividing every m_j, slide it over
     each other handle until m_j = 0, then bring each n_j into {0..d-1}."""
     G = len(tb.state.handles)
     for j in range(1, G):
         mj = tb.state.handles[j - 1].m
-        variant = "A" if mj > 0 else "B"
-        for _ in range(abs(mj) // d):
-            tb.do(Slide(G, j, variant))
+        repeat(tb, lambda sign: Slide(G, j, "A" if sign > 0 else "B"), mj // d)
     for j in range(1, G):
         nj = tb.state.handles[j - 1].n
-        delta = (nj % d - nj) // d
-        sign = 1 if delta > 0 else -1
-        for _ in range(abs(delta)):
-            tb.do(Transfer9(j, G, sign))
+        repeat(tb, partial(Transfer9, j, G), (nj % d - nj) // d)
 
 
 def normalize_with_stabilizer(s: HandleSystem) -> tuple[HandleSystem, HandleTrace]:
@@ -471,7 +481,7 @@ def normalize_with_stabilizer(s: HandleSystem) -> tuple[HandleSystem, HandleTrac
     tb = _TraceBuilder(stabilized(s, 1))
     d, coeffs = _bezout([hd.m for hd in s.handles])
     for j, c in enumerate(coeffs, start=1):
-        _transfer_into_last(tb, j, c)
+        repeat(tb, partial(Transfer7, j, len(tb.state.handles)), c)
     _clear_onto_last(tb, d)
     return tb.state, tb.trace()
 
@@ -500,19 +510,16 @@ def classify_standard(s: HandleSystem) -> NormalFormTag:
     _, coeffs = _bezout([v for hd in s.handles for v in (hd.m, hd.n)])
     for j in range(1, G):
         cm, cn = coeffs[2 * j - 2], coeffs[2 * j - 1]
-        _transfer_into_last(tb, j, cm)
+        repeat(tb, partial(Transfer7, j, G), cm)
         if cn:
             # rotate so the n-entry sits in the m slot, transfer, rotate back
             tb.do(Rotate(j, "ccw"))
-            _transfer_into_last(tb, j, cn)
+            repeat(tb, partial(Transfer7, j, G), cn)
             tb.do(Rotate(j, "cw"))
-    # d divides every n_j, so the reduction into {0..d-1} zeroes them
+    # d divides every n_j, so the reduction into {0..d-1} zeroes them; the
+    # appended handle is left at (d, n) with n = d * q (mod 2d)
     _clear_onto_last(tb, d)
-    target = d * (q % 2)
-    diff = tb.state.handles[G - 1].n - target
-    sign = -1 if diff > 0 else 1
-    for _ in range(abs(diff) // (2 * d)):
-        tb.do(Twist(G, sign))
+    repeat(tb, partial(Twist, G), twists_into(d, tb.state.handles[G - 1].n, 0))
     kind = "diagonal" if q % 2 else "off"
     return NormalFormTag(kind, d, tb.trace())
 
@@ -540,10 +547,7 @@ def normalize_hirose(s: HandleSystem) -> NormalFormTag:
             break
         m1 = tb.state.handles[0].m
         if m1 > 0:
-            delta = (n2 % m1 - n2) // m1
-            sign = 1 if delta > 0 else -1
-            for _ in range(abs(delta)):
-                tb.do(Transfer9(2, 1, sign))
+            repeat(tb, partial(Transfer9, 2, 1), (n2 % m1 - n2) // m1)
             n2 = tb.state.handles[1].n
         if n2 == 0:
             break
@@ -560,13 +564,9 @@ def normalize_hirose(s: HandleSystem) -> NormalFormTag:
                 return NormalFormTag("zero", 0, tb.trace())
             tb.do(Rotate(1, "cw"))
             continue
-        t = b % (2 * a)
-        if t > a:
-            t -= 2 * a
-        if t != b:
-            sign = 1 if t > b else -1
-            for _ in range(abs(t - b) // (2 * a)):
-                tb.do(Twist(1, sign))
+        # twist n into (-a, a]
+        repeat(tb, partial(Twist, 1), twists_into(a, b, 1 - a))
+        t = tb.state.handles[0].n
         if t == a:
             return NormalFormTag("diagonal", a, tb.trace())
         if t == 0:

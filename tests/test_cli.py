@@ -238,6 +238,25 @@ class TestUnbraid:
         d = kv(capsys)
         assert int(d["handles"]) <= 9
 
+    @pytest.mark.parametrize("mode", ["weak", "strong", "branch"])
+    @pytest.mark.parametrize("body", [
+        "patternloop curve=1 sense=+\n",
+        "dart 1\ndart 2\nedge 1 2 label=1 head=2\nvertex black cycle=1\n"
+        "vertex black cycle=2\npatternloop curve=1 sense=-\n",
+    ], ids=["blackless", "with-black-ends"])
+    def test_pattern_copies_are_refused(self, mode, body, tmp_path, capsys):
+        p = tmp_path / "pattern.chart"
+        p.write_text("chart degree=2 genus=0\n" + body)
+        assert main(["validate", str(p)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "pattern.script"
+        assert main(["unbraid", str(p), "--mode", mode, "--emit-trace", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: pattern copies present: they need unbraid_repeated_pattern\n")
+        assert not out.exists()
+
     def test_unknown_mode_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["unbraid", CHART, "--mode", "sideways"])

@@ -34,6 +34,7 @@ from handleforge.chart import (
     format_chart,
     parse_chart,
     surface_map,
+    unbraiding_bounds,
     validate_chart,
 )
 from handleforge.engine import (
@@ -62,6 +63,7 @@ from handleforge.engine import (
     FreeEdgeRelabel,
     HandleSlideDecorated,
     HasBlackVertices,
+    HasPatternLoops,
     LabelConstraintViolated,
     MissingGeneratorHandles,
     MoveHandleAcrossEdge,
@@ -90,6 +92,14 @@ from handleforge.engine import (
     unbraid_without_branch,
 )
 from handleforge.errors import ParseError
+from handleforge.handles import (
+    DecoratedHandle,
+    HandleLabel,
+    HandleSystem,
+    HandleTrace,
+    Twist,
+    replay_trace,
+)
 from test_chart import reference_genus
 
 WHITE_BASE = [(1, 1), (2, 1), (1, 1), (2, -1), (1, -1), (2, -1)]
@@ -780,6 +790,63 @@ class TestUnbraidWeak:
         assert certify_trace(trace).ok
 
 
+# the three chart unbraiders, which share _unbraid
+UNBRAIDERS = {
+    "weak": unbraid_without_branch,
+    "strong": lambda s: unbraid_without_branch(s, mode="strong"),
+    "branch": unbraid_with_branch,
+}
+
+
+class TestPatternCopiesAreRefused:
+    """No chart move undoes a pattern copy, so an unbraider that kept one
+    would claim `empty` or `unknotted` on a surface that is neither."""
+
+    @pytest.mark.parametrize("mode", sorted(UNBRAIDERS))
+    @pytest.mark.parametrize("chart", [
+        mk(degree=2, pattern_loops=(PatternLoop(1, 1),)),
+        mk(loops=(FloatingLoop(1, 1),), pattern_loops=(PatternLoop(1, 1), PatternLoop(2, -1))),
+        replace(free_edge_chart(), pattern_loops=(PatternLoop(1, -1),)),
+    ], ids=["lone-copy", "with-a-loop", "with-black-ends"])
+    def test_every_unbraider_refuses_before_any_move(self, mode, chart, monkeypatch):
+        assert validate_chart(chart) == []
+
+        def no_move(*args):
+            raise AssertionError("a move was applied")
+
+        monkeypatch.setattr(engine, "apply_move", no_move)
+        with pytest.raises(HasPatternLoops, match="unbraid_repeated_pattern") as info:
+            UNBRAIDERS[mode](surf(chart))
+        assert isinstance(info.value, ValueError)
+
+
+class TestUnbraidBound:
+    """Every chart unbraider's `handle-count<=k` claim states
+    chart.unbraiding_bounds' u_w_upper, the one statement of that bound."""
+
+    @staticmethod
+    def _claimed(trace):
+        (k,) = [c.removeprefix("handle-count<=") for c in trace.claims
+                if c.startswith("handle-count<=")]
+        return int(k)
+
+    def test_the_bundled_chart(self):
+        ch, _ = TestBundledFixture._load()
+        _, _, trace = unbraid_with_branch(surf(ch))
+        assert self._claimed(trace) == unbraiding_bounds(ch).u_w_upper
+
+    def test_the_criterion_charts_in_every_mode(self):
+        # the charts of test_acceptance.test_blackless_charts_unbraid_within_bound
+        rng = random.Random(60)
+        for i in range(200):
+            degree = rng.randint(2, 4)
+            ch = generate_blackless_chart(degree, rng.randint(5, 30), random.Random(1000 + i))
+            want = unbraiding_bounds(ch).u_w_upper
+            for mode, unbraid in UNBRAIDERS.items():
+                _, _, trace = unbraid(surf(ch))
+                assert self._claimed(trace) == want, (i, mode)
+
+
 class TestUnbraidBranch:
     def test_free_edge_is_already_unknotted(self):
         s = surf(free_edge_chart())
@@ -815,6 +882,20 @@ class TestUnbraidBranch:
         assert certify_trace(trace).ok
 
 
+def _handle_model_mn(trace):
+    """The coil's final (m, n) as handles.py computes it: the coil after the
+    last PatternCapture, as a one-handle system with a trivial label, then
+    Twist(1, sign) for each PatternTwist, replayed by replay_trace."""
+    s, steps = trace.initial, list(trace.steps)
+    while steps and not isinstance(steps[0], PatternTwist):
+        s, _ = apply_move(s, steps.pop(0))
+    assert all(isinstance(mv, PatternTwist) for mv in steps)
+    (coil,) = s.handles
+    start = HandleSystem(0, (DecoratedHandle(HandleLabel(), *coil.mn),))
+    (hd,) = replay_trace(HandleTrace(start, tuple(Twist(1, mv.sign) for mv in steps))).handles
+    return hd.m, hd.n
+
+
 class TestRepeatedPattern:
     def handle(self):
         return AttachedHandle(1, BraidWord(2), None, mn=(1, 0))
@@ -832,6 +913,7 @@ class TestRepeatedPattern:
         assert final.handles[0].mn == (1, 0)
         assert "handle-mn=1,0" in trace.claims
         assert certify_trace(trace).ok
+        assert _handle_model_mn(trace) == (1, 0)
 
     def test_single_curve_gives_odd_residue(self):
         ch = mk(degree=2, pattern_loops=(PatternLoop(1, 1),))
@@ -840,6 +922,7 @@ class TestRepeatedPattern:
         assert final.handles[0].mn == (1, 1)
         assert "handle-mn=1,1" in trace.claims
         assert certify_trace(trace).ok
+        assert _handle_model_mn(trace) == (1, 1)
 
     def test_two_like_senses_untwist(self):
         ch = mk(degree=2, pattern_loops=(PatternLoop(1, 1), PatternLoop(2, 1)))
@@ -848,6 +931,7 @@ class TestRepeatedPattern:
         assert final.handles[0].mn == (1, 0)
         assert any(isinstance(mv, PatternTwist) for mv in trace.steps)
         assert certify_trace(trace).ok
+        assert _handle_model_mn(trace) == (1, 0)
 
     @pytest.mark.parametrize("m, n", [(m, n) for m in range(-12, 13) for n in range(-12, 13)])
     def test_every_coil_ends_in_its_documented_representative(self, m, n):
@@ -858,6 +942,8 @@ class TestRepeatedPattern:
         assert len(trace.steps) == (abs(n - want[1]) // (2 * abs(m)) if m else 0)
         assert trace.claims == ("empty", f"handle-mn={want[0]},{want[1]}")
         assert certify_trace(trace).ok
+        assert _handle_model_mn(trace) == want
+
 
 
 class TestCertification:

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 from typing import get_args
 
 import pytest
@@ -283,6 +284,34 @@ class TestMoves:
         for back in inverse_moves(mv):
             r = apply_handle_move(r, back)
         assert r == s
+
+
+class TestTwistRule:
+    """handles.twisted and handles.twists_into, the one statement of the
+    twist that the normal forms and the engine's coil share."""
+
+    @given(st.integers(-50, 50), st.integers(-10**6, 10**6), st.integers(-60, 60))
+    @example(0, 7, 3)
+    @settings(deadline=None, max_examples=300)
+    def test_the_count_undoes_the_twist(self, m, n, k):
+        target = n + 2 * m * k
+        count = handles.twists_into(m, n, target)
+        assert count == (k if m else 0)
+        tb = handles._TraceBuilder(sys_of((m, n)))
+        handles.repeat(tb, partial(Twist, 1), count)
+        assert entries(tb.state) == ((m, target if m else n),)
+        assert len(tb.moves) == abs(count)
+        assert all(mv == Twist(1, 1 if count > 0 else -1) for mv in tb.moves)
+
+    @given(st.integers(-50, 50).filter(bool), st.integers(-5000, 5000),
+           st.integers(-5000, 5000))
+    @settings(deadline=None, max_examples=300)
+    def test_the_count_lands_in_the_window(self, m, n, low):
+        count = handles.twists_into(m, n, low)
+        landed = n
+        for _ in range(abs(count)):
+            landed = handles.twisted(m, landed, 1 if count > 0 else -1)
+        assert low <= landed < low + 2 * abs(m)
 
 
 class TestInvariants:
