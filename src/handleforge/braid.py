@@ -29,14 +29,15 @@ def _check(degree: int, letters: tuple[int, ...]) -> None:
     in its legal-letter set accepts the letters; anything else goes through
     the full check.
     """
-    # the kernels keep tables for int degrees below 2 too; no word has one
-    tables = _TABLES.get(degree) if type(degree) is int and degree > 1 else None
-    try:
-        if tables is not None and tables[0].issuperset(letters):
-            return
-    except TypeError:  # an unhashable letter: the full check names it
-        pass
-    if kernels.degree_index(degree) < 2:
+    if type(degree) is int and degree > 1:
+        # the kernels keep tables for int degrees below 2 too; no word has one
+        tables = _TABLES.get(degree)
+        try:
+            if tables is not None and tables[0].issuperset(letters):
+                return
+        except TypeError:  # an unhashable letter: the full check names it
+            pass
+    elif kernels.degree_index(degree) < 2:
         raise ValueError(f"degree must be at least 2, got {degree}")
     kernels.check_letters(letters, degree)
 

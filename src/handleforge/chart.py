@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -145,32 +144,22 @@ class BoundsReport:
     u_gamma_upper: int
 
 
-def _chart(degree, genus, vertices, edges, loops, pattern_loops):
-    """Chart(degree, genus, vertices, edges, loops, pattern_loops), made in
-    one step past the frozen dataclass __init__: the same value, which
-    still refuses assignment."""
-    out = object.__new__(Chart)
-    out.__dict__.update(
-        degree=degree, genus=genus, vertices=vertices, edges=edges,
-        loops=loops, pattern_loops=pattern_loops,
-    )
-    return out
-
-
 def _derived(chart):
     """The chart's map-level violations and its SurfaceMap, a pair.
 
-    Derived on first use and kept on the frozen value; the map is None while
-    the dart structure is broken.  A chart made by rewrite carries the map
-    of the chart it was made from through the patch.  Every other chart
-    (parsed, built by hand, or made by dataclasses.replace) derives its map
-    in full, once.
+    Derived on first use and kept on the frozen value, the map also on its
+    own (see surface_map); the map is None while the dart structure is
+    broken.  A chart made by rewrite carries the map of the chart it was
+    made from through the patch.  Every other chart (parsed, built by hand,
+    or made by dataclasses.replace) derives its map in full, once.
     """
     got = chart.__dict__.get("_derived")
     if got is None:
         step = chart.__dict__.get("_step")
         got = _carry(chart, step) if step else _derive(chart)
         object.__setattr__(chart, "_derived", got)
+        if got[1] is not None:
+            chart.__dict__["_map"] = got[1]
     return got
 
 
@@ -179,38 +168,42 @@ class Patch:
 
     parent is the chart rewritten.  old_v and old_e hold the Vertex and
     Edge objects the rewrite removes, new_v and new_e those it makes,
-    records the loop and pattern-loop records the caller names, and made
-    the darts of new_v and new_e.  ranks holds the rank tuples of the
-    output's vertices and edges (see SurfaceMap), or is None when the
-    rewrite removes and makes no Edge or Vertex.
+    records the loop and pattern-loop records the caller names, made the
+    darts of new_e and then of new_v, and cut those of old_e and then of
+    old_v.  ranks holds the rank tuples of the output's vertices and edges
+    (see SurfaceMap), or is None when the rewrite removes and makes no
+    Edge or Vertex.
     """
 
-    __slots__ = ("parent", "old_v", "old_e", "new_v", "new_e", "records", "made", "ranks")
+    __slots__ = ("parent", "old_v", "old_e", "new_v", "new_e", "records", "made", "cut", "ranks")
 
     def __init__(self, parent, gone, new):
         self.parent, self.ranks = parent, None
         if not (gone or any(type(x) is Edge or type(x) is Vertex for x in new)):
-            self.old_v = self.old_e = self.new_v = self.new_e = self.made = ()
+            self.old_v = self.old_e = self.new_v = self.new_e = self.made = self.cut = ()
             self.records = new
             return
-        old_v, old_e, new_v, new_e, records = [], [], [], [], []
+        old_v, old_e, new_v, new_e, records, made, cut = [], [], [], [], [], [], []
         for x in gone:
             if type(x) is Edge:
                 old_e.append(x)
+                cut += x.darts
             elif type(x) is Vertex:
                 old_v.append(x)
+        for v in old_v:
+            cut += v.cycle
         for x in new:
             if type(x) is Edge:
                 new_e.append(x)
+                made += x.darts
             elif type(x) is Vertex:
                 new_v.append(x)
             else:
                 records.append(x)
-        made = [d for e in new_e for d in e.darts]
         for v in new_v:
             made += v.cycle
         self.old_v, self.old_e, self.new_v, self.new_e = old_v, old_e, new_v, new_e
-        self.records, self.made = records, made
+        self.records, self.made, self.cut = records, made, cut
 
 
 def rewrite(chart, gone=(), new=(), genus=None, loops=None, pattern_loops=None):
@@ -232,40 +225,40 @@ def rewrite(chart, gone=(), new=(), genus=None, loops=None, pattern_loops=None):
     vertices, edges = chart.vertices, chart.edges
     if p.old_v or p.old_e or p.new_v or p.new_e:
         m = surface_map(chart)
-        top, parts = m.top, []
-        for items, ranks, old, made in (
-            (vertices, m.vranks, p.old_v, p.new_v),
-            (edges, m.eranks, p.old_e, p.new_e),
-        ):
-            if old:
-                items, ranks = _cut(items, ranks, old, m.rank)
-            if made:
-                items += tuple(made)
-                ranks += tuple(range(top, top + len(made)))
-                top += len(made)
-            parts.append((items, ranks))
-        (vertices, vranks), (edges, eranks) = parts
+        top = m.top + len(p.new_v)
+        vertices, vranks = _cut(vertices, m.vranks, p.old_v, m.rank, p.new_v, m.top)
+        edges, eranks = _cut(edges, m.eranks, p.old_e, m.rank, p.new_e, top)
         p.ranks = (vranks, eranks)
-    out = _chart(
-        chart.degree,
-        chart.genus if genus is None else genus,
-        vertices,
-        edges,
-        chart.loops if loops is None else loops,
-        chart.pattern_loops if pattern_loops is None else pattern_loops,
-    )
-    out.__dict__["_step"] = p
+    # made in one step past the frozen dataclass __init__: the same value,
+    # which still refuses assignment
+    out = object.__new__(Chart)
+    object.__setattr__(out, "__dict__", {
+        "degree": chart.degree,
+        "genus": chart.genus if genus is None else genus,
+        "vertices": vertices,
+        "edges": edges,
+        "loops": chart.loops if loops is None else loops,
+        "pattern_loops": chart.pattern_loops if pattern_loops is None else pattern_loops,
+        "_step": p,
+    })
     return out
 
 
-def _cut(items, ranks, gone, rank):
-    """items and their ranks without the objects in gone; objects are found
-    by bisecting on their ranks, and those items does not hold are passed
+def _cut(items, ranks, gone, rank, new, top):
+    """items without the objects in gone and with those in new appended,
+    and their ranks, the new ones numbered from top.  Objects are found by
+    bisecting on their ranks, and those items does not hold are passed
     over."""
-    out, kept = list(items), list(ranks)
+    if not gone:
+        if not new:
+            return items, ranks
+        return items + (*new,), ranks + (*range(top, top + len(new)),)
     at = {bisect_left(ranks, r) for r in map(rank.get, map(id, gone)) if r is not None}
+    out, kept = list(items), list(ranks)
     for k in sorted(at, reverse=True):
         del out[k], kept[k]
+    out += new
+    kept += range(top, top + len(new))
     return tuple(out), tuple(kept)
 
 
@@ -279,18 +272,16 @@ def take_patch(before, after):
     """
     if after is before:
         return ()
-    p = after.__dict__.get("_step")
     _derived(after)
-    after.__dict__.pop("_step", None)
-    if p is None or p.parent is not before:
-        return None
-    return p
+    p = after.__dict__.pop("_step", None)
+    return p if p is not None and p.parent is before else None
 
 
 def drop_map(chart):
     """Forget the chart's map, a cache; the next use derives it in full.
     The chart's validity verdict stays."""
     chart.__dict__.pop("_derived", None)
+    chart.__dict__.pop("_map", None)
 
 
 def _header(chart):
@@ -304,12 +295,11 @@ def _header(chart):
 
 def _face(d, alpha, sigma):
     """The walk of the face through d, from its least dart."""
-    walk, cur = [d], sigma[alpha[d]]
-    while cur != d:
+    walk, cur = [d], d
+    while (cur := sigma[alpha[cur]]) != d:
         walk.append(cur)
-        cur = sigma[alpha[cur]]
     k = walk.index(min(walk))
-    return tuple(walk[k:] + walk[:k])
+    return tuple(walk[k:] + walk[:k]) if k else tuple(walk)
 
 
 def _ends(vertices):
@@ -396,207 +386,236 @@ def _derive(chart):
     return [], sm
 
 
-def _searches(seeds, alpha, sigma):
-    """Group the seed darts by connected component; seeds is a list of
-    disjoint lists of darts, each in one component.
+def _searches(faces, alpha, face_at):
+    """Group the given faces by connected component; faces is a list of
+    distinct face walks, and face_at gives the walk of each dart.
 
-    One breadth-first search starts at each list of seeds; the searches
-    take a dart each in turn and merge where they meet, and stop once at
-    most one is still running (Even and Shiloach), so the work is bounded
-    by the smaller sides.  Returns the darts of each finished search, the
-    running search as (darts, unexpanded darts) or None, and the dart ->
-    search table.
+    A face's neighbours are the faces across its edges, so the faces of a
+    component are those one search over neighbours finds.  One
+    breadth-first search starts at each face; the searches expand a face
+    each in turn, and one that meets another takes it in.  They stop once
+    at most one is still running (Even and Shiloach), so the work is
+    bounded by the smaller sides.  Each search keeps its faces in the
+    order found, the expanded ones first.  Returns the faces of each
+    finished search, and the running search as (faces, the number of them
+    expanded) or None.
     """
-    owner, root, seen, todo = {}, [], [], []
-    for group in seeds:
-        owner.update(dict.fromkeys(group, len(root)))
-        root.append(len(root))
-        seen.append(list(group))
-        todo.append(deque(group))
-    running, done = list(range(len(root))), []
+    # a face is known by its first dart, the least
+    owner, seen = {}, []
+    for g, f in enumerate(faces):
+        owner[f[0]] = g
+        seen.append([f])
+    at = [0] * len(faces)
+    running, done = range(len(faces)), []
     while len(running) > 1:
-        still = []
         for g in running:
-            if root[g] != g:
+            found = seen[g]
+            if found is None:
                 continue
-            d = todo[g].popleft()
-            for x in (alpha[d], sigma[d]):
-                h = owner.get(x)
+            for d in found[at[g]]:
+                f = face_at[alpha[d]]
+                h = owner.get(f[0])
                 if h is None:
-                    owner[x] = g
-                    seen[g].append(x)
-                    todo[g].append(x)
-                    continue
-                while root[h] != h:
-                    h = root[h]
-                if h != g:
-                    # keep the longer lists under g, then fold h into it
-                    if len(seen[h]) > len(seen[g]):
-                        seen[g], seen[h] = seen[h], seen[g]
-                        todo[g], todo[h] = todo[h], todo[g]
-                    seen[g] += seen[h]
-                    todo[g] += todo[h]
-                    root[h] = g
-            if todo[g]:
-                still.append(g)
-            else:
-                done.append(seen[g])
-        running = [g for g in still if root[g] == g]
-    last = (seen[running[0]], todo[running[0]]) if running else None
-    return done, last, owner
+                    owner[f[0]] = g
+                    found.append(f)
+                elif h != g:
+                    other, a, b = seen[h], at[g], at[h]
+                    for x in other:
+                        owner[x[0]] = g
+                    found[a:a] = other[:b]
+                    found += other[b:]
+                    at[g] += b
+                    seen[h] = None
+            at[g] += 1
+            if at[g] == len(found):
+                done.append(found)
+        running = [g for g in running if seen[g] is not None and at[g] < len(seen[g])]
+    return done, (seen[running[0]], at[running[0]]) if running else None
 
 
 def _carry(chart, p):
     """(violations, map) of chart, made by rewrite with the Patch p.
 
     A patch that removes and makes no Edge or Vertex keeps the parent's
-    map.  Otherwise the dart tables are copied and patched, and only the
-    faces through a patch dart are walked again.  Components are searched
-    from the patch alone, and the size of the one component left unexplored
-    follows by difference.  A patch that does not fit its parent, or an
-    output with a broken dart structure, is derived in full instead, which
-    names the violations.
+    map.  Otherwise the tables the patch changes are copied, which runs in
+    C, and the rest is the patch's work: its darts are written and
+    removed, the faces through a made dart are walked again, and the
+    components are settled from those faces.  One face reaches one
+    component, which needs no search; more are searched, and the size of
+    the one left unexplored follows by difference.  A patch that does not
+    fit its parent, or an output with a broken dart structure, is derived
+    in full instead, which names the violations.
     """
-    parent = p.parent
-    got = _derived(parent)
+    got = p.parent.__dict__.get("_derived") or _derived(p.parent)
     pout, pm = got
     # rewrite keeps the degree, so of the header only the genus can break
     if pout or chart.genus < 0:
         return _derive(chart)
     if p.ranks is None:
         return got
-    ge, gv, ne, nv = p.old_e, p.old_v, p.new_e, p.new_v
+    ge, gv, ne, nv, made, cut = p.old_e, p.old_v, p.new_e, p.new_v, p.made, p.cut
 
     # a removed object is the parent's own when the parent's ranks hold
     # its identity, and then its darts are in the parent's tables; one
-    # named twice is not found the second time
+    # named twice is not found the second time.  Added objects follow top
+    # in the order rewrite appends them.
     rank, top = pm.rank.copy(), pm.top
-    for x in (*ge, *gv):
+    for x in ge:
         if rank.pop(id(x), None) is None:
             return _derive(chart)
-    # the dart tables; a made dart that is in use, or in use twice, shows
-    # as a table shorter than its count
-    alpha, sigma = pm.alpha.copy(), pm.sigma.copy()
-    edge_at, vertex_at = pm.edge_at.copy(), pm.vertex_at.copy()
-    touched = set(p.made)
-    at_vertices = len(vertex_at)
-    for e in ge:
-        d1, d2 = e.darts
-        del edge_at[d1], edge_at[d2], alpha[d1], alpha[d2]
-        touched.update(e.darts)
-    for v in gv:
-        cycle = v.cycle
-        for d in cycle:
-            del vertex_at[d], sigma[d]
-        at_vertices -= len(cycle)
-        touched.update(cycle)
-    for e in ne:
-        d1, d2 = e.darts
-        if e.head != d1 and e.head != d2:
+    for x in gv:
+        if rank.pop(id(x), None) is None:
             return _derive(chart)
-        edge_at[d1] = edge_at[d2] = e
-        alpha[d1] = d2
-        alpha[d2] = d1
-    for v in nv:
-        cycle = v.cycle
-        if not cycle:
-            return _derive(chart)
-        prev = cycle[-1]
-        for d in cycle:
-            vertex_at[d] = v
-            sigma[prev] = d
-            prev = d
-        at_vertices += len(cycle)
-    alive = alpha.keys() & touched
-    if (
-        len(alpha) != len(pm.alpha) + 2 * (len(ne) - len(ge))
-        or len(vertex_at) != at_vertices
-        or alive != vertex_at.keys() & touched
-    ):
-        return _derive(chart)
-    dead = touched - alive
-    # ranks: added objects follow top in the order rewrite appends them
-    for x in (*nv, *ne):
+    for x in nv:
         rank[id(x)] = top
         top += 1
-    last = max((pm.last, *p.made))
-    if last not in alpha:
-        last = max(alpha, default=0)
+    for x in ne:
+        rank[id(x)] = top
+        top += 1
 
+    # the dart tables, each copied only when the patch changes it: the
+    # made darts are written over the parent's, then the removed darts not
+    # made again are deleted.  A made dart in use elsewhere, or made twice,
+    # shows as a table shorter than its count.
+    n, m = 2 * len(ne), 2 * len(ge)
+    alpha, edge_at, sigma, vertex_at = pm.alpha, pm.edge_at, pm.sigma, pm.vertex_at
+    if n or m:
+        alpha, edge_at, again = alpha.copy(), edge_at.copy(), made[:n]
+        for e in ne:
+            d1, d2 = e.darts
+            if e.head != d1 and e.head != d2:
+                return _derive(chart)
+            alpha[d1], alpha[d2] = d2, d1
+            edge_at[d1] = edge_at[d2] = e
+        for d in set(cut[:m]).difference(again) if again else cut[:m]:
+            del alpha[d], edge_at[d]
+    if nv or gv:
+        sigma, vertex_at, again = sigma.copy(), vertex_at.copy(), made[n:]
+        for v in nv:
+            cycle = v.cycle
+            if not cycle:
+                return _derive(chart)
+            prev = cycle[-1]
+            for d in cycle:
+                vertex_at[d] = v
+                sigma[prev] = d
+                prev = d
+        for d in set(cut[m:]).difference(again) if again else cut[m:]:
+            del sigma[d], vertex_at[d]
+    # the patch's darts left in one table must be those left in the other;
+    # then they are the made darts, and the others are in neither
+    if (
+        len(alpha) != len(pm.alpha) + n - m
+        or len(vertex_at) != len(pm.alpha) + len(made) - n - len(cut) + m
+    ):
+        return _derive(chart)
     # faces: a face walk changes only where it runs through a patch dart
     # (a changed edge, or a changed vertex entered from its partner).  So
-    # the parent's faces through patch darts are stale, and every dart of
-    # theirs that is left lies on a face through a surviving patch dart:
-    # walking those faces replaces every stale entry but the removed darts'
+    # the parent's faces through removed darts are stale, and every dart of
+    # theirs that is left lies on a face through a made dart: walking
+    # those faces replaces every stale entry but the removed darts'.  One
+    # pass over the patch's darts finds the stale faces and the components
+    # holding them, and the darts removed (in neither table now); a dart
+    # in one table only breaks the dart structure.
     pface, pcomp = pm.face_at, pm.comp
-    was = pface.keys() & touched
-    stale = {id(pface[d]) for d in was}
-    face_at, comp = pface.copy(), pcomp.copy()
-    for d in dead:
-        del face_at[d], comp[d]
-    live = sorted(alive)
-    walks = 0
-    for d in live:
-        w = face_at.get(d)
-        if w is None or id(w) in stale:
+    stale, keys, dead = set(), set(), []
+    for d in {*made, *cut}:
+        if (d in alpha) != (d in vertex_at):
+            return _derive(chart)
+        if d not in alpha:
+            dead.append(d)
+        f = pface.get(d)
+        if f is not None:
+            stale.add(id(f))
+            keys.add(pcomp[d])
+    last = max((pm.last, *made))
+    if last not in alpha:
+        # the largest dart was removed: the next one in use lies among as
+        # many darts below it as were removed, unless numbers were skipped
+        last = next(filter(alpha.__contains__, range(last - 1, last - 1 - len(dead), -1)), None)
+        if last is None:
+            last = max(alpha, default=0)
+    face_at, comp = pface.copy(), pcomp
+    if dead:
+        comp = pcomp.copy()
+        for d in dead:
+            del face_at[d], comp[d]
+    walks = []
+    for d in made:
+        # a made dart is new or removed and made again, so its face is
+        # stale until walked here
+        if face_at.get(d) not in walks:
             walk = _face(d, alpha, sigma)
             for x in walk:
                 face_at[x] = walk
-            walks += 1
+            walks.append(walk)
 
-    # components: the parent components the patch reaches are replaced by
-    # the components of the patch's surviving darts
-    keys = sorted({pcomp[d] for d in was})
+    # components: those holding a removed dart are replaced by those of the
+    # walked faces.  Every piece left of a replaced component holds a made
+    # dart, so one face means one component and no search.  The component
+    # table is kept when the darts are the parent's and at most one
+    # component is reached, which keeps its key.
     size = pm.size.copy()
-    region_size = sum(map(size.pop, keys)) + len(alpha) - len(pm.alpha)
-    # the live darts of one face lie in one component
-    faces = {}
-    for d in live:
-        faces.setdefault(id(face_at[d]), []).append(d)
-    done, running, owner = _searches(list(faces.values()), alpha, sigma)
-    fresh = pm.key
+    region = len(alpha) - len(pm.alpha)
+    for k in keys:
+        region += size.pop(k)
+    if len(walks) > 1:
+        done, running = _searches(walks, alpha, face_at)
+    else:
+        done, running = [], (walks, 0) if walks else None
+    if running is not None and not keys:
+        done.append(running[0])
+        running = None
+    if comp is pcomp and (done or len(keys) > 1 or len(alpha) > len(pm.alpha)):
+        comp = pcomp.copy()
     if running is not None:
-        darts, todo = running
-        # the darts of each parent component reached that were neither
-        # removed nor explored
-        left = {k: pm.size[k] for k in keys}
-        for d in dead:
-            left[pcomp[d]] -= 1
-        for d in owner:
-            k = pcomp.get(d)
-            if k is not None:
-                left[k] -= 1
-        rest = [k for k in keys if left[k]]
-        if rest:
-            # the running search's component holds unexplored darts of the
-            # parent components in rest: the largest keeps its key, and the
-            # others' darts are reached from the unexpanded ones
-            keep = max(rest, key=left.__getitem__)
-            stack = list(todo) if len(rest) > 1 else []
-            while stack:
-                d = stack.pop()
-                for x in (alpha[d], sigma[d]):
-                    if x not in owner and pcomp[x] != keep:
-                        owner[x] = None
-                        darts.append(x)
-                        stack.append(x)
-            for d in darts:
+        # the running search's component: the largest parent component it
+        # may hold keeps its key, and the made darts take it (those of the
+        # finished searches are labelled below).  With more than one, the
+        # others' darts take it too: those of its faces, and those of the
+        # faces reached from its unexpanded ones.
+        found, at = running
+        keep = max(keys, key=pm.size.__getitem__) if len(keys) > 1 else next(iter(keys))
+        if comp is not pcomp:
+            for d in made:
                 comp[d] = keep
-            size[keep] = region_size - sum(map(len, done))
-        else:
-            done.append(darts)
-    for group in done:
-        for d in group:
-            comp[d] = fresh
-        size[fresh] = len(group)
+        if len(keys) > 1:
+            for f in found:
+                for x in f:
+                    comp[x] = keep
+            stack = found[at:]
+            while stack:
+                for d in stack.pop():
+                    f = face_at[alpha[d]]
+                    if comp[f[0]] != keep:
+                        for x in f:
+                            comp[x] = keep
+                        stack.append(f)
+    fresh = pm.key
+    for found in done:
+        count = 0
+        for f in found:
+            for x in f:
+                comp[x] = fresh
+            count += len(f)
+        size[fresh] = count
+        region -= count
         fresh += 1
+    if running is not None:
+        size[keep] = region
 
     ends = pm.ends
-    if any(v.kind == "free_end" for v in (*gv, *nv)):
-        ends = ends.difference(_ends(gv)).union(_ends(nv))
+    for v in gv:
+        if v.kind == "free_end":
+            ends = ends.difference(_ends(gv))
+            break
+    for v in nv:
+        if v.kind == "free_end":
+            ends = ends.union(_ends(nv))
+            break
     sm = SurfaceMap(
         alpha, sigma, edge_at, vertex_at, face_at, comp, size,
-        pm.nfaces + walks - len(stale), ends, rank, *p.ranks, top, fresh, last,
+        pm.nfaces + len(walks) - len(stale), ends, rank, *p.ranks, top, fresh, last,
     )
     return [], sm
 
@@ -659,10 +678,11 @@ def validate_chart(chart, touched=None):
     verdict is kept on the frozen chart.  Given touched, a collection of
     darts and records or a move's Patch (which names the darts of the
     objects it makes, and its records), it runs them only at the vertices
-    and edges holding one of those darts and checks only those records.
-    The patch check suffices after a move over a valid chart: a vertex
-    whose Vertex and Edge objects the move kept has the same word as
-    before, and a kept record is unchanged.
+    and edges holding one of those darts (of a Patch, only at the edges it
+    makes) and checks only those records.  The patch check suffices after
+    a move over a valid chart: a vertex whose Vertex and Edge objects the
+    move kept has the same word as before, a kept edge its label, and a
+    kept record is unchanged.
     """
     if touched is None:
         got = chart.__dict__.get("_verdict")
@@ -683,17 +703,18 @@ def _violations(chart, touched):
         loops = enumerate(chart.loops)
         pats = enumerate(chart.pattern_loops)
     else:
-        # indices are looked up only for an item that fails
+        # indices are looked up only for an item that fails; of the edges
+        # at a patch's darts only those it makes can have a new label
         if type(touched) is Patch:
             darts, records = touched.made, touched.records
+            edges = [(None, e) for e in touched.new_e]
         else:
             darts = [d for d in touched if type(d) is int]
             records = touched
-        verts = edges = ()
+            edges = {id(e): (None, e) for e in map(sm.edge_at.get, darts) if e}.values()
+        verts = ()
         if darts:
-            vs = {id(v): (None, v) for v in map(sm.vertex_at.get, darts) if v}
-            es = {id(e): (None, e) for e in map(sm.edge_at.get, darts) if e}
-            verts, edges = vs.values(), es.values()
+            verts = {id(v): (None, v) for v in map(sm.vertex_at.get, darts) if v}.values()
         loops = pats = ()
         if records:
             loops = [(None, x) for x in records if type(x) is FloatingLoop]
@@ -788,6 +809,10 @@ def _require_valid(chart):
 
 def surface_map(chart):
     """The chart's SurfaceMap (alpha, sigma, face walks, components)."""
+    return chart.__dict__.get("_map") or _valid_map(chart)
+
+
+def _valid_map(chart):
     out, sm = _derived(chart)
     if out:
         raise InvalidChart(out)

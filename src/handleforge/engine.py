@@ -182,17 +182,17 @@ class _HandleIndex:
 
     def put(self, *hs):
         """The index with each of hs in place of the handle with its id."""
-        out, olds, news, changed = list(self.handles), [], [], []
+        handles, olds, news, changed = self.handles, [], [], []
         for h in hs:
             k = self.pos[h.id]
-            if out[k].feet != h.feet:
-                olds.append(out[k])
+            if handles[k].feet != h.feet:
+                olds.append(handles[k])
                 news.append(h)
-            out[k] = h
+            handles = (*handles[:k], h, *handles[k + 1:])
             changed.append(k)
-        foot, nfeet, stirred = self._moved(olds, news)
-        return _HandleIndex(tuple(out), self.pos, foot, nfeet, self.top, self,
-                            sorted(changed), stirred)
+        changed.sort()
+        foot, nfeet, stirred = self._moved(olds, news) if olds else (self.foot, self.nfeet, ())
+        return _HandleIndex(handles, self.pos, foot, nfeet, self.top, self, changed, stirred)
 
     def add(self, h):
         """The index with h appended."""
@@ -1270,7 +1270,7 @@ def _do_across(s, mv):
         cl = conjugate(b, g)
     else:
         cl = free_reduce(g * b) if mv.side == "left" else free_reduce(b * g)
-    handles = _index(s).put(replace(h, coreloop=cl))
+    handles = _index(s).put(AttachedHandle(h.id, cl, h.feet, h.mn))
     return _rewrite(s, new=made, handles=handles, loops=loops), inv
 
 
@@ -1317,7 +1317,7 @@ def _do_transfer(s, mv):
         if mv.side == "right"
         else free_reduce(g * h.coreloop)
     )
-    handles = _index(s).put(replace(h, coreloop=cl))
+    handles = _index(s).put(AttachedHandle(h.id, cl, h.feet, h.mn))
     return _collapse(s, (v,), _across(v), handles=handles)
 
 

@@ -93,7 +93,7 @@ def check_letters(values: Sequence[int], degree: int) -> tuple[dict, ...] | None
     the full check; dehornoy_trivial and every BraidWord come here only
     when their table lookups do not settle a word.
     """
-    n = degree_index(degree)
+    n = degree if type(degree) is int else degree_index(degree)
     if n <= TABLE_DEGREE:
         legal, step = _degree_tables(n)
         try:

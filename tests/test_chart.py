@@ -375,11 +375,13 @@ class TestPatchThatDoesNotFit:
         (lambda c: rewrite(c, genus=-1), ["genus -1 must be nonnegative"]),
         # an edge equal to the parent's, but not the parent's own object
         (lambda c: rewrite(c, (Edge((1, 2), 1, 2),)), []),
+        (lambda c: rewrite(c, (Vertex(c.vertices[0].kind, c.vertices[0].cycle),)), []),
         (lambda c: rewrite(c, (c.edges[0], c.edges[0])),
          ["dart 1 appears only on the vertex side", "dart 2 appears only on the vertex side"]),
         (lambda c: rewrite(c, (c.edges[0],), (Edge((1, 2), 1, 9),)),
          ["edge 0: head 9 is not one of its darts"]),
-    ], ids=["negative-genus", "foreign-object", "object-named-twice", "head-off-its-edge"])
+    ], ids=["negative-genus", "foreign-object", "foreign-vertex", "object-named-twice",
+            "head-off-its-edge"])
     def test_the_output_map_is_derived_in_full(self, monkeypatch, make, want):
         parent = free_edge_chart()
         surface_map(parent)

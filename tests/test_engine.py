@@ -1743,6 +1743,75 @@ class TestCarriedMap:
         assert surface_map(erased.chart) is m
 
 
+class TestCarriedMapWalk:
+    """A seeded random walk of lowering moves, raising moves (inserts and
+    reconnects, bands that raise the map's genus among them) and restores:
+    every output's carried map equals a full derivation, and the walk
+    splits and merges components, which unbraid traces never do."""
+
+    @staticmethod
+    def _raising(s, rng):
+        """A random reconnect or insert at two darts of one face of s, which
+        apply_move may refuse, or None when s has no edge; on a surface with
+        genus, a band between two darts of a face may raise the map's genus."""
+        m = surface_map(s.chart)
+        if not m.face_at:
+            return None
+        face = rng.choice(m.faces)
+        darts = [d for x in face for d in (x, m.alpha[x])]
+        a, b = rng.choice(darts), rng.choice(darts)
+        if m.edge_at[a].label == m.edge_at[b].label:
+            return CIM2Reconnect(a, b)
+        return CIR2Insert(a, b)
+
+    @staticmethod
+    def _counts(ch):
+        """The map's number of components and its summed genus."""
+        m = surface_map(ch)
+        return len(m.size), len(m.size) - (len(ch.vertices) - len(ch.edges) + m.nfaces) // 2
+
+    def test_a_random_walk_keeps_the_carried_map(self, monkeypatch):
+        seen = TestCarriedMap._compare_every_output(monkeypatch)
+        rng = random.Random(25)
+        kinds, splits, merges, raised, undone = set(), 0, 0, 0, 0
+        for walk in range(8):
+            chart = generate_blackless_chart(rng.randint(3, 4), rng.randint(6, 12),
+                                             random.Random(700 + walk))
+            # a declared genus lets apply_move take bands that raise the map's
+            s = surf(replace(chart, genus=1 + walk % 2))
+            undo = []
+            for _ in range(50):
+                roll = rng.random()
+                back = bool(undo) and roll < 0.25
+                if back:
+                    mv = undo.pop()
+                elif roll < 0.5:
+                    moves = enumerate_chart_moves(s)
+                    if not moves:
+                        continue
+                    mv = rng.choice(moves)
+                else:
+                    mv = self._raising(s, rng)
+                    if mv is None:
+                        continue
+                try:
+                    out, inv = apply_move(s, mv)
+                except ValueError:
+                    continue
+                (before, genus), (after, out_genus) = map(self._counts, (s.chart, out.chart))
+                splits += after > before and type(mv) is CIM2Reconnect
+                merges += after < before and type(mv) is CIM2Reconnect
+                raised += out_genus > genus
+                kinds.add(type(mv).__name__)
+                undone += back
+                if not back:
+                    undo.append(inv)
+                s = out
+        assert seen["carried"] > 250, seen
+        assert splits and merges and raised, (splits, merges, raised)
+        assert {"CIM2Reconnect", "CIR2Insert", "CIR2Straighten"} <= kinds and undone, kinds
+
+
 class TestRecordOnlyPatch:
     """A rewrite that removes and makes no Edge or Vertex hands over its
     input's map itself, and is checked on the records it names, the genus
@@ -1975,6 +2044,17 @@ class TestMoveCost:
     # a record-only patch came to share its input's map (the general patch
     # path ran 144), plus a tenth
     ERASE_CEILING = 122
+    # line events of each map-changing move there, plus a tenth: 686, 555,
+    # 370, 533 and 992 with the carry's patch work in plain loops, which at
+    # a few darts run faster but on more lines than set algebra and dict
+    # building did (817, 522, 430, 600 and 986)
+    CEILINGS = {
+        "CIM2Reconnect": 755,
+        "CIM3Cancel": 611,
+        "AttachTrivialHandle": 407,
+        "Bridge": 586,
+        "CrossingTransfer": 1091,
+    }
 
     def _padded(self, s, handles):
         # ten times the records, ten times the handles (when handles) and
@@ -2021,6 +2101,7 @@ class TestMoveCost:
             )
         assert all(b <= 1.1 * a for a, b in counts.values()), counts
         assert counts["CIM1Erase"][0] <= self.ERASE_CEILING, counts
+        assert all(counts[k][0] <= c for k, c in self.CEILINGS.items()), counts
 
 
 class TestRunSideSites:
