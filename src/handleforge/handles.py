@@ -4,9 +4,10 @@ A system is an ordered list of handles, each carrying a free-group label and
 two integer decorations (m, n).  Six move families rewrite systems in place
 of geometric isotopy; every move is exactly reversible.  The normalizers
 reduce systems to canonical shapes and emit replayable traces as proof
-objects.  The twist and its count are stated once (`twisted`,
-`twists_into`), and `repeat` emits every run of equal unit moves, for the
-normal forms and for the engine's coil.
+objects.  Each move's (m, n) action and integer gate are stated once
+(`one_handle_moves`, `two_handle_moves`), both reachability searches run on
+`kernels.breadth_first`, and `repeat` emits every run of equal unit moves,
+for the normal forms and for the engine's coil.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from typing import Iterable, Union
 
 from . import kernels
@@ -198,9 +199,40 @@ class Transfer9:
 HandleMove = Union[Invert, Twist, Rotate, Slide, Transfer7, Transfer9]
 
 
+def one_handle_moves(m: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The (m, n) of a handle after Invert, Twist +1, Twist -1, Rotate cw and
+    Rotate ccw, in that order: the one statement of these rules, which have
+    no integer gate (Rotate's gate is on the label)."""
+    return (-m, -n), (m, n + 2 * m), (m, n - 2 * m), (-n, m), (n, -m)
+
+
+def two_handle_moves(hk: tuple[int, int], hl: tuple[int, int]) -> tuple:
+    """The (m, n) of handles k and l, as a pair of pairs, after Slide(k, l)
+    A and B, Transfer7(k, l) + and -, and Transfer9(k, l) + and -, in that
+    order: the one statement of these rules.  None where the move's integer
+    gate (_ZERO_GATES) refuses: Transfer7 needs n_l = 0 and Transfer9
+    m_k = 0."""
+    (m, n), (ml, nl) = hk, hl
+    return (
+        ((m, n + nl), (ml - m, nl)),
+        ((m, n - nl), (ml + m, nl)),
+        (hk, (ml + m, 0)) if nl == 0 else None,
+        (hk, (ml - m, 0)) if nl == 0 else None,
+        ((0, n + ml), hl) if m == 0 else None,
+        ((0, n - ml), hl) if m == 0 else None,
+    )
+
+
+# why each gated family refuses when two_handle_moves gives None
+_ZERO_GATES = {
+    "Transfer7": "target core-loop power must be 0",
+    "Transfer9": "moving handle must have m = 0",
+}
+
+
 def twisted(m: int, n: int, sign: int) -> int:
-    """The core-loop power of a handle (m, n) after one twist of this sign."""
-    return n + 2 * sign * m
+    """The core-loop power of a handle (m, n) after one twist of sign +1 or -1."""
+    return one_handle_moves(m, n)[1 if sign > 0 else 2][1]
 
 
 def twists_into(m: int, n: int, low: int) -> int:
@@ -219,7 +251,9 @@ def repeat(run, move, count: int) -> None:
 
 
 def apply_handle_move(s: HandleSystem, mv: HandleMove) -> HandleSystem:
-    """One rewriting step; raises instead of guessing on any violated rule."""
+    """One rewriting step; raises instead of guessing on any violated rule.
+    The (m, n) results and integer gates are those of one_handle_moves and
+    two_handle_moves; the labels and their gates are stated here."""
     handles = list(s.handles)
     count = len(handles)
 
@@ -228,54 +262,41 @@ def apply_handle_move(s: HandleSystem, mv: HandleMove) -> HandleSystem:
             raise IndexOutOfRange(f"handle index {k} not in 1..{count}")
         return handles[k - 1]
 
-    def distinct(k: int, l: int, variant: str) -> None:
-        if k == l:
-            raise PreconditionViolated(variant, "the two handles must be distinct")
-
-    if isinstance(mv, Invert):
+    if isinstance(mv, (Invert, Twist, Rotate)):
         hd = at(mv.k)
-        handles[mv.k - 1] = DecoratedHandle(hd.label.inverse(), -hd.m, -hd.n)
-    elif isinstance(mv, Twist):
-        hd = at(mv.k)
-        handles[mv.k - 1] = DecoratedHandle(hd.label, hd.m, twisted(hd.m, hd.n, mv.sign))
-    elif isinstance(mv, Rotate):
-        hd = at(mv.k)
-        if not hd.label.is_trivial:
-            raise PreconditionViolated("Rotate", "label must be trivial")
-        if mv.direction == "cw":
-            handles[mv.k - 1] = DecoratedHandle(hd.label, -hd.n, hd.m)
+        label = hd.label
+        if isinstance(mv, Invert):
+            label, slot = label.inverse(), 0
+        elif isinstance(mv, Twist):
+            slot = 1 if mv.sign > 0 else 2
         else:
-            handles[mv.k - 1] = DecoratedHandle(hd.label, hd.n, -hd.m)
-    elif isinstance(mv, Slide):
-        distinct(mv.k, mv.over, "Slide")
-        hk = at(mv.k)
-        hl = at(mv.over)
-        if mv.variant == "A":
-            handles[mv.k - 1] = DecoratedHandle(hk.label * hl.label, hk.m, hk.n + hl.n)
-            handles[mv.over - 1] = DecoratedHandle(hl.label, hl.m - hk.m, hl.n)
-        else:
-            handles[mv.k - 1] = DecoratedHandle(
-                hl.label.inverse() * hk.label, hk.m, hk.n - hl.n
-            )
-            handles[mv.over - 1] = DecoratedHandle(hl.label, hl.m + hk.m, hl.n)
+            if not label.is_trivial:
+                raise PreconditionViolated("Rotate", "label must be trivial")
+            slot = 3 if mv.direction == "cw" else 4
+        handles[mv.k - 1] = DecoratedHandle(label, *one_handle_moves(hd.m, hd.n)[slot])
+        return HandleSystem(s.generator_count, tuple(handles), s.pattern_braid)
+    if isinstance(mv, Slide):
+        l, slot = mv.over, 0 if mv.variant == "A" else 1
     elif isinstance(mv, Transfer7):
-        distinct(mv.k, mv.l, "Transfer7")
-        hk = at(mv.k)
-        hl = at(mv.l)
-        if not hl.label.is_trivial:
-            raise PreconditionViolated("Transfer7", "target label must be trivial")
-        if hl.n != 0:
-            raise PreconditionViolated("Transfer7", "target core-loop power must be 0")
-        handles[mv.l - 1] = DecoratedHandle(hl.label, hl.m + mv.sign * hk.m, 0)
+        l, slot = mv.l, 2 if mv.sign > 0 else 3
     elif isinstance(mv, Transfer9):
-        distinct(mv.k, mv.l, "Transfer9")
-        hk = at(mv.k)
-        hl = at(mv.l)
-        if hk.m != 0:
-            raise PreconditionViolated("Transfer9", "moving handle must have m = 0")
-        handles[mv.k - 1] = DecoratedHandle(hk.label, 0, hk.n + mv.sign * hl.m)
+        l, slot = mv.l, 4 if mv.sign > 0 else 5
     else:
         raise TypeError(f"not a handle move: {mv!r}")
+    variant = type(mv).__name__
+    if mv.k == l:
+        raise PreconditionViolated(variant, "the two handles must be distinct")
+    hk, hl = at(mv.k), at(l)
+    label = hk.label
+    if isinstance(mv, Slide):
+        label = hk.label * hl.label if slot == 0 else hl.label.inverse() * hk.label
+    elif isinstance(mv, Transfer7) and not hl.label.is_trivial:
+        raise PreconditionViolated(variant, "target label must be trivial")
+    pairs = two_handle_moves((hk.m, hk.n), (hl.m, hl.n))[slot]
+    if pairs is None:
+        raise PreconditionViolated(variant, _ZERO_GATES[variant])
+    handles[mv.k - 1] = DecoratedHandle(label, *pairs[0])
+    handles[l - 1] = DecoratedHandle(hl.label, *pairs[1])
     return HandleSystem(s.generator_count, tuple(handles), s.pattern_braid)
 
 
@@ -582,30 +603,18 @@ def _canonical(s: HandleSystem) -> HandleSystem:
     return HandleSystem(s.generator_count, tuple(order), s.pattern_braid)
 
 
-def _all_moves(s: HandleSystem) -> list[HandleMove]:
-    count = len(s.handles)
+@cache
+def _moves(count: int) -> tuple[HandleMove, ...]:
+    """Every move of a system of count handles, gates aside, in the order of
+    one_handle_moves and two_handle_moves."""
     out: list[HandleMove] = []
     for k in range(1, count + 1):
-        hd = s.handles[k - 1]
-        out.append(Invert(k))
-        out.append(Twist(k, 1))
-        out.append(Twist(k, -1))
-        if hd.label.is_trivial:
-            out.append(Rotate(k, "cw"))
-            out.append(Rotate(k, "ccw"))
+        out += [Invert(k), Twist(k, 1), Twist(k, -1), Rotate(k, "cw"), Rotate(k, "ccw")]
         for l in range(1, count + 1):
-            if l == k:
-                continue
-            other = s.handles[l - 1]
-            out.append(Slide(k, l, "A"))
-            out.append(Slide(k, l, "B"))
-            if other.label.is_trivial and other.n == 0:
-                out.append(Transfer7(k, l, 1))
-                out.append(Transfer7(k, l, -1))
-            if hd.m == 0:
-                out.append(Transfer9(k, l, 1))
-                out.append(Transfer9(k, l, -1))
-    return out
+            if l != k:
+                out += [Slide(k, l, "A"), Slide(k, l, "B"), Transfer7(k, l, 1),
+                        Transfer7(k, l, -1), Transfer9(k, l, 1), Transfer9(k, l, -1)]
+    return tuple(out)
 
 
 def enumerate_reachable(
@@ -620,8 +629,9 @@ def enumerate_reachable(
 
     Systems are compared up to handle reordering (canonical sort by label
     word, then m, then n).  All-trivial systems run on the (m, n) tuple
-    kernel; anything else walks the object-level moves directly, which is
-    only meant for small budgets.  The start is kept even when an entry lies
+    kernel; anything else tries every move through apply_handle_move and
+    skips those it refuses, which is only meant for small budgets.  Both run
+    on kernels.breadth_first.  The start is kept even when an entry lies
     beyond the bound.
     """
     if not force_slow and all(hd.label.is_trivial for hd in s.handles):
@@ -637,28 +647,19 @@ def enumerate_reachable(
             )
             for state in ball
         }
-    start = _canonical(s)
-    seen = {start}
-    frontier = [start]
-    for depth in range(1, move_budget + 1):
-        nxt = []
-        for state in frontier:
-            for mv in _all_moves(state):
+
+    def step(state: HandleSystem):
+        for mv in _moves(len(state.handles)):
+            try:
                 r = apply_handle_move(state, mv)
-                if any(abs(hd.m) > coeff_bound or abs(hd.n) > coeff_bound for hd in r.handles):
-                    continue
-                c = _canonical(r)
-                if c not in seen:
-                    seen.add(c)
-                    if len(seen) > max_states:
-                        raise kernels._over_budget(
-                            "reachability search", max_states, len(seen), depth
-                        )
-                    nxt.append(c)
-        frontier = nxt
-        if not frontier:
-            break
-    return seen
+            except PreconditionViolated:
+                continue
+            if all(abs(hd.m) <= coeff_bound and abs(hd.n) <= coeff_bound for hd in r.handles):
+                yield _canonical(r)
+
+    return kernels.breadth_first(
+        _canonical(s), move_budget, max_states, "reachability search", step
+    )
 
 
 def count_reachable(

@@ -9,8 +9,11 @@ which gives a word's strand permutation without a list per word and whose
 rows accept exactly the legal letters, so that walking it checks them too.
 The two rewriting searches (the identity closure and the single-word
 search) share one breadth-first layer loop over numpy arrays of packed
-words, in which the closure expands one word per symmetry orbit; handle
-reduction and the handle-state search are plain Python.
+words, in which the closure expands one word per symmetry orbit.  Handle
+reduction and the handle-state search are plain Python.  The handle-state
+search reads the move rules from handles.one_handle_moves and
+two_handle_moves, and shares its loop, breadth_first, with the
+object-level search of handles.enumerate_reachable.
 """
 
 from __future__ import annotations
@@ -638,83 +641,76 @@ def word_reaches_identity(
 
 
 # ---------------------------------------------------------------------------
-# integer handle-state search
+# breadth-first state search and the integer handle-state search
 
-State = tuple[tuple[int, int], ...]
+def breadth_first(start, budget: int, max_states: int, search: str, step) -> set:
+    """The states at most budget steps from start, start included.
 
-
-def _inside(state: State, bound: int) -> bool:
-    return all(abs(m) <= bound and abs(n) <= bound for m, n in state)
-
-
-def _state_neighbors(state: State, bound: int) -> list[State]:
-    """The states one move away with the pairs a move changed inside bound."""
-    g = len(state)
-    out = []
-
-    def push(k: int, pair: tuple[int, int], l: int = -1, pair_l: tuple[int, int] = (0, 0)) -> None:
-        if abs(pair[0]) > bound or abs(pair[1]) > bound:
-            return
-        if l >= 0 and (abs(pair_l[0]) > bound or abs(pair_l[1]) > bound):
-            return
-        s = list(state)
-        s[k] = pair
-        if l >= 0:
-            s[l] = pair_l
-        out.append(tuple(sorted(s)))
-
-    for k in range(g):
-        m, n = state[k]
-        push(k, (-m, -n))
-        push(k, (m, n + 2 * m))
-        push(k, (m, n - 2 * m))
-        push(k, (-n, m))
-        push(k, (n, -m))
-        for l in range(g):
-            if l == k:
-                continue
-            ml, nl = state[l]
-            push(k, (m, n + nl), l, (ml - m, nl))
-            push(k, (m, n - nl), l, (ml + m, nl))
-            if nl == 0:
-                push(l, (ml + m, 0))
-                push(l, (ml - m, 0))
-            if m == 0:
-                push(k, (0, n + ml))
-                push(k, (0, n - ml))
-    return out
-
-
-def handle_ball(
-    state: State, budget: int, bound: int, max_states: int
-) -> list[State]:
-    """States reachable from state in at most budget moves.
-
-    States are sorted tuples of (m, n) pairs.  Moves are the integer shadows
-    of the handle moves (inversion, twisting, quarter rotation, slides both
-    ways, and both transfer families, the latter gated by their zero
-    preconditions).  States with a coordinate outside [-bound, bound] are
-    pruned; the start is kept even when it lies outside.  Raises
-    BudgetExceeded once more than max_states states have been reached.
+    step(s) gives the states one step from s, already pruned to the search's
+    bound.  Raises BudgetExceeded, naming search and the layer, once more
+    than max_states states have been reached.
     """
-    start = tuple(sorted(state))
     seen = {start}
     frontier = [start]
     for depth in range(1, budget + 1):
         nxt = []
         for s in frontier:
-            neighbours = _state_neighbors(s, bound)
-            if not _inside(s, bound):
-                # only the start can lie outside, and a pair that no move
-                # changed keeps it there
-                neighbours = [t for t in neighbours if _inside(t, bound)]
-            for t in neighbours:
+            for t in step(s):
                 if t not in seen:
                     seen.add(t)
                     if len(seen) > max_states:
-                        raise _over_budget("handle search", max_states, len(seen), depth)
+                        raise _over_budget(search, max_states, len(seen), depth)
                     nxt.append(t)
         frontier = nxt
         if not frontier:
             break
-    return list(seen)
+    return seen
+
+
+State = tuple[tuple[int, int], ...]
+
+
+def handle_ball(state: State, budget: int, bound: int, max_states: int) -> list[State]:
+    """States reachable from state in at most budget moves.
+
+    States are sorted tuples of (m, n) pairs.  Moves are the integer shadows
+    of the handle moves, as handles.one_handle_moves and two_handle_moves
+    state them with their zero gates.  States with a coordinate outside
+    [-bound, bound] are pruned; the start is kept even when it lies outside.
+    Raises BudgetExceeded once more than max_states states have been reached.
+    """
+    # handles imports this module when it loads
+    from .handles import one_handle_moves, two_handle_moves
+
+    def inside(pair: tuple[int, int]) -> bool:
+        return -bound <= pair[0] <= bound and -bound <= pair[1] <= bound
+
+    def step(s: State) -> list[State]:
+        out = []
+        for k, hk in enumerate(s):
+            for pair in one_handle_moves(*hk):
+                m, n = pair
+                if -bound <= m <= bound and -bound <= n <= bound:
+                    t = list(s)
+                    t[k] = pair
+                    out.append(tuple(sorted(t)))
+            for l, hl in enumerate(s):
+                if l == k:
+                    continue
+                for pairs in two_handle_moves(hk, hl):
+                    if pairs is None:
+                        continue
+                    (m, n), (ml, nl) = pairs
+                    if -bound <= m <= bound and -bound <= n <= bound and (
+                        -bound <= ml <= bound and -bound <= nl <= bound
+                    ):
+                        t = list(s)
+                        t[k], t[l] = pairs
+                        out.append(tuple(sorted(t)))
+        if not all(map(inside, s)):
+            # only the start can lie outside, and a pair that no move
+            # changed keeps it there
+            out = [t for t in out if all(map(inside, t))]
+        return out
+
+    return list(breadth_first(tuple(sorted(state)), budget, max_states, "handle search", step))

@@ -100,7 +100,7 @@ from handleforge.handles import (
     Twist,
     replay_trace,
 )
-from test_chart import reference_genus
+from test_chart import reference_genus, torus_crossing_chart
 
 WHITE_BASE = [(1, 1), (2, 1), (1, 1), (2, -1), (1, -1), (2, -1)]
 
@@ -845,6 +845,17 @@ class TestUnbraidBound:
             for mode, unbraid in UNBRAIDERS.items():
                 _, _, trace = unbraid(surf(ch))
                 assert self._claimed(trace) == want, (i, mode)
+
+    @pytest.mark.parametrize("mode, spent", [("weak", 1), ("strong", 2), ("branch", 1)])
+    def test_no_mode_spends_fewer_handles_than_the_lower_bound(self, mode, spent):
+        # one crossing of labels 1 and 3 on a torus: c_alg_total = 1, so a
+        # certified trace that spent no handle would refute u_lower_blackless
+        ch = torus_crossing_chart()
+        lower = unbraiding_bounds(ch).u_lower_blackless
+        assert lower == 1
+        _, count, trace = UNBRAIDERS[mode](surf(ch))
+        assert certify_trace(trace).ok
+        assert count == spent >= lower
 
 
 class TestUnbraidBranch:

@@ -5,7 +5,7 @@ from typing import get_args
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from handleforge import handles
+from handleforge import handles, kernels
 from handleforge.braid import BraidWord, parse_word
 from handleforge.errors import ParseError
 from handleforge.handles import (
@@ -123,6 +123,19 @@ def legal_moves(s):
             if hd.m == 0:
                 out.append(Transfer9(k, l, 1))
                 out.append(Transfer9(k, l, -1))
+    return out
+
+
+def every_move(count):
+    """Every move of a system of count handles, whether its gates admit it
+    or not, in legal_moves' order."""
+    out = []
+    for k in range(1, count + 1):
+        out += [Invert(k), Twist(k, 1), Twist(k, -1), Rotate(k, "cw"), Rotate(k, "ccw")]
+        for l in range(1, count + 1):
+            if l != k:
+                out += [Slide(k, l, "A"), Slide(k, l, "B")]
+                out += [cls(k, l, sign) for cls in (Transfer7, Transfer9) for sign in (1, -1)]
     return out
 
 
@@ -645,6 +658,32 @@ class TestEnumerateReachable:
             abs(hd.m) <= 3 and abs(hd.n) <= 3 for r in ball - {sys_of((2, 0), (5, 0))}
             for hd in r.handles
         )
+
+
+class TestOneStep:
+    """One step of kernels.handle_ball against apply_handle_move: the move
+    rules are stated once in handles.py, and both read them."""
+
+    @given(st.integers(0, 4).flatmap(
+        lambda bound: st.tuples(st.just(bound), trivial_systems(max_handles=3, bound=bound + 2))))
+    @settings(deadline=None, max_examples=200)
+    @example((1, sys_of((3, 0), (0, 1), (1, 0))))
+    @example((0, sys_of((0, 0), (2, -2))))
+    def test_the_kernel_steps_where_apply_handle_move_does(self, case):
+        bound, s = case
+        accepted = []
+        for mv in every_move(len(s.handles)):
+            try:
+                accepted.append((mv, apply_handle_move(s, mv)))
+            except PreconditionViolated:
+                pass
+        assert [mv for mv, _ in accepted] == legal_moves(s)
+        within = {
+            entries(handles._canonical(r)) for _, r in accepted
+            if all(abs(v) <= bound for pair in entries(r) for v in pair)
+        }
+        ball = kernels.handle_ball(entries(s), 1, bound, 10**6)
+        assert set(ball) == within | {tuple(sorted(entries(s)))}
 
 
 class TestTextFormats:
