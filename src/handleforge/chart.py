@@ -675,14 +675,14 @@ def validate_chart(chart, touched=None):
     rewrite), and the genus bound off Euler's formula (see
     _count_violations).  The full check runs the per-vertex and per-edge
     axioms everywhere and checks every loop and pattern-loop record; its
-    verdict is kept on the frozen chart.  Given touched, a collection of
-    darts and records or a move's Patch (which names the darts of the
-    objects it makes, and its records), it runs them only at the vertices
-    and edges holding one of those darts (of a Patch, only at the edges it
-    makes) and checks only those records.  The patch check suffices after
-    a move over a valid chart: a vertex whose Vertex and Edge objects the
-    move kept has the same word as before, a kept edge its label, and a
-    kept record is unchanged.
+    verdict is kept on the frozen chart.  Given touched, a move's Patch
+    (which names the darts of the objects it makes, and its records), it
+    runs them only at the vertices holding one of those darts and at the
+    edges the patch makes, and checks only those records; the () that
+    take_patch gives for an unchanged chart leaves the map-level counts.
+    The patch check suffices after a move over a valid chart: a vertex
+    whose Vertex and Edge objects the move kept has the same word as
+    before, a kept edge its label, and a kept record is unchanged.
     """
     if touched is None:
         got = chart.__dict__.get("_verdict")
@@ -702,23 +702,18 @@ def _violations(chart, touched):
         edges = enumerate(chart.edges)
         loops = enumerate(chart.loops)
         pats = enumerate(chart.pattern_loops)
+    elif not touched:  # take_patch's () for an unchanged chart
+        return _count_violations(chart, sm)
     else:
         # indices are looked up only for an item that fails; of the edges
         # at a patch's darts only those it makes can have a new label
-        if type(touched) is Patch:
-            darts, records = touched.made, touched.records
-            edges = [(None, e) for e in touched.new_e]
-        else:
-            darts = [d for d in touched if type(d) is int]
-            records = touched
-            edges = {id(e): (None, e) for e in map(sm.edge_at.get, darts) if e}.values()
-        verts = ()
-        if darts:
-            verts = {id(v): (None, v) for v in map(sm.vertex_at.get, darts) if v}.values()
-        loops = pats = ()
-        if records:
-            loops = [(None, x) for x in records if type(x) is FloatingLoop]
-            pats = [(None, x) for x in records if type(x) is PatternLoop]
+        edges = [(None, e) for e in touched.new_e]
+        verts = loops = pats = ()
+        if touched.made:
+            verts = {id(v): (None, v) for v in map(sm.vertex_at.get, touched.made) if v}.values()
+        if touched.records:
+            loops = [(None, x) for x in touched.records if type(x) is FloatingLoop]
+            pats = [(None, x) for x in touched.records if type(x) is PatternLoop]
         if not (verts or edges or loops or pats):
             return _count_violations(chart, sm)
     return (

@@ -16,8 +16,9 @@ import sys
 from functools import cache
 
 from .braid import format_word
-from .chart import (
+from .chart import (  # validate_chart: bench/tracer.py wraps this binding
     InvalidChart,
+    _require_valid,
     chart_stats,
     parse_chart,
     unbraiding_bounds,
@@ -101,9 +102,7 @@ def parse_input(path: str):
     head = row[2][0] if row else ""
     if head == "chart":
         chart = parse_chart(text)
-        violations = validate_chart(chart)
-        if violations:
-            raise InvalidChart(violations)
+        _require_valid(chart)
         return "chart", chart
     if head == "handles":
         return "handles", parse_handles(text)

@@ -953,10 +953,11 @@ def _do_cir2bootstrap(s, mv):
     return _rewrite(s, (), new, loops=loops), CIR2Straighten(w1, w2)
 
 
-@_applies(CIR2Straighten)
-def _do_cir2straighten(s, mv):
-    ch = s.chart
-    va, vb = _vertex_at(ch, mv.a, "crossing"), _vertex_at(ch, mv.b, "crossing")
+def _cancelling_crossings(ch: Chart, a, b):
+    """The crossings at the darts a and b, where CIR2Straighten applies:
+    two distinct crossings of one type and opposite signs that share a
+    bigon face.  SiteMismatch otherwise."""
+    va, vb = _vertex_at(ch, a, "crossing"), _vertex_at(ch, b, "crossing")
     if va is vb:
         raise SiteMismatch("need two distinct crossings")
     ta, sa = crossing_type(ch, va)
@@ -965,12 +966,14 @@ def _do_cir2straighten(s, mv):
         raise SiteMismatch("the two crossings do not cancel")
     face_at = surface_map(ch).face_at
     db = set(vb.cycle)
-    bigon = any(
-        len(f) == 2 and not db.isdisjoint(f)
-        for f in (face_at[d] for d in va.cycle)
-    )
-    if not bigon:
+    if not any(len(face_at[d]) == 2 and not db.isdisjoint(face_at[d]) for d in va.cycle):
         raise SiteMismatch("the crossings are not adjacent along both strands")
+    return va, vb
+
+
+@_applies(CIR2Straighten)
+def _do_cir2straighten(s, mv):
+    va, vb = _cancelling_crossings(s.chart, mv.a, mv.b)
     return _collapse(s, (va, vb), {**_across(va), **_across(vb)}, signed=True)
 
 
@@ -1115,18 +1118,6 @@ def _white_edges(ch: Chart, whites):
         for d in v.cycle
         if d < alpha[d] and vmap[alpha[d]].kind == "white"
     )
-
-
-def _cim3_sites(ch: Chart):
-    """The darts where CIM3Cancel applies: the least dart of each edge that
-    joins a mirror-wired white pair, in least-dart order.  Only the edges
-    that join two white vertices are tried."""
-    for d in _white_edges(ch, [v for v in ch.vertices if v.kind == "white"]):
-        try:
-            _mirror_pair(ch, d)
-        except ValueError:
-            continue
-        yield d
 
 
 def _mirror_pairs(ch: Chart, whites):
@@ -1610,11 +1601,13 @@ def enumerate_chart_moves(s: DecoratedSurface):
     """The chart moves legal in this state that keep the chart's map
     planar, in a deterministic order.
 
-    On a genus-0 surface every reconnect and insert that apply_move
-    accepts is listed (a reconnect under one of its two dart orders).
-    Where the surface has genus (a chart of genus >= 1, or attached
-    handles), apply_move also accepts reconnects and inserts that raise the
-    map's genus; they are not listed.
+    Every kind is listed by the site rule its applier checks, and no move
+    is tried.  On a genus-0 surface every reconnect, insert and sweep that
+    apply_move accepts is listed (a reconnect under one of its two dart
+    orders), and each cancelling crossing pair once.  Where the surface has
+    genus (a chart of genus >= 1, or attached handles), apply_move also
+    accepts reconnects, inserts and sweeps that raise the map's genus;
+    they are not listed.
     """
     ch = s.chart
     n = ch.degree
@@ -1670,55 +1663,44 @@ def enumerate_chart_moves(s: DecoratedSurface):
         key = frozenset((id(vmap[f[0]]), id(vmap[f[1]])))
         if key in seen_pairs:
             continue
-        mv = CIR2Straighten(f[0], f[1])
         try:
-            apply_move(s, mv)
+            _cancelling_crossings(ch, f[0], f[1])
         except ValueError:
             continue
         seen_pairs.add(key)
-        out.append(mv)
+        out.append(CIR2Straighten(f[0], f[1]))
 
+    # a sweep pushes the end's edge across t like CIR2Insert's finger, so
+    # the insert's planarity rule lists it
     for d in _black_ends(ch):
         e = emap[d]
+        w = _other(e, d)
         for t in darts:
-            if emap[t] is e or abs(emap[t].label - e.label) < 2:
-                continue
-            mv = CIISweep(d, t)
-            try:
-                apply_move(s, mv)
-            except ValueError:
-                continue
-            out.append(mv)
+            et = emap[t]
+            if et is not e and abs(et.label - e.label) >= 2 and _planar_insert(m, d, w, t):
+                out.append(CIISweep(d, t))
     for d in darts:
         if vmap[d].kind == "crossing" and _lone_black(m, _other(emap[d], d)):
             out.append(CIIRetract(d))
-    out += map(CIIIEliminate, _ciii_sites(ch, [v for v in ch.vertices if v.kind == "white"]))
+    whites = [v for v in ch.vertices if v.kind == "white"]
+    out += map(CIIIEliminate, _ciii_sites(ch, whites))
 
+    free = {}
+    for k, r in enumerate(ch.loops):
+        if r.sign == 1 and not r.pinned:
+            free.setdefault(r.label, []).append(k)
     for x in range(1, n):
+        xs = free.get(x, ())
         for y in (x - 1, x + 1):
-            if not 1 <= y <= n - 1:
-                continue
-            picked, used = [], set()
-            for lab in (y, x, y, x, y):
-                k = next(
-                    (
-                        kk
-                        for kk, r in enumerate(ch.loops)
-                        if kk not in used
-                        and r.label == lab
-                        and r.sign == 1
-                        and not r.pinned
-                    ),
-                    None,
-                )
-                if k is None:
-                    break
-                used.add(k)
-                picked.append(k)
-            if len(picked) == 5:
-                out.append(CIM3Bootstrap(x, y, tuple(picked)))
+            ys = free.get(y, ())
+            if len(xs) >= 2 and len(ys) >= 3:
+                out.append(CIM3Bootstrap(x, y, (ys[0], xs[0], ys[1], xs[1], ys[2])))
 
-    out += map(CIM3Cancel, _cim3_sites(ch))
+    # every edge of a mirror pair joins its two whites
+    alpha = m.alpha
+    out += map(CIM3Cancel, sorted(
+        min(d, alpha[d]) for _, v1, _ in _mirror_pairs(ch, whites) for d in v1.cycle
+    ))
     return out
 
 

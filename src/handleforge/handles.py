@@ -292,11 +292,16 @@ def apply_handle_move(s: HandleSystem, mv: HandleMove) -> HandleSystem:
         label = hk.label * hl.label if slot == 0 else hl.label.inverse() * hk.label
     elif isinstance(mv, Transfer7) and not hl.label.is_trivial:
         raise PreconditionViolated(variant, "target label must be trivial")
-    pairs = two_handle_moves((hk.m, hk.n), (hl.m, hl.n))[slot]
+    ik, il = (hk.m, hk.n), (hl.m, hl.n)
+    pairs = two_handle_moves(ik, il)[slot]
     if pairs is None:
         raise PreconditionViolated(variant, _ZERO_GATES[variant])
-    handles[mv.k - 1] = DecoratedHandle(label, *pairs[0])
-    handles[l - 1] = DecoratedHandle(hl.label, *pairs[1])
+    # a transfer hands back the pair of the handle it leaves alone (k for
+    # Transfer7, l for Transfer9), whose label it keeps too
+    if pairs[0] is not ik:
+        handles[mv.k - 1] = DecoratedHandle(label, *pairs[0])
+    if pairs[1] is not il:
+        handles[l - 1] = DecoratedHandle(hl.label, *pairs[1])
     return HandleSystem(s.generator_count, tuple(handles), s.pattern_braid)
 
 

@@ -493,8 +493,9 @@ class TestVerdict:
         assert validate_chart(c) == want
         assert calls == [None]
         # a patch check is not kept
-        assert validate_chart(c, [1]) == want
-        assert calls == [None, [1]]
+        patch = chart_mod.Patch(c, (), c.edges)
+        assert validate_chart(c, patch) == want
+        assert calls == [None, patch]
 
 
 class TestClassifiers:

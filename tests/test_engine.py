@@ -27,6 +27,7 @@ from handleforge.chart import (
     Chart,
     Edge,
     FloatingLoop,
+    Patch,
     PatternLoop,
     Vertex,
     canonical_chart,
@@ -857,6 +858,32 @@ class TestUnbraidBound:
         assert certify_trace(trace).ok
         assert count == spent >= lower
 
+    @staticmethod
+    def _two_crossings(head):
+        # a label-1 loop through two crossings, each also on a label-3
+        # loop; the second label-3 loop runs 6 -> 8 for head 8 and 8 -> 6
+        # for head 6
+        return mk(genus=1, vertices=(
+            Vertex("crossing", (1, 2, 3, 4)), Vertex("crossing", (5, 6, 7, 8)),
+        ), edges=(
+            Edge((3, 5), 1, 5), Edge((7, 1), 1, 1), Edge((2, 4), 3, 4), Edge((6, 8), 3, head),
+        ))
+
+    @pytest.mark.parametrize("head, lower, spent", [
+        (8, 2, {"weak": 2, "strong": 4, "branch": 2}),
+        # the signs cancel, so the bound is 0, yet every mode spends 2
+        (6, 0, {"weak": 2, "strong": 2, "branch": 2}),
+    ])
+    def test_two_crossings_on_a_torus(self, head, lower, spent):
+        ch = self._two_crossings(head)
+        assert validate_chart(ch) == []
+        assert chart_stats(ch).c_alg_total == lower
+        assert unbraiding_bounds(ch).u_lower_blackless == lower
+        for mode, unbraid in UNBRAIDERS.items():
+            _, count, trace = unbraid(surf(ch))
+            assert certify_trace(trace).ok, mode
+            assert count == spent[mode] >= lower, mode
+
 
 class TestUnbraidBranch:
     def test_free_edge_is_already_unknotted(self):
@@ -1075,12 +1102,14 @@ class TestBundledFixture:
                                 "handle-deco=s3,e")
 
 
-def _created_darts(before, after):
-    """Darts of after's edges and vertices that before does not hold by identity."""
+def _patch_between(before, after):
+    """The Patch that removes before's edges and vertices that after does
+    not hold by identity, and makes after's that before does not hold."""
     old = {id(x) for x in before.edges + before.vertices}
-    return [d for e in after.edges if id(e) not in old for d in e.darts] + [
-        d for v in after.vertices if id(v) not in old for d in v.cycle
-    ]
+    now = {id(x) for x in after.edges + after.vertices}
+    gone = [x for x in before.edges + before.vertices if id(x) not in now]
+    new = [x for x in after.edges + after.vertices if id(x) not in old]
+    return Patch(before, gone, new)
 
 
 def _other_dart(e, dart):
@@ -1185,7 +1214,7 @@ class TestPatchChecks:
                 moves = rng.sample(moves, 40)
             for mv in moves:
                 out = apply_move(s, mv)[0].chart
-                created = set(_created_darts(ch, out))
+                created = set(_patch_between(ch, out).made)
                 at = surface_map(out).vertex_at
                 # created edges between two vertices, one of them a crossing
                 # or a white vertex, whose word the edge enters
@@ -1222,7 +1251,7 @@ class TestPatchChecks:
                     bad.append(("swap", replace(out, vertices=verts2)))
                 for kind, chart in bad:
                     assert validate_chart(chart) != [], kind
-                    assert validate_chart(chart, _created_darts(ch, chart)) != [], kind
+                    assert validate_chart(chart, _patch_between(ch, chart)) != [], kind
                     refused[kind] += 1
         assert min(refused.values()) >= 100, refused
 
@@ -1627,7 +1656,94 @@ class TestEnumeratedOutputs:
         self._check(parse_chart((root / "twist_spun_trefoil.chart").read_text()))
 
 
-BENCH_CHARTS = Path(__file__).resolve().parents[1] / "bench" / "data"
+def _with_black_ended_edges(chart, k, rng):
+    """chart plus k free edges of random labels, each ending at two lone
+    black vertices, on darts above the chart's largest."""
+    top = max((d for e in chart.edges for d in e.darts), default=0)
+    edges, vertices = [], []
+    for a in range(top + 1, top + 1 + 2 * k, 2):
+        edges.append(Edge((a, a + 1), rng.randrange(1, chart.degree), rng.choice((a, a + 1))))
+        vertices += (Vertex("black", (a,)), Vertex("black", (a + 1,)))
+    return replace(chart, vertices=chart.vertices + tuple(vertices),
+                   edges=chart.edges + tuple(edges))
+
+
+class TestListedSites:
+    """enumerate_chart_moves lists straightenings and sweeps by their
+    appliers' site rules; here apply_move is tried on every candidate."""
+
+    @staticmethod
+    def _states(genus):
+        """Generated charts with black-ended free edges, declared at genus,
+        and the states a few listed moves lead to."""
+        for seed in range(8):
+            rng = random.Random(seed)
+            chart = generate_blackless_chart(4, rng.randint(8, 20), random.Random(200 + seed))
+            chart = replace(_with_black_ended_edges(chart, rng.randint(1, 3), rng), genus=genus)
+            s = surf(chart)
+            for _ in range(3):
+                moves = enumerate_chart_moves(s)
+                yield s, moves
+                s, _ = apply_move(s, rng.choice(moves))
+
+    @staticmethod
+    def _accepted(s, candidates):
+        out = []
+        for mv in candidates:
+            try:
+                apply_move(s, mv)
+            except ValueError:
+                continue
+            out.append(mv)
+        return out
+
+    @staticmethod
+    def _sweeps(s):
+        """Every lone end paired with a far-labelled dart of another edge."""
+        m = surface_map(s.chart)
+        ends = [v.cycle[0] for v in s.chart.vertices if v.kind == "black" and len(v.cycle) == 1]
+        return [
+            CIISweep(d, t)
+            for d in sorted(ends)
+            for t in m.darts
+            if m.edge_at[t] is not m.edge_at[d]
+            and abs(m.edge_at[t].label - m.edge_at[d].label) >= 2
+        ]
+
+    def test_the_listed_sites_are_those_apply_move_accepts(self):
+        straightened = swept = 0
+        for s, moves in self._states(genus=0):
+            m = surface_map(s.chart)
+            bigons = [CIR2Straighten(*f) for f in m.faces if len(f) == 2]
+            first = {}
+            for mv in self._accepted(s, bigons):
+                pair = frozenset((id(m.vertex_at[mv.a]), id(m.vertex_at[mv.b])))
+                first.setdefault(pair, mv)
+            listed = [mv for mv in moves if isinstance(mv, CIR2Straighten)]
+            assert listed == list(first.values())
+            listed = [mv for mv in moves if isinstance(mv, CIISweep)]
+            assert listed == self._accepted(s, self._sweeps(s))
+            straightened += len(first)
+            swept += len(listed)
+        assert straightened >= 20 and swept >= 500, (straightened, swept)
+
+    def test_at_genus_one_only_planar_sweeps_are_listed(self):
+        raising = 0
+        for s, moves in self._states(genus=1):
+            m = surface_map(s.chart)
+            accepted = self._accepted(s, self._sweeps(s))
+            planar = [
+                mv for mv in accepted
+                if engine._planar_insert(m, mv.black, engine._other(m.edge_at[mv.black], mv.black),
+                                         mv.target)
+            ]
+            assert [mv for mv in moves if isinstance(mv, CIISweep)] == planar
+            raising += len(accepted) - len(planar)
+        # apply_move takes sweeps that raise the map's genus; none is listed
+        assert raising >= 1
+
+
+BENCH_CHARTS =Path(__file__).resolve().parents[1] / "bench" / "data"
 
 
 def _fresh_copy(chart):
@@ -2094,7 +2210,7 @@ class TestMoveCost:
             for mv in enumerate_chart_moves(spanned)
             if isinstance(mv, CIM2Reconnect) and not (mv.a in ends and mv.b in ends)
         )
-        cancel = CIM3Cancel(next(engine._cim3_sites(spanned.chart)))
+        cancel = next(mv for mv in enumerate_chart_moves(spanned) if isinstance(mv, CIM3Cancel))
         cases = (
             (spanned, CIM1Erase(len(ch.loops) - 1), True),
             (spanned, reconnect, True),
