@@ -90,7 +90,12 @@ class SurfaceMap:
     Every table is keyed by dart, by component key or by the identity of an
     Edge or Vertex, never by a position in the chart's tuples, so a move's
     output carries its input's map through the move's patch (see rewrite).
-    Maps are shared between charts and must not be modified.
+    A map is shared by the charts that hold it and is never changed, with
+    one exception: a carried map that surface_map never returned is spare,
+    and the next carry from it takes its eight tables and writes its patch
+    into them.  Taking sets the table fields to None, so a reader that kept
+    the map fails loudly, and every chart holding it derives its map again,
+    in full, on its next read (see _carry).
     """
 
     alpha: dict  # dart -> the other dart of its edge
@@ -111,6 +116,7 @@ class SurfaceMap:
     top: int
     key: int  # the least component key above every key in use
     last: int  # the largest dart, 0 when there is none
+    spare: bool = False  # carried and not pinned: the next carry may take its tables
 
     @property
     def darts(self):
@@ -151,11 +157,12 @@ def _derived(chart):
     own (see surface_map); the map is None while the dart structure is
     broken.  A chart made by rewrite carries the map of the chart it was
     made from through the patch.  Every other chart (parsed, built by hand,
-    or made by dataclasses.replace) derives its map in full, once.
+    or made by dataclasses.replace) derives its map in full, once, and so
+    does a chart whose map handed its tables to a carry (see SurfaceMap).
     """
     got = chart.__dict__.get("_derived")
-    if got is None:
-        step = chart.__dict__.get("_step")
+    if got is None or got[1] is not None and got[1].alpha is None:
+        step = None if got else chart.__dict__.get("_step")
         got = _carry(chart, step) if step else _derive(chart)
         object.__setattr__(chart, "_derived", got)
         if got[1] is not None:
@@ -217,14 +224,16 @@ def rewrite(chart, gone=(), new=(), genus=None, loops=None, pattern_loops=None):
     chart's map.  new may also name the loop and pattern-loop records the
     caller puts into loops and pattern_loops, which the patch check then
     checks.  The new chart keeps the patch, split once as a Patch, and its
-    map is chart's map plus this patch: only the faces and components the
-    patch reaches are walked again, and a patch that removes and makes no
-    Edge or Vertex hands over chart's map itself.
+    map, carried on first use, is chart's map plus this patch: only the
+    faces and components the patch reaches are walked again, and a patch
+    that removes and makes no Edge or Vertex hands over chart's map itself.
+    Carrying takes the tables of chart's map when that map is spare, which
+    leaves it stale (see SurfaceMap and _carry).
     """
     p = Patch(chart, gone, new)
     vertices, edges = chart.vertices, chart.edges
     if p.old_v or p.old_e or p.new_v or p.new_e:
-        m = surface_map(chart)
+        m = _map_of(chart)
         top = m.top + len(p.new_v)
         vertices, vranks = _cut(vertices, m.vranks, p.old_v, m.rank, p.new_v, m.top)
         edges, eranks = _cut(edges, m.eranks, p.old_e, m.rank, p.new_e, top)
@@ -437,16 +446,17 @@ def _carry(chart, p):
     """(violations, map) of chart, made by rewrite with the Patch p.
 
     A patch that removes and makes no Edge or Vertex keeps the parent's
-    map.  Otherwise the tables the patch changes are copied, which runs in
-    C, and the rest is the patch's work: its darts are written and
-    removed, the faces through a made dart are walked again, and the
-    components are settled from those faces.  One face reaches one
-    component, which needs no search; more are searched, and the size of
-    the one left unexplored follows by difference.  A patch that does not
-    fit its parent, or an output with a broken dart structure, is derived
-    in full instead, which names the violations.
+    map.  Otherwise the new map owns its eight tables: it takes the
+    parent's when the parent's map is spare (see SurfaceMap), and else
+    copies them all, which runs in C.  The rest is the patch's work: its
+    darts are written and removed, the faces through a made dart are
+    walked again, and the components are settled from those faces.  One
+    face reaches one component, which needs no search; more are searched,
+    and the size of the one left unexplored follows by difference.  A
+    patch that does not fit its parent, or an output with a broken dart
+    structure, is derived in full instead, which names the violations.
     """
-    got = p.parent.__dict__.get("_derived") or _derived(p.parent)
+    got = _derived(p.parent)
     pout, pm = got
     # rewrite keeps the degree, so of the header only the genus can break
     if pout or chart.genus < 0:
@@ -455,11 +465,23 @@ def _carry(chart, p):
         return got
     ge, gv, ne, nv, made, cut = p.old_e, p.old_v, p.new_e, p.new_v, p.made, p.cut
 
+    # the tables, taken or copied whole: a table shared with the parent
+    # would be written under it by the next carry.  Taking marks the
+    # parent's map stale before the first write, so a fallback to _derive
+    # below leaves no map that reads half-written tables.
+    was, top = len(pm.alpha), pm.top
+    tables = pm.alpha, pm.sigma, pm.edge_at, pm.vertex_at, pm.face_at, pm.comp, pm.size, pm.rank
+    if pm.spare:
+        pm.alpha = pm.sigma = pm.edge_at = pm.vertex_at = None
+        pm.face_at = pm.comp = pm.size = pm.rank = None
+    else:
+        tables = map(dict.copy, tables)
+    alpha, sigma, edge_at, vertex_at, face_at, comp, size, rank = tables
+
     # a removed object is the parent's own when the parent's ranks hold
     # its identity, and then its darts are in the parent's tables; one
     # named twice is not found the second time.  Added objects follow top
     # in the order rewrite appends them.
-    rank, top = pm.rank.copy(), pm.top
     for x in ge:
         if rank.pop(id(x), None) is None:
             return _derive(chart)
@@ -473,14 +495,12 @@ def _carry(chart, p):
         rank[id(x)] = top
         top += 1
 
-    # the dart tables, each copied only when the patch changes it: the
-    # made darts are written over the parent's, then the removed darts not
-    # made again are deleted.  A made dart in use elsewhere, or made twice,
-    # shows as a table shorter than its count.
+    # the dart tables: the made darts are written over the parent's, then
+    # the removed darts not made again are deleted.  A made dart in use
+    # elsewhere, or made twice, shows as a table shorter than its count.
     n, m = 2 * len(ne), 2 * len(ge)
-    alpha, edge_at, sigma, vertex_at = pm.alpha, pm.edge_at, pm.sigma, pm.vertex_at
     if n or m:
-        alpha, edge_at, again = alpha.copy(), edge_at.copy(), made[:n]
+        again = made[:n]
         for e in ne:
             d1, d2 = e.darts
             if e.head != d1 and e.head != d2:
@@ -490,7 +510,7 @@ def _carry(chart, p):
         for d in set(cut[:m]).difference(again) if again else cut[:m]:
             del alpha[d], edge_at[d]
     if nv or gv:
-        sigma, vertex_at, again = sigma.copy(), vertex_at.copy(), made[n:]
+        again = made[n:]
         for v in nv:
             cycle = v.cycle
             if not cycle:
@@ -504,10 +524,7 @@ def _carry(chart, p):
             del sigma[d], vertex_at[d]
     # the patch's darts left in one table must be those left in the other;
     # then they are the made darts, and the others are in neither
-    if (
-        len(alpha) != len(pm.alpha) + n - m
-        or len(vertex_at) != len(pm.alpha) + len(made) - n - len(cut) + m
-    ):
+    if len(alpha) != was + n - m or len(vertex_at) != was + len(made) - n - len(cut) + m:
         return _derive(chart)
     # faces: a face walk changes only where it runs through a patch dart
     # (a changed edge, or a changed vertex entered from its partner).  So
@@ -517,17 +534,16 @@ def _carry(chart, p):
     # pass over the patch's darts finds the stale faces and the components
     # holding them, and the darts removed (in neither table now); a dart
     # in one table only breaks the dart structure.
-    pface, pcomp = pm.face_at, pm.comp
     stale, keys, dead = set(), set(), []
     for d in {*made, *cut}:
         if (d in alpha) != (d in vertex_at):
             return _derive(chart)
         if d not in alpha:
             dead.append(d)
-        f = pface.get(d)
+        f = face_at.get(d)
         if f is not None:
             stale.add(id(f))
-            keys.add(pcomp[d])
+            keys.add(comp[d])
     last = max((pm.last, *made))
     if last not in alpha:
         # the largest dart was removed: the next one in use lies among as
@@ -535,11 +551,8 @@ def _carry(chart, p):
         last = next(filter(alpha.__contains__, range(last - 1, last - 1 - len(dead), -1)), None)
         if last is None:
             last = max(alpha, default=0)
-    face_at, comp = pface.copy(), pcomp
-    if dead:
-        comp = pcomp.copy()
-        for d in dead:
-            del face_at[d], comp[d]
+    for d in dead:
+        del face_at[d], comp[d]
     walks = []
     for d in made:
         # a made dart is new or removed and made again, so its face is
@@ -552,11 +565,10 @@ def _carry(chart, p):
 
     # components: those holding a removed dart are replaced by those of the
     # walked faces.  Every piece left of a replaced component holds a made
-    # dart, so one face means one component and no search.  The component
-    # table is kept when the darts are the parent's and at most one
-    # component is reached, which keeps its key.
-    size = pm.size.copy()
-    region = len(alpha) - len(pm.alpha)
+    # dart, so one face means one component and no search.  Of the
+    # replaced components the largest keeps its key.
+    keep = max(keys, key=size.__getitem__) if len(keys) > 1 else next(iter(keys), None)
+    region = len(alpha) - was
     for k in keys:
         region += size.pop(k)
     if len(walks) > 1:
@@ -566,19 +578,14 @@ def _carry(chart, p):
     if running is not None and not keys:
         done.append(running[0])
         running = None
-    if comp is pcomp and (done or len(keys) > 1 or len(alpha) > len(pm.alpha)):
-        comp = pcomp.copy()
     if running is not None:
-        # the running search's component: the largest parent component it
-        # may hold keeps its key, and the made darts take it (those of the
-        # finished searches are labelled below).  With more than one, the
-        # others' darts take it too: those of its faces, and those of the
-        # faces reached from its unexpanded ones.
+        # the running search's component keeps that key, and the made
+        # darts take it (those of the finished searches are labelled
+        # below).  With more than one replaced component, the others'
+        # darts take it too: those of its faces, and those of the faces
+        # reached from its unexpanded ones.
         found, at = running
-        keep = max(keys, key=pm.size.__getitem__) if len(keys) > 1 else next(iter(keys))
-        if comp is not pcomp:
-            for d in made:
-                comp[d] = keep
+        comp.update(dict.fromkeys(made, keep))
         if len(keys) > 1:
             for f in found:
                 for x in f:
@@ -615,7 +622,7 @@ def _carry(chart, p):
             break
     sm = SurfaceMap(
         alpha, sigma, edge_at, vertex_at, face_at, comp, size,
-        pm.nfaces + len(walks) - len(stale), ends, rank, *p.ranks, top, fresh, last,
+        pm.nfaces + len(walks) - len(stale), ends, rank, *p.ranks, top, fresh, last, True,
     )
     return [], sm
 
@@ -803,8 +810,21 @@ def _require_valid(chart):
 
 
 def surface_map(chart):
-    """The chart's SurfaceMap (alpha, sigma, face walks, components)."""
-    return chart.__dict__.get("_map") or _valid_map(chart)
+    """The chart's SurfaceMap (alpha, sigma, face walks, components).
+
+    The map is pinned: no carry takes its tables (see SurfaceMap), so it
+    stays valid while the caller holds it."""
+    m = _map_of(chart)
+    m.spare = False
+    return m
+
+
+def _map_of(chart):
+    """The chart's SurfaceMap, as the moves read it: not pinned, so a
+    caller must not keep it, or any table of it, across a move from the
+    chart."""
+    m = chart.__dict__.get("_map")
+    return m if m is not None and m.alpha is not None else _valid_map(chart)
 
 
 def _valid_map(chart):
@@ -818,7 +838,7 @@ def _vertex(chart, v, kind):
     """The word of the Vertex v; ValueError unless it has the given kind."""
     if v.kind != kind:
         raise ValueError(f"vertex {v.cycle} is {v.kind}, not {kind}")
-    return _word(surface_map(chart).edge_at, v)
+    return _word(_map_of(chart).edge_at, v)
 
 
 def white_type(chart, v):
@@ -894,7 +914,7 @@ def _rotated(cycle):
 
 def canonical_dart_map(chart):
     """Dart renaming used by canonical_chart: numbered by first appearance."""
-    surface_map(chart)  # raises on a broken dart structure
+    _map_of(chart)  # raises on a broken dart structure
     verts = sorted(
         (Vertex(v.kind, _rotated(v.cycle)) for v in chart.vertices),
         key=lambda v: (v.cycle[0], v.kind),

@@ -22,6 +22,7 @@ from itertools import accumulate
 from .braid import BraidWord, conjugate, format_word, free_reduce, parse_word
 from .chart import (
     _WHITE_BASE,
+    _map_of,
     Chart,
     Edge,
     FloatingLoop,
@@ -34,7 +35,6 @@ from .chart import (
     drop_map,
     middle_positions,
     rewrite,
-    surface_map,
     take_patch,
     validate_chart,
     white_type,
@@ -246,7 +246,7 @@ def _span(s: DecoratedSurface, h: AttachedHandle):
     None when the handle is footless or threaded."""
     if h.feet is None:
         return None
-    e = surface_map(s.chart).edge_at.get(h.feet[0])
+    e = _map_of(s.chart).edge_at.get(h.feet[0])
     if e is None or set(e.darts) != set(h.feet):
         return None
     return e, e.label if e.head == h.feet[1] else -e.label
@@ -262,7 +262,7 @@ def _clean_span(s: DecoratedSurface, h: AttachedHandle):
 
 def _foot_vertices(s: DecoratedSurface, h: AttachedHandle):
     """The vertices holding the handle's feet."""
-    vertex_at = surface_map(s.chart).vertex_at
+    vertex_at = _map_of(s.chart).vertex_at
     return tuple({id(vertex_at[f]): vertex_at[f] for f in h.feet}.values())
 
 
@@ -606,7 +606,7 @@ def _check_fields(mv, degree):
 
 def _edge_at(ch: Chart, dart):
     """The edge holding dart; SiteMismatch when the chart has no such dart."""
-    e = surface_map(ch).edge_at.get(dart)
+    e = _map_of(ch).edge_at.get(dart)
     if e is None:
         raise SiteMismatch(f"no dart {dart}")
     return e
@@ -614,7 +614,7 @@ def _edge_at(ch: Chart, dart):
 
 def _vertex_at(ch: Chart, dart, kind):
     """The vertex holding dart, which must be of the given kind."""
-    v = surface_map(ch).vertex_at.get(dart)
+    v = _map_of(ch).vertex_at.get(dart)
     if v is None:
         raise SiteMismatch(f"no dart {dart}")
     if v.kind != kind:
@@ -669,7 +669,7 @@ def _without_loops(ch: Chart, *idxs):
 
 def _fresh(ch: Chart, n: int, drop=()) -> tuple[int, ...]:
     """n darts above the chart's largest dart, leaving out the darts in drop."""
-    m = surface_map(ch)
+    m = _map_of(ch)
     top = m.last
     if top in drop:
         top = max((d for d in m.alpha if d not in drop), default=0)
@@ -678,7 +678,7 @@ def _fresh(ch: Chart, n: int, drop=()) -> tuple[int, ...]:
 
 def _faces_touch(s: DecoratedSurface, a, pa, b, pb):
     """Necessary condition for a band between the two edges to embed."""
-    m = surface_map(s.chart)
+    m = _map_of(s.chart)
     if m.comp.get(a) != m.comp.get(b):
         return True
     face_at = m.face_at
@@ -747,7 +747,7 @@ def _collapse(s: DecoratedSurface, kill, ports, mute=(), handles=None, signed=Fa
     signed, positive exactly if the chain arrives at its min dart.
     """
     ch = s.chart
-    edge_at = surface_map(ch).edge_at
+    edge_at = _map_of(ch).edge_at
     killed_darts = {d for v in kill for d in v.cycle}
     chain_edges = {}
     for v in kill:
@@ -874,7 +874,7 @@ def _reconnect_check(s, a, b):
         raise SiteMismatch("the strands run the same way at the two darts")
     # the band may run through a handle joining exactly these two feet,
     # which are free ends
-    ends = surface_map(s.chart).ends
+    ends = _map_of(s.chart).ends
     at = _index(s).foot.get
     if not (a in ends and b in ends and at(a) is not None and at(a) == at(b)):
         if not _faces_touch(s, a, _other(ea, a), b, _other(eb, b)):
@@ -964,7 +964,7 @@ def _cancelling_crossings(ch: Chart, a, b):
     tb, sb = crossing_type(ch, vb)
     if ta != tb or sa != -sb:
         raise SiteMismatch("the two crossings do not cancel")
-    face_at = surface_map(ch).face_at
+    face_at = _map_of(ch).face_at
     db = set(vb.cycle)
     if not any(len(face_at[d]) == 2 and not db.isdisjoint(face_at[d]) for d in va.cycle):
         raise SiteMismatch("the crossings are not adjacent along both strands")
@@ -1008,7 +1008,7 @@ def _do_ciisweep(s, mv):
 @_applies(CIIRetract)
 def _do_ciiretract(s, mv):
     xv = _vertex_at(s.chart, mv.dart, "crossing")
-    m = surface_map(s.chart)
+    m = _map_of(s.chart)
     if not _lone_black(m, _other(m.edge_at[mv.dart], mv.dart)):
         raise SiteMismatch("no lone black end across the crossing")
     return _collapse(s, (xv,), _across(xv))
@@ -1018,7 +1018,7 @@ def _do_ciiretract(s, mv):
 def _do_ciii(s, mv):
     ch = s.chart
     wv = _vertex_at(ch, mv.dart, "white")
-    m = surface_map(ch)
+    m = _map_of(ch)
     e1 = m.edge_at[mv.dart]
     if not _lone_black(m, _other(e1, mv.dart)):
         raise SiteMismatch("the branch must end at a lone black vertex")
@@ -1037,7 +1037,7 @@ def _ciii_sites(ch: Chart, whites):
     """The darts where CIIIEliminate applies at the white vertices whites,
     in their order and cycle order: the non-middle ends whose edges end at
     lone black vertices."""
-    m = surface_map(ch)
+    m = _map_of(ch)
     for v in whites:
         mids = middle_positions(ch, v)
         for p, d in enumerate(v.cycle):
@@ -1078,7 +1078,7 @@ def _do_cim3bootstrap(s, mv):
 
 def _mirror_pair(ch: Chart, dart):
     """Check the direct mirror wiring through dart's edge; return its data."""
-    m = surface_map(ch)
+    m = _map_of(ch)
     emap, vmap = m.edge_at, m.vertex_at
     e0 = _edge_at(ch, dart)
     d1, d2 = dart, _other(e0, dart)
@@ -1110,7 +1110,7 @@ def _mirror_pair(ch: Chart, dart):
 def _white_edges(ch: Chart, whites):
     """The least dart of each edge that joins one of the white vertices
     whites to a white vertex, in least-dart order."""
-    m = surface_map(ch)
+    m = _map_of(ch)
     alpha, vmap = m.alpha, m.vertex_at
     return sorted(
         d
@@ -1124,7 +1124,7 @@ def _mirror_pairs(ch: Chart, whites):
     """(least site, its two whites) of each mirror-wired pair among the
     white vertices whites, the least site last.  A pair is tried once: the
     mirror check reads the same six arcs from any of its edges."""
-    m = surface_map(ch)
+    m = _map_of(ch)
     out, tried = [], set()
     for d in _white_edges(ch, whites):
         pair = frozenset((id(m.vertex_at[d]), id(m.vertex_at[m.alpha[d]])))
@@ -1233,7 +1233,7 @@ def _do_across(s, mv):
         letter = _edge_at(ch, mv.dart).label * mv.sign
         inv = MoveHandleAcrossEdge(mv.handle, dart=mv.dart, sign=-mv.sign)
     elif form == "end":
-        if not _lone_black(surface_map(ch), mv.end):
+        if not _lone_black(_map_of(ch), mv.end):
             raise SiteMismatch("the push site must be a lone black end")
         letter = _edge_at(ch, mv.end).label * mv.sign
         inv = MoveHandleAcrossEdge(mv.handle, end=mv.end, sign=-mv.sign, side=mv.side)
@@ -1293,7 +1293,7 @@ def _do_transfer(s, mv):
     if h.feet is None:
         raise SiteMismatch("the handle has no feet to pull through")
     v = _vertex_at(ch, mv.dart, "crossing")
-    emap = surface_map(ch).edge_at
+    emap = _map_of(ch).edge_at
     feet = set(h.feet)
     cands = [d for d in v.cycle if _other(emap[d], d) in feet]
     if not cands:
@@ -1387,7 +1387,7 @@ def _do_convert(s, mv):
 def _do_relabel(s, mv):
     ch = s.chart
     e = _edge_at(ch, mv.dart)
-    if not all(_lone_black(surface_map(ch), d) for d in e.darts):
+    if not all(_lone_black(_map_of(ch), d) for d in e.darts):
         raise SiteMismatch("both ends must be lone black vertices")
     _require_generators(s)
     out = _rewrite(s, (e,), (Edge(e.darts, mv.label, e.head),))
@@ -1426,7 +1426,7 @@ def _do_slide(s, mv):
 def _do_aid(s, mv):
     ch = s.chart
     wv = _vertex_at(ch, mv.dart, "white")
-    m = surface_map(ch)
+    m = _map_of(ch)
     flip = {}
     for d in wv.cycle:
         e = m.edge_at[d]
@@ -1443,7 +1443,7 @@ def _do_aid(s, mv):
 
 @_applies(SlideEndAlongEdge)
 def _do_slideend(s, mv):
-    v = surface_map(s.chart).vertex_at.get(mv.dart)
+    v = _map_of(s.chart).vertex_at.get(mv.dart)
     if v is None:
         raise SiteMismatch(f"no dart {mv.dart}")
     if len(v.cycle) != 1:
@@ -1466,7 +1466,7 @@ def _do_absorbhandle(s, mv):
         raise LabelConstraintViolated(
             f"span label {e.label} vs target label {et.label}"
         )
-    if not any(_lone_black(surface_map(s.chart), d) for d in et.darts):
+    if not any(_lone_black(_map_of(s.chart), d) for d in et.darts):
         raise SiteMismatch("the target strand has no free end to slide over")
     gone = (e, *_foot_vertices(s, h))
     handles = _index(s).put(replace(h, feet=None))
@@ -1536,7 +1536,7 @@ def _check_surface(s: DecoratedSurface, touched=None, held=None):
     problems = validate_chart(s.chart, touched)
     if problems:
         raise SiteMismatch("; ".join(problems))
-    ends = surface_map(s.chart).ends
+    ends = _map_of(s.chart).ends
     idx = _index(s)
     if touched is None or (idx is not held[0] and idx.parent is not held[0]):
         _check_handles(s, idx, ends, range(len(s.handles)), idx.foot.keys() | ends)
@@ -1586,7 +1586,7 @@ def apply_move(s: DecoratedSurface, mv):
     if not getattr(s, "_checked", False):
         _check_surface(s)
     _check_fields(mv, s.chart.degree)
-    held = (s.__dict__["_index"], surface_map(s.chart).ends)
+    held = (s.__dict__["_index"], _map_of(s.chart).ends)
     out, inv = fn(s, mv)
     if not getattr(out, "_checked", False):
         _check_surface(out, take_patch(s.chart, out.chart), held)
@@ -1612,7 +1612,7 @@ def enumerate_chart_moves(s: DecoratedSurface):
     ch = s.chart
     n = ch.degree
     out = []
-    m = surface_map(ch)
+    m = _map_of(ch)
     emap, vmap = m.edge_at, m.vertex_at
 
     for lab in range(1, n):
@@ -1766,7 +1766,7 @@ def generate_blackless_chart(degree: int, steps: int, rng) -> Chart:
     s = empty_surface(degree)
     for _ in range(steps):
         ch = s.chart
-        m = surface_map(ch)
+        m = _map_of(ch)
         emap, darts = m.edge_at, m.darts
         # whether an insert site exists: none without two labels two apart,
         # else the first in pair order is sought; the sites are counted
@@ -1876,7 +1876,7 @@ def _handed_back(start: DecoratedSurface, state: DecoratedSurface):
 def _collect_crossing(run: _Runner, cyc) -> int:
     """Resolve the crossing with the darts cyc onto a fresh handle; returns
     handles spent."""
-    emap = surface_map(run.state.chart).edge_at
+    emap = _map_of(run.state.chart).edge_at
     i = min(emap[d].label for d in cyc)
     d_i = min(d for d in cyc if emap[d].label == i)
     run.do(AttachTrivialHandle(cocore_label=i))
@@ -1911,7 +1911,7 @@ def _cancel_whites(run: _Runner) -> None:
         ch = run.state.chart
         fired = next(_ciii_sites(ch, whites.values()), None) if scan else None
         if fired is not None:
-            del whites[id(surface_map(ch).vertex_at[fired])]
+            del whites[id(_map_of(ch).vertex_at[fired])]
             run.do(CIIIEliminate(fired))
             sites = None
             continue
@@ -2047,7 +2047,7 @@ def _unbraid(s: DecoratedSurface, mode: str):
         ch = run.state.chart
         site = min(_ciii_sites(ch, whites.values()), default=None) if st.b else None
         if site is not None:
-            del whites[id(surface_map(ch).vertex_at[site])]
+            del whites[id(_map_of(ch).vertex_at[site])]
             run.do(CIIIEliminate(site))
         elif crossings:
             count += _collect_crossing(run, crossings.pop())
@@ -2085,7 +2085,7 @@ def unbraid_with_branch(s: DecoratedSurface):
 
 def _black_end(ch: Chart, label, skip=None):
     """The least lone black end on an edge of this label other than skip."""
-    emap = surface_map(ch).edge_at
+    emap = _map_of(ch).edge_at
     ends = _black_ends(ch)
     hits = (d for d in ends if emap[d].label == label and emap[d] is not skip)
     return next(hits, None)
@@ -2160,7 +2160,7 @@ class CertifyResult:
 
 def _non_handle_vertices(s: DecoratedSurface):
     feet = {d for h in s.handles if h.feet is not None for d in h.feet}
-    comp = surface_map(s.chart).comp
+    comp = _map_of(s.chart).comp
     roots = {comp[d] for d in feet}
     return [v for v in s.chart.vertices if comp[v.cycle[0]] not in roots]
 

@@ -622,6 +622,10 @@ def _moves(count: int) -> tuple[HandleMove, ...]:
     return tuple(out)
 
 
+# the first of the two_handle_moves slots of each gated family
+_GATE_SLOT = {Transfer7: 2, Transfer9: 4}
+
+
 def enumerate_reachable(
     s: HandleSystem,
     move_budget: int,
@@ -654,7 +658,14 @@ def enumerate_reachable(
         }
 
     def step(state: HandleSystem):
-        for mv in _moves(len(state.handles)):
+        hs = state.handles
+        for mv in _moves(len(hs)):
+            # a transfer that two_handle_moves gates off is not tried
+            slot = _GATE_SLOT.get(type(mv))
+            if slot is not None:
+                hk, hl = hs[mv.k - 1], hs[mv.l - 1]
+                if two_handle_moves((hk.m, hk.n), (hl.m, hl.n))[slot] is None:
+                    continue
             try:
                 r = apply_handle_move(state, mv)
             except PreconditionViolated:

@@ -1939,6 +1939,223 @@ class TestCarriedMapWalk:
         assert {"CIM2Reconnect", "CIR2Insert", "CIR2Straighten"} <= kinds and undone, kinds
 
 
+class TestMapHandOver:
+    """A carried map that surface_map never returned is spare: the next
+    carry from its chart takes its tables and leaves it stale (see
+    chart.SurfaceMap).  Every map read afterwards, of an output or of a
+    state a carry left behind, equals a full derivation."""
+
+    @staticmethod
+    def _changing(s):
+        """A move from s that rewrites Edge objects, so its output's map is
+        carried and not shared."""
+        return next(mv for mv in enumerate_chart_moves(s)
+                    if isinstance(mv, (CIM2Reconnect, CIR2Insert, CIR2Straighten)))
+
+    @staticmethod
+    def _assert_full(chart):
+        """The chart's map, as the moves read it, equals a full derivation."""
+        m = chart_mod._map_of(chart)
+        assert m.alpha is not None
+        assert _map_key(m) == _map_key(chart_mod._derive(_fresh_copy(chart))[1])
+
+    def test_a_walk_hands_every_map_over(self, monkeypatch):
+        seen = TestCarriedMap._compare_every_output(monkeypatch)
+        rng = random.Random(28)
+        # id of a map -> the map and the states whose charts hold it
+        holders = {}
+        superseded, taken, refused, shared = [], 0, 0, 0
+        for walk in range(8):
+            chart = generate_blackless_chart(rng.randint(3, 4), rng.randint(6, 12),
+                                             random.Random(900 + walk))
+            # at genus 0, a band that raises the map's genus is refused by
+            # the output's check, after its carry
+            s = surf(replace(chart, genus=walk % 2))
+            undo = []
+            for _ in range(60):
+                m = chart_mod._map_of(s.chart)
+                holders.setdefault(id(m), (m, {}))[1][id(s)] = s
+                roll = rng.random()
+                back = bool(undo) and roll < 0.2
+                if back:
+                    mv = undo.pop()
+                elif roll < 0.35:
+                    mv = CIM1Add(rng.randrange(1, chart.degree), 1)
+                elif roll < 0.65:
+                    mv = rng.choice(enumerate_chart_moves(s))
+                else:
+                    face = rng.choice(m.faces) if m.face_at else None
+                    if face is None:
+                        continue
+                    darts = [d for x in face for d in (x, m.alpha[x])]
+                    a, b = rng.choice(darts), rng.choice(darts)
+                    same = m.edge_at[a].label == m.edge_at[b].label
+                    mv = CIM2Reconnect(a, b) if same else CIR2Insert(a, b)
+                spare = m.spare
+                try:
+                    out, inv = apply_move(s, mv)
+                except ValueError:
+                    out = None
+                if m.alpha is None:
+                    # the carry took the input's tables: only a spare map
+                    # hands them over, and every state holding it is left
+                    assert spare, mv
+                    taken += 1
+                    states = holders.pop(id(m))[1].values()
+                    superseded += states
+                    shared += len(states) - 1
+                    if out is None:
+                        refused += 1
+                        self._assert_full(s.chart)
+                elif out is not None and type(mv) is not engine._Restore:
+                    # a map-changing move from a spare map always takes it
+                    assert not spare or chart_mod._map_of(out.chart) is m, mv
+                if out is None:
+                    continue
+                if not back:
+                    undo.append(inv)
+                s = out
+        assert seen["carried"] > 250 and taken > 80, (seen, taken)
+        assert refused and shared, (refused, shared)
+        for state in superseded:
+            self._assert_full(state.chart)
+
+    def test_a_map_kept_past_its_hand_over_fails_loudly(self):
+        s = surf(generate_blackless_chart(4, 20, random.Random(5)))
+        child, _ = apply_move(s, self._changing(s))
+        m = chart_mod._map_of(child.chart)
+        assert m.spare
+        apply_move(child, self._changing(child))
+        assert m.alpha is None
+        d = min(child.chart.edges[0].darts)
+        reads = (lambda: m.alpha[d], lambda: m.edge_at.get(d), lambda: m.comp[d],
+                 lambda: m.darts, lambda: m.faces, lambda: m.phi)
+        for read in reads:
+            with pytest.raises((TypeError, AttributeError)):
+                read()
+        # the chart itself derives its map again, which no carry takes
+        again = chart_mod._map_of(child.chart)
+        assert again is not m and not again.spare
+        self._assert_full(child.chart)
+
+    def test_a_refused_output_leaves_its_input_readable(self, monkeypatch):
+        s = surf(generate_blackless_chart(4, 20, random.Random(5)))
+        s, _ = apply_move(s, self._changing(s))
+        m = chart_mod._map_of(s.chart)
+        e = min(s.chart.edges, key=lambda e: e.darts)
+        n = s.chart.degree
+
+        def relabel(s, mv):
+            return engine._rewrite(s, (e,), (Edge(e.darts, n, e.head),)), mv
+
+        monkeypatch.setitem(engine._APPLY, CIM1Add, relabel)
+        with pytest.raises(SiteMismatch, match=f"label {n} out of range"):
+            apply_move(s, CIM1Add(1, 1))
+        # the output's carry took the tables before its check refused it
+        assert m.alpha is None
+        monkeypatch.undo()
+        self._assert_full(s.chart)
+        out, _ = apply_move(s, self._changing(s))
+        self._assert_full(out.chart)
+
+    def test_a_pinned_map_stays_valid_across_applies(self):
+        s = surf(generate_blackless_chart(4, 20, random.Random(5)))
+        s, _ = apply_move(s, self._changing(s))
+        m = surface_map(s.chart)
+        assert not m.spare
+        moves = [mv for mv in enumerate_chart_moves(s)
+                 if isinstance(mv, (CIM2Reconnect, CIR2Insert, CIR2Straighten))]
+        assert len(moves) >= 6
+        for mv in moves[:6]:
+            out, _ = apply_move(s, mv)
+            # a move from the output takes the output's tables, not s's
+            apply_move(out, self._changing(out))
+            assert surface_map(s.chart) is m
+            assert _map_key(m) == _map_key(chart_mod._derive(_fresh_copy(s.chart))[1])
+
+
+# the cli_batch charts of bench/inputs.py: five generator seeds for each
+# (degree, steps) stratum
+CLI_CHARTS = tuple(
+    (degree, steps, (degree * 100 + steps) * 100 + j)
+    for degree, steps in ((2, 6), *((d, k) for d in (3, 4) for k in (6, 8, 10, 12, 14, 16)))
+    for j in range(5)
+)
+
+
+class TestFullDerivations:
+    """A run derives its start chart's map in full and carries every other:
+    each carry takes its parent's tables, and a derived map is never taken,
+    so trials from one state cost one derivation of it, not one each."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+        full = chart_mod._derive
+        monkeypatch.setattr(chart_mod, "_derive", lambda ch: calls.append(ch) or full(ch))
+        return calls
+
+    def test_strong_mode_derives_only_the_start_chart(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        chart = parse_chart((BENCH_CHARTS / "unbraid_v52.chart").read_text())
+        s = surf(chart)
+        _, _, trace = unbraid_without_branch(s, "strong")
+        assert certify_trace(parse_script(format_script(trace), s)).ok
+        assert calls == [chart]
+
+    def test_branch_mode_and_the_bundled_script_derive_only_the_start_chart(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        root = resources.files("handleforge") / "data"
+        bundled = parse_chart((root / "twist_spun_trefoil.chart").read_text())
+        s = surf(bundled)
+        _, _, trace = unbraid_with_branch(s)
+        assert certify_trace(trace).ok
+        assert certify_trace(parse_script((root / "twist_spun_trefoil.script").read_text(), s)).ok
+        assert calls == [bundled]
+
+    def test_a_failed_trial_costs_at_most_one_derivation(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        failed = []
+
+        class Counting(engine._Runner):
+            def do(self, mv):
+                try:
+                    return super().do(mv)
+                except ValueError:
+                    failed.append(mv)
+                    raise
+
+        monkeypatch.setattr(engine, "_Runner", Counting)
+        runs = [(generate_blackless_chart(degree, steps, random.Random(seed)), mode)
+                for degree, steps, seed in CLI_CHARTS for mode in ("weak", "strong")]
+        root = resources.files("handleforge") / "data"
+        runs.append((parse_chart((root / "twist_spun_trefoil.chart").read_text()), "branch"))
+        trials = 0
+        for chart, mode in runs:
+            start = _fresh_copy(chart)
+            calls.clear()
+            failed.clear()
+            engine._unbraid(surf(start), mode)
+            assert calls[0] is start
+            assert len(calls) - 1 <= len(failed), (chart, mode)
+            trials += len(failed)
+        # _pair_whites tries a rewiring on the bundled chart and drops it
+        assert trials >= 1
+
+    def test_trials_from_one_state_cost_one_derivation(self, monkeypatch):
+        s = surf(generate_blackless_chart(4, 20, random.Random(5)))
+        s, _ = apply_move(s, TestMapHandOver._changing(s))
+        moves = [mv for mv in enumerate_chart_moves(s)
+                 if isinstance(mv, (CIM2Reconnect, CIR2Insert, CIR2Straighten))]
+        assert len(moves) >= 5
+        calls = self._counting(monkeypatch)
+        for mv in moves:
+            apply_move(s, mv)
+        # the first trial takes s's tables, the second derives s again, and
+        # the rest copy the derived map
+        assert calls == [s.chart]
+
+
 class TestRecordOnlyPatch:
     """A rewrite that removes and makes no Edge or Vertex hands over its
     input's map itself, and is checked on the records it names, the genus
