@@ -95,7 +95,8 @@ class SurfaceMap:
     and the next carry from it takes its eight tables and writes its patch
     into them.  Taking sets the table fields to None, so a reader that kept
     the map fails loudly, and every chart holding it derives its map again,
-    in full, on its next read (see _carry).
+    in full, on its next read (see _carry).  Free ends are read off
+    vertex_at: a dart is one when its Vertex is a free_end.
     """
 
     alpha: dict  # dart -> the other dart of its edge
@@ -106,7 +107,6 @@ class SurfaceMap:
     comp: dict  # dart -> key of its connected component
     size: dict  # component key -> number of darts
     nfaces: int  # the number of faces
-    ends: frozenset  # the darts of the free_end vertices
     # id of each Edge and Vertex -> its rank, increasing along the chart's
     # edge and vertex tuples; the ranks in the order of those tuples; and
     # the least rank above every rank in use
@@ -213,6 +213,10 @@ class Patch:
         self.records, self.made, self.cut = records, made, cut
 
 
+# the patch of a chart that a move left as it was
+_UNCHANGED = Patch(None, (), ())
+
+
 def rewrite(chart, gone=(), new=(), genus=None, loops=None, pattern_loops=None):
     """chart with its genus, loops and pattern loops replaced where given,
     made by removing the Edge and Vertex objects in gone and adding the
@@ -275,12 +279,12 @@ def take_patch(before, after):
     """The Patch that made after from before: the patch check reads the
     darts it makes and the records it names.
 
-    () when after is before, None when after is no rewrite of before.  It
-    derives after's map, then drops after's link to before, so that a run
-    of moves does not keep every earlier chart alive.
+    An empty Patch when after is before, None when after is no rewrite of
+    before.  It derives after's map, then drops after's link to before, so
+    that a run of moves does not keep every earlier chart alive.
     """
     if after is before:
-        return ()
+        return _UNCHANGED
     _derived(after)
     p = after.__dict__.pop("_step", None)
     return p if p is not None and p.parent is before else None
@@ -309,10 +313,6 @@ def _face(d, alpha, sigma):
         walk.append(cur)
     k = walk.index(min(walk))
     return tuple(walk[k:] + walk[:k]) if k else tuple(walk)
-
-
-def _ends(vertices):
-    return {v.cycle[0] for v in vertices if v.kind == "free_end"}
 
 
 def _derive(chart):
@@ -359,11 +359,7 @@ def _derive(chart):
     face_at, nfaces = {}, 0
     for d in sorted(alpha):
         if d not in face_at:
-            walk, cur = [d], sigma[alpha[d]]
-            while cur != d:
-                walk.append(cur)
-                cur = sigma[alpha[cur]]
-            walk = tuple(walk)
+            walk = _face(d, alpha, sigma)
             for x in walk:
                 face_at[x] = walk
             nfaces += 1
@@ -389,8 +385,7 @@ def _derive(chart):
     rank.update({id(e): k for k, e in enumerate(edges)})
     sm = SurfaceMap(
         alpha, sigma, edge_at, vertex_at, face_at, comp, size, nfaces,
-        frozenset(_ends(vertices)), rank, tuple(range(nv)), tuple(range(ne)),
-        max(nv, ne), len(size), max(alpha, default=0),
+        rank, tuple(range(nv)), tuple(range(ne)), max(nv, ne), len(size), max(alpha, default=0),
     )
     return [], sm
 
@@ -611,18 +606,9 @@ def _carry(chart, p):
     if running is not None:
         size[keep] = region
 
-    ends = pm.ends
-    for v in gv:
-        if v.kind == "free_end":
-            ends = ends.difference(_ends(gv))
-            break
-    for v in nv:
-        if v.kind == "free_end":
-            ends = ends.union(_ends(nv))
-            break
     sm = SurfaceMap(
         alpha, sigma, edge_at, vertex_at, face_at, comp, size,
-        pm.nfaces + len(walks) - len(stale), ends, rank, *p.ranks, top, fresh, last, True,
+        pm.nfaces + len(walks) - len(stale), rank, *p.ranks, top, fresh, last, True,
     )
     return [], sm
 
@@ -685,8 +671,8 @@ def validate_chart(chart, touched=None):
     verdict is kept on the frozen chart.  Given touched, a move's Patch
     (which names the darts of the objects it makes, and its records), it
     runs them only at the vertices holding one of those darts and at the
-    edges the patch makes, and checks only those records; the () that
-    take_patch gives for an unchanged chart leaves the map-level counts.
+    edges the patch makes, and checks only those records; take_patch's
+    empty Patch for an unchanged chart leaves the map-level counts.
     The patch check suffices after a move over a valid chart: a vertex
     whose Vertex and Edge objects the move kept has the same word as
     before, a kept edge its label, and a kept record is unchanged.
@@ -709,8 +695,6 @@ def _violations(chart, touched):
         edges = enumerate(chart.edges)
         loops = enumerate(chart.loops)
         pats = enumerate(chart.pattern_loops)
-    elif not touched:  # take_patch's () for an unchanged chart
-        return _count_violations(chart, sm)
     else:
         # indices are looked up only for an item that fails; of the edges
         # at a patch's darts only those it makes can have a new label
@@ -935,9 +919,8 @@ def canonical_chart(chart, remap=None):
     """
     if remap is None:
         remap = canonical_dart_map(chart)
-    verts = [Vertex(v.kind, _rotated(v.cycle)) for v in chart.vertices]
     new_verts = sorted(
-        (Vertex(v.kind, _rotated(tuple(remap[d] for d in v.cycle))) for v in verts),
+        (Vertex(v.kind, _rotated(tuple(remap[d] for d in v.cycle))) for v in chart.vertices),
         key=lambda v: (v.cycle[0], v.kind),
     )
     new_edges = []

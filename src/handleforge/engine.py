@@ -872,11 +872,9 @@ def _reconnect_check(s, a, b):
     ha, hb = ea.head == a, eb.head == b
     if ha == hb:
         raise SiteMismatch("the strands run the same way at the two darts")
-    # the band may run through a handle joining exactly these two feet,
-    # which are free ends
-    ends = _map_of(s.chart).ends
+    # the band may run through a handle joining exactly these two feet
     at = _index(s).foot.get
-    if not (a in ends and b in ends and at(a) is not None and at(a) == at(b)):
+    if not (at(a) is not None and at(a) == at(b)):
         if not _faces_touch(s, a, _other(ea, a), b, _other(eb, b)):
             raise SiteMismatch("the two darts do not cobound a face")
     return ea, eb, ha
@@ -1527,29 +1525,31 @@ def _do_patterntwist(s, mv):
 def _check_surface(s: DecoratedSurface, touched=None, held=None):
     """Raise SiteMismatch unless the surface is valid; see validate_chart.
 
-    Given the move's patch (see take_patch), and held, the handle index and
-    free-end set of the valid input the move rewrote, the chart is checked
-    on its patch, and of the handles only those the move put, and only at
-    the darts where it changed a foot or a free end.  Otherwise every
-    handle is checked, at every foot and free end.
+    Given the move's patch (see take_patch), and held, the handle index of
+    the valid input the move rewrote, the chart is checked on its patch,
+    and of the handles only those the move put, and only at the darts
+    where it changed a foot or a free end.  A free end changes only with
+    its Vertex, so those darts are the free ends among the vertices the
+    patch removes or makes.  Otherwise every handle is checked, at every
+    foot and free end.
     """
     problems = validate_chart(s.chart, touched)
     if problems:
         raise SiteMismatch("; ".join(problems))
-    ends = _map_of(s.chart).ends
     idx = _index(s)
-    if touched is None or (idx is not held[0] and idx.parent is not held[0]):
-        _check_handles(s, idx, ends, range(len(s.handles)), idx.foot.keys() | ends)
-    elif idx is not held[0] or ends is not held[1]:
-        darts = () if ends is held[1] else ends ^ held[1]
-        if idx is held[0]:
-            _check_handles(s, idx, ends, (), darts)
-        else:
-            _check_handles(s, idx, ends, idx.changed, {*idx.stirred, *darts})
+    if touched is None or (idx is not held and idx.parent is not held):
+        ends = [v.cycle[0] for v in s.chart.vertices if v.kind == "free_end"]
+        _check_handles(s, idx, range(len(s.handles)), idx.foot.keys() | ends)
+    else:
+        ends = [v.cycle[0] for v in (*touched.old_v, *touched.new_v) if v.kind == "free_end"]
+        if idx is not held:
+            _check_handles(s, idx, idx.changed, {*idx.stirred, *ends})
+        elif ends:
+            _check_handles(s, idx, (), ends)
     object.__setattr__(s, "_checked", True)
 
 
-def _check_handles(s, idx, ends, spots, darts):
+def _check_handles(s, idx, spots, darts):
     """Refuse the handles at the positions spots, in order, and the darts
     where a foot and a free end disagree."""
     idx.parent = None
@@ -1560,7 +1560,10 @@ def _check_handles(s, idx, ends, spots, darts):
             raise SiteMismatch(f"duplicate handle id {h.id}")
         if h.coreloop.degree != degree:
             raise SiteMismatch(f"handle {h.id}: loop word degree mismatch")
-    if len(foot) != idx.nfeet or any((d in foot) != (d in ends) for d in darts):
+    at = _map_of(s.chart).vertex_at
+    if len(foot) != idx.nfeet or any(
+        (d in foot) != (d in at and at[d].kind == "free_end") for d in darts
+    ):
         raise SiteMismatch("free ends and handle feet out of step")
 
 
@@ -1574,11 +1577,12 @@ def apply_move(s: DecoratedSurface, mv):
     input's map plus the patch, and the output is checked on the darts of
     the edges and vertices the move created and on the records it names,
     plus the map-level counts the map keeps, and its handles only if they
-    or the free ends changed; over a valid input that decides validity
-    (see validate_chart).  An output chart that carries no patch from the
-    input is derived and checked in full.  An output that already passed
-    this check is not checked again: a restore, the inverse of a compound
-    surgery, gives back the surface its move started from.
+    changed or the patch removes or makes a free end; over a valid input
+    that decides validity (see validate_chart and _check_surface).  An
+    output chart that carries no patch from the input is derived and
+    checked in full.  An output that already passed this check is not
+    checked again: a restore, the inverse of a compound surgery, gives
+    back the surface its move started from.
     """
     fn = _APPLY.get(type(mv))
     if fn is None:
@@ -1586,7 +1590,7 @@ def apply_move(s: DecoratedSurface, mv):
     if not getattr(s, "_checked", False):
         _check_surface(s)
     _check_fields(mv, s.chart.degree)
-    held = (s.__dict__["_index"], _map_of(s.chart).ends)
+    held = s.__dict__["_index"]
     out, inv = fn(s, mv)
     if not getattr(out, "_checked", False):
         _check_surface(out, take_patch(s.chart, out.chart), held)

@@ -1293,8 +1293,9 @@ class TestPatchChecks:
         s = surf(generate_blackless_chart(4, 20, random.Random(5)))
         s, _ = apply_move(s, AttachTrivialHandle(cocore_label=1))
         ch, n, hid = s.chart, s.chart.degree, s.handles[0].id
-        ends = surface_map(ch).ends
+        ends = {v.cycle[0] for v in ch.vertices if v.kind == "free_end"}
         strand = next(e for e in ch.edges if e.darts[0] not in ends)
+        top = max(surface_map(ch).alpha)
         k = len(ch.loops)
 
         def records(rec):
@@ -1346,6 +1347,16 @@ class TestPatchChecks:
             # a foot with no free end: the span goes, the handle keeps its feet
             (
                 lambda s, mv: engine._rewrite(s, (span, *feet), ()),
+                "free ends and handle feet out of step",
+            ),
+            # a free end with no foot: a free edge between two free ends
+            # that no handle stands on
+            (
+                lambda s, mv: engine._rewrite(s, (), (
+                    Edge((top + 1, top + 2), 1, top + 2),
+                    Vertex("free_end", (top + 1,)),
+                    Vertex("free_end", (top + 2,)),
+                )),
                 "free ends and handle feet out of step",
             ),
         )
@@ -1762,7 +1773,7 @@ def _map_key(m):
     comps = {frozenset(p): m.size[k] for k, p in parts.items()}
     return (
         m.alpha, m.sigma, m.edge_at, m.vertex_at, m.face_at,
-        set(m.face_at.values()), m.nfaces, comps, m.ends,
+        set(m.face_at.values()), m.nfaces, comps,
     )
 
 
@@ -2421,7 +2432,7 @@ class TestMoveCost:
         hid = spanned.handles[-1].id
         bridged, _ = apply_move(spanned, Bridge(hid, d_i))
         assert spanned.chart.loops and spanned.handles
-        ends = surface_map(spanned.chart).ends
+        ends = {v.cycle[0] for v in spanned.chart.vertices if v.kind == "free_end"}
         reconnect = next(
             mv
             for mv in enumerate_chart_moves(spanned)
